@@ -874,16 +874,7 @@ class BaseClient:
         outstanding: list = []
         failures: list[BaseException] = []
         for chunk in chunks:
-            crcs = [crc32_fast(v) if with_crc else 0 for _, v in chunk]
-            t0 = self.env.now
-            resps = yield from self.alloc_batch_rpc(chunk, crcs)
-            if with_crc:
-                crc_ns = sum(
-                    self.config.crc_cost.cost_ns(len(v)) for _, v in chunk
-                )
-                overlap = self.env.now - t0
-                if crc_ns > overlap:
-                    yield self.env.timeout(crc_ns - overlap)
+            resps = yield from self._alloc_chunk(chunk, with_crc)
             proc = self.env.process(
                 self._write_batch_guarded(resps, [v for _, v in chunk], failures),
                 name=f"{self.name}-doorbell",
@@ -907,6 +898,15 @@ class BaseClient:
     ) -> Generator[Event, Any, None]:
         """One chunk, serially: alloc_batch then the doorbell WRITEs
         (the resilient path retries this whole generator)."""
+        resps = yield from self._alloc_chunk(chunk, with_crc)
+        yield from self._write_batch(resps, [v for _, v in chunk])
+
+    def _alloc_chunk(
+        self, chunk: "list[tuple[bytes, bytes]]", with_crc: bool
+    ) -> Generator[Event, Any, list]:
+        """One ``alloc_batch`` round trip with the chunk's CRCs computed
+        under it: only the CRC time exceeding the RTT is waited out
+        (the overlap of :meth:`put_client_active`, per chunk)."""
         crcs = [crc32_fast(v) if with_crc else 0 for _, v in chunk]
         t0 = self.env.now
         resps = yield from self.alloc_batch_rpc(chunk, crcs)
@@ -915,7 +915,7 @@ class BaseClient:
             overlap = self.env.now - t0
             if crc_ns > overlap:
                 yield self.env.timeout(crc_ns - overlap)
-        yield from self._write_batch(resps, [v for _, v in chunk])
+        return resps
 
     def alloc_batch_rpc(
         self, chunk: "list[tuple[bytes, bytes]]", crcs: "list[int]"

@@ -144,8 +144,10 @@ class Fabric:
         #: nothing (the :mod:`repro.sim.trace` pattern).
         self.injector = None
         #: Allow the analytic fast path for uncontended verbs. Cleared by
-        #: crash/chaos harnesses (and ignored while an injector is armed)
-        #: so RNG-order-sensitive experiments stay on the event path.
+        #: the crash harnesses (``harness/crash.py``, ``crashmatrix.py``)
+        #: so their crash-RNG draws stay on the event path's schedule;
+        #: chaos runs leave it set and rely on the armed injector, which
+        #: :meth:`fastpath_ok` also honours.
         self.fastpath = True
         #: Verbs completed via the analytic fast path / forced onto the
         #: full event path while the fast path was enabled.
@@ -212,19 +214,12 @@ class Fabric:
 
     # -- in-flight write tracking ----------------------------------------------
     def register_inflight(
-        self,
-        target: Node,
-        addr: int,
-        data: bytes,
-        apply_at: float,
-        t_start: Optional[float] = None,
+        self, target: Node, addr: int, data: bytes, apply_at: float, t_start: float
     ) -> InflightWrite:
-        """Track a WRITE payload in flight. ``t_start`` defaults to now;
-        the analytic fast path passes the wire-entry time explicitly
-        because it registers before simulating the TX occupancy."""
-        fl = InflightWrite(
-            target, addr, data, self.env.now if t_start is None else t_start, apply_at
-        )
+        """Track a WRITE payload in flight from its wire-entry time
+        ``t_start`` (in the future when the TX leg was claimed in closed
+        form: the payload registers before the occupancy has elapsed)."""
+        fl = InflightWrite(target, addr, data, t_start, apply_at)
         self._inflight[fl.uid] = fl
         return fl
 

@@ -9,44 +9,57 @@ simulated processes::
     rid  = yield from ep.send({"op": "put"}, wire_bytes=64)
     msg  = yield from ep.recv_response(rid)
 
-Timing composition per verb (see :mod:`repro.rdma.latency`):
+One description per verb, two leg primitives (see DESIGN.md §11)
+----------------------------------------------------------------
+Every verb is one straight-line generator that states, once: its
+prologue (QP usable → fault injection → target and MR validation →
+stats), its TX leg, the delay to its remote-side instant with the side
+effect that happens there, and its ACK leg (terms: :mod:`repro.rdma.latency`):
 
-* ``write``  — TX engine (nic_tx + serialize) → wire (propagation) →
-  target DMA (into DDIO/LLC, i.e. *volatile*) → ACK (propagation +
-  nic_rx). The payload is tracked in-flight for crash tearing.
-* ``read``   — request out → target NIC DMA-reads memory → response
-  occupies the *target's* TX engine for the payload → back.
-* ``send``   — TX engine → wire → target NIC recv processing
-  (``two_sided_rx_ns``) → delivered to the target node's SRQ.
+* ``write``  — TX leg → propagation + target DMA (into DDIO/LLC, i.e.
+  *volatile*; until then the payload is tracked in flight for crash
+  tearing) → ACK (propagation + nic_rx).
+* ``read``   — request TX leg → propagation + DMA, the target NIC
+  snapshots memory → response TX leg on the *target's* engine →
+  propagation + nic_rx.
+* ``send``   — TX leg → propagation + nic_rx + target recv processing
+  (``two_sided_rx_cost``) → delivered to the target node's SRQ.
 * ``write_with_imm`` — ``write`` whose arrival also consumes a recv WQE
   and delivers an imm-tagged message (the server notices immediately —
   the property IMM-style durability relies on).
 * ``cas``/``faa`` — 8-byte target-NIC read-modify-write.
+* ``write_many`` — ``write`` of a doorbell chain: one TX leg, one ACK.
 
-Analytic fast path (see DESIGN.md §11)
---------------------------------------
-When the fabric allows it (:meth:`Fabric.fastpath_ok`) and the TX
-engine(s) a verb needs are idle, the verb charges its latency in closed
-form: the same :class:`FabricTiming` terms and the same ``jitter()``
-draws as the event path, coalesced into two scheduled wake-ups (one at
-the instant the verb's remote side effect happens — DMA apply, memory
-snapshot, SRQ delivery — and one at the ACK) instead of the five-to-nine
-events of the fully simulated path. The engine is claimed by bumping
-``Node.tx_reserved_until``; the event path honours outstanding
-reservations, so mixed executions keep exact FIFO engine semantics. Any
-armed injector, QP error state, or busy engine falls back to the full
-event simulation mid-verb, which keeps contended timing (and therefore
-fig1/fig2 and the crash matrix) bit-identical to the pre-fast-path
-simulator.
+How a leg is simulated is decided in two primitives, not in the verbs.
+The TX leg passes a WR through a TX engine and yields the instant it
+enters the wire: :meth:`Endpoint._claim_tx` takes it in closed form —
+the engine reserved via ``Node.tx_reserved_until``, same terms, same
+``jitter()`` draw, no events — when :meth:`Fabric.fastpath_ok` and the
+engine is idle; otherwise :meth:`Endpoint._tx_walk` goes through the
+engine event by event, honouring outstanding reservations, so mixed
+executions keep exact FIFO engine semantics. READ decides again for its
+response leg, at arrival time. :meth:`Endpoint._wait` turns an absolute
+instant into the event the verb yields. Every instant accumulates in the
+walk's float association order, so a verb completes at bit-identical
+times however its legs were simulated — an analytic verb costs two or
+three wake-ups instead of five to nine events. ``fabric.fastpath =
+False`` forces the walk everywhere; it stays as the reference the
+closed form is checked against.
+
+**Grid rule.** With a completion batcher armed, the waits of an analytic
+READ, WRITE, CAS, FAA or SEND ride its grid (one kernel event per tick
+for every client); ``write_many``, ``write_with_imm`` and posted writes
+(:meth:`Endpoint.write_async`) always wait exactly, as does every verb
+whose TX leg walked the engine.
 """
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Callable, Generator, Sequence
 from typing import Any, Optional
 
 from repro.errors import MemoryAccessError, QPError
-from repro.rdma.fabric import Fabric, Node
+from repro.rdma.fabric import Fabric, InflightWrite, Node
 from repro.rdma.verbs import Message, Opcode, WorkCompletion, next_wr_id
 from repro.sim.kernel import Event
 
@@ -62,28 +75,12 @@ _OP_SEND = Opcode.SEND.value
 _OP_WRITE_IMM = Opcode.WRITE_WITH_IMM.value
 
 
-def _tx_engine(fabric, node, nbytes: int) -> Generator[Event, Any, None]:
-    t = fabric.timing
-    env = node.env
-    req = yield from node.tx.acquire()
-    try:
-        # Wait out any analytic fast-path reservation first: the fast
-        # path claimed the engine without holding the Resource, so the
-        # grant can arrive while the engine is still (logically) busy.
-        # Jitter is sampled after the wait, at the time the engine
-        # actually starts serving this WR — exactly when the pure event
-        # path would have sampled it.
-        reserved = node.tx_reserved_until - env.now
-        if reserved > 0:
-            yield env.timeout(reserved)
-        yield env.timeout(
-            t.nic_tx_occupancy_ns + t.serialize_ns(nbytes) + fabric.jitter()
-        )
-    finally:
-        node.tx.release(req)
-    pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
-    if pipelined > 0:
-        yield env.timeout(pipelined)
+def _call_at(env, when: float, callback: Callable[[Event], None]) -> None:
+    """Run ``callback`` at absolute time ``when`` without a process."""
+    ev = Event(env)
+    ev._value = None
+    ev.callbacks.append(callback)
+    env.schedule_at(ev, when)
 
 
 class Endpoint:
@@ -155,42 +152,114 @@ class Endpoint:
                 code="completion_lost",
             )
 
-    # -- internals ---------------------------------------------------------
     def _bump(self, key: str) -> None:
         stats = self.stats
         stats[key] = stats.get(key, 0) + 1
 
-    def _count(self, opcode: Opcode) -> None:
-        self._bump(opcode.value)
+    def _fast_done(self) -> None:
+        self.fastpath_ops += 1
+        self.fabric.fastpath_ops += 1
 
-    def _tx(self, nbytes: int) -> Generator[Event, Any, None]:
-        """Pass one WR through the local TX engine.
+    # -- the two leg primitives --------------------------------------------
+    def _tx_idle(self, node: Node) -> bool:
+        """True when nobody holds or awaits ``node``'s TX engine and no
+        analytic reservation on it is outstanding."""
+        tx = node.tx
+        return not (tx._users or tx._waiting or node.tx_reserved_until > node.env.now)
+
+    def _claim_tx(
+        self, node: Node, nbytes: int, fast: bool, chain: Sequence[int] = ()
+    ) -> Optional[float]:
+        """The TX leg of one WR of ``nbytes`` in closed form: reserve
+        ``node``'s engine and return the instant the WR enters the wire.
+        Returns None — the caller must :meth:`_tx_walk` — unless
+        ``fast`` and the engine is idle.
 
         The engine is *occupied* for ``nic_tx_occupancy_ns`` plus the
         payload serialization (this bounds message rate and bandwidth);
         the remaining per-WR processing latency is pipelined and charged
-        without holding the engine.
+        without holding the engine. ``chain`` holds the payload sizes of
+        further WRs behind the same doorbell: the doorbell/WQE-fetch
+        latency and the jitter are paid once, on the first WR; later
+        ones pay the (much smaller) per-WQE decode cost.
         """
-        yield from _tx_engine(self.fabric, self.local, nbytes)
+        if not fast:
+            return None
+        fabric = self.fabric
+        if not self._tx_idle(node):
+            fabric.fallback_ops += 1
+            return None
+        t = fabric.timing
+        t_wire = node.env.now + (
+            t.nic_tx_occupancy_ns + t.serialize_ns(nbytes) + fabric.jitter()
+        )
+        for n in chain:
+            t_wire = t_wire + (t.doorbell_wr_ns + t.serialize_ns(n))
+        node.tx_reserved_until = t_wire
+        pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
+        if pipelined > 0:
+            t_wire = t_wire + pipelined
+        return t_wire
 
-    def _remote_tx(self, nbytes: int) -> Generator[Event, Any, None]:
-        """Pass a response WR through the remote TX engine."""
-        yield from _tx_engine(self.fabric, self.remote, nbytes)
+    def _tx_walk(
+        self, node: Node, nbytes: int, chain: Sequence[int] = ()
+    ) -> Generator[Event, Any, float]:
+        """The TX leg of :meth:`_claim_tx`, event by event: the same
+        terms as sequential timeouts while holding the engine."""
+        fabric = self.fabric
+        t = fabric.timing
+        env = node.env
+        req = yield from node.tx.acquire()
+        try:
+            # Wait out any analytic reservation first: the closed form
+            # claimed the engine without holding the Resource, so the
+            # grant can arrive while the engine is still (logically)
+            # busy. Jitter is sampled after the wait, at the time the
+            # engine actually starts serving this WR — exactly when a
+            # pure event-path run would have sampled it.
+            reserved = node.tx_reserved_until - env.now
+            if reserved > 0:
+                yield env.timeout(reserved)
+            yield env.timeout(
+                t.nic_tx_occupancy_ns + t.serialize_ns(nbytes) + fabric.jitter()
+            )
+            for n in chain:
+                yield env.timeout(t.doorbell_wr_ns + t.serialize_ns(n))
+        finally:
+            node.tx.release(req)
+        pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
+        if pipelined > 0:
+            yield env.timeout(pipelined)
+        return env.now
 
-    def _tx_idle(self, node: Node) -> bool:
-        """True when ``node``'s TX engine can be claimed analytically:
-        nobody holds or awaits the Resource and no fast-path reservation
-        is outstanding."""
-        tx = node.tx
-        return (
-            not tx._users
-            and not tx._waiting
-            and node.tx_reserved_until <= node.env.now
+    def _wait(self, when: float, on_grid: bool) -> Event:
+        """The event a verb yields to resume at absolute time ``when``:
+        on the completion batcher's grid when ``on_grid`` and a batcher
+        is armed (grid rule: module docstring), else at exactly ``when``."""
+        batcher = self.fabric.batcher
+        if on_grid and batcher is not None:
+            return batcher.wait_until(when)
+        return self.local.env.timeout_at(when)
+
+    # -- WRITE payloads in flight -------------------------------------------
+    def _fly(self, addr: int, data: bytes, t_wire: float) -> InflightWrite:
+        """Track a WRITE payload from its wire-entry time until the
+        target DMA: a crash in between lands a torn subset of it."""
+        t = self.fabric.timing
+        return self.fabric.register_inflight(
+            self.remote, addr, data,
+            apply_at=t_wire + t.propagation_ns + t.dma_ns,
+            t_start=t_wire,
         )
 
-    def _fast_done(self) -> None:
-        self.fastpath_ops += 1
-        self.fabric.fastpath_ops += 1
+    def _land(self, fl: InflightWrite, what: str) -> None:
+        """Target DMA of an in-flight payload; a transfer that a crash
+        already resolved errors the WR instead."""
+        if not self.fabric.apply_inflight(fl):
+            raise QPError(
+                f"{what} to {self.remote.name} flushed (target down)",
+                code="target_down",
+            )
 
     # -- one-sided verbs ------------------------------------------------------
     def write(
@@ -214,69 +283,31 @@ class Endpoint:
         wr_id = next_wr_id()
         self._bump(_OP_WRITE)
 
-        fast = fabric.fastpath and fabric.injector is None
-        if fast and self._tx_idle(self.local):
-            # Analytic fast path: identical cost terms, two wake-ups.
-            # Absolute times accumulate in the event path's exact float
-            # association order, so the result is bit-identical.
-            t_done = env.now + (
-                t.nic_tx_occupancy_ns + t.serialize_ns(len(data)) + fabric.jitter()
-            )
-            self.local.tx_reserved_until = t_done
-            pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
-            if pipelined > 0:
-                t_done = t_done + pipelined
-            fl = fabric.register_inflight(
-                self.remote, addr, data,
-                apply_at=t_done + t.propagation_ns + t.dma_ns,
-                t_start=t_done,
-            )
-            bat = fabric.batcher
-            if bat is None:
-                yield env.timeout_at(t_done + (t.propagation_ns + t.dma_ns))
-            else:
-                yield bat.wait_until(t_done + (t.propagation_ns + t.dma_ns))
-            if not fabric.apply_inflight(fl):
-                raise QPError(
-                    f"WRITE to {self.remote.name} flushed (target down)",
-                    code="target_down",
-                )
-            if bat is None:
-                yield env.timeout(t.propagation_ns + t.nic_rx_ns)
-            else:
-                yield bat.wait_until(env.now + (t.propagation_ns + t.nic_rx_ns))
+        t_wire = self._claim_tx(self.local, len(data), fabric.fastpath_ok())
+        analytic = t_wire is not None
+        if not analytic:
+            t_wire = yield from self._tx_walk(self.local, len(data))
+        fl = self._fly(addr, data, t_wire)
+        yield self._wait(t_wire + (t.propagation_ns + t.dma_ns), analytic)
+        self._land(fl, "WRITE")
+        yield self._wait(env.now + (t.propagation_ns + t.nic_rx_ns), analytic)
+        if analytic:
             self._fast_done()
-            return WorkCompletion(wr_id, Opcode.WRITE, completed_at=env.now)
-        if fast:
-            fabric.fallback_ops += 1
-
-        yield from self._tx(len(data))
-        apply_at = env.now + t.propagation_ns + t.dma_ns
-        fl = fabric.register_inflight(self.remote, addr, data, apply_at)
-        yield env.timeout(t.propagation_ns + t.dma_ns)
-        if not fabric.apply_inflight(fl):
-            raise QPError(
-                f"WRITE to {self.remote.name} flushed (target down)",
-                code="target_down",
-            )
-        yield env.timeout(t.propagation_ns + t.nic_rx_ns)
         return WorkCompletion(wr_id, Opcode.WRITE, completed_at=env.now)
 
     def write_async(self, cq, rkey: int, offset: int, data, wr_id: int) -> bool:
-        """Analytic fast path for a *posted* WRITE: the completion lands
-        on ``cq`` via two scheduled callback events — no driver process,
-        no generator resumes.
+        """A *posted* WRITE without a driver process: the legs of
+        :meth:`write` as two scheduled callbacks, completing on ``cq``.
 
-        Returns False (with no side effects) when the fast path is
-        ineligible or validation would raise; the caller then falls back
-        to the generator driver, which reproduces event-path behaviour
+        Returns False (with no side effects) when the TX leg cannot be
+        analytic or validation would raise; the caller then drives
+        :meth:`write` itself from a process, which reproduces the walk
         (including the exception captured in an ``ok=False`` CQE).
         """
         fabric = self.fabric
         if (
             self._error
-            or not fabric.fastpath
-            or fabric.injector is not None
+            or not fabric.fastpath_ok()
             or not self._tx_idle(self.local)
             or not self.remote.alive
         ):
@@ -292,46 +323,26 @@ class Endpoint:
         env = self.local.env
         t = fabric.timing
         self._bump(_OP_WRITE)
-        t_done = env.now + (
-            t.nic_tx_occupancy_ns + t.serialize_ns(len(payload)) + fabric.jitter()
-        )
-        self.local.tx_reserved_until = t_done
-        pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
-        if pipelined > 0:
-            t_done = t_done + pipelined
-        fl = fabric.register_inflight(
-            self.remote, addr, payload,
-            apply_at=t_done + t.propagation_ns + t.dma_ns,
-            t_start=t_done,
-        )
-        ack_delay = t.propagation_ns + t.nic_rx_ns
+        t_wire = self._claim_tx(self.local, len(payload), True)
+        fl = self._fly(addr, payload, t_wire)
 
-        def _at_ack(_ev: Event) -> None:
-            self._fast_done()
-            cq._push(WorkCompletion(wr_id, Opcode.WRITE, completed_at=env.now))
-
-        def _at_apply(_ev: Event) -> None:
-            if not fabric.apply_inflight(fl):
+        def at_apply(_ev: Event) -> None:
+            try:
+                self._land(fl, "WRITE")
+            except QPError as exc:
                 cq._push(
                     WorkCompletion(
-                        wr_id, Opcode.WRITE, ok=False,
-                        result=QPError(
-                            f"WRITE to {self.remote.name} flushed (target down)",
-                            code="target_down",
-                        ),
-                        completed_at=env.now,
+                        wr_id, Opcode.WRITE, ok=False, result=exc, completed_at=env.now
                     )
                 )
                 return
-            ack = Event(env)
-            ack._value = None
-            ack.callbacks.append(_at_ack)
-            env.schedule_at(ack, env.now + ack_delay)
+            _call_at(env, env.now + (t.propagation_ns + t.nic_rx_ns), at_ack)
 
-        apply_ev = Event(env)
-        apply_ev._value = None
-        apply_ev.callbacks.append(_at_apply)
-        env.schedule_at(apply_ev, t_done + (t.propagation_ns + t.dma_ns))
+        def at_ack(_ev: Event) -> None:
+            self._fast_done()
+            cq._push(WorkCompletion(wr_id, Opcode.WRITE, completed_at=env.now))
+
+        _call_at(env, t_wire + (t.propagation_ns + t.dma_ns), at_apply)
         return True
 
     def write_many(
@@ -373,80 +384,25 @@ class Endpoint:
             self._bump(_OP_WRITE)
         self._bump("doorbell_batches")
 
-        fast = fabric.fastpath and fabric.injector is None
-        if fast and self._tx_idle(self.local):
-            # One engine claim covers the chain; the doorbell/WQE-fetch
-            # latency and jitter are charged on the first WR only, like
-            # the event path below. Per-WR times accumulate stepwise so
-            # the floats match the event path's sequential timeouts.
-            t_done = env.now
-            for i, (_addr, data) in enumerate(pinned):
-                per_wr = t.nic_tx_occupancy_ns if i == 0 else t.doorbell_wr_ns
-                jitter = fabric.jitter() if i == 0 else 0.0
-                t_done = t_done + (per_wr + t.serialize_ns(len(data)) + jitter)
-            self.local.tx_reserved_until = t_done
-            pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
-            if pipelined > 0:
-                t_done = t_done + pipelined
-            apply_at = t_done + t.propagation_ns + t.dma_ns
-            inflight = [
-                fabric.register_inflight(
-                    self.remote, addr, data, apply_at=apply_at, t_start=t_done
-                )
-                for addr, data in pinned
-            ]
-            yield env.timeout_at(t_done + (t.propagation_ns + t.dma_ns))
-            for fl in inflight:
-                if not fabric.apply_inflight(fl):
-                    raise QPError(
-                        f"doorbell WRITE to {self.remote.name} flushed (target down)",
-                        code="target_down",
-                    )
-            yield env.timeout(t.propagation_ns + t.nic_rx_ns)
-            self._fast_done()
-            return WorkCompletion(wr_id, Opcode.WRITE, completed_at=env.now)
-        if fast:
-            fabric.fallback_ops += 1
-
-        # TX engine: serialization per WR; the doorbell/WQE-fetch
-        # latency is charged on the first WR only, later WRs pay the
-        # (much smaller) per-WQE decode cost.
-        req = yield from self.local.tx.acquire()
-        try:
-            reserved = self.local.tx_reserved_until - env.now
-            if reserved > 0:
-                yield env.timeout(reserved)
-            for i, (_addr, data) in enumerate(pinned):
-                per_wr = t.nic_tx_occupancy_ns if i == 0 else t.doorbell_wr_ns
-                jitter = fabric.jitter() if i == 0 else 0.0
-                yield env.timeout(per_wr + t.serialize_ns(len(data)) + jitter)
-        finally:
-            self.local.tx.release(req)
-        pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
-        if pipelined > 0:
-            yield env.timeout(pipelined)
-
-        apply_at = env.now + t.propagation_ns + t.dma_ns
-        inflight = [
-            fabric.register_inflight(self.remote, addr, data, apply_at)
-            for addr, data in pinned
-        ]
-        yield env.timeout(t.propagation_ns + t.dma_ns)
+        first, *chain = [len(data) for _addr, data in pinned]
+        t_wire = self._claim_tx(self.local, first, fabric.fastpath_ok(), chain)
+        analytic = t_wire is not None
+        if not analytic:
+            t_wire = yield from self._tx_walk(self.local, first, chain)
+        inflight = [self._fly(addr, data, t_wire) for addr, data in pinned]
+        yield env.timeout_at(t_wire + (t.propagation_ns + t.dma_ns))
         for fl in inflight:
-            if not fabric.apply_inflight(fl):
-                raise QPError(
-                    f"doorbell WRITE to {self.remote.name} flushed (target down)",
-                    code="target_down",
-                )
+            self._land(fl, "doorbell WRITE")
         # Selective signaling: one ACK/CQE for the whole chain.
-        yield env.timeout(t.propagation_ns + t.nic_rx_ns)
+        yield env.timeout_at(env.now + (t.propagation_ns + t.nic_rx_ns))
+        if analytic:
+            self._fast_done()
         return WorkCompletion(wr_id, Opcode.WRITE, completed_at=env.now)
 
     def read(
         self, rkey: int, offset: int, length: int
     ) -> Generator[Event, Any, bytes]:
         """One-sided RDMA READ; returns the bytes (visible image)."""
-        env = self.local.env
         fabric = self.fabric
         t = fabric.timing
         self._check_usable()
@@ -457,54 +413,25 @@ class Endpoint:
         addr = mr.check(offset, length, write=False)
         self._bump(_OP_READ)
 
-        pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
-        fast = fabric.fastpath and fabric.injector is None
-        if fast and self._tx_idle(self.local):
-            # Request leg: header-only WR through the local engine.
-            t_req = env.now + (
-                t.nic_tx_occupancy_ns + t.serialize_ns(0) + fabric.jitter()
-            )
-            self.local.tx_reserved_until = t_req
-            if pipelined > 0:
-                t_req = t_req + pipelined
-            bat = fabric.batcher
-            if bat is None:
-                yield env.timeout_at(t_req + (t.propagation_ns + t.dma_ns))
-            else:
-                yield bat.wait_until(t_req + (t.propagation_ns + t.dma_ns))
-            fabric.check_target(self.remote)
-            # Target NIC snapshots memory now, then streams the response.
-            data = mr.device.read(addr, length)
-            # Response leg: claimed at arrival time (never in advance, so
-            # FIFO order on the remote engine is preserved); a busy
-            # engine falls back to the event path for the remainder.
-            if self._tx_idle(self.remote):
-                t_resp = env.now + (
-                    t.nic_tx_occupancy_ns + t.serialize_ns(length) + fabric.jitter()
-                )
-                self.remote.tx_reserved_until = t_resp
-                if pipelined > 0:
-                    t_resp = t_resp + pipelined
-                if bat is None:
-                    yield env.timeout_at(t_resp + (t.propagation_ns + t.nic_rx_ns))
-                else:
-                    yield bat.wait_until(t_resp + (t.propagation_ns + t.nic_rx_ns))
-                self._fast_done()
-                return data
-            fabric.fallback_ops += 1
-            yield from self._remote_tx(length)
-            yield env.timeout(t.propagation_ns + t.nic_rx_ns)
-            return data
-        if fast:
-            fabric.fallback_ops += 1
-
-        yield from self._tx(0)  # request header only
-        yield env.timeout(t.propagation_ns + t.dma_ns)
+        # Request leg: header-only WR through the local engine.
+        t_wire = self._claim_tx(self.local, 0, fabric.fastpath_ok())
+        analytic = t_wire is not None
+        if not analytic:
+            t_wire = yield from self._tx_walk(self.local, 0)
+        yield self._wait(t_wire + (t.propagation_ns + t.dma_ns), analytic)
         fabric.check_target(self.remote)
         # Target NIC snapshots memory now, then streams the response.
         data = mr.device.read(addr, length)
-        yield from self._remote_tx(length)
-        yield env.timeout(t.propagation_ns + t.nic_rx_ns)
+        # Response leg: claimed at arrival time (never in advance, so
+        # FIFO order on the remote engine is preserved); a busy engine
+        # walks the rest of the verb event by event.
+        t_wire = self._claim_tx(self.remote, length, analytic)
+        analytic = t_wire is not None
+        if not analytic:
+            t_wire = yield from self._tx_walk(self.remote, length)
+        yield self._wait(t_wire + (t.propagation_ns + t.nic_rx_ns), analytic)
+        if analytic:
+            self._fast_done()
         return data
 
     def cas(
@@ -524,44 +451,20 @@ class Endpoint:
         addr = mr.check(offset, 8, write=True)
         self._bump(_OP_CAS)
 
-        fast = fabric.fastpath and fabric.injector is None
-        if fast and self._tx_idle(self.local):
-            t_done = env.now + (
-                t.nic_tx_occupancy_ns + t.serialize_ns(16) + fabric.jitter()
-            )
-            self.local.tx_reserved_until = t_done
-            pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
-            if pipelined > 0:
-                t_done = t_done + pipelined
-            bat = fabric.batcher
-            if bat is None:
-                yield env.timeout_at(
-                    t_done + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
-                )
-            else:
-                yield bat.wait_until(
-                    t_done + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
-                )
-            fabric.check_target(self.remote)
-            old = mr.device.read(addr, 8)
-            if old == expected:
-                mr.device.write_atomic64(addr, desired)
-            if bat is None:
-                yield env.timeout(t.propagation_ns + t.nic_rx_ns)
-            else:
-                yield bat.wait_until(env.now + (t.propagation_ns + t.nic_rx_ns))
-            self._fast_done()
-            return old
-        if fast:
-            fabric.fallback_ops += 1
-
-        yield from self._tx(16)
-        yield env.timeout(t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
+        t_wire = self._claim_tx(self.local, 16, fabric.fastpath_ok())
+        analytic = t_wire is not None
+        if not analytic:
+            t_wire = yield from self._tx_walk(self.local, 16)
+        yield self._wait(
+            t_wire + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns), analytic
+        )
         fabric.check_target(self.remote)
         old = mr.device.read(addr, 8)
         if old == expected:
             mr.device.write_atomic64(addr, desired)
-        yield env.timeout(t.propagation_ns + t.nic_rx_ns)
+        yield self._wait(env.now + (t.propagation_ns + t.nic_rx_ns), analytic)
+        if analytic:
+            self._fast_done()
         return old
 
     def faa(
@@ -579,44 +482,20 @@ class Endpoint:
         addr = mr.check(offset, 8, write=True)
         self._bump(_OP_FAA)
 
-        fast = fabric.fastpath and fabric.injector is None
-        if fast and self._tx_idle(self.local):
-            t_done = env.now + (
-                t.nic_tx_occupancy_ns + t.serialize_ns(16) + fabric.jitter()
-            )
-            self.local.tx_reserved_until = t_done
-            pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
-            if pipelined > 0:
-                t_done = t_done + pipelined
-            bat = fabric.batcher
-            if bat is None:
-                yield env.timeout_at(
-                    t_done + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
-                )
-            else:
-                yield bat.wait_until(
-                    t_done + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
-                )
-            fabric.check_target(self.remote)
-            old = int.from_bytes(mr.device.read(addr, 8), "little")
-            new = (old + delta) & 0xFFFFFFFFFFFFFFFF
-            mr.device.write_atomic64(addr, new.to_bytes(8, "little"))
-            if bat is None:
-                yield env.timeout(t.propagation_ns + t.nic_rx_ns)
-            else:
-                yield bat.wait_until(env.now + (t.propagation_ns + t.nic_rx_ns))
-            self._fast_done()
-            return old
-        if fast:
-            fabric.fallback_ops += 1
-
-        yield from self._tx(16)
-        yield env.timeout(t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
+        t_wire = self._claim_tx(self.local, 16, fabric.fastpath_ok())
+        analytic = t_wire is not None
+        if not analytic:
+            t_wire = yield from self._tx_walk(self.local, 16)
+        yield self._wait(
+            t_wire + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns), analytic
+        )
         fabric.check_target(self.remote)
         old = int.from_bytes(mr.device.read(addr, 8), "little")
         new = (old + delta) & 0xFFFFFFFFFFFFFFFF
         mr.device.write_atomic64(addr, new.to_bytes(8, "little"))
-        yield env.timeout(t.propagation_ns + t.nic_rx_ns)
+        yield self._wait(env.now + (t.propagation_ns + t.nic_rx_ns), analytic)
+        if analytic:
+            self._fast_done()
         return old
 
     # -- two-sided verbs ----------------------------------------------------------
@@ -639,44 +518,15 @@ class Endpoint:
         fabric.check_target(self.remote)
         self._bump(_OP_SEND)
 
-        fast = fabric.fastpath and fabric.injector is None
-        if fast and self._tx_idle(self.local):
-            t_done = env.now + (
-                t.nic_tx_occupancy_ns + t.serialize_ns(wire_bytes) + fabric.jitter()
-            )
-            self.local.tx_reserved_until = t_done
-            pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
-            if pipelined > 0:
-                t_done = t_done + pipelined
-            bat = fabric.batcher
-            if bat is None:
-                yield env.timeout_at(
-                    t_done
-                    + (t.propagation_ns + t.nic_rx_ns + t.two_sided_rx_cost(wire_bytes))
-                )
-            else:
-                yield bat.wait_until(
-                    t_done
-                    + (t.propagation_ns + t.nic_rx_ns + t.two_sided_rx_cost(wire_bytes))
-                )
-            fabric.check_target(self.remote)
-            msg = Message(
-                Opcode.SEND,
-                payload,
-                wire_bytes,
-                imm=imm,
-                reply_to=self.peer,
-                in_reply_to=in_reply_to,
-                arrived_at=env.now,
-            )
-            self.remote.srq.put(msg)
-            self._fast_done()
-            return msg.req_id
-        if fast:
-            fabric.fallback_ops += 1
-
-        yield from self._tx(wire_bytes)
-        yield env.timeout(t.propagation_ns + t.nic_rx_ns + t.two_sided_rx_cost(wire_bytes))
+        t_wire = self._claim_tx(self.local, wire_bytes, fabric.fastpath_ok())
+        analytic = t_wire is not None
+        if not analytic:
+            t_wire = yield from self._tx_walk(self.local, wire_bytes)
+        yield self._wait(
+            t_wire
+            + (t.propagation_ns + t.nic_rx_ns + t.two_sided_rx_cost(wire_bytes)),
+            analytic,
+        )
         fabric.check_target(self.remote)
         msg = Message(
             Opcode.SEND,
@@ -688,6 +538,8 @@ class Endpoint:
             arrived_at=env.now,
         )
         self.remote.srq.put(msg)
+        if analytic:
+            self._fast_done()
         return msg.req_id
 
     def write_with_imm(
@@ -713,51 +565,16 @@ class Endpoint:
         wr_id = next_wr_id()
         self._bump(_OP_WRITE_IMM)
 
-        fast = fabric.fastpath and fabric.injector is None
-        if fast and self._tx_idle(self.local):
-            t_done = env.now + (
-                t.nic_tx_occupancy_ns + t.serialize_ns(len(data)) + fabric.jitter()
-            )
-            self.local.tx_reserved_until = t_done
-            pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
-            if pipelined > 0:
-                t_done = t_done + pipelined
-            fl = fabric.register_inflight(
-                self.remote, addr, data,
-                apply_at=t_done + t.propagation_ns + t.dma_ns,
-                t_start=t_done,
-            )
-            # imm notification only; data went one-sided
-            yield env.timeout_at(
-                t_done + (t.propagation_ns + t.dma_ns + t.two_sided_rx_ns)
-            )
-            if not fabric.apply_inflight(fl):
-                raise QPError(
-                    f"WRITE_WITH_IMM to {self.remote.name} flushed", code="target_down"
-                )
-            msg = Message(
-                Opcode.WRITE_WITH_IMM,
-                payload,
-                len(data),
-                imm=imm,
-                reply_to=self.peer,
-                arrived_at=env.now,
-            )
-            self.remote.srq.put(msg)
-            yield env.timeout(t.propagation_ns + t.nic_rx_ns)
-            self._fast_done()
-            return WorkCompletion(wr_id, Opcode.WRITE_WITH_IMM, completed_at=env.now)
-        if fast:
-            fabric.fallback_ops += 1
-
-        yield from self._tx(len(data))
-        apply_at = env.now + t.propagation_ns + t.dma_ns
-        fl = fabric.register_inflight(self.remote, addr, data, apply_at)
-        yield env.timeout(t.propagation_ns + t.dma_ns + t.two_sided_rx_ns)  # imm notification only; data went one-sided
-        if not fabric.apply_inflight(fl):
-            raise QPError(
-                f"WRITE_WITH_IMM to {self.remote.name} flushed", code="target_down"
-            )
+        t_wire = self._claim_tx(self.local, len(data), fabric.fastpath_ok())
+        analytic = t_wire is not None
+        if not analytic:
+            t_wire = yield from self._tx_walk(self.local, len(data))
+        fl = self._fly(addr, data, t_wire)
+        # imm notification only; data went one-sided
+        yield env.timeout_at(
+            t_wire + (t.propagation_ns + t.dma_ns + t.two_sided_rx_ns)
+        )
+        self._land(fl, "WRITE_WITH_IMM")
         msg = Message(
             Opcode.WRITE_WITH_IMM,
             payload,
@@ -767,7 +584,9 @@ class Endpoint:
             arrived_at=env.now,
         )
         self.remote.srq.put(msg)
-        yield env.timeout(t.propagation_ns + t.nic_rx_ns)
+        yield env.timeout_at(env.now + (t.propagation_ns + t.nic_rx_ns))
+        if analytic:
+            self._fast_done()
         return WorkCompletion(wr_id, Opcode.WRITE_WITH_IMM, completed_at=env.now)
 
     # -- receive helpers --------------------------------------------------------

@@ -33,6 +33,43 @@ def run(env, gen):
     return env.run(env.process(gen))
 
 
+def _deploy(fastpath, clients):
+    """A fresh server with ``clients`` client nodes, one endpoint each."""
+    e = Environment()
+    fab = Fabric(e)
+    fab.fastpath = fastpath
+    server = fab.create_node("s", device=NVMDevice(e, 1 << 20))
+    mr = server.register_memory(0, 1 << 20)
+    eps = [fab.connect(fab.create_node(f"c{i}"), server) for i in range(clients)]
+    return e, fab, server, eps, mr
+
+
+def _posted_write(ep, mr, off, size):
+    cq = CompletionQueue(ep.local.env)
+    post_write(ep, cq, mr.rkey, off, b"z" * size)
+    (wc,) = yield from cq.wait(1)
+    if not wc.ok:
+        raise wc.result
+    return wc
+
+
+#: One call of every verb: ``(endpoint, mr, offset, size) -> generator``.
+VERBS = {
+    "write": lambda ep, mr, off, size: ep.write(mr.rkey, off, b"z" * size),
+    "read": lambda ep, mr, off, size: ep.read(mr.rkey, off, size),
+    "cas": lambda ep, mr, off, size: ep.cas(mr.rkey, 0, bytes(8), b"\1" * 8),
+    "faa": lambda ep, mr, off, size: ep.faa(mr.rkey, 8, size),
+    "send": lambda ep, mr, off, size: ep.send({"n": size}, wire_bytes=size),
+    "write_with_imm": lambda ep, mr, off, size: ep.write_with_imm(
+        mr.rkey, off, b"z" * size, imm=7
+    ),
+    "write_many": lambda ep, mr, off, size: ep.write_many(
+        [(mr.rkey, off + i * 1024, b"z" * (size // 4)) for i in range(4)]
+    ),
+    "post_write": _posted_write,
+}
+
+
 class TestFallbackMatrix:
     def test_uncontended_write_takes_fast_path(self, env, net):
         fabric, _server, _client, ep, mr = net
@@ -95,30 +132,96 @@ class TestFallbackMatrix:
         assert fabric.fastpath_ops >= 1
         assert fabric.fallback_ops >= 1
 
-    def test_contended_timing_equals_event_path(self, env, net):
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_contended_timing_equals_event_path(self, verb):
         """Mixed fast/fallback execution completes at the same instants
-        as a pure event-path run."""
+        as a pure event-path run, for every verb."""
 
         def drive(fastpath):
-            e = Environment()
-            fab = Fabric(e)
-            fab.fastpath = fastpath
-            server = fab.create_node("s", device=NVMDevice(e, 1 << 20))
-            client = fab.create_node("c")
-            endpoint = fab.connect(client, server)
-            mr = server.register_memory(0, 1 << 20)
+            e, fab, _server, eps, mr = _deploy(fastpath, clients=2)
             done = []
 
-            def writer(off, size):
-                yield from endpoint.write(mr.rkey, off, b"z" * size)
-                done.append((off, e.now))
+            def issuer(k):
+                yield e.timeout(41.0 * k)
+                yield from VERBS[verb](eps[k % 2], mr, k * 8192, 2048 + 512 * k)
+                done.append((k, e.now))
 
             for k in range(6):
-                e.process(writer(k * 8192, 2048 + 512 * k))
+                e.process(issuer(k))
             e.run()
-            return done
+            assert fab.inflight_count() == 0
+            return done, fab
 
-        assert drive(True) == drive(False)
+        fast, fab = drive(True)
+        event, _ = drive(False)
+        assert fast == event
+        assert fab.fastpath_ops >= 1 and fab.fallback_ops >= 1
+
+    def test_read_response_leg_falls_back_mid_verb(self):
+        """A READ whose request leg was analytic but whose *response*
+        finds the server's engine busy finishes on the event path, at
+        the event path's instants."""
+
+        def drive(fastpath):
+            e, fab, _server, (big, small), mr = _deploy(fastpath, clients=2)
+            done = []
+
+            def reader(ep, length, delay):
+                yield e.timeout(delay)
+                data = yield from ep.read(mr.rkey, 0, length)
+                done.append((len(data), e.now))
+
+            e.process(reader(big, 256 * 1024, 0.0))
+            # Arrives at the server while the big response still streams.
+            e.process(reader(small, 64, 2000.0))
+            e.run()
+            return done, fab, small
+
+        fast, fab, small = drive(True)
+        event, _, _ = drive(False)
+        assert fast == event
+        # Nothing contended the small reader's own engine, so its only
+        # fallback is the response leg.
+        assert (fab.fastpath_ops, fab.fallback_ops) == (1, 1)
+        assert small.fastpath_ops == 0
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_target_crash_mid_verb_same_on_both_paths(self, verb):
+        """A target crash before the verb's remote-side instant (DMA
+        apply, snapshot, RMW, delivery) fails it with ``target_down``;
+        one after it, just before the ACK lands, does not. Either way
+        both paths agree on the instant and leave no in-flight record."""
+
+        def drive(fastpath, crash_time=None):
+            e, fab, server, (ep,), mr = _deploy(fastpath, clients=1)
+            out = []
+
+            def issuer():
+                try:
+                    yield from VERBS[verb](ep, mr, 0, 256)
+                    out.append(("ok", e.now))
+                except QPError as exc:
+                    out.append((exc.code, e.now))
+
+            def crasher():
+                yield e.timeout(crash_time)
+                fab.crash_node(server, np.random.default_rng(3))
+
+            e.process(issuer())
+            if crash_time is not None:
+                e.process(crasher())
+            e.run()
+            assert fab.inflight_count() == 0
+            return out[0]
+
+        outcome, t_done = drive(True)
+        assert outcome == "ok"
+        # 700 ns in, every verb's WR is still crossing the wire.
+        in_flight = drive(True, 700.0)
+        assert in_flight == drive(False, 700.0)
+        assert in_flight[0] == "target_down" and 700.0 < in_flight[1] <= t_done
+        if verb != "send":  # SEND completes at delivery: it has no ACK leg
+            assert drive(True, t_done - 1.0) == drive(False, t_done - 1.0) == ("ok", t_done)
 
     def test_posted_write_async_fallback_on_bad_rkey(self, env, net):
         _fabric, _server, _client, ep, mr = net
