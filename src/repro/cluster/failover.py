@@ -121,10 +121,10 @@ def partition_digest(server, part) -> str:
     segment (the crash matrix's byte-identity idiom, per partition)."""
     h = hashlib.sha256()
     for pool in part.pools:
-        h.update(pool.read(0, pool.size))
+        h.update(pool.device.view(pool.base, pool.size))
     geom = server.config.partition_geometry
     base = getattr(part.table, "base", 0)
-    h.update(bytes(server.device.read(base, geom.table_bytes)))
+    h.update(server.device.view(base, geom.table_bytes))
     return h.hexdigest()
 
 

@@ -172,18 +172,22 @@ class Scrubber:
         total = geom.n_buckets * geom.slots_per_bucket
         cfg = self.server.config
         yield self.env.timeout(cfg.nvm_timing.read_cost(ENTRY_SIZE))
-        for _ in range(total):
-            entry_off = (self._cursor % total) * ENTRY_SIZE
-            self._cursor += 1
+        walked = 0
+        while walked < total:
+            start = self._cursor % total
+            skipped = table.next_occupied(start, total - walked)
+            if skipped is None:
+                self._cursor += total - walked
+                return  # no live entry in a whole lap: idle tick
+            self._cursor += skipped + 1
+            walked += skipped + 1
+            entry_off = ((start + skipped) % total) * ENTRY_SIZE
             entry = table.read_entry(entry_off)
-            if entry.fp == 0:
-                continue
             cur = table.read_cur(entry_off)
             if cur is None:
                 continue
             yield from self._scrub_entry(entry_off, entry.fp, cur)
             return
-        # table empty: idle tick
 
     # -- one entry --------------------------------------------------------------
     def _scrub_entry(

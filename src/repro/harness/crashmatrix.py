@@ -413,8 +413,8 @@ class _Instance:
         """Byte-identity fingerprint of the server's whole NVM image."""
         buf = self.server.device.buffer
         h = hashlib.sha256()
-        h.update(bytes(buf.durable))
-        h.update(bytes(buf.visible))
+        h.update(buf.durable)
+        h.update(buf.visible)
         return h.hexdigest()
 
     def audit(self) -> tuple[list[str], list[str]]:

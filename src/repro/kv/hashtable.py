@@ -21,12 +21,24 @@ Buckets hold ``slots_per_bucket`` entries; inserts linear-probe whole
 buckets up to ``probe_limit``. A client that misses in the home bucket
 falls back to the RPC read path (the server probes further) — with the
 load factors used in the experiments this is rare.
+
+Host cost: the table is mostly empty (a dozen live keys in 32 768
+entries is typical), so nothing here pays per entry. Sweeps ask
+:meth:`NvmHashTable.next_occupied` — a NumPy search over the fingerprint
+words of a bounded window, viewed in place — and only decode the entries
+it reports; a probe reads its whole window once. Both account in
+``BufferStats.bytes_read`` for the entries a one-by-one walk would have
+loaded.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
+
+import numpy as np
 
 from repro.errors import StoreError
 from repro.mem.layout import StructLayout
@@ -49,6 +61,24 @@ ENTRY_LAYOUT = StructLayout(
     [("fp", "Q"), ("cur", "Q"), ("alt", "Q"), ("rsv", "Q")],
 )
 ENTRY_SIZE = ENTRY_LAYOUT.size  # 32
+
+#: ``fp`` is the first word of an entry; the searches below rely on it.
+_WORDS_PER_ENTRY = ENTRY_SIZE // 8
+assert ENTRY_LAYOUT.offset_of("fp") == 0
+
+#: Entries per :meth:`NvmHashTable.next_occupied` search window: starts
+#: small so a dense table pays little per hit, doubles while windows come
+#: up empty, and is capped so the search's temporaries stay far below the
+#: allocator's mmap threshold (a whole-table temporary per call costs
+#: more in page faults than the walk it replaces).
+_SCAN_WINDOW_MIN = 256
+_SCAN_WINDOW_MAX = 4096
+
+
+@lru_cache(maxsize=None)
+def _fp_words(n_entries: int) -> struct.Struct:
+    """Unpacks the ``fp`` word of ``n_entries`` consecutive entries."""
+    return struct.Struct("<" + f"Q{ENTRY_SIZE - 8}x" * n_entries)
 
 _OFF_BITS = 40
 _SIZE_BITS = 22
@@ -167,21 +197,44 @@ class NvmHashTable:
         raw = self.device.read(self._entry_addr(entry_off), ENTRY_SIZE)
         return ENTRY_LAYOUT.unpack(raw)
 
-    def _probe(self, fp: int) -> Iterator[int]:
-        """Entry offsets to examine for ``fp``, in probe order."""
+    def _count_read(self, n_entries: int) -> None:
+        """Account for entries examined through a view as loads."""
+        self.device.buffer.stats.bytes_read += n_entries * ENTRY_SIZE
+
+    def _search(self, fp: int) -> tuple[Optional[int], Optional[int]]:
+        """Walk the probe window of ``fp``: ``(entry holding fp, None)``
+        or ``(None, first empty entry or None)``, as entry offsets.
+
+        Each contiguous run of buckets — one, or two when the window
+        wraps past the last bucket — is read once and its fingerprints
+        compared from a single unpack.
+        """
         g = self.geom
-        home = g.bucket_of(fp)
-        for b in range(g.probe_limit):
-            for s in range(g.slots_per_bucket):
-                yield g.entry_offset(home + b, s)
+        bucket = g.bucket_of(fp)
+        left = g.probe_limit
+        free: Optional[int] = None
+        examined = 0
+        while left:
+            run = min(left, g.n_buckets - bucket)
+            off = bucket * g.bucket_bytes
+            n = run * g.slots_per_bucket
+            raw = self.device.view(self._entry_addr(off), n * ENTRY_SIZE)
+            fps = _fp_words(n).unpack(raw)
+            if fp in fps:
+                k = fps.index(fp)
+                self._count_read(examined + k + 1)
+                return off + k * ENTRY_SIZE, None
+            if free is None and 0 in fps:
+                free = off + fps.index(0) * ENTRY_SIZE
+            examined += n
+            left -= run
+            bucket = 0
+        self._count_read(examined)
+        return None, free
 
     def find(self, fp: int) -> Optional[int]:
         """Entry offset holding ``fp``, or None."""
-        for off in self._probe(fp):
-            entry = self.read_entry(off)
-            if entry.fp == fp:
-                return off
-        return None
+        return self._search(fp)[0]
 
     def find_or_create(self, fp: int) -> int:
         """Entry offset for ``fp``, claiming an empty entry if new.
@@ -190,13 +243,9 @@ class NvmHashTable:
         valid, so a torn insert leaves an entry with fp set and no valid
         slot — recovery treats that as absent.
         """
-        free: Optional[int] = None
-        for off in self._probe(fp):
-            entry = self.read_entry(off)
-            if entry.fp == fp:
-                return off
-            if entry.fp == 0 and free is None:
-                free = off
+        found, free = self._search(fp)
+        if found is not None:
+            return found
         if free is None:
             raise StoreError(
                 f"hash table overflow in bucket {self.geom.bucket_of(fp)} "
@@ -246,15 +295,47 @@ class NvmHashTable:
         """State-level flush of one entry (timing charged by caller)."""
         self.device.flush(self._entry_addr(entry_off), ENTRY_SIZE)
 
-    # -- iteration (cleaning / recovery) -----------------------------------------
+    # -- iteration (cleaning / recovery / scrubbing) ------------------------------
+    def next_occupied(self, start: int, limit: int) -> Optional[int]:
+        """How many empty entries precede the first occupied one
+        (``fp != 0``) among the ``limit`` entries from index ``start``,
+        wrapping past the table end; None when all ``limit`` are empty.
+
+        The sweep primitive: the fingerprint words are searched in place
+        a window at a time, and the skipped entries are counted as read.
+        Call it afresh after every ``yield`` — it holds no view between
+        calls, so the table may change under a paced sweep.
+        """
+        total = self.geom.n_buckets * self.geom.slots_per_bucket
+        skipped = 0
+        window = _SCAN_WINDOW_MIN
+        while skipped < limit:
+            idx = (start + skipped) % total
+            n = min(window, limit - skipped, total - idx)
+            raw = self.device.view(self._entry_addr(idx * ENTRY_SIZE), n * ENTRY_SIZE)
+            fps = np.frombuffer(raw, dtype="<u8")[::_WORDS_PER_ENTRY]
+            hits = fps.nonzero()[0]
+            if hits.size:
+                skipped += int(hits[0])
+                self._count_read(skipped)
+                return skipped
+            skipped += n
+            window = min(2 * window, _SCAN_WINDOW_MAX)
+        self._count_read(limit)
+        return None
+
     def iter_entries(self) -> Iterator[tuple[int, object]]:
         """Yield ``(entry_off, entry)`` for every non-empty entry."""
         total = self.geom.n_buckets * self.geom.slots_per_bucket
-        for i in range(total):
+        i = 0
+        while i < total:
+            skipped = self.next_occupied(i, total - i)
+            if skipped is None:
+                return
+            i += skipped
             off = i * ENTRY_SIZE
-            entry = self.read_entry(off)
-            if entry.fp != 0:
-                yield off, entry
+            yield off, self.read_entry(off)
+            i += 1
 
 
 def client_lookup_bucket(

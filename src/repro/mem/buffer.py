@@ -30,8 +30,17 @@ loads only where the cache no longer masks the media (clean lines) —
 exactly the class of error Pangolin-style checksum scrubbing exists to
 catch.
 
-Dirty tracking uses a NumPy boolean array so that flush/crash sweeps are
-vectorised (guides: prefer masks over Python loops).
+Cost model of this module (host time, not simulated time): work is paid
+**per range, not per cacheline**. The dirty map is one byte per line in a
+``bytearray``; :meth:`PersistentBuffer.write` marks its lines with one
+slice store, :meth:`PersistentBuffer.flush` finds each contiguous dirty
+run with ``bytearray.find`` and copies it to ``durable`` as one slice,
+and loads go through one ``memoryview`` of each image so a read copies
+its bytes once. :meth:`PersistentBuffer.view` hands a caller that scans
+a range (the hash index, a digest) the bytes without any copy. The rare
+sweeps that need per-line coin flips (:meth:`PersistentBuffer.crash`)
+see the same map as a NumPy bool array, ``_dirty``, a ``frombuffer``
+view of the bytearray — there is one dirty map, not two.
 """
 
 from __future__ import annotations
@@ -95,7 +104,16 @@ class BufferStats:
 class PersistentBuffer:
     """State model of an NVMM address space (see module docstring)."""
 
-    __slots__ = ("size", "visible", "durable", "_dirty", "stats")
+    __slots__ = (
+        "size",
+        "visible",
+        "durable",
+        "_vview",
+        "_dview",
+        "_dirty_map",
+        "_dirty",
+        "stats",
+    )
 
     def __init__(self, size: int) -> None:
         if size <= 0:
@@ -103,8 +121,14 @@ class PersistentBuffer:
         self.size = size
         self.visible = bytearray(size)
         self.durable = bytearray(size)
-        n_lines = (size + CACHELINE - 1) // CACHELINE
-        self._dirty = np.zeros(n_lines, dtype=bool)
+        # Loads slice these read-only views, not the bytearrays: one
+        # copy per read, none per ``view``.
+        self._vview = memoryview(self.visible).toreadonly()
+        self._dview = memoryview(self.durable).toreadonly()
+        # One byte per cacheline, 1 = dirty; ``_dirty`` is the same
+        # memory as a bool array for the sweeps that index by mask.
+        self._dirty_map = bytearray((size + CACHELINE - 1) // CACHELINE)
+        self._dirty = np.frombuffer(self._dirty_map, dtype=bool)
         self.stats = BufferStats()
 
     # -- bounds ------------------------------------------------------------
@@ -129,7 +153,7 @@ class PersistentBuffer:
             return
         self.visible[addr : addr + n] = data
         lo, hi = self._line_span(addr, n)
-        self._dirty[lo:hi] = True
+        self._dirty_map[lo:hi] = b"\x01" * (hi - lo)
         self.stats.bytes_written += n
 
     def write_atomic64(self, addr: int, data: bytes) -> None:
@@ -144,12 +168,22 @@ class PersistentBuffer:
         """Load from the *visible* image (what RDMA READ returns)."""
         self._check(addr, length)
         self.stats.bytes_read += length
-        return bytes(self.visible[addr : addr + length])
+        return self._vview[addr : addr + length].tobytes()
+
+    def view(self, addr: int, length: int) -> memoryview:
+        """Read-only zero-copy window onto the *visible* image, for
+        callers that scan a range (index words, a digest) rather than
+        load an object. It aliases live memory: use it within one
+        simulated instant and drop it before the next ``yield``. Not
+        counted in ``bytes_read`` — a caller standing in for counted
+        loads adds what it consumed."""
+        self._check(addr, length)
+        return self._vview[addr : addr + length]
 
     def read_durable(self, addr: int, length: int) -> bytes:
         """Load from the media image (post-crash contents)."""
         self._check(addr, length)
-        return bytes(self.durable[addr : addr + length])
+        return self._dview[addr : addr + length].tobytes()
 
     # -- persistence -------------------------------------------------------
     def flush(self, addr: int, length: int) -> int:
@@ -165,13 +199,19 @@ class PersistentBuffer:
         if length == 0:
             return 0
         lo, hi = self._line_span(addr, length)
-        dirty_idx = np.flatnonzero(self._dirty[lo:hi]) + lo
-        for line in dirty_idx:
-            start = int(line) * CACHELINE
-            end = min(start + CACHELINE, self.size)
-            self.durable[start:end] = self.visible[start:end]
-        self._dirty[lo:hi] = False
-        n = int(dirty_idx.size)
+        dirty = self._dirty_map
+        n = 0
+        run = dirty.find(1, lo, hi)
+        while run != -1:
+            end = dirty.find(0, run, hi)
+            if end == -1:
+                end = hi
+            # The buffer's last line may be short; slices clamp to size.
+            start, stop = run * CACHELINE, end * CACHELINE
+            self.durable[start:stop] = self._vview[start:stop]
+            dirty[run:end] = bytes(end - run)
+            n += end - run
+            run = dirty.find(1, end, hi)
         self.stats.lines_flushed += n
         return n
 
@@ -191,9 +231,10 @@ class PersistentBuffer:
         if length == 0:
             return True
         lo, hi = self._line_span(addr, length)
-        if not self._dirty[lo:hi].any():
+        if self._dirty_map.find(1, lo, hi) == -1:
             return True
-        return self.visible[addr : addr + length] == self.durable[addr : addr + length]
+        # bytearray == memoryview is one copy and a memcmp.
+        return self.visible[addr : addr + length] == self._dview[addr : addr + length]
 
     def dirty_line_count(self) -> int:
         return int(self._dirty.sum())
@@ -204,7 +245,7 @@ class PersistentBuffer:
         if length == 0:
             return 0
         lo, hi = self._line_span(addr, length)
-        return int(self._dirty[lo:hi].sum())
+        return self._dirty_map.count(1, lo, hi)
 
     # -- crash semantics -----------------------------------------------------
     def crash(

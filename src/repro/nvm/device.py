@@ -125,6 +125,12 @@ class NVMDevice:
     def read(self, addr: int, length: int) -> bytes:
         return self.buffer.read(addr, length)
 
+    def view(self, addr: int, length: int) -> memoryview:
+        """Read-only zero-copy window (see
+        :meth:`repro.mem.buffer.PersistentBuffer.view`); never hold it
+        across a ``yield``."""
+        return self.buffer.view(addr, length)
+
     def write(self, addr: int, data: bytes | bytearray | memoryview) -> None:
         self.buffer.write(addr, data)
 
