@@ -846,7 +846,8 @@ class BaseClient:
     ) -> Generator[Event, Any, None]:
         """PUT many key/value pairs through the amortized pipeline.
 
-        Per chunk of ``config.put_batch`` items: one ``alloc_batch``
+        Per chunk of ``config.put_batch`` items (fewer for large values,
+        :meth:`_put_chunks`): one ``alloc_batch``
         SEND replaces N alloc round trips, then the value WRITEs are
         posted as one doorbell batch with selective signaling
         (:meth:`Endpoint.write_many`). Up to ``config.put_window``
@@ -862,8 +863,7 @@ class BaseClient:
         """
         if not items:
             return
-        batch = self.config.put_batch
-        chunks = [items[i : i + batch] for i in range(0, len(items), batch)]
+        chunks = self._put_chunks(items, with_crc)
         if self.resilience is not None:
             for chunk in chunks:
                 yield from self.call_resilient(
@@ -892,6 +892,28 @@ class BaseClient:
                 yield proc
         if failures:
             raise failures[0]
+
+    def _put_chunks(
+        self, items: "list[tuple[bytes, bytes]]", with_crc: bool
+    ) -> "list[list[tuple[bytes, bytes]]]":
+        """Cut ``items`` into ``alloc_batch`` chunks of ``put_batch``
+        items — fewer (never none) when the chunk's client CRCs, which run
+        between the grant and the WRITEs, would pass half of
+        ``verify_timeout_ns``: a grant the verifier times out first is an
+        acked PUT lost."""
+        cfg = self.config
+        budget = cfg.verify_timeout_ns / 2 if with_crc else float("inf")
+        chunks: "list[list[tuple[bytes, bytes]]]" = [[]]
+        cost = 0.0
+        for item in items:
+            item_cost = cfg.crc_cost.cost_ns(len(item[1]))
+            full = len(chunks[-1]) >= cfg.put_batch or cost + item_cost > budget
+            if chunks[-1] and full:
+                chunks.append([])
+                cost = 0.0
+            chunks[-1].append(item)
+            cost += item_cost
+        return chunks
 
     def _put_chunk(
         self, chunk: "list[tuple[bytes, bytes]]", with_crc: bool

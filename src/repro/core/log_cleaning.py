@@ -11,7 +11,9 @@ entry's working slot as usual.
 **Stage 2 — log merging.** New writes are redirected to the new pool,
 and the objects written to the old pool during stage 1 are merged: a
 key already superseded by a durable new-pool write is skipped (the
-paper's D1/D2 case); otherwise its latest intact version is copied over.
+paper's D1/D2 case); otherwise its latest intact version is copied over
+— from the old-pool version behind the head when the new-pool write is
+still in flight, since that is what a crash would have to fall back to.
 
 **Finish.** For every key that had state in the old pool: promote the
 new-pool copy into the working slot (the paper flips the mark bit and
@@ -292,13 +294,24 @@ class LogCleaner:
             cur = part.table.read_cur(entry_off)
             if cur is None:
                 continue
+            start = None
             if cur.pool == new.pool_id:
-                # D2 case: a newer new-pool version exists; the old one
-                # (D1) is skipped. Its durability is the background
-                # thread's ordinary job.
-                self.stats.skipped_superseded += 1
-                continue
-            yield from self._move_latest_intact(entry_off, key, old, new)
+                start = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
+                head = part.read_object(start)
+                if head.well_formed and head.valid and head.durable:
+                    # D2 case: a durable new-pool version supersedes the
+                    # old one (D1), which is skipped.
+                    self.stats.skipped_superseded += 1
+                    continue
+                # The new-pool head is still in flight, so the version a
+                # crash must fall back to is the old-pool one behind it:
+                # move that, and _finish splices the head onto the copy
+                # instead of cutting its chain.
+                while start is not None and start.pool != old.pool_id:
+                    start = part.previous_location(start)
+                if start is None:
+                    continue
+            yield from self._move_latest_intact(entry_off, key, old, new, start)
         return touched
 
     # -- moving one key's latest intact version -----------------------------------
@@ -310,18 +323,19 @@ class LogCleaner:
         return key_fingerprint(key), key
 
     def _move_latest_intact(
-        self, entry_off: int, key: bytes, old, new
+        self, entry_off: int, key: bytes, old, new,
+        start: Optional[ObjectLocation] = None,
     ) -> Generator[Event, Any, None]:
-        """Find the latest verifiable version along the chain and copy it
-        into the new pool with the durability flag set."""
+        """Find the latest verifiable version along the chain (from
+        ``start``, default the working slot) and copy it into the new
+        pool with the durability flag set."""
         part = self.part
         cfg = part.config
-        cur = part.table.read_cur(entry_off)
-        loc = (
-            ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
-            if cur is not None
-            else None
-        )
+        loc = start
+        if loc is None:
+            cur = part.table.read_cur(entry_off)
+            if cur is not None:
+                loc = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
         while loc is not None:
             img = part.read_object(loc)
             if not img.well_formed or not img.valid:

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.harness.metrics import LatencyRecorder
+from repro.harness.scaffold import deploy, pool_bytes, preload
 from repro.sim.kernel import Environment, Event
-from repro.stores import StoreSetup, build_store
+from repro.stores import StoreSetup
 from repro.workloads.keyspace import make_key, make_value
 
 __all__ = [
@@ -55,12 +56,8 @@ class BenchSpec:
 
 def _deploy(spec: BenchSpec) -> tuple[Environment, StoreSetup]:
     env = Environment()
-    obj = 64 + spec.key_len + spec.value_len
     overrides: dict[str, Any] = {
-        # 2x headroom: preload + measured writes never exhaust the pool.
-        "pool_size": max(32 << 20, obj * spec.ops * 4),
         "table_buckets": 2048,
-        "auto_clean": False,
         "num_partitions": spec.partitions,
         "put_batch": spec.put_batch,
         "put_window": spec.put_window,
@@ -70,20 +67,14 @@ def _deploy(spec: BenchSpec) -> tuple[Environment, StoreSetup]:
     if spec.bench == "get_cached":
         overrides["loc_cache_size"] = spec.ops
     overrides.update(spec.config_overrides)
-    setup = build_store(
-        "efactory", env, config_overrides=overrides, n_clients=1
-    ).start()
+    setup = deploy(
+        "efactory", env, n_clients=1, overrides=overrides,
+        # 4x headroom: preload + measured writes never exhaust the pool.
+        pool_size=pool_bytes(
+            (spec.ops, spec.key_len, spec.value_len), headroom=4, floor=32 << 20
+        ),
+    )
     return env, setup
-
-
-def _settle(env: Environment, setup: StoreSetup, budget_ns: float = 50_000_000.0) -> None:
-    """Let the background verifier drain so GETs hit durable objects."""
-    deadline = env.now + budget_ns
-    background = getattr(setup.server, "background", None)
-    while env.now < deadline:
-        env.run(until=min(deadline, env.now + 50_000.0))
-        if background is None or background.backlog == 0:
-            break
 
 
 def bench_cell(spec: BenchSpec) -> dict[str, Any]:
@@ -126,12 +117,8 @@ def bench_cell(spec: BenchSpec) -> dict[str, Any]:
         env.run(env.process(body(), name="bench"))
         elapsed = env.now - t_start
     elif spec.bench in ("get_uncached", "get_cached"):
-        def preload() -> Generator[Event, Any, None]:
-            for key, value in items:
-                yield from client.put(key, value)
-
-        env.run(env.process(preload(), name="preload"))
-        _settle(env, setup)
+        # Settled: the verifier drains, so GETs hit durable objects.
+        preload(env, setup, items, settle_ns=50_000_000.0)
         if spec.bench == "get_cached":
             # Warm pass: populates the location cache (PUT already
             # noted the locations, but a read pass also exercises the
@@ -267,21 +254,12 @@ def run_parity_bench_suite(
 
 
 def _deploy_cluster(nodes: int, replication: int, ops: int, value_len: int):
-    from repro.cluster import build_cluster
-
     env = Environment()
-    obj = 64 + 16 + value_len
-    setup = build_cluster(
-        env,
-        nodes=nodes,
-        replication=replication,
-        config_overrides={
-            "pool_size": max(2 << 20, obj * ops * 4),
-            "table_buckets": 2048,
-            "auto_clean": False,
-        },
-        n_clients=1,
-    ).start()
+    setup = deploy(
+        "efactory", env, n_clients=1, overrides={"table_buckets": 2048},
+        pool_size=pool_bytes((ops, 16, value_len), headroom=4, floor=2 << 20),
+        cluster={"nodes": nodes, "replication": replication},
+    )
     return env, setup
 
 

@@ -5,17 +5,12 @@ arm a :class:`~repro.faults.plan.FaultPlan`, drive a mixed closed-loop
 workload through clients carrying a
 :class:`~repro.faults.policy.RetryPolicy`, then disarm, let the
 background machinery settle, and audit the surviving state through real
-client GETs — the consistency oracle for the no-crash fault regime.
-
-The oracle's invariants (per key, single writer per key):
-
-* **intact** — the returned value parses as one of ours (stores that
-  advertise consistent GETs must never serve torn bytes);
-* **no lost acks** — the version read is at least the last *acknowledged*
-  write (no crash happened, so every acked write must survive);
-* **no phantoms** — the version read is at most the last *issued* write
-  (an unacked attempt may land — at-least-once — but nothing the
-  workload never wrote may appear).
+client GETs, judged by the shared consistency oracle
+(:mod:`repro.harness.oracle`, DESIGN.md §9b) in its no-crash regime:
+every key (single writer per key) must come back intact, no older than
+its last *acknowledged* write and than anything a GET already returned,
+and no newer than its last *issued* write (an unacked attempt may land —
+at-least-once — but nothing the workload never wrote may appear).
 
 Determinism: the whole run — fault schedule, retry counts, oracle
 verdict — is a pure function of ``(store, plan, seed, workload shape)``;
@@ -33,12 +28,14 @@ from repro.faults.injector import arm_store, disarm_store
 from repro.faults.plan import FaultPlan
 from repro.faults.plans import shipped_plan
 from repro.faults.policy import RetryPolicy
+from repro.harness.oracle import KeyLedger
+from repro.harness.scaffold import deploy, pool_bytes, preload, settle, version0
 from repro.rdma.rpc import ERR_NOT_FOUND, RpcFault
 from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
-from repro.stores import STORES, build_store
-from repro.workloads.keyspace import make_key, make_value, parse_value
+from repro.stores import STORES
+from repro.workloads.keyspace import make_key, make_value
 
 __all__ = ["ChaosSpec", "ChaosReport", "run_chaos_experiment"]
 
@@ -156,18 +153,6 @@ class ChaosReport:
         }
 
 
-def _pool_size_for(spec: ChaosSpec) -> int:
-    obj = 64 + spec.key_len + spec.value_len
-    total_puts = spec.key_count + spec.n_clients * spec.ops_per_client
-    if spec.nodes > 1:
-        # A cluster allocates nodes x partitions x 2 pools; keep each
-        # small (every key fits many times over — the floor below is
-        # already 4x the worst-case append volume).
-        return max(2 << 20, int(total_puts * obj * 4))
-    # retries can allocate more than once per PUT; leave ample headroom
-    return max(32 << 20, int(total_puts * obj * 4))
-
-
 def run_chaos_experiment(
     spec: ChaosSpec, plan: Optional[FaultPlan] = None
 ) -> ChaosReport:
@@ -182,33 +167,31 @@ def run_chaos_experiment(
     if cluster_mode and spec.store != "efactory":
         raise StoreError("cluster chaos runs require the efactory store")
 
-    overrides: dict[str, Any] = {"pool_size": _pool_size_for(spec)}
-    if spec.store.startswith("efactory"):
-        overrides["auto_clean"] = False
-        if media_plan:
-            # Media faults need the online scrubber: without it the
-            # durability-flag shortcut would serve rot forever.
-            overrides["scrub_interval_ns"] = 2_000.0
+    overrides: dict[str, Any] = {}
+    if media_plan:
+        # Media faults need the online scrubber: without it the
+        # durability-flag shortcut would serve rot forever.
+        overrides["scrub_interval_ns"] = 2_000.0
     if spec.parity:
         from repro.core.config import integrity_overrides
 
         overrides.update(integrity_overrides())
     overrides.update(spec.config_overrides)
-    if cluster_mode:
-        from repro.cluster import build_cluster
-
-        setup = build_cluster(
-            env,
-            nodes=spec.nodes,
-            replication=spec.replication,
-            config_overrides=overrides,
+    puts = spec.key_count + spec.n_clients * spec.ops_per_client
+    setup = deploy(
+        spec.store, env, n_clients=spec.n_clients, overrides=overrides,
+        # Retries can allocate more than once per PUT: ample headroom. A
+        # cluster allocates nodes x partitions x 2 pools, so each stays
+        # small (every key still fits many times over).
+        pool_size=pool_bytes(
+            (puts, spec.key_len, spec.value_len), headroom=4,
+            floor=(2 << 20) if spec.nodes > 1 else (32 << 20),
+        ),
+        cluster=dict(
+            nodes=spec.nodes, replication=spec.replication,
             cluster_overrides=dict(spec.cluster_overrides),
-            n_clients=spec.n_clients,
-        ).start()
-    else:
-        setup = build_store(
-            spec.store, env, config_overrides=overrides, n_clients=spec.n_clients
-        ).start()
+        ) if cluster_mode else None,
+    )
     for client in setup.clients:
         client.enable_resilience(
             spec.policy, rngs.stream(f"resilience.{client.name}"), tracer=tracer
@@ -217,17 +200,10 @@ def run_chaos_experiment(
     keys = [make_key(k, spec.key_len) for k in range(spec.key_count)]
     # Single writer per key: key k belongs to client k % n_clients, so
     # "last acked version" is well-defined without cross-client ordering.
-    issued = [0] * spec.key_count
-    acked = [0] * spec.key_count
+    ledger = KeyLedger(spec.key_count)
 
-    # -- preload (faults not armed yet: the baseline state is healthy) ------
-    def preload() -> Generator[Event, Any, None]:
-        client = setup.client(0)
-        for kid in range(spec.key_count):
-            yield from client.put(keys[kid], make_value(kid, 0, spec.value_len))
-
-    env.run(env.process(preload(), name="chaos-preload"))
-    _settle(env, setup, spec.settle_ns)
+    # Faults are not armed yet: the baseline state is healthy.
+    preload(env, setup, version0(keys, spec.value_len), settle_ns=spec.settle_ns)
 
     # -- the faulted window --------------------------------------------------
     injector = arm_store(setup, plan, rngs=rngs, tracer=tracer)
@@ -245,15 +221,17 @@ def run_chaos_experiment(
             try:
                 if do_put:
                     kid = int(my_keys[int(rng.integers(len(my_keys)))])
-                    issued[kid] += 1
-                    ver = issued[kid]
+                    ver = ledger.next_version(kid)
                     yield from client.put(
                         keys[kid], make_value(kid, ver, spec.value_len)
                     )
-                    acked[kid] = max(acked[kid], ver)
+                    ledger.ack(kid, ver)
                 else:
                     kid = int(rng.integers(spec.key_count))
-                    yield from client.get(keys[kid], size_hint=spec.value_len)
+                    value = yield from client.get(
+                        keys[kid], size_hint=spec.value_len
+                    )
+                    ledger.observe(kid, value)
             except (StoreError, RDMAError, OperationTimeout):
                 stats["failed"] += 1
                 continue
@@ -293,13 +271,12 @@ def run_chaos_experiment(
         )
     # Under a media plan, also wait for two full scrubber laps so every
     # entry has provably been examined *after* the last rot landed.
-    _settle(env, setup, spec.settle_ns, scrub_laps=2 if media_plan else 0)
+    settle(env, setup, spec.settle_ns, scrub_laps=2 if media_plan else 0)
 
     # -- audit through real client GETs --------------------------------------
     # Raw slot reads would misreport legitimately-invalidated versions
     # (publish-on-alloc indexes not-yet-durable objects); the advertised
     # guarantee is about what GET *returns*, so that is what we check.
-    consistent = STORES[spec.store].consistent_get
     scrubber = getattr(setup.server, "scrubber", None)
     scrub_active = scrubber is not None and getattr(scrubber, "active", False)
     violations: list[str] = []
@@ -308,36 +285,20 @@ def run_chaos_experiment(
     def audit() -> Generator[Event, Any, None]:
         client = setup.client(0)
         for kid in range(spec.key_count):
+            value, unreadable = None, ""
             try:
                 value = yield from client.get(keys[kid], size_hint=spec.value_len)
             except (RpcFault, StoreError, RDMAError) as exc:
                 code = getattr(exc, "code", "")
-                problem = f"key {kid}: GET failed after faults cleared ({code or exc})"
+                unreadable = f"GET failed after faults cleared ({code or exc})"
                 if isinstance(exc, RpcFault) and code == ERR_NOT_FOUND:
-                    problem = f"key {kid}: lost (not found after faults cleared)"
-                # Media rot can destroy every version of a key; the
-                # advertised behavior is then exactly this loud miss.
-                (weaknesses if media_plan else violations).append(problem)
-                continue
-            parsed = parse_value(value)
-            if parsed is None or parsed[0] != kid:
-                msg = f"key {kid}: torn or foreign value returned"
-                # With a scrubber the store claims rot is repaired or
-                # surfaced, never served — so torn bytes stay a
-                # violation. Stores without one never promised that.
-                strict = consistent and (not media_plan or scrub_active)
-                (violations if strict else weaknesses).append(msg)
-                continue
-            ver = parsed[1]
-            if ver < acked[kid]:
-                msg = f"key {kid}: acked version {acked[kid]} lost (read {ver})"
-                # Rolling back to an intact older version *is* the
-                # scrubber's advertised repair under media faults.
-                (weaknesses if media_plan else violations).append(msg)
-            elif ver > issued[kid]:
-                violations.append(
-                    f"key {kid}: phantom version {ver} (> issued {issued[kid]})"
-                )
+                    unreadable = "lost (not found after faults cleared)"
+            verdict = ledger.judge(
+                kid, value, STORES[spec.store], crashed=False, media=media_plan,
+                scrub_active=scrub_active, unreadable=unreadable,
+            )
+            violations.extend(verdict.violations)
+            weaknesses.extend(verdict.weaknesses)
 
     env.run(env.process(audit(), name="chaos-audit"))
     cluster_metrics: dict[str, Any] = {}
@@ -405,44 +366,3 @@ def run_chaos_experiment(
         cluster=cluster_metrics,
         migration=migration_stats,
     )
-
-
-def _settle(
-    env: Environment, setup: Any, settle_ns: float, *, scrub_laps: int = 0
-) -> None:
-    """Let asynchronous machinery (verifier, scrubber) drain.
-
-    ``scrub_laps`` additionally requires the scrubber (when running) to
-    complete that many further passes over the table before settling.
-    """
-    if settle_ns <= 0:
-        return
-    deadline = env.now + settle_ns
-    # Cluster setups expose every node's server; settle against the live
-    # ones only (a killed node's verifier backlog can never drain).
-    servers = [
-        s
-        for s in (getattr(setup, "servers", None) or [setup.server])
-        if getattr(s.node, "alive", True)
-    ]
-    backgrounds = [
-        b for s in servers if (b := getattr(s, "background", None)) is not None
-    ]
-    scrubbers = [
-        sc
-        for s in servers
-        if (sc := getattr(s, "scrubber", None)) is not None
-        and getattr(sc, "active", False)
-    ]
-    want_laps = None
-    if scrub_laps and scrubbers:
-        want_laps = [sc.laps + scrub_laps for sc in scrubbers]
-    while env.now < deadline:
-        env.run(until=min(deadline, env.now + 50_000.0))
-        if any(b.backlog for b in backgrounds):
-            continue
-        if want_laps is not None and any(
-            sc.laps < want for sc, want in zip(scrubbers, want_laps)
-        ):
-            continue
-        break

@@ -18,9 +18,10 @@ not *cover* it. This module enumerates the crash space systematically:
    granularity), and raises :class:`~repro.errors.PowerFailure`, which
    escalates out of ``env.run`` into the harness.
 3. **Recover + audit** — restart the node, run the store's recovery,
-   then audit every key against the advertised guarantees (torn
-   exposure, durability of acked writes, monotonic reads) using the
-   crash oracle's state reader.
+   then let the shared consistency oracle (:mod:`repro.harness.oracle`,
+   DESIGN.md §9b) judge every key's recovered state against the
+   advertised guarantees (torn exposure, durability of acked writes,
+   monotonic reads, no phantoms).
 4. **Idempotence** — run recovery a *second* time and require a
    byte-identical NVM image and a second report with zero rolled-back /
    lost keys: recovery must be safe to crash and re-run.
@@ -43,7 +44,6 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.core.recovery import RecoveryReport, recover_bucketized, recover_erda
 from repro.errors import (
     OperationTimeout,
     PowerFailure,
@@ -54,12 +54,15 @@ from repro.errors import (
 from repro.faults.injector import FaultInjector, arm_store, disarm_store
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.sites import crash_matrix_sites
-from repro.harness.crash import read_value_state
+from repro.harness.oracle import KeyLedger
+from repro.harness.scaffold import (
+    deploy, pool_bytes, preload, recover, settle, version0,
+)
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment, Event, Interrupt
 from repro.sim.rng import RngRegistry
-from repro.stores import STORES, build_store
-from repro.workloads.keyspace import make_key, make_value, parse_value
+from repro.stores import STORES
+from repro.workloads.keyspace import make_key, make_value
 
 __all__ = [
     "CrashMatrixSpec",
@@ -205,20 +208,14 @@ class _Instance:
         self.spec = spec
         self.env = Environment()
         self.rngs = RngRegistry(spec.seed)
-        obj = 64 + spec.key_len + spec.value_len
-        overrides: dict[str, Any] = {
-            "pool_size": max(
-                4 << 20,
-                (spec.key_count + spec.n_clients * spec.ops_per_client) * obj * 4,
-            )
-        }
-        if spec.store.startswith("efactory"):
-            overrides["auto_clean"] = False
-        overrides.update(spec.config_overrides)
-        self.setup = build_store(
-            spec.store, self.env, config_overrides=overrides,
-            n_clients=spec.n_clients,
-        ).start()
+        puts = spec.key_count + spec.n_clients * spec.ops_per_client
+        self.setup = deploy(
+            spec.store, self.env, n_clients=spec.n_clients,
+            overrides=spec.config_overrides,
+            pool_size=pool_bytes(
+                (puts, spec.key_len, spec.value_len), headroom=4, floor=4 << 20
+            ),
+        )
         self.server = self.setup.server
         # The injector is armed only after the preload, but the matrix
         # must be bit-identical to the seed end to end — keep the whole
@@ -226,9 +223,7 @@ class _Instance:
         # event path.
         self.setup.fabric.fastpath = False
         self.keys = [make_key(k, spec.key_len) for k in range(spec.key_count)]
-        self.issued = [0] * spec.key_count
-        self.acked = [0] * spec.key_count  # preload counts as acked v0
-        self.max_read = [-1] * spec.key_count
+        self.ledger = KeyLedger(spec.key_count)
         self.state = {"completed": 0, "crashed": False}
         self.crash_info: dict[str, Any] = {}
         self.rules = rules
@@ -239,13 +234,10 @@ class _Instance:
         """Drive the workload; returns True if a crash rule fired."""
         spec, env = self.spec, self.env
 
-        def preload() -> Generator[Event, Any, None]:
-            c = self.setup.client(0)
-            for kid in range(spec.key_count):
-                yield from c.put(self.keys[kid], make_value(kid, 0, spec.value_len))
-
-        env.run(env.process(preload(), name="matrix-preload"))
-        self._settle()
+        preload(
+            env, self.setup, version0(self.keys, spec.value_len),
+            settle_ns=spec.settle_ns,
+        )
 
         # Arm only now: crash-point indexes count from the start of the
         # faulted window, not the preload.
@@ -266,7 +258,7 @@ class _Instance:
             if not self.state["crashed"]:
                 if cleaner.is_alive:
                     cleaner.interrupt("done")
-                self._settle()
+                settle(env, self.setup, spec.settle_ns)
                 self.server.stop()
         except PowerFailure:
             pass
@@ -294,16 +286,13 @@ class _Instance:
                     value = yield from client.get(
                         self.keys[kid], size_hint=spec.value_len
                     )
-                    parsed = parse_value(value)
-                    if parsed is not None and parsed[0] == kid:
-                        self.max_read[kid] = max(self.max_read[kid], parsed[1])
+                    self.ledger.observe(kid, value)
                 else:
-                    self.issued[kid] += 1
-                    ver = self.issued[kid]
+                    ver = self.ledger.next_version(kid)
                     yield from client.put(
                         self.keys[kid], make_value(kid, ver, spec.value_len)
                     )
-                    self.acked[kid] = max(self.acked[kid], ver)
+                    self.ledger.ack(kid, ver)
             except Interrupt:
                 # Exit cleanly so the run's all_of condition completes
                 # instead of re-raising during the post-crash drain.
@@ -347,31 +336,12 @@ class _Instance:
         )
         raise PowerFailure(f"crash point {site}")
 
-    # -- recovery --------------------------------------------------------------
-    def recover(self) -> Optional[RecoveryReport]:
-        """One full recovery pass (restarts the node if it is down)."""
-        if self.spec.store == "ca":
-            return None
-        if not self.server.node.alive:
-            self.setup.fabric.restart_node(self.server.node)
-        if self.spec.store == "erda":
-            proc = self.env.process(recover_erda(self.server), name="matrix-recover")
-        else:
-            proc = self.env.process(
-                recover_bucketized(self.server), name="matrix-recover"
-            )
-        return self.env.run(proc)
-
-    def arm_recovery(self, rules: tuple[FaultRule, ...]) -> FaultInjector:
+    # -- crashing recovery itself -----------------------------------------------
+    def arm_recovery(self, rules: tuple[FaultRule, ...]) -> None:
         """Arm a fresh plan for the recovery phase (double-crash)."""
-        plan = FaultPlan("matrix", rules)
-        inj = FaultInjector(self.env, plan, self.rngs)
-        self.setup.fabric.injector = inj
-        self.server.rpc.injector = inj
-        if self.server.device is not None:
-            self.server.device.injector = inj
-        self.injector = inj
-        return inj
+        self.injector = arm_store(
+            self.setup, FaultPlan("matrix", rules), rngs=self.rngs
+        )
 
     def recovery_crash_hook(self) -> None:
         """Install a hook that power-fails the node mid-recovery."""
@@ -389,15 +359,6 @@ class _Instance:
         self.injector.crash_hook = hook
 
     # -- plumbing ---------------------------------------------------------------
-    def _settle(self) -> None:
-        env = self.env
-        deadline = env.now + self.spec.settle_ns
-        background = getattr(self.server, "background", None)
-        while env.now < deadline:
-            env.run(until=min(deadline, env.now + 50_000.0))
-            if background is None or background.backlog == 0:
-                break
-
     def _drain(self, ns: float) -> None:
         """Advance time past interrupt deliveries, swallowing any
         residual crash escalation."""
@@ -417,42 +378,26 @@ class _Instance:
         h.update(buf.visible)
         return h.hexdigest()
 
-    def audit(self) -> tuple[list[str], list[str]]:
-        """The crash oracle, against the advertised guarantees."""
-        flags = STORES[self.spec.store]
-        violations: list[str] = []
-        weaknesses: list[str] = []
-        for kid in range(self.spec.key_count):
-            value = read_value_state(self.server, self.keys[kid])
-            torn, recovered = False, None
-            if value is not None:
-                parsed = parse_value(value)
-                if parsed is None or parsed[0] != kid:
-                    torn = True
-                else:
-                    recovered = parsed[1]
-            if torn:
-                msg = f"key {kid}: torn value exposed after recovery"
-                (violations if flags.consistent_get else weaknesses).append(msg)
-                continue
-            if recovered is None or recovered < self.acked[kid]:
-                msg = (
-                    f"key {kid}: acked version {self.acked[kid]} lost "
-                    f"(recovered {recovered})"
-                )
-                (violations if flags.durable_put else weaknesses).append(msg)
-            if self.spec.store.startswith("efactory") and self.max_read[kid] >= 0:
-                if recovered is None or recovered < self.max_read[kid]:
-                    violations.append(
-                        f"key {kid}: non-monotonic read across crash "
-                        f"(read {self.max_read[kid]}, recovered {recovered})"
-                    )
-            if recovered is not None and recovered > self.issued[kid]:
-                violations.append(
-                    f"key {kid}: phantom version {recovered} "
-                    f"(> issued {self.issued[kid]})"
-                )
-        return violations, weaknesses
+    def verdict(self, result: CrashPointResult, summary: str) -> CrashPointResult:
+        """Recover, fingerprint the image, recover again (idempotence),
+        and let the oracle judge every key's recovered state."""
+        result.crash_summary = dict(self.crash_info.get(summary, {}))
+        report = recover(self.setup)
+        result.recovery = report.as_dict() if report is not None else None
+        result.digest = self.digest()
+        if report is not None:
+            second = recover(self.setup)
+            result.idempotent = (
+                self.digest() == result.digest
+                and second.keys_rolled_back == 0
+                and second.keys_lost == 0
+            )
+        for audit in self.ledger.audit_recovered(
+            self.server, self.keys, STORES[self.spec.store]
+        ):
+            result.violations += audit.violations
+            result.weaknesses += audit.weaknesses
+        return result
 
 
 # -- matrix orchestration ---------------------------------------------------------
@@ -490,20 +435,8 @@ def _run_point(
                               crashed=crashed)
     if not crashed:
         return result
-    result.crash_summary = dict(inst.crash_info.get("summary", {}))
     disarm_store(inst.setup)
-    report = inst.recover()
-    result.recovery = report.as_dict() if report is not None else None
-    result.digest = inst.digest()
-    if report is not None:
-        second = inst.recover()
-        result.idempotent = (
-            inst.digest() == result.digest
-            and second.keys_rolled_back == 0
-            and second.keys_lost == 0
-        )
-    result.violations, result.weaknesses = inst.audit()
-    return result
+    return inst.verdict(result, "summary")
 
 
 def _run_recovery_point(
@@ -525,7 +458,7 @@ def _run_recovery_point(
     result = CrashPointResult(site="recovery.step", op_index=op_index,
                               phase="recovery", crashed=False)
     try:
-        inst.recover()
+        recover(inst.setup)
     except PowerFailure:
         result.crashed = True
         inst._drain(1_000.0)
@@ -534,19 +467,7 @@ def _run_recovery_point(
         # Recovery finished before reaching this step index: the site's
         # universe is smaller than requested. Not an error.
         return result
-    result.crash_summary = dict(inst.crash_info.get("summary2", {}))
-    report = inst.recover()
-    result.recovery = report.as_dict() if report is not None else None
-    result.digest = inst.digest()
-    if report is not None:
-        second = inst.recover()
-        result.idempotent = (
-            inst.digest() == result.digest
-            and second.keys_rolled_back == 0
-            and second.keys_lost == 0
-        )
-    result.violations, result.weaknesses = inst.audit()
-    return result
+    return inst.verdict(result, "summary2")
 
 
 def run_crash_matrix(spec: CrashMatrixSpec) -> CrashMatrixReport:
@@ -576,7 +497,7 @@ def run_crash_matrix(spec: CrashMatrixSpec) -> CrashMatrixReport:
             probe = _Instance(spec, _crash_rule(*primary))
             if probe.run_workload():
                 probe.arm_recovery(())
-                probe.recover()
+                recover(probe.setup)
                 rec_ops = probe.injector.site_op_counts().get("recovery.step", 0)
                 for k in _sample(rec_ops, spec.recovery_points):
                     point = _run_recovery_point(spec, primary, k)

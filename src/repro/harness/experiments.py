@@ -370,37 +370,28 @@ def partition_recovery_sweep(
     recovery time should approach the slowest shard's share of the data
     rather than the whole store's.
     """
-    from repro.core.recovery import recover_bucketized
+    from repro.harness.scaffold import deploy, preload, recover
     from repro.sim.kernel import Environment
-    from repro.stores import build_store
     from repro.workloads.keyspace import make_key, make_value
 
     out: dict[int, float] = {}
     for n in partition_counts:
         env = Environment()
-        setup = build_store(
-            "efactory",
-            env,
-            config_overrides={
-                "pool_size": 4 << 20,
-                "auto_clean": False,
-                "num_partitions": n,
-            },
-            n_clients=1,
-        ).start()
-        client = setup.client()
-
-        def load() -> Generator[Any, Any, None]:
-            for v in range(versions):
-                for i in range(n_keys):
-                    yield from client.put(
-                        make_key(i, 16), make_value(i, v, value_len)
-                    )
-
-        env.run(env.process(load(), name="preload"))
+        setup = deploy(
+            "efactory", env, pool_size=4 << 20, n_clients=1,
+            overrides={"num_partitions": n},
+        )
+        preload(
+            env, setup,
+            (
+                (make_key(i, 16), make_value(i, v, value_len))
+                for v in range(versions)
+                for i in range(n_keys)
+            ),
+        )
         env.run(until=env.now + 2_000_000)
         setup.server.stop()
-        report = env.run(env.process(recover_bucketized(setup.server)))
+        report = recover(setup)
         out[n] = report.duration_ns
     return out
 

@@ -17,10 +17,10 @@ from typing import Any
 
 from repro.errors import StoreError
 from repro.harness.metrics import LatencyRecorder
+from repro.harness.scaffold import deploy, pool_bytes, preload, version0
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
-from repro.stores import StoreSetup, build_store
 from repro.workloads.keyspace import make_key, make_value
 from repro.workloads.ycsb import WorkloadSpec
 
@@ -37,7 +37,7 @@ class RunSpec:
     ops_per_client: int = 800
     warmup_ops: int = 100
     seed: int = 42
-    settle_ns: float = 20_000_000.0  # generous: _settle exits early once the backlog drains
+    settle_ns: float = 20_000_000.0  # generous: settling ends once the backlog drains
     config_overrides: dict = field(default_factory=dict)
 
     @property
@@ -74,15 +74,11 @@ class RunResult:
 
 
 def size_pool_for(spec: RunSpec) -> int:
-    """A pool large enough that the run never exhausts it (benchmarks
-    compare schemes, not allocators; only Fig 11 exercises cleaning)."""
+    """A pool large enough that the run never exhausts it: the preload
+    plus the worst case of every measured and warmup op being a PUT."""
     w = spec.workload
-    obj = 64 + w.key_len + w.value_len  # header + key + value, aligned-ish
-    total_puts = (
-        w.key_count  # preload
-        + spec.n_clients * (spec.ops_per_client + spec.warmup_ops)  # worst case
-    )
-    return max(32 << 20, int(total_puts * obj * 1.5))
+    puts = w.key_count + spec.n_clients * (spec.ops_per_client + spec.warmup_ops)
+    return pool_bytes((puts, w.key_len, w.value_len), headroom=1.5, floor=32 << 20)
 
 
 def run_experiment(spec: RunSpec, post_setup=None) -> RunResult:
@@ -94,27 +90,16 @@ def run_experiment(spec: RunSpec, post_setup=None) -> RunResult:
     """
     env = Environment()
     rngs = RngRegistry(spec.seed)
-    overrides: dict[str, Any] = {"pool_size": size_pool_for(spec)}
-    if spec.store.startswith("efactory"):
-        overrides["auto_clean"] = False  # Fig 11 triggers cleaning explicitly
-    overrides.update(spec.config_overrides)
-
-    setup = build_store(
-        spec.store, env, config_overrides=overrides, n_clients=spec.n_clients
-    ).start()
+    setup = deploy(
+        spec.store, env, pool_size=size_pool_for(spec), n_clients=spec.n_clients,
+        overrides=spec.config_overrides,
+    )
 
     w = spec.workload
     keys = [make_key(k, w.key_len) for k in range(w.key_count)]
     versions = [0] * w.key_count  # shared monotone version counter per key
 
-    # -- preload ------------------------------------------------------------
-    def preload() -> Generator[Event, Any, None]:
-        client = setup.client(0)
-        for kid in range(w.key_count):
-            yield from client.put(keys[kid], make_value(kid, 0, w.value_len))
-
-    env.run(env.process(preload(), name="preload"))
-    _settle(env, setup, spec.settle_ns)
+    preload(env, setup, version0(keys, w.value_len), settle_ns=spec.settle_ns)
     if post_setup is not None:
         post_setup(env, setup)
 
@@ -173,15 +158,3 @@ def run_experiment(spec: RunSpec, post_setup=None) -> RunResult:
         fallback_reads=fallback,
         rpc_only_reads=rpc_only,
     )
-
-
-def _settle(env: Environment, setup: StoreSetup, settle_ns: float) -> None:
-    """Let asynchronous machinery (eFactory's background thread) drain."""
-    if settle_ns <= 0:
-        return
-    deadline = env.now + settle_ns
-    background = getattr(setup.server, "background", None)
-    while env.now < deadline:
-        env.run(until=min(deadline, env.now + 50_000.0))
-        if background is None or background.backlog == 0:
-            break

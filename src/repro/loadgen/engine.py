@@ -40,11 +40,11 @@ from repro.faults.injector import arm_store
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.harness.metrics import LatencyRecorder, summarize
+from repro.harness.scaffold import deploy, pool_bytes, preload
 from repro.loadgen.tenants import TenantSpec
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
-from repro.stores import build_store
 from repro.workloads.keyspace import make_key, make_value
 from repro.workloads.ycsb import Op
 from repro.workloads.zipf import RotatingHotSet
@@ -192,17 +192,6 @@ class LoadReport:
         }
 
 
-def _pool_bytes(spec: LoadSpec) -> int:
-    """A pool that never exhausts (load cells compare scheduling, not
-    allocators) — preload plus worst-case all-put measured phases."""
-    total = 0
-    for t in spec.tenants:
-        w = t.workload
-        obj = 64 + w.key_len + w.value_len
-        total += (w.key_count + t.total_ops) * obj
-    return max(32 << 20, int(total * 1.5))
-
-
 def _issue(client, kind: str, key: bytes, value, size_hint: int):
     """One application op as a fresh generator (retry re-invokes it)."""
     if kind == "put":
@@ -222,17 +211,20 @@ def run_load(spec: LoadSpec) -> LoadReport:
     env = Environment()
     rngs = RngRegistry(spec.seed)
 
-    overrides: dict[str, Any] = {"pool_size": _pool_bytes(spec)}
-    if spec.store.startswith("efactory"):
-        overrides["auto_clean"] = False
+    overrides: dict[str, Any] = {}
     if spec.admission_watermark > 0:
         overrides["admission_watermark"] = spec.admission_watermark
     overrides.update(spec.config_overrides)
-
-    setup = build_store(
-        spec.store, env, config_overrides=overrides,
-        n_clients=spec.total_clients,
-    ).start()
+    # Load cells compare scheduling, not allocators: room for the preload
+    # plus a worst-case all-put measured phase.
+    loads = [
+        (t.workload.key_count + t.total_ops, t.workload.key_len, t.workload.value_len)
+        for t in spec.tenants
+    ]
+    setup = deploy(
+        spec.store, env, n_clients=spec.total_clients, overrides=overrides,
+        pool_size=pool_bytes(*loads, headroom=1.5, floor=32 << 20),
+    )
     if spec.fault_plan is not None and not spec.fault_plan.empty:
         arm_store(setup, spec.fault_plan, rngs=rngs.fork("faults"))
     if spec.completion_batching:
@@ -253,20 +245,17 @@ def run_load(spec: LoadSpec) -> LoadReport:
         acc += t.workload.key_count
     versions = [0] * acc
 
-    # -- preload -------------------------------------------------------------
-    def preload() -> Generator[Event, Any, None]:
-        client = setup.client(0)
-        for t, base in zip(spec.tenants, bases):
-            w = t.workload
-            items = [
-                (make_key(base + kid, w.key_len), make_value(base + kid, 0, w.value_len))
-                for kid in range(w.key_count)
-            ]
-            for lo in range(0, len(items), _PRELOAD_CHUNK):
-                yield from client.put_many(items[lo:lo + _PRELOAD_CHUNK])
-
-    env.run(env.process(preload(), name="preload"))
-    _settle(env, setup, spec.settle_ns)
+    batches = []
+    for t, base in zip(spec.tenants, bases):
+        w = t.workload
+        items = [
+            (make_key(base + kid, w.key_len), make_value(base + kid, 0, w.value_len))
+            for kid in range(w.key_count)
+        ]
+        batches += [
+            items[lo:lo + _PRELOAD_CHUNK] for lo in range(0, len(items), _PRELOAD_CHUNK)
+        ]
+    preload(env, setup, batches=batches, settle_ns=spec.settle_ns)
 
     # Pregenerate every client's op stream (fixed rng-stream creation
     # order keeps the run deterministic).
@@ -454,15 +443,3 @@ def run_load(spec: LoadSpec) -> LoadReport:
         admission=admission,
         resilience=res,
     )
-
-
-def _settle(env: Environment, setup, settle_ns: float) -> None:
-    """Let asynchronous machinery (eFactory's background thread) drain."""
-    if settle_ns <= 0:
-        return
-    deadline = env.now + settle_ns
-    background = getattr(setup.server, "background", None)
-    while env.now < deadline:
-        env.run(until=min(deadline, env.now + 50_000.0))
-        if background is None or background.backlog == 0:
-            break

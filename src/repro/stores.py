@@ -61,6 +61,9 @@ class StoreSpec:
     durable_put: bool
     #: Whether GET guarantees an intact (untorn) value.
     consistent_get: bool
+    #: Whether a version a GET returned is never lost again, even across
+    #: a crash (§5.3: eFactory "refrains from non-monotonic reads").
+    monotonic_reads: bool
 
 
 def _efactory_nohr_config(**overrides: Any):
@@ -70,36 +73,37 @@ def _efactory_nohr_config(**overrides: Any):
 
 STORES: dict[str, StoreSpec] = {
     "efactory": StoreSpec(
-        "efactory", "eFactory", EFactoryServer, EFactoryClient,
-        efactory_config, durable_put=False, consistent_get=True,
+        "efactory", "eFactory", EFactoryServer, EFactoryClient, efactory_config,
+        durable_put=False, consistent_get=True, monotonic_reads=True,
     ),
     "efactory_nohr": StoreSpec(
         "efactory_nohr", "eFactory w/o hr", EFactoryServer, EFactoryClient,
-        _efactory_nohr_config, durable_put=False, consistent_get=True,
+        _efactory_nohr_config,
+        durable_put=False, consistent_get=True, monotonic_reads=True,
     ),
     "ca": StoreSpec(
-        "ca", "CA w/o persistence", CAServer, CAClient,
-        ca_config, durable_put=False, consistent_get=False,
+        "ca", "CA w/o persistence", CAServer, CAClient, ca_config,
+        durable_put=False, consistent_get=False, monotonic_reads=False,
     ),
     "rpc": StoreSpec(
-        "rpc", "RPC", RpcStoreServer, RpcStoreClient,
-        rpc_store_config, durable_put=True, consistent_get=True,
+        "rpc", "RPC", RpcStoreServer, RpcStoreClient, rpc_store_config,
+        durable_put=True, consistent_get=True, monotonic_reads=False,
     ),
     "saw": StoreSpec(
-        "saw", "SAW", SAWServer, SAWClient,
-        saw_config, durable_put=True, consistent_get=True,
+        "saw", "SAW", SAWServer, SAWClient, saw_config,
+        durable_put=True, consistent_get=True, monotonic_reads=False,
     ),
     "imm": StoreSpec(
-        "imm", "IMM", IMMServer, IMMClient,
-        imm_config, durable_put=True, consistent_get=True,
+        "imm", "IMM", IMMServer, IMMClient, imm_config,
+        durable_put=True, consistent_get=True, monotonic_reads=False,
     ),
     "erda": StoreSpec(
-        "erda", "Erda", ErdaServer, ErdaClient,
-        erda_config, durable_put=False, consistent_get=True,
+        "erda", "Erda", ErdaServer, ErdaClient, erda_config,
+        durable_put=False, consistent_get=True, monotonic_reads=False,
     ),
     "forca": StoreSpec(
-        "forca", "Forca", ForcaServer, ForcaClient,
-        forca_config, durable_put=False, consistent_get=True,
+        "forca", "Forca", ForcaServer, ForcaClient, forca_config,
+        durable_put=False, consistent_get=True, monotonic_reads=False,
     ),
 }
 

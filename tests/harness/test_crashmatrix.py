@@ -71,3 +71,23 @@ def test_report_round_trips_to_dict():
     assert d["total_points"] == rep.total_points
     assert d["violations"] == []
     assert len(d["points"]) == len(rep.results)
+
+
+def test_cleaning_keeps_the_acked_version_behind_an_in_flight_head():
+    """Log merging used to skip a key whose working slot already pointed
+    into the new pool even when that head was not durable yet; ``_finish``
+    then nulled the head's PrePTR, and a crash before the head settled
+    left recovery a torn head with no predecessor — the key vanished,
+    behind a version a GET had returned. Seeds 29 and 2147483647 reach
+    that interleaving (at ``nvm.store64`` #84 / #94 and at
+    ``bg.cleaner.finish`` #5 / #10)."""
+    for seed in (29, 2147483647):
+        rep = run_crash_matrix(
+            CrashMatrixSpec(
+                seed=seed, max_per_site=3, recovery_points=0, replay=False,
+                sites=("nvm.store64", "bg.cleaner.finish"),
+            )
+        )
+        crashed = {(r.site, r.op_index) for r in rep.results if r.crashed}
+        assert ("bg.cleaner.finish", 10) in crashed
+        assert rep.ok, (seed, rep.violations, rep.non_idempotent)

@@ -120,6 +120,37 @@ class TestAmortization:
         assert setup.server.rpc.requests_served == 1
 
 
+class TestLargeValues:
+    def test_chunks_close_before_the_verify_window(self, env):
+        """16 x 4 KiB of client CRC (70 us) between the alloc_batch grant
+        and the WRITEs overran ``verify_timeout_ns`` (50 us): the verifier
+        invalidated slots whose PUT was then acknowledged, and a third of
+        the keys read back "no intact version". Chunks now also close on
+        their summed CRC cost."""
+        items = _items(64, vlen=4096)
+        setup = small_store("efactory", env, pool_size=4 << 20)
+        c = setup.client()
+        cfg = setup.server.config
+        assert 16 * cfg.crc_cost.cost_ns(4096) > cfg.verify_timeout_ns
+
+        def work():
+            yield from c.put_many(items)
+            yield env.timeout(1_000_000)
+            got = []
+            for key, _ in items:
+                got.append((yield from c.get(key, size_hint=4096)))
+            return got
+
+        assert run1(env, work()) == [value for _, value in items]
+        # more, smaller alloc_batch round trips than 64 / put_batch
+        assert setup.server.rpc.served_by_op["alloc_batch"] > 64 // cfg.put_batch
+
+    def test_small_values_still_chunk_by_put_batch(self, env):
+        setup = small_store("efactory", env, put_batch=8)
+        run1(env, setup.client().put_many(_items(30)))
+        assert setup.server.rpc.served_by_op["alloc_batch"] == 4
+
+
 class TestErrors:
     def test_per_item_alloc_error_raises(self, env):
         """A pool too small for the batch surfaces as an RpcFault, not a
