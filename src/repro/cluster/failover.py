@@ -22,9 +22,12 @@ identical offsets), so promoting is exactly crash recovery —
    survive the promotion.
 
 With ``verify_promotion`` the pass is run a second time and the
-partition image (pools + table segment) is hashed before and after:
-recovery must be byte-identical-idempotent on a promoted replica, the
-same property the crash matrix pins for single-node recovery.
+partition's image (pools + table segment, durable and visible) is
+snapshotted before and byte-compared after — the crash matrix's idiom
+(:meth:`repro.mem.buffer.PersistentBuffer.snapshot` / ``same_image``),
+over this partition's ranges: recovery must be byte-identical-idempotent
+on a promoted replica, the same property the matrix pins for
+single-node recovery.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ from repro.sim.kernel import Event, Interrupt, Process
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import Cluster
 
-__all__ = ["FailureDetector", "partition_digest", "promote_partition"]
+__all__ = [
+    "FailureDetector", "partition_digest", "partition_ranges", "promote_partition",
+]
 
 
 class FailureDetector:
@@ -116,15 +121,22 @@ class FailureDetector:
             return
 
 
-def partition_digest(server, part) -> str:
-    """Hash of one partition's durable image: both pools plus its table
-    segment (the crash matrix's byte-identity idiom, per partition)."""
-    h = hashlib.sha256()
-    for pool in part.pools:
-        h.update(pool.device.view(pool.base, pool.size))
+def partition_ranges(server, part) -> tuple[tuple[int, int], ...]:
+    """Where one partition lives on its node's device: both pools plus
+    its table segment."""
     geom = server.config.partition_geometry
-    base = getattr(part.table, "base", 0)
-    h.update(server.device.view(base, geom.table_bytes))
+    table = (getattr(part.table, "base", 0), geom.table_bytes)
+    return (*((pool.base, pool.size) for pool in part.pools), table)
+
+
+def partition_digest(server, part) -> str:
+    """Printable fingerprint of one partition's image (pools + table
+    segment, as loads see it). For a report or a log line; to *compare*
+    two instants use ``device.snapshot(...)`` / ``same_image`` as
+    :func:`promote_partition` does — no hash needed."""
+    h = hashlib.sha256()
+    for addr, length in partition_ranges(server, part):
+        h.update(server.device.view(addr, length))
     return h.hexdigest()
 
 
@@ -148,10 +160,11 @@ def promote_partition(
     yield from seed_index_from_pools(server, part)
     yield from recover_partition(server, part)
     if cfg.verify_promotion:
-        before = partition_digest(server, part)
+        # Other partitions on this node keep serving while the second
+        # pass runs, so the judgement covers this partition's bytes only.
+        before = server.device.snapshot(*partition_ranges(server, part))
         yield from recover_partition(server, part)
-        after = partition_digest(server, part)
-        cluster.promotion_idempotent.append(before == after)
+        cluster.promotion_idempotent.append(server.device.same_image(before))
     cluster.router.mark_ready(part_id)
     # Resume shipping to whatever backups the route still lists.
     node.start_shipper(part_id)

@@ -49,7 +49,9 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from repro.baselines.base import ObjectLocation, Partition
 from repro.crc.crc32 import crc32_fast
-from repro.errors import MemoryAccessError, RDMAError, StoreError
+from repro.errors import (
+    MemoryAccessError, PoolExhaustedError, RDMAError, StoreError,
+)
 from repro.kv.hashtable import ENTRY_SIZE, key_fingerprint
 from repro.kv.objects import (
     FLAG_DURABLE,
@@ -71,6 +73,11 @@ __all__ = ["Scrubber", "ScrubberGroup"]
 #: Cycle/depth guard for rollback-chain walks over possibly-rotten
 #: pre_ptr links (mirrors recovery's cycle check).
 _MAX_CHAIN_HOPS = 64
+
+#: What a read through rotten slot or pre_ptr bits raises: the device's
+#: bounds check when offset + size runs past it, the pool's own
+#: (``LogPool.abs_addr``) when the offset is outside the pool.
+_ROTTEN_LOCATION = (MemoryAccessError, PoolExhaustedError)
 
 _STAT_KEYS = (
     "scrubbed",
@@ -199,7 +206,7 @@ class Scrubber:
         yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
         try:
             img = part.read_object(loc)
-        except MemoryAccessError:
+        except _ROTTEN_LOCATION:
             img = None  # rotten slot bits point outside the pool
         if img is not None and img.well_formed:
             if not img.valid:
@@ -251,7 +258,7 @@ class Scrubber:
             yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
             try:
                 img = part.read_object(loc)
-            except MemoryAccessError:
+            except _ROTTEN_LOCATION:
                 break
             if img.well_formed and img.valid and key_fingerprint(img.key) == fp:
                 yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
@@ -267,7 +274,7 @@ class Scrubber:
             yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
             try:
                 img = part.read_object(loc)
-            except MemoryAccessError:
+            except _ROTTEN_LOCATION:
                 img = None
             if (
                 img is not None
@@ -419,7 +426,7 @@ class Scrubber:
     def _previous(self, loc: ObjectLocation) -> Optional[ObjectLocation]:
         try:
             return self.part.previous_location(loc)
-        except MemoryAccessError:
+        except _ROTTEN_LOCATION:
             return None
 
     # -- backup-node mode: walk the shipped extents ------------------------------
@@ -483,7 +490,7 @@ class Scrubber:
         yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
         try:
             img = part.read_object(loc)
-        except MemoryAccessError:
+        except _ROTTEN_LOCATION:
             img = None
         self.scrubbed += 1
         if img is not None and img.well_formed:

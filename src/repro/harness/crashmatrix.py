@@ -29,8 +29,17 @@ not *cover* it. This module enumerates the crash space systematically:
    recovery itself* (site ``recovery.step``), recovers again, and holds
    the result to the same bar.
 6. **Replay** — each crash point is re-run from scratch under the same
-   seed; the final NVM image must be byte-identical (the whole matrix is
-   a pure function of ``(store, seed, workload shape)``).
+   seed up to the end of its first recovery; the NVM image there must be
+   byte-identical to the original's (the whole matrix is a pure function
+   of ``(store, seed, workload shape)``).
+
+What is hashed and what is compared (DESIGN.md §9): the image after the
+first recovery is fingerprinted with SHA-256 *once* per crashed point,
+because that hex string is published in the report. The two judgements
+made on the image — idempotence (4) and replay (6) — are byte
+comparisons against one :class:`~repro.mem.buffer.ImageSnapshot` taken
+at the same instant; nothing else is hashed. Every instance's NVM image
+is released as soon as its point is judged.
 
 Everything here is deterministic: crash rules carry ``probability=1``
 so they draw no coins, which keeps the counting pass and every crash
@@ -40,7 +49,7 @@ pass on exactly the same event sequence up to the crash instant.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -58,6 +67,7 @@ from repro.harness.oracle import KeyLedger
 from repro.harness.scaffold import (
     deploy, pool_bytes, preload, recover, settle, version0,
 )
+from repro.mem.buffer import ImageSnapshot
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment, Event, Interrupt
 from repro.sim.rng import RngRegistry
@@ -201,7 +211,10 @@ class _Instance:
 
     Carries everything the harness needs after the run: the (possibly
     crashed) environment, the oracle's per-key bookkeeping, and the
-    armed injector.
+    armed injector. Use it as a context manager: leaving the block
+    releases the server's NVM image (2 x device size), which would
+    otherwise sit in the finished simulation's reference cycles until a
+    generational collection.
     """
 
     def __init__(self, spec: CrashMatrixSpec, rules: tuple[FaultRule, ...]) -> None:
@@ -229,9 +242,16 @@ class _Instance:
         self.rules = rules
         self.injector: Optional[FaultInjector] = None
 
+    def __enter__(self) -> "_Instance":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.server.device.release()
+
     # -- the scripted workload ------------------------------------------------
     def run_workload(self) -> bool:
-        """Drive the workload; returns True if a crash rule fired."""
+        """Drive the workload to its end or to the crash point, and disarm;
+        returns True if a crash rule fired."""
         spec, env = self.spec, self.env
 
         preload(
@@ -266,10 +286,8 @@ class _Instance:
             if proc.is_alive:
                 proc.interrupt("crash")
         self._drain(1_000.0)
-        if self.state["crashed"]:
-            return True
         disarm_store(self.setup)
-        return False
+        return self.state["crashed"]
 
     def _client_proc(self, i: int) -> Generator[Event, Any, None]:
         spec = self.spec
@@ -343,8 +361,15 @@ class _Instance:
             self.setup, FaultPlan("matrix", rules), rngs=self.rngs
         )
 
-    def recovery_crash_hook(self) -> None:
-        """Install a hook that power-fails the node mid-recovery."""
+    def crash_in_recovery(self, op_index: int) -> bool:
+        """Crash at this instance's workload point, then crash *again*
+        at the ``op_index``-th recovery step. False if either crash was
+        never reached (recovery finishing before step ``op_index`` means
+        the site's universe is smaller than requested — not an error)."""
+        if not self.run_workload():
+            return False
+        self.arm_recovery(_crash_rule("recovery.step", op_index))
+
         def hook(site: str) -> None:
             self.crash_info["site2"] = site
             self.crash_info["summary2"] = self.setup.fabric.crash_node(
@@ -357,6 +382,14 @@ class _Instance:
 
         assert self.injector is not None
         self.injector.crash_hook = hook
+        crashed = False
+        try:
+            recover(self.setup)
+        except PowerFailure:
+            crashed = True
+            self._drain(1_000.0)
+        disarm_store(self.setup)
+        return crashed
 
     # -- plumbing ---------------------------------------------------------------
     def _drain(self, ns: float) -> None:
@@ -371,24 +404,29 @@ class _Instance:
                 continue
 
     def digest(self) -> str:
-        """Byte-identity fingerprint of the server's whole NVM image."""
+        """The fingerprint of the server's whole NVM image that the
+        report publishes — the one place the matrix hashes."""
         buf = self.server.device.buffer
         h = hashlib.sha256()
         h.update(buf.durable)
         h.update(buf.visible)
         return h.hexdigest()
 
-    def verdict(self, result: CrashPointResult, summary: str) -> CrashPointResult:
-        """Recover, fingerprint the image, recover again (idempotence),
-        and let the oracle judge every key's recovered state."""
+    def verdict(self, result: CrashPointResult, summary: str) -> ImageSnapshot:
+        """Recover, fingerprint and snapshot the image, recover again
+        (idempotence: the image must still equal the snapshot), and let
+        the oracle judge every key's recovered state. Returns the
+        snapshot for the replay to be held against."""
         result.crash_summary = dict(self.crash_info.get(summary, {}))
         report = recover(self.setup)
         result.recovery = report.as_dict() if report is not None else None
         result.digest = self.digest()
+        device = self.server.device
+        image = device.snapshot()
         if report is not None:
             second = recover(self.setup)
             result.idempotent = (
-                self.digest() == result.digest
+                device.same_image(image)
                 and second.keys_rolled_back == 0
                 and second.keys_lost == 0
             )
@@ -397,7 +435,13 @@ class _Instance:
         ):
             result.violations += audit.violations
             result.weaknesses += audit.weaknesses
-        return result
+        return image
+
+    def recovers_to(self, image: ImageSnapshot) -> bool:
+        """Replay side of :meth:`verdict`: recover once and compare, byte
+        for byte, with the original's image at that same instant."""
+        recover(self.setup)
+        return self.server.device.same_image(image)
 
 
 # -- matrix orchestration ---------------------------------------------------------
@@ -425,86 +469,73 @@ def _sample(count: int, cap: int) -> list[int]:
     return list(range(0, count, stride))[:cap]
 
 
-def _run_point(
-    spec: CrashMatrixSpec, site: str, op_index: int
-) -> CrashPointResult:
-    """Crash at one workload point, recover, audit, check idempotence."""
-    inst = _Instance(spec, _crash_rule(site, op_index))
-    crashed = inst.run_workload()
-    result = CrashPointResult(site=site, op_index=op_index, phase="workload",
-                              crashed=crashed)
-    if not crashed:
-        return result
-    disarm_store(inst.setup)
-    return inst.verdict(result, "summary")
-
-
-def _run_recovery_point(
+def _judge_point(
     spec: CrashMatrixSpec,
-    primary: tuple[str, int],
-    op_index: int,
+    rules: tuple[FaultRule, ...],
+    reach: Callable[[_Instance], bool],
+    result: CrashPointResult,
+    summary: str,
 ) -> CrashPointResult:
-    """Crash at ``primary`` during the workload, then crash *again* at
-    the ``op_index``-th recovery step; the third recovery must land the
-    same place a clean one would."""
-    inst = _Instance(spec, _crash_rule(*primary))
-    if not inst.run_workload():
-        return CrashPointResult(
-            site="recovery.step", op_index=op_index, phase="recovery",
-            crashed=False,
-        )
-    inst.arm_recovery(_crash_rule("recovery.step", op_index))
-    inst.recovery_crash_hook()
-    result = CrashPointResult(site="recovery.step", op_index=op_index,
-                              phase="recovery", crashed=False)
-    try:
-        recover(inst.setup)
-    except PowerFailure:
-        result.crashed = True
-        inst._drain(1_000.0)
-    disarm_store(inst.setup)
-    if not result.crashed:
-        # Recovery finished before reaching this step index: the site's
-        # universe is smaller than requested. Not an error.
-        return result
-    return inst.verdict(result, "summary2")
+    """One crash point: a fresh instance under ``rules`` is driven to the
+    crash by ``reach``, recovered, audited and checked for idempotence;
+    then, with ``spec.replay``, a second fresh instance must reach the
+    same crash and recover to the same bytes."""
+    with _Instance(spec, rules) as inst:
+        result.crashed = reach(inst)
+        if not result.crashed:
+            return result
+        image = inst.verdict(result, summary)
+    if spec.replay:
+        with _Instance(spec, rules) as replay:
+            result.replay_identical = reach(replay) and replay.recovers_to(image)
+    # This frame outlives the call: the PowerFailure caught below it holds
+    # it through its traceback, from inside the dead simulations' reference
+    # cycles. Do not let it hold two images' worth of bytes until a GC.
+    del image
+    return result
 
 
 def run_crash_matrix(spec: CrashMatrixSpec) -> CrashMatrixReport:
     """Enumerate and execute the full crash-point matrix for ``spec``."""
     # 1. counting pass: the universe of crash points
-    counting = _Instance(spec, ())
-    counting.run_workload()
-    assert counting.injector is not None
-    counts = counting.injector.site_op_counts()
+    with _Instance(spec, ()) as counting:
+        counting.run_workload()
+        assert counting.injector is not None
+        counts = counting.injector.site_op_counts()
 
     results: list[CrashPointResult] = []
 
     # 2-4. workload-phase crash points
     for site in spec.sites:
         for k in _sample(counts.get(site, 0), spec.max_per_site):
-            point = _run_point(spec, site, k)
-            if point.crashed and spec.replay:
-                replay = _run_point(spec, site, k)
-                point.replay_identical = replay.digest == point.digest
-            results.append(point)
+            results.append(_judge_point(
+                spec, _crash_rule(site, k), _Instance.run_workload,
+                CrashPointResult(site=site, op_index=k, phase="workload",
+                                 crashed=False),
+                "summary",
+            ))
 
-    # 5. double-crash points (crash during recovery of a mid-run crash)
+    # 5. double-crash points (crash during recovery of a mid-run crash):
+    #    the third recovery must land the same place a clean one would
+    primary = None
     if spec.recovery_points > 0 and spec.store != "ca":
         primary = _pick_primary(spec, counts)
-        if primary is not None:
-            # count recovery steps for that primary crash
-            probe = _Instance(spec, _crash_rule(*primary))
+    if primary is not None:
+        # count recovery steps for that primary crash
+        rec_ops = 0
+        with _Instance(spec, _crash_rule(*primary)) as probe:
             if probe.run_workload():
                 probe.arm_recovery(())
                 recover(probe.setup)
                 rec_ops = probe.injector.site_op_counts().get("recovery.step", 0)
-                for k in _sample(rec_ops, spec.recovery_points):
-                    point = _run_recovery_point(spec, primary, k)
-                    if point.crashed and spec.replay:
-                        replay = _run_recovery_point(spec, primary, k)
-                        point.replay_identical = replay.digest == point.digest
-                    results.append(point)
+        for k in _sample(rec_ops, spec.recovery_points):
+            results.append(_judge_point(
+                spec, _crash_rule(*primary),
+                lambda inst, k=k: inst.crash_in_recovery(k),
+                CrashPointResult(site="recovery.step", op_index=k,
+                                 phase="recovery", crashed=False),
+                "summary2",
+            ))
 
     return CrashMatrixReport(spec=spec, site_op_counts=counts, results=results)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import MemoryAccessError
+from repro.errors import MemoryAccessError, PoolExhaustedError
 from repro.kv.hashtable import key_fingerprint
 from repro.kv.hopscotch import HopscotchTable
 from repro.kv.objects import HEADER_SIZE, object_size, parse_header, parse_object
@@ -174,7 +174,7 @@ def read_value_state(server, key: bytes) -> Optional[bytes]:
             return None
         try:
             raw = part.pools[slot.pool].read(slot.offset, slot.size)
-        except MemoryAccessError:
-            return None  # rotten slot bits point outside the pool
+        except (MemoryAccessError, PoolExhaustedError):
+            return None  # rotten slot bits point outside the device / the pool
     img = parse_object(raw)
     return img.value if img.well_formed else raw

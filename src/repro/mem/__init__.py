@@ -1,11 +1,12 @@
 """Memory-state substrate: persistent buffers and binary layouts."""
 
-from repro.mem.buffer import CACHELINE, BufferStats, PersistentBuffer
+from repro.mem.buffer import CACHELINE, BufferStats, ImageSnapshot, PersistentBuffer
 from repro.mem.layout import FieldSpec, StructLayout
 
 __all__ = [
     "CACHELINE",
     "BufferStats",
+    "ImageSnapshot",
     "PersistentBuffer",
     "FieldSpec",
     "StructLayout",

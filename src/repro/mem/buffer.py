@@ -41,9 +41,30 @@ a range (the hash index, a digest) the bytes without any copy. The rare
 sweeps that need per-line coin flips (:meth:`PersistentBuffer.crash`)
 see the same map as a NumPy bool array, ``_dirty``, a ``frombuffer``
 view of the bytearray — there is one dirty map, not two.
+
+Whole-image judgements ("did a second recovery change anything?", "did a
+replay land on the same bytes?") go through one primitive:
+:meth:`PersistentBuffer.snapshot` copies ``durable`` and ``visible`` (all
+of them, or the given ranges) into an immutable :class:`ImageSnapshot`,
+and :meth:`PersistentBuffer.same_image` compares the live images with it
+by ``memcmp`` — in place for a whole-image snapshot, nothing is hashed. A
+cryptographic hash is for a fingerprint that *leaves* the process (a
+report field); an ``==`` inside it is a byte comparison. A snapshot is
+plain ``bytes``: it does not alias the buffer, it survives the buffer's
+release, and it costs two copies of what it covers for as long as it is
+referenced — take it right before the step being judged and drop it with
+the verdict. :meth:`PersistentBuffer.release` frees the two images of a
+buffer whose run is over, at once, whatever still references the buffer
+object (a finished simulation sits in reference cycles until a
+generational collection finds it). The release rule: release only after
+the last read of the image, and never a buffer a live simulation still
+owns — every later access to its bytes raises
+:class:`~repro.errors.MemoryAccessError` rather than reading empty ones.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,6 +76,7 @@ __all__ = [
     "CORRUPTION_KINDS",
     "PersistentBuffer",
     "BufferStats",
+    "ImageSnapshot",
 ]
 
 #: Cacheline size in bytes; the dirty-tracking and crash granularity.
@@ -101,6 +123,17 @@ class BufferStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
+class ImageSnapshot(NamedTuple):
+    """Immutable copy of a buffer's two images (see
+    :meth:`PersistentBuffer.snapshot`)."""
+
+    #: ``(addr, length)`` ranges covered, in order; None = the whole buffer.
+    ranges: Optional[tuple[tuple[int, int], ...]]
+    #: The covered bytes of each image, ranges concatenated.
+    durable: bytes
+    visible: bytes
+
+
 class PersistentBuffer:
     """State model of an NVMM address space (see module docstring)."""
 
@@ -134,9 +167,14 @@ class PersistentBuffer:
     # -- bounds ------------------------------------------------------------
     def _check(self, addr: int, length: int) -> None:
         if addr < 0 or length < 0 or addr + length > self.size:
+            self._require_live()
             raise MemoryAccessError(
                 f"access [{addr}, {addr + length}) outside buffer of size {self.size}"
             )
+
+    def _require_live(self) -> None:
+        if self.visible is None:
+            raise MemoryAccessError("access to a released buffer")
 
     def _line_span(self, addr: int, length: int) -> tuple[int, int]:
         """First and one-past-last line index covering ``[addr, addr+length)``."""
@@ -268,6 +306,7 @@ class PersistentBuffer:
         Returns a summary dict (``evicted``, ``lost``, ``torn`` line
         counts; ``torn`` only ever non-zero with ``tear_words``).
         """
+        self._require_live()
         if not 0.0 <= evict_probability <= 1.0:
             raise MemoryAccessError(
                 f"evict_probability must be in [0,1], got {evict_probability}"
@@ -380,7 +419,46 @@ class PersistentBuffer:
         self.stats.torn_stores += 1
         return n
 
+    # -- whole-image judgements ------------------------------------------------
+    def snapshot(self, *ranges: tuple[int, int]) -> ImageSnapshot:
+        """Copy ``durable`` and ``visible`` — the whole buffer, or only
+        the given ``(addr, length)`` ranges — for a later
+        :meth:`same_image`. Not counted in ``bytes_read``: this is the
+        harness looking at the device, not a modelled load."""
+        self._require_live()
+        for addr, length in ranges:
+            self._check(addr, length)
+        return ImageSnapshot(
+            ranges or None, *self._gather(ranges or ((0, self.size),))
+        )
+
+    def _gather(self, ranges: tuple[tuple[int, int], ...]) -> tuple[bytes, bytes]:
+        return (
+            b"".join(self._dview[a : a + n] for a, n in ranges),
+            b"".join(self._vview[a : a + n] for a, n in ranges),
+        )
+
+    def same_image(self, snap: ImageSnapshot) -> bool:
+        """True when both images hold, over the ranges ``snap`` covers,
+        exactly the bytes it recorded. ``bytearray == bytes`` is a
+        ``memcmp`` with no copy, so a whole-image comparison costs one
+        pass over memory; ranges are gathered (one copy) and compared."""
+        self._require_live()
+        if snap.ranges is None:
+            return self.durable == snap.durable and self.visible == snap.visible
+        return self._gather(snap.ranges) == (snap.durable, snap.visible)
+
+    def release(self) -> None:
+        """Free both images now; the buffer is unusable afterwards (see
+        the module docstring for the release rule). Idempotent."""
+        self.visible = self.durable = self._vview = self._dview = None
+        # No range fits now, not even an empty one: every bounds check
+        # fails and reports the release, at no cost to a live buffer.
+        self.size = -1
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        if self.visible is None:
+            return "<PersistentBuffer released>"
         return (
             f"<PersistentBuffer size={self.size} "
             f"dirty_lines={self.dirty_line_count()}>"

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.mem.buffer import CACHELINE, PersistentBuffer
+from repro.mem.buffer import CACHELINE, ImageSnapshot, PersistentBuffer
 from repro.sim.kernel import Environment, Event
 
 __all__ = ["NVMTiming", "NVMDevice"]
@@ -231,6 +231,21 @@ class NVMDevice:
         """Seeded latent media corruption (see
         :meth:`repro.mem.buffer.PersistentBuffer.corrupt`)."""
         return self.buffer.corrupt(addr, kind, rng=rng)
+
+    # -- whole-image judgements (harness side, zero simulated time) ------------
+    def snapshot(self, *ranges: tuple[int, int]) -> ImageSnapshot:
+        """Copy of both images, whole or over ``ranges`` (see
+        :meth:`repro.mem.buffer.PersistentBuffer.snapshot`)."""
+        return self.buffer.snapshot(*ranges)
+
+    def same_image(self, snap: ImageSnapshot) -> bool:
+        """Byte-equality of the live images with ``snap`` (memcmp, no hash)."""
+        return self.buffer.same_image(snap)
+
+    def release(self) -> None:
+        """Free the images of a device whose run is over (see
+        :meth:`repro.mem.buffer.PersistentBuffer.release`)."""
+        self.buffer.release()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<NVMDevice {self.name} size={self.size}>"

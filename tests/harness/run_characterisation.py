@@ -8,7 +8,9 @@ for every store the driver deployed along the way, the final ``env.now``
 (``float.hex``), ``events_processed`` and a SHA-256 of each server's NVM
 image. Deployments are observed by wrapping ``StoreSetup.start`` /
 ``ClusterSetup.start``, so the script does not depend on how a driver
-reaches ``build_store``.
+reaches ``build_store``. A driver that releases a finished instance's
+image (the crash matrix does, point by point) has it hashed at the moment
+of release, by wrapping ``PersistentBuffer.release`` the same way.
 
 ``run_characterisation.json`` was generated at the commit *before* the
 drivers were moved onto the shared scaffold and oracle
@@ -39,6 +41,7 @@ from repro.harness.crash import CrashSpec, run_crash_experiment
 from repro.harness.crashmatrix import CrashMatrixSpec, run_crash_matrix
 from repro.harness.runner import RunSpec, run_experiment
 from repro.loadgen import LoadSpec, TenantSpec, load_cell_spec, run_load
+from repro.mem.buffer import PersistentBuffer
 from repro.stores import StoreSetup, store_names
 from repro.workloads.ycsb import WORKLOADS, WorkloadSpec
 
@@ -47,9 +50,12 @@ FIXTURE = Path(__file__).with_name("run_characterisation.json")
 
 @contextmanager
 def _deployments():
-    """Collect every setup started while the block runs."""
+    """Collect every setup started while the block runs, and the image
+    hash of every buffer released in it."""
     seen: list = []
+    released: dict[PersistentBuffer, str] = {}
     originals = [(cls, cls.start) for cls in (StoreSetup, ClusterSetup)]
+    release = PersistentBuffer.release
 
     def wrap(original):
         def start(self):
@@ -58,29 +64,35 @@ def _deployments():
 
         return start
 
+    def hashing_release(buf):
+        released[buf] = _hash(buf)
+        release(buf)
+
     for cls, original in originals:
         cls.start = wrap(original)
+    PersistentBuffer.release = hashing_release
     try:
-        yield seen
+        yield seen, released
     finally:
         for cls, original in originals:
             cls.start = original
+        PersistentBuffer.release = release
 
 
-def _image(server) -> str:
-    buf = server.device.buffer
+def _hash(buf: PersistentBuffer) -> str:
     h = hashlib.sha256()
     h.update(buf.durable)
     h.update(buf.visible)
     return h.hexdigest()
 
 
-def _final_state(setup) -> list:
+def _final_state(setup, released: dict) -> list:
     servers = getattr(setup, "servers", None) or [setup.server]
+    buffers = [s.device.buffer for s in servers]
     return [
         setup.env.now.hex(),
         setup.env.events_processed,
-        [_image(s) for s in servers],
+        [released.get(buf) or _hash(buf) for buf in buffers],
     ]
 
 
@@ -197,9 +209,12 @@ def cells() -> dict:
 
 
 def run_cell(cell) -> dict:
-    with _deployments() as seen:
+    with _deployments() as (seen, released):
         report = cell()
-    return {"report": report, "deployments": [_final_state(s) for s in seen]}
+    return {
+        "report": report,
+        "deployments": [_final_state(s, released) for s in seen],
+    }
 
 
 def characterise() -> dict:

@@ -135,6 +135,19 @@ def test_media_plans_auto_engage_the_scrubber(plan):
     assert report.scrub["scrubbed"] > 0  # the scrubber really ran
 
 
+def test_rot_pointing_outside_the_pool_still_ends_in_a_report():
+    """``python -m repro chaos --plan bitrot-heavy --seeds 13`` (the CLI's
+    default shape): a flipped slot-word bit sends the head outside its
+    pool; the scrubber treats that as rot instead of dying of the pool's
+    bounds error, and the run is judged like any other."""
+    report = run_chaos_experiment(
+        ChaosSpec(store="efactory", plan="bitrot-heavy", seed=13, n_clients=2,
+                  ops_per_client=60, key_count=24, value_len=128)
+    )
+    assert report.ok, report.violations
+    assert report.scrub["corrupt_found"] > 0
+
+
 class TestParityChaos:
     def test_parity_flag_arms_the_integrity_tier(self):
         """``--parity`` layers the self-healing tier onto a media plan:

@@ -6,9 +6,11 @@ import itertools
 
 import pytest
 
-from repro.harness.oracle import KeyLedger
+from repro.harness.oracle import KeyLedger, read_value_state
+from repro.kv.hashtable import Slot, key_fingerprint
 from repro.stores import STORES
 from repro.workloads.keyspace import make_value
+from tests.conftest import run1, small_store
 
 KID = 3
 
@@ -180,3 +182,21 @@ def test_ledger_marks():
     assert not ledger.observe(1, make_value(0, 5, 32))  # another key's value
     assert not ledger.observe(1, b"garbage")
     assert ledger.max_read == [-1, 2]
+
+
+def test_a_slot_rotted_to_outside_its_pool_reads_as_absent(env):
+    """The pool's own bounds error (offset outside the pool) is rot like
+    the device's (offset + size past the device): absent, not a traceback."""
+    setup = small_store("efactory", env)
+    key = b"rotten-slot-key0"
+    run1(env, setup.client().put(key, b"v" * 64))
+    env.run(until=env.now + 800_000)
+    assert read_value_state(setup.server, key) == b"v" * 64
+
+    part = setup.server.partition_for_key(key)
+    entry_off = part.table.find(key_fingerprint(key))
+    cur = part.table.read_cur(entry_off)
+    part.table.set_cur(
+        entry_off, Slot(cur.pool, cur.size, part.pools[cur.pool].size + 4096)
+    )
+    assert read_value_state(setup.server, key) is None

@@ -178,38 +178,43 @@ def scripts(draw):
     return size, draw(st.integers(0, 2**32 - 1)), ops
 
 
+def step(buf, ref, rng, ref_rng, kind, *args):
+    """Apply one script op to both buffers; returns and state must agree."""
+    if kind == "write":
+        buf.write(*args)
+        ref.write(*args)
+    elif kind == "atomic64":
+        buf.write_atomic64(*args)
+        ref.write(*args)
+    elif kind == "flush":
+        assert buf.flush(*args) == ref.flush(*args)
+    elif kind == "flush_torn":
+        assert buf.flush_torn(*args, rng) == ref.flush_torn(*args, ref_rng)
+    elif kind == "corrupt":
+        addr, how = args
+        assert buf.corrupt(addr, how, rng=rng) == ref.corrupt(addr, how, ref_rng)
+    elif kind == "crash":
+        evict, tear = args
+        assert buf.crash(rng, evict, tear_words=tear) == ref.crash(
+            ref_rng, evict, tear
+        )
+    else:  # probe: the read-side functions over an arbitrary range
+        assert buf.read(*args) == ref.read(*args)
+        assert buf.read_durable(*args) == ref.read_durable(*args)
+        assert bytes(buf.view(*args)) == bytes(ref.visible[args[0] : sum(args)])
+        assert buf.is_persistent(*args) == ref.is_persistent(*args)
+        assert buf.dirty_lines_in(*args) == ref.dirty_lines_in(*args)
+    assert_same_state(buf, ref)
+
+
 @settings(max_examples=150, deadline=None)
 @given(scripts())
 def test_buffer_matches_the_per_line_reference(script):
     size, seed, ops = script
     buf, ref = PersistentBuffer(size), RefBuffer(size)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for kind, *args in ops:
-        if kind == "write":
-            buf.write(*args)
-            ref.write(*args)
-        elif kind == "atomic64":
-            buf.write_atomic64(*args)
-            ref.write(*args)
-        elif kind == "flush":
-            assert buf.flush(*args) == ref.flush(*args)
-        elif kind == "flush_torn":
-            assert buf.flush_torn(*args, rng) == ref.flush_torn(*args, ref_rng)
-        elif kind == "corrupt":
-            addr, how = args
-            assert buf.corrupt(addr, how, rng=rng) == ref.corrupt(addr, how, ref_rng)
-        elif kind == "crash":
-            evict, tear = args
-            assert buf.crash(rng, evict, tear_words=tear) == ref.crash(
-                ref_rng, evict, tear
-            )
-        else:  # probe: the read-side functions over an arbitrary range
-            assert buf.read(*args) == ref.read(*args)
-            assert buf.read_durable(*args) == ref.read_durable(*args)
-            assert bytes(buf.view(*args)) == bytes(ref.visible[args[0] : sum(args)])
-            assert buf.is_persistent(*args) == ref.is_persistent(*args)
-            assert buf.dirty_lines_in(*args) == ref.dirty_lines_in(*args)
-        assert_same_state(buf, ref)
+    for op in ops:
+        step(buf, ref, rng, ref_rng, *op)
     # both generators were drawn from equally often
     assert rng.random() == ref_rng.random()
 

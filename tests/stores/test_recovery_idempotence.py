@@ -2,8 +2,6 @@
 *during* recovery and it started over) must converge to the same NVM
 image and treat the already-recovered state as a no-op."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -17,14 +15,6 @@ from tests.conftest import run1, small_store
 
 def _key(i):
     return f"idem-{i:011d}".encode()
-
-
-def _digest(server):
-    buf = server.device.buffer
-    h = hashlib.sha256()
-    h.update(bytes(buf.durable))
-    h.update(bytes(buf.visible))
-    return h.hexdigest()
 
 
 def _populate_and_crash(env, setup, n_keys=16, settle_ns=120_000):
@@ -57,10 +47,10 @@ def test_second_recovery_run_is_a_noop(env, partitions):
     _populate_and_crash(env, setup)
 
     first = _recover(env, setup)
-    image = _digest(setup.server)
+    image = setup.server.device.snapshot()
     second = _recover(env, setup)
 
-    assert _digest(setup.server) == image
+    assert setup.server.device.same_image(image)
     assert second.keys_rolled_back == 0
     assert second.keys_lost == 0
     assert second.torn_objects == 0
@@ -94,9 +84,9 @@ def test_crash_mid_recovery_converges(env):
     setup.server.device.injector = None
     setup.fabric.restart_node(setup.server.node)
     _recover(env, setup)
-    image = _digest(setup.server)
+    image = setup.server.device.snapshot()
     report = _recover(env, setup)
 
-    assert _digest(setup.server) == image
+    assert setup.server.device.same_image(image)
     assert report.keys_rolled_back == 0
     assert report.keys_lost == 0

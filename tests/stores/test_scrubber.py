@@ -5,7 +5,7 @@ the hole eFactory's durability-flag shortcut leaves open."""
 import pytest
 
 from repro.errors import StoreError
-from repro.kv.hashtable import key_fingerprint
+from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import HEADER_SIZE
 from tests.conftest import run1, small_store
 
@@ -71,6 +71,28 @@ class TestRepair:
         # a cleared key is a loud miss, not silently served rot
         with pytest.raises(StoreError):
             run1(env, c.get(_key(1), size_hint=64))
+
+    def test_rot_in_the_slot_word_is_handled_not_raised(self, env):
+        """A rotten ``cur`` word whose offset lies outside the pool fails
+        ``LogPool.abs_addr`` (``PoolExhaustedError``), not the device's
+        bounds check; the scrubber used to die of it mid-lap."""
+        setup = small_store("efactory", env, **SCRUB)
+        c = setup.client()
+
+        run1(env, c.put(_key(2), b"D" * 64))
+        _settle(env, setup)
+
+        part = setup.server.partitions[0]
+        entry_off = part.table.find(key_fingerprint(_key(2)))
+        cur = part.table.read_cur(entry_off)
+        outside = part.pools[cur.pool].size + 4096
+        part.table.set_cur(entry_off, Slot(cur.pool, cur.size, outside))
+
+        stats = _wait_for_scrub(env, setup, "unrepairable")
+        assert stats["corrupt_found"] >= 1
+        assert stats["unrepairable"] >= 1
+        with pytest.raises(StoreError):
+            run1(env, c.get(_key(2), size_hint=64))
 
     def test_intact_store_scrubs_clean(self, env):
         setup = small_store("efactory", env, **SCRUB)
