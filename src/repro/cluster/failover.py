@@ -32,7 +32,6 @@ single-node recovery.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Generator
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -131,13 +130,10 @@ def partition_ranges(server, part) -> tuple[tuple[int, int], ...]:
 
 def partition_digest(server, part) -> str:
     """Printable fingerprint of one partition's image (pools + table
-    segment, as loads see it). For a report or a log line; to *compare*
-    two instants use ``device.snapshot(...)`` / ``same_image`` as
-    :func:`promote_partition` does — no hash needed."""
-    h = hashlib.sha256()
-    for addr, length in partition_ranges(server, part):
-        h.update(server.device.view(addr, length))
-    return h.hexdigest()
+    segment, durable and visible). For a report or a log line; to
+    *compare* two instants use ``device.snapshot(...)`` / ``same_image``
+    as :func:`promote_partition` does — no hash needed."""
+    return server.device.fingerprint(*partition_ranges(server, part))
 
 
 def promote_partition(

@@ -407,6 +407,10 @@ def recover_erda(server) -> Generator[Event, Any, RecoveryReport]:
                 yield env.timeout(act.delay_ns)
         yield env.timeout(t.read_cost(16))
         region = TwoVersions.unpack(entry.atomic)
+        if region.off1 is None and region.off2 is None:
+            # A key an earlier pass declared lost (its word is zeroed, the
+            # bucket's fp stays): nothing left to lose a second time.
+            continue
         winner: Optional[int] = None
         rolled = False
         for attempt, off in enumerate((region.off1, region.off2)):

@@ -34,12 +34,15 @@ not *cover* it. This module enumerates the crash space systematically:
    of ``(store, seed, workload shape)``).
 
 What is hashed and what is compared (DESIGN.md §9): the image after the
-first recovery is fingerprinted with SHA-256 *once* per crashed point,
-because that hex string is published in the report. The two judgements
-made on the image — idempotence (4) and replay (6) — are byte
-comparisons against one :class:`~repro.mem.buffer.ImageSnapshot` taken
-at the same instant; nothing else is hashed. Every instance's NVM image
-is released as soon as its point is judged.
+first recovery is fingerprinted *once* per crashed point
+(:meth:`~repro.mem.buffer.PersistentBuffer.fingerprint`: equal hex
+strings iff equal images), because that string is published in the
+report. The two judgements made on the image — idempotence (4) and
+replay (6) — are byte comparisons against one
+:class:`~repro.mem.buffer.ImageSnapshot` taken at the same instant;
+nothing else is hashed. Fingerprint, snapshot and comparison each cost
+what the run stored to, not what the device could hold. Every instance's
+NVM image is released as soon as its point is judged.
 
 Everything here is deterministic: crash rules carry ``probability=1``
 so they draw no coins, which keeps the counting pass and every crash
@@ -48,7 +51,6 @@ pass on exactly the same event sequence up to the crash instant.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -212,9 +214,9 @@ class _Instance:
     Carries everything the harness needs after the run: the (possibly
     crashed) environment, the oracle's per-key bookkeeping, and the
     armed injector. Use it as a context manager: leaving the block
-    releases the server's NVM image (2 x device size), which would
-    otherwise sit in the finished simulation's reference cycles until a
-    generational collection.
+    releases the server's NVM image, which would otherwise sit in the
+    finished simulation's reference cycles until a generational
+    collection.
     """
 
     def __init__(self, spec: CrashMatrixSpec, rules: tuple[FaultRule, ...]) -> None:
@@ -403,15 +405,6 @@ class _Instance:
             except PowerFailure:
                 continue
 
-    def digest(self) -> str:
-        """The fingerprint of the server's whole NVM image that the
-        report publishes — the one place the matrix hashes."""
-        buf = self.server.device.buffer
-        h = hashlib.sha256()
-        h.update(buf.durable)
-        h.update(buf.visible)
-        return h.hexdigest()
-
     def verdict(self, result: CrashPointResult, summary: str) -> ImageSnapshot:
         """Recover, fingerprint and snapshot the image, recover again
         (idempotence: the image must still equal the snapshot), and let
@@ -420,8 +413,8 @@ class _Instance:
         result.crash_summary = dict(self.crash_info.get(summary, {}))
         report = recover(self.setup)
         result.recovery = report.as_dict() if report is not None else None
-        result.digest = self.digest()
         device = self.server.device
+        result.digest = device.fingerprint()
         image = device.snapshot()
         if report is not None:
             second = recover(self.setup)

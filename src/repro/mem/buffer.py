@@ -31,40 +31,72 @@ exactly the class of error Pangolin-style checksum scrubbing exists to
 catch.
 
 Cost model of this module (host time, not simulated time): work is paid
-**per range, not per cacheline**. The dirty map is one byte per line in a
-``bytearray``; :meth:`PersistentBuffer.write` marks its lines with one
-slice store, :meth:`PersistentBuffer.flush` finds each contiguous dirty
-run with ``bytearray.find`` and copies it to ``durable`` as one slice,
-and loads go through one ``memoryview`` of each image so a read copies
-its bytes once. :meth:`PersistentBuffer.view` hands a caller that scans
-a range (the hash index, a digest) the bytes without any copy. The rare
-sweeps that need per-line coin flips (:meth:`PersistentBuffer.crash`)
-see the same map as a NumPy bool array, ``_dirty``, a ``frombuffer``
-view of the bytearray — there is one dirty map, not two.
+**per range, not per cacheline — and per touched chunk, not per device
+byte**. The two images are lazily-zeroed anonymous mappings: a page
+exists once something was stored to it, so a 9.4 MB device that holds a
+12-key workload costs the ~100 KB it touched, to create, to crash and to
+free. The dirty map is one byte per line in a ``bytearray``;
+:meth:`PersistentBuffer.write` marks its lines with one slice store,
+:meth:`PersistentBuffer.flush` finds each contiguous dirty run with
+``bytearray.find`` and copies it to ``durable`` as one slice, and loads
+slice one read-only ``memoryview`` of each image so a read copies its
+bytes once. :meth:`PersistentBuffer.view` hands a caller that scans a
+range (the hash index) the bytes without any copy. The rare sweeps that
+need per-line coin flips (:meth:`PersistentBuffer.crash`) see the same
+map as a NumPy bool array, ``_dirty``, a ``frombuffer`` view of the
+bytearray — there is one dirty map, not two — and revert only the dirty
+lines: a clean line already reads what the media holds.
+
+The **touched map** is one byte per :data:`CHUNK` (4 KiB) of buffer, set
+by every mutator that can bring a non-zero byte into a chunk (``write``,
+``corrupt``; ``flush`` and ``crash`` only move bytes between the two
+images inside chunks already set) and never cleared. Its invariant:
+*outside touched chunks both images are zero.* That is why ``visible``
+and ``durable`` are exposed as **read-only** views — a poke that
+bypassed the mutators would silently evade the map, so it raises
+``TypeError`` instead; stores go through the mappings, which stay
+private.
 
 Whole-image judgements ("did a second recovery change anything?", "did a
-replay land on the same bytes?") go through one primitive:
-:meth:`PersistentBuffer.snapshot` copies ``durable`` and ``visible`` (all
-of them, or the given ranges) into an immutable :class:`ImageSnapshot`,
-and :meth:`PersistentBuffer.same_image` compares the live images with it
-by ``memcmp`` — in place for a whole-image snapshot, nothing is hashed. A
-cryptographic hash is for a fingerprint that *leaves* the process (a
-report field); an ``==`` inside it is a byte comparison. A snapshot is
-plain ``bytes``: it does not alias the buffer, it survives the buffer's
-release, and it costs two copies of what it covers for as long as it is
-referenced — take it right before the step being judged and drop it with
-the verdict. :meth:`PersistentBuffer.release` frees the two images of a
-buffer whose run is over, at once, whatever still references the buffer
-object (a finished simulation sits in reference cycles until a
-generational collection finds it). The release rule: release only after
-the last read of the image, and never a buffer a live simulation still
-owns — every later access to its bytes raises
+replay land on the same bytes?") go through one primitive, which looks at
+touched chunks only and still speaks for every byte:
+:meth:`PersistentBuffer.snapshot` copies what ``durable`` and ``visible``
+hold (all of them, or the given ranges) in the chunks touched by then
+into an immutable :class:`ImageSnapshot`, and
+:meth:`PersistentBuffer.same_image` compares the live images with it by
+``memcmp`` — the copied pieces against their bytes, and any chunk of the
+snapshot's ranges touched only since (or only in this buffer, when the
+snapshot comes from a replay's twin) against the zeros it held then. A
+chunk touched on one side and all-zero equals an untouched one. Inside
+the process nothing is hashed; a cryptographic hash is for a fingerprint
+that *leaves* it (a report field), and that is
+:meth:`PersistentBuffer.fingerprint`: SHA-256 over the buffer size, the
+ranges and, per image, ``(tag, addr, length, bytes)`` of every touched
+piece that is not all-zero — an injective encoding of the images'
+content, independent of which zero chunks were ever stored to, so two
+fingerprints are equal iff the bytes are. A snapshot is plain ``bytes``:
+it does not alias the buffer, it survives the buffer's release, and it
+costs two copies of what it covers for as long as it is referenced —
+take it right before the step being judged and drop it with the verdict.
+:meth:`PersistentBuffer.release` unmaps the two images of a buffer whose
+run is over, at once, whatever still references the buffer object (a
+finished simulation sits in reference cycles until a generational
+collection finds it). The release rule: release only after the last read
+of the image, and never a buffer a live simulation still owns — every
+later access to its bytes raises
 :class:`~repro.errors.MemoryAccessError` rather than reading empty ones.
+A caller's window (``view()``, a slice of an image) that is still alive
+keeps its mapping alive, not the buffer usable: the release does not
+raise, and the pages go when the window does.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import hashlib
+import mmap
+import struct
+from collections.abc import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +105,7 @@ from repro.errors import MemoryAccessError
 __all__ = [
     "CACHELINE",
     "ATOMIC_WORD",
+    "CHUNK",
     "CORRUPTION_KINDS",
     "PersistentBuffer",
     "BufferStats",
@@ -85,8 +118,25 @@ CACHELINE = 64
 #: NVM failure-atomicity unit: an aligned 8-byte store lands atomically.
 ATOMIC_WORD = 8
 
+#: Granularity of the touched map: whole-image work (snapshot, compare,
+#: fingerprint) is paid per chunk of this many bytes that was ever stored to.
+CHUNK = 4096
+
 #: Latent-corruption kinds accepted by :meth:`PersistentBuffer.corrupt`.
 CORRUPTION_KINDS = ("bitflip", "zero_line")
+
+_ZERO_CHUNK = bytes(CHUNK)
+#: One fingerprinted piece: image tag, address, length (then its bytes).
+_PIECE = struct.Struct("<cQQ")
+
+
+def _zeroed(size: int) -> mmap.mmap:
+    """``size`` bytes of anonymous zero-filled memory whose pages exist
+    only once stored to. Private where the platform can say so: the
+    default mapping is ``MAP_SHARED``, which Linux backs with shmem."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return mmap.mmap(-1, size)
 
 
 class BufferStats:
@@ -124,12 +174,18 @@ class BufferStats:
 
 
 class ImageSnapshot(NamedTuple):
-    """Immutable copy of a buffer's two images (see
-    :meth:`PersistentBuffer.snapshot`)."""
+    """Immutable copy of what a buffer's two images held over some ranges
+    (see :meth:`PersistentBuffer.snapshot`). Only the ``pieces`` — the
+    ranges' bytes inside chunks touched by then — are copied; every other
+    byte of the ranges was zero."""
 
-    #: ``(addr, length)`` ranges covered, in order; None = the whole buffer.
-    ranges: Optional[tuple[tuple[int, int], ...]]
-    #: The covered bytes of each image, ranges concatenated.
+    #: Size of the buffer it was taken from.
+    size: int
+    #: ``(addr, length)`` ranges covered, in order (the whole buffer: one).
+    ranges: tuple[tuple[int, int], ...]
+    #: ``(addr, length)`` of each copied piece, in order.
+    pieces: tuple[tuple[int, int], ...]
+    #: The pieces' bytes of each image, concatenated.
     durable: bytes
     visible: bytes
 
@@ -141,10 +197,11 @@ class PersistentBuffer:
         "size",
         "visible",
         "durable",
-        "_vview",
-        "_dview",
+        "_vmap",
+        "_dmap",
         "_dirty_map",
         "_dirty",
+        "_touched",
         "stats",
     )
 
@@ -152,16 +209,19 @@ class PersistentBuffer:
         if size <= 0:
             raise MemoryAccessError(f"buffer size must be positive, got {size}")
         self.size = size
-        self.visible = bytearray(size)
-        self.durable = bytearray(size)
-        # Loads slice these read-only views, not the bytearrays: one
-        # copy per read, none per ``view``.
-        self._vview = memoryview(self.visible).toreadonly()
-        self._dview = memoryview(self.durable).toreadonly()
+        # Stores go to the mappings; everyone else, inside this class and
+        # out, sees the two images through read-only views of them.
+        self._vmap = _zeroed(size)
+        self._dmap = _zeroed(size)
+        self.visible = memoryview(self._vmap).toreadonly()
+        self.durable = memoryview(self._dmap).toreadonly()
         # One byte per cacheline, 1 = dirty; ``_dirty`` is the same
         # memory as a bool array for the sweeps that index by mask.
         self._dirty_map = bytearray((size + CACHELINE - 1) // CACHELINE)
         self._dirty = np.frombuffer(self._dirty_map, dtype=bool)
+        # One byte per chunk, 1 = stored to at some point. Outside
+        # touched chunks both images are zero.
+        self._touched = bytearray((size + CHUNK - 1) // CHUNK)
         self.stats = BufferStats()
 
     # -- bounds ------------------------------------------------------------
@@ -189,9 +249,14 @@ class PersistentBuffer:
         self._check(addr, n)
         if n == 0:
             return
-        self.visible[addr : addr + n] = data
+        self._vmap[addr : addr + n] = data
         lo, hi = self._line_span(addr, n)
         self._dirty_map[lo:hi] = b"\x01" * (hi - lo)
+        first, last = addr // CHUNK, (addr + n - 1) // CHUNK
+        if first == last:
+            self._touched[first] = 1
+        else:
+            self._touched[first : last + 1] = b"\x01" * (last + 1 - first)
         self.stats.bytes_written += n
 
     def write_atomic64(self, addr: int, data: bytes) -> None:
@@ -206,7 +271,7 @@ class PersistentBuffer:
         """Load from the *visible* image (what RDMA READ returns)."""
         self._check(addr, length)
         self.stats.bytes_read += length
-        return self._vview[addr : addr + length].tobytes()
+        return self.visible[addr : addr + length].tobytes()
 
     def view(self, addr: int, length: int) -> memoryview:
         """Read-only zero-copy window onto the *visible* image, for
@@ -216,12 +281,12 @@ class PersistentBuffer:
         counted in ``bytes_read`` — a caller standing in for counted
         loads adds what it consumed."""
         self._check(addr, length)
-        return self._vview[addr : addr + length]
+        return self.visible[addr : addr + length]
 
     def read_durable(self, addr: int, length: int) -> bytes:
         """Load from the media image (post-crash contents)."""
         self._check(addr, length)
-        return self._dview[addr : addr + length].tobytes()
+        return self.durable[addr : addr + length].tobytes()
 
     # -- persistence -------------------------------------------------------
     def flush(self, addr: int, length: int) -> int:
@@ -246,7 +311,7 @@ class PersistentBuffer:
                 end = hi
             # The buffer's last line may be short; slices clamp to size.
             start, stop = run * CACHELINE, end * CACHELINE
-            self.durable[start:stop] = self._vview[start:stop]
+            self._dmap[start:stop] = self.visible[start:stop]
             dirty[run:end] = bytes(end - run)
             n += end - run
             run = dirty.find(1, end, hi)
@@ -271,8 +336,8 @@ class PersistentBuffer:
         lo, hi = self._line_span(addr, length)
         if self._dirty_map.find(1, lo, hi) == -1:
             return True
-        # bytearray == memoryview is one copy and a memcmp.
-        return self.visible[addr : addr + length] == self._dview[addr : addr + length]
+        # Slicing a mapping copies to bytes: two copies and a memcmp.
+        return self._vmap[addr : addr + length] == self._dmap[addr : addr + length]
 
     def dirty_line_count(self) -> int:
         return int(self._dirty.sum())
@@ -311,6 +376,7 @@ class PersistentBuffer:
             raise MemoryAccessError(
                 f"evict_probability must be in [0,1], got {evict_probability}"
             )
+        visible, media = self.visible, self._dmap
         dirty_idx = np.flatnonzero(self._dirty)
         evicted = lost = torn = 0
         words_per_line = CACHELINE // ATOMIC_WORD
@@ -322,7 +388,7 @@ class PersistentBuffer:
                 survives = rng.random(n_words) < evict_probability
                 n_live = int(survives.sum())
                 if n_live == n_words:
-                    self.durable[start:end] = self.visible[start:end]
+                    media[start:end] = visible[start:end]
                     evicted += 1
                 elif n_live == 0:
                     lost += 1
@@ -331,17 +397,19 @@ class PersistentBuffer:
                     for w in np.flatnonzero(survives):
                         ws = start + int(w) * ATOMIC_WORD
                         we = min(ws + ATOMIC_WORD, end)
-                        self.durable[ws:we] = self.visible[ws:we]
+                        media[ws:we] = visible[ws:we]
                     torn += 1
                     self.stats.words_lost_on_crash += n_words - n_live
             else:
                 if rng.random() < evict_probability:
-                    self.durable[start:end] = self.visible[start:end]
+                    media[start:end] = visible[start:end]
                     evicted += 1
                 else:
                     lost += 1
                     self.stats.words_lost_on_crash += words_per_line
-        self.visible[:] = self.durable
+            # Loads see the media now. A clean line already does, so
+            # reverting the dirty ones reverts the whole image.
+            self._vmap[start:end] = self.durable[start:end]
         self._dirty[:] = False
         self.stats.crashes += 1
         self.stats.lines_evicted_on_crash += evicted
@@ -382,12 +450,13 @@ class PersistentBuffer:
         bit = None
         if kind == "bitflip":
             bit = int(rng.integers(8)) if rng is not None else 0
-            self.durable[addr] ^= 1 << bit
+            self._dmap[addr] ^= 1 << bit
         else:  # zero_line
-            self.durable[start:end] = bytes(end - start)
+            self._dmap[start:end] = bytes(end - start)
+        self._touched[addr // CHUNK] = 1
         masked = bool(self._dirty[line])
         if not masked:
-            self.visible[start:end] = self.durable[start:end]
+            self._vmap[start:end] = self.durable[start:end]
         self.stats.corruptions += 1
         return {"kind": kind, "addr": addr, "bit": bit, "masked": masked}
 
@@ -412,46 +481,102 @@ class PersistentBuffer:
             return self.flush(addr, length)
         word = int(rng.integers(first, last))
         ws = word * ATOMIC_WORD
-        saved = bytes(self.durable[ws : ws + ATOMIC_WORD])
+        saved = self._dmap[ws : ws + ATOMIC_WORD]
         n = self.flush(addr, length)
-        self.durable[ws : ws + ATOMIC_WORD] = saved
+        self._dmap[ws : ws + ATOMIC_WORD] = saved
         self._dirty[ws // CACHELINE] = True
         self.stats.torn_stores += 1
         return n
 
     # -- whole-image judgements ------------------------------------------------
-    def snapshot(self, *ranges: tuple[int, int]) -> ImageSnapshot:
-        """Copy ``durable`` and ``visible`` — the whole buffer, or only
-        the given ``(addr, length)`` ranges — for a later
-        :meth:`same_image`. Not counted in ``bytes_read``: this is the
-        harness looking at the device, not a modelled load."""
+    def _pieces(self, ranges: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+        """``(addr, length)`` of each run of ``ranges`` that lies inside
+        one touched chunk, in order — all of the ranges that can hold a
+        non-zero byte."""
         self._require_live()
+        touched = self._touched
+        pieces = []
         for addr, length in ranges:
             self._check(addr, length)
-        return ImageSnapshot(
-            ranges or None, *self._gather(ranges or ((0, self.size),))
+            if length == 0:
+                continue
+            end = addr + length
+            hi = (end - 1) // CHUNK + 1
+            chunk = touched.find(1, addr // CHUNK, hi)
+            while chunk != -1:
+                lo = max(addr, chunk * CHUNK)
+                pieces.append((lo, min(end, (chunk + 1) * CHUNK) - lo))
+                chunk = touched.find(1, chunk + 1, hi)
+        return pieces
+
+    def _gather(self, pieces: Iterable[tuple[int, int]]) -> tuple[bytes, bytes]:
+        return (
+            b"".join(self.durable[a : a + n] for a, n in pieces),
+            b"".join(self.visible[a : a + n] for a, n in pieces),
         )
 
-    def _gather(self, ranges: tuple[tuple[int, int], ...]) -> tuple[bytes, bytes]:
-        return (
-            b"".join(self._dview[a : a + n] for a, n in ranges),
-            b"".join(self._vview[a : a + n] for a, n in ranges),
-        )
+    def snapshot(self, *ranges: tuple[int, int]) -> ImageSnapshot:
+        """Record what ``durable`` and ``visible`` hold — over the whole
+        buffer, or only the given ``(addr, length)`` ranges — for a later
+        :meth:`same_image`, copying the touched chunks' share of it. Not
+        counted in ``bytes_read``: this is the harness looking at the
+        device, not a modelled load."""
+        ranges = ranges or ((0, self.size),)
+        pieces = self._pieces(ranges)
+        return ImageSnapshot(self.size, ranges, tuple(pieces), *self._gather(pieces))
 
     def same_image(self, snap: ImageSnapshot) -> bool:
         """True when both images hold, over the ranges ``snap`` covers,
-        exactly the bytes it recorded. ``bytearray == bytes`` is a
-        ``memcmp`` with no copy, so a whole-image comparison costs one
-        pass over memory; ranges are gathered (one copy) and compared."""
+        exactly the bytes they held when it was taken (which may have
+        been in another buffer of this size). The pieces it copied are
+        gathered (one copy) and compared; a chunk of its ranges stored to
+        only since, or only in this buffer, it saw as zeros."""
         self._require_live()
-        if snap.ranges is None:
-            return self.durable == snap.durable and self.visible == snap.visible
-        return self._gather(snap.ranges) == (snap.durable, snap.visible)
+        if snap.size != self.size:
+            return False
+        if self._gather(snap.pieces) != (snap.durable, snap.visible):
+            return False
+        fresh = set(self._pieces(snap.ranges)).difference(snap.pieces)
+        durable, visible = self._gather(fresh)
+        return not (durable.strip(b"\0") or visible.strip(b"\0"))
+
+    def fingerprint(self, *ranges: tuple[int, int]) -> str:
+        """Printable SHA-256 fingerprint of both images over the whole
+        buffer, or over the given ``(addr, length)`` ranges: two buffers
+        have equal fingerprints iff they have equal sizes and equal bytes
+        there. Hashed are the size, the ranges and, per image, ``(tag,
+        addr, length, bytes)`` of every piece that is not all-zero — an
+        injective encoding that does not depend on which all-zero chunks
+        happen to have been stored to. For a value that leaves the
+        process; to compare two instants inside it use :meth:`snapshot` /
+        :meth:`same_image`."""
+        ranges = ranges or ((0, self.size),)
+        pieces = self._pieces(ranges)
+        h = hashlib.sha256(struct.pack("<QQ", self.size, len(ranges)))
+        for addr, length in ranges:
+            h.update(struct.pack("<QQ", addr, length))
+        for tag, image in ((b"D", self._dmap), (b"V", self._vmap)):
+            for addr, length in pieces:
+                data = image[addr : addr + length]
+                if data != _ZERO_CHUNK[:length]:
+                    h.update(_PIECE.pack(tag, addr, length))
+                    h.update(data)
+        return h.hexdigest()
 
     def release(self) -> None:
-        """Free both images now; the buffer is unusable afterwards (see
+        """Unmap both images now; the buffer is unusable afterwards (see
         the module docstring for the release rule). Idempotent."""
-        self.visible = self.durable = self._vview = self._dview = None
+        if self.visible is None:
+            return
+        for view, mapping in ((self.visible, self._vmap), (self.durable, self._dmap)):
+            try:
+                view.release()
+                mapping.close()
+            except BufferError:
+                # A caller still holds a window (``view()``, a slice of an
+                # image): the mapping goes when that does.
+                pass
+        self.visible = self.durable = self._vmap = self._dmap = None
         # No range fits now, not even an empty one: every bounds check
         # fails and reports the release, at no cost to a live buffer.
         self.size = -1

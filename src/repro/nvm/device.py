@@ -242,6 +242,11 @@ class NVMDevice:
         """Byte-equality of the live images with ``snap`` (memcmp, no hash)."""
         return self.buffer.same_image(snap)
 
+    def fingerprint(self, *ranges: tuple[int, int]) -> str:
+        """Printable fingerprint of both images (see
+        :meth:`repro.mem.buffer.PersistentBuffer.fingerprint`)."""
+        return self.buffer.fingerprint(*ranges)
+
     def release(self) -> None:
         """Free the images of a device whose run is over (see
         :meth:`repro.mem.buffer.PersistentBuffer.release`)."""

@@ -2,9 +2,10 @@
 
 ``RefBuffer`` is the buffer as it was before dirty runs were copied as
 slices: one Python step per cacheline, a list of bools for the dirty
-set. Random op sequences, on sizes whose last line is short, must leave
-both with the same images, dirty set, counters and return values, with
-both sides drawing from identically seeded generators.
+set, two dense ``bytearray`` images. Random op sequences, on sizes whose
+last line (and last 4 KiB chunk) is short, must leave both with the same
+images, dirty set, counters and return values, with both sides drawing
+from identically seeded generators.
 """
 
 import numpy as np
@@ -146,20 +147,31 @@ def ranges(draw, size, min_len=0):
     return addr, draw(st.integers(min_len, size - addr))
 
 
+#: Buffer sizes the scripts run on: short last lines, and — for the
+#: touched map — more than one 4 KiB chunk, with and without a short last one.
+SIZES = [1, 8, 63, 65, 200, 1000, 1024, 4096, 8292]
+
+
 @st.composite
-def scripts(draw):
-    size = draw(st.sampled_from([1, 8, 63, 65, 200, 1000, 1024]))
+def script_ops(draw, size, min_ops=1, max_ops=30):
     ops = []
-    for _ in range(draw(st.integers(1, 30))):
+    for _ in range(draw(st.integers(min_ops, max_ops))):
         kind = draw(
             st.sampled_from(
-                ["write", "write", "write", "atomic64", "flush", "flush",
+                ["write", "write", "write", "zeros", "atomic64", "flush", "flush",
                  "flush_torn", "corrupt", "crash", "probe"]
             )
         )
         if kind == "write":
             addr, n = draw(ranges(size))
-            ops.append((kind, addr, draw(st.binary(min_size=n, max_size=n))))
+            if size <= 1024:
+                data = draw(st.binary(min_size=n, max_size=n))
+            else:  # a store spanning chunks, without a chunk of entropy
+                data = bytes([draw(st.integers(0, 255))]) * n
+            ops.append((kind, addr, data))
+        elif kind == "zeros":  # touches chunks it may leave all-zero
+            addr, n = draw(ranges(size))
+            ops.append(("write", addr, bytes(n)))
         elif kind == "atomic64":
             if size >= 8:
                 word = draw(st.integers(0, size // 8 - 1))
@@ -175,7 +187,13 @@ def scripts(draw):
             ops.append(
                 (kind, draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.booleans()))
             )
-    return size, draw(st.integers(0, 2**32 - 1)), ops
+    return ops
+
+
+@st.composite
+def scripts(draw):
+    size = draw(st.sampled_from(SIZES))
+    return size, draw(st.integers(0, 2**32 - 1)), draw(script_ops(size))
 
 
 def step(buf, ref, rng, ref_rng, kind, *args):
@@ -198,6 +216,7 @@ def step(buf, ref, rng, ref_rng, kind, *args):
         assert buf.crash(rng, evict, tear_words=tear) == ref.crash(
             ref_rng, evict, tear
         )
+        assert buf.visible == buf.durable  # over the whole buffer
     else:  # probe: the read-side functions over an arbitrary range
         assert buf.read(*args) == ref.read(*args)
         assert buf.read_durable(*args) == ref.read_durable(*args)

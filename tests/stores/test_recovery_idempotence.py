@@ -5,7 +5,7 @@ image and treat the already-recovered state as a no-op."""
 import numpy as np
 import pytest
 
-from repro.core.recovery import recover_bucketized
+from repro.core.recovery import recover_bucketized, recover_erda
 from repro.errors import PowerFailure
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
@@ -17,7 +17,7 @@ def _key(i):
     return f"idem-{i:011d}".encode()
 
 
-def _populate_and_crash(env, setup, n_keys=16, settle_ns=120_000):
+def _populate_and_crash(env, setup, n_keys=16, settle_ns=120_000, crash_seed=3):
     """Two versions per key, a *partial* settle (some objects still
     unverified), then a word-tearing power failure."""
     c = setup.client()
@@ -31,13 +31,13 @@ def _populate_and_crash(env, setup, n_keys=16, settle_ns=120_000):
     env.run(until=env.now + settle_ns)
     setup.server.stop()
     setup.fabric.crash_node(
-        setup.server.node, np.random.default_rng(3), 0.5, tear_words=True
+        setup.server.node, np.random.default_rng(crash_seed), 0.5, tear_words=True
     )
     setup.fabric.restart_node(setup.server.node)
 
 
-def _recover(env, setup):
-    return env.run(env.process(recover_bucketized(setup.server)))
+def _recover(env, setup, procedure=recover_bucketized):
+    return env.run(env.process(procedure(setup.server)))
 
 
 @pytest.mark.parametrize("partitions", [1, 4])
@@ -55,6 +55,23 @@ def test_second_recovery_run_is_a_noop(env, partitions):
     assert second.keys_lost == 0
     assert second.torn_objects == 0
     assert first.keys_recovered + first.keys_rolled_back >= second.keys_recovered
+
+
+def test_erda_second_recovery_does_not_lose_a_lost_key_again(env):
+    """``recover_erda`` zeroes the two-version word of a key it declares
+    lost but the bucket keeps its fingerprint; a later pass used to visit
+    the empty bucket and count the key lost again."""
+    setup = small_store("erda", env)
+    _populate_and_crash(env, setup, crash_seed=2)
+
+    first = _recover(env, setup, recover_erda)
+    image = setup.server.device.snapshot()
+    second = _recover(env, setup, recover_erda)
+
+    assert first.keys_lost > 0 and first.keys_recovered > 0
+    assert setup.server.device.same_image(image)
+    assert second.keys_lost == 0 and second.keys_rolled_back == 0
+    assert second.keys_recovered == first.keys_recovered + first.keys_rolled_back
 
 
 def test_crash_mid_recovery_converges(env):
