@@ -214,16 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bk_p = sub.add_parser(
         "bench-kernel",
-        help="kernel scheduler microbenchmark + fast-path equivalence",
+        help="verb fast-path macro benchmark + fast-path equivalence",
     )
-    bk_p.add_argument("--drain-events", type=int, default=60_000)
-    bk_p.add_argument("--ping-events", type=int, default=30_000)
     bk_p.add_argument("--verb-ops", type=int, default=4_000)
     bk_p.add_argument("--equiv-ops", type=int, default=40)
     bk_p.add_argument(
         "--skip-equivalence",
         action="store_true",
-        help="only run the wall-clock cells",
+        help="only run the wall-clock cell",
     )
     bk_p.add_argument(
         "--min-verb-ratio",
@@ -834,20 +832,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> tuple[str, Any]:
 def _cmd_bench_kernel(args: argparse.Namespace) -> tuple[str, Any, int]:
     from repro.harness.kernelbench import run_equivalence_check, run_kernel_suite
 
-    payload: dict[str, Any] = run_kernel_suite(
-        drain_events=args.drain_events,
-        ping_events=args.ping_events,
-        verb_ops=args.verb_ops,
-    )
-    table = Table(["cell", "baseline", "wheel/fast", "ratio"])
-    for cell, unit in (("drain", "ev/s"), ("ping", "ev/s")):
-        row = payload[cell]
-        table.add(
-            cell,
-            f"{row['heap']['events_per_sec']:,.0f} {unit}",
-            f"{row['wheel']['events_per_sec']:,.0f} {unit}",
-            f"{row['ratio']:.2f}x",
-        )
+    payload: dict[str, Any] = run_kernel_suite(verb_ops=args.verb_ops)
+    table = Table(["cell", "event path", "fast path", "ratio"])
     verb = payload["verb"]
     table.add(
         "verb",
@@ -857,7 +843,7 @@ def _cmd_bench_kernel(args: argparse.Namespace) -> tuple[str, Any, int]:
         f"({verb['fast']['events_per_op']:.1f} ev/op)",
         f"{verb['ratio']:.2f}x",
     )
-    lines = [banner("Kernel microbenchmarks"), table.render()]
+    lines = [banner("Kernel benchmark"), table.render()]
     status = 0
     if not verb["sim_identical"]:
         lines.append("FAIL: verb cell simulated different nanoseconds")

@@ -1,26 +1,13 @@
-"""Kernel microbenchmarks: wheel-scheduler speedup and fast-path equivalence.
+"""Kernel benchmark: the analytic verb fast path's speedup and equivalence.
 
-Three wall-clock cells compare the live kernel (timer wheel + timeout
-freelist + fused waiter dispatch, :mod:`repro.sim.kernel`) and the
-analytic verb fast path against the seed design
-(:class:`~repro.sim.heapkernel.HeapEnvironment`: one binary heap, a
-fresh ``Timeout`` per call, full event simulation for every verb):
-
-* ``drain``   — schedule N timeouts at scattered offsets, drain the
-  queue: raw scheduler insert/pop throughput.
-* ``ping``    — one process yielding N sequential timeouts: the
-  "timeout then resume one waiter" hot pattern.
-* ``verb``    — the macro cell and headline gate: CQ-posted one-sided
-  WRITEs, one at a time. The baseline runs the seed configuration
-  (heap scheduler, event-path verbs, ~8 events per op); the candidate
-  runs the wheel scheduler with the analytic fast path (~3 events per
-  op). Both simulate identical nanoseconds — ``sim_identical`` is
-  asserted — so the ratio is purely simulator speed.
-
-The raw scheduler cells move little in CPython (the seed heap is the
-C-implemented ``heapq``; a Python-level wheel only wins on constant
-factors); the macro cell is where the refactor pays, by *retiring ops
-in fewer events*. CI gates on the macro ratio and on equivalence.
+One wall-clock cell, ``verb`` — the macro cell and headline gate:
+CQ-posted one-sided WRITEs, one at a time, on the same kernel twice. The
+baseline forces the event path (~8 events per op); the candidate takes
+the analytic fast path (~3 events per op). Both simulate identical
+nanoseconds — ``sim_identical`` is asserted — so the ratio is purely
+simulator speed, bought by *retiring ops in fewer events*. (Raw
+scheduler cost is on the ledger: ``python -m bench`` reports
+``micro.kernel_drain_us`` / ``micro.kernel_ping_us``.)
 
 The equivalence harness re-runs the fig1/fig2 workloads with the fast
 path on and off and asserts the measured latency samples are *exactly*
@@ -28,7 +15,8 @@ equal (``ns == ns``, no tolerance) — the bit-identical-defaults
 invariant DESIGN.md §11 documents.
 
 Consumed by ``python -m repro bench-kernel`` (writes ``BENCH_pr6.json``)
-and the CI ``bench-kernel`` job.
+and the CI ``bench-kernel`` job, which gates on the macro ratio and on
+equivalence.
 """
 
 from __future__ import annotations
@@ -43,7 +31,6 @@ from repro.harness.runner import RunSpec, run_experiment
 from repro.nvm.device import NVMDevice
 from repro.rdma.cq import CompletionQueue, post_write
 from repro.rdma.fabric import Fabric
-from repro.sim.heapkernel import HeapEnvironment
 from repro.sim.kernel import Environment, Event
 from repro.workloads.ycsb import update_only, ycsb_c
 
@@ -67,39 +54,7 @@ EQUIVALENCE_CASES: tuple[tuple[str, str, int], ...] = (
 _WORKLOADS = {"update_only": update_only, "ycsb_c": ycsb_c}
 
 
-# -- micro cells ---------------------------------------------------------------
-
-def _bench_drain(make_env: Callable[[], Environment], n: int) -> dict[str, float]:
-    """Insert ``n`` timeouts at scattered offsets, then drain."""
-    env = make_env()
-    x = 0x2545F491  # deterministic LCG so both kernels see the same offsets
-    t0 = time.perf_counter()
-    for _ in range(n):
-        x = (1103515245 * x + 12345) & 0x7FFFFFFF
-        # Mostly within the ~131 us wheel window (like real verb/persist
-        # delays), with a tail spilling into the overflow heap.
-        env.timeout(float(x % 160_000))
-    env.run()
-    wall = time.perf_counter() - t0
-    return {"events": env.events_processed, "events_per_sec": n / wall}
-
-
-def _bench_ping(make_env: Callable[[], Environment], n: int) -> dict[str, float]:
-    """One process yielding ``n`` sequential timeouts."""
-    env = make_env()
-
-    def proc() -> Generator[Event, Any, None]:
-        for _ in range(n):
-            yield env.timeout(100.0)
-
-    t0 = time.perf_counter()
-    env.run(env.process(proc(), name="ping"))
-    wall = time.perf_counter() - t0
-    return {
-        "events": env.events_processed,
-        "events_per_sec": env.events_processed / wall,
-    }
-
+# -- macro cell -----------------------------------------------------------------
 
 def _bench_verbs(
     make_env: Callable[[], Environment], n: int, fastpath: bool
@@ -131,22 +86,14 @@ def _bench_verbs(
     }
 
 
-def run_kernel_suite(
-    *, drain_events: int = 60_000, ping_events: int = 30_000, verb_ops: int = 4_000
-) -> dict[str, Any]:
-    """All three cells on both kernels; JSON-ready."""
-    heap = HeapEnvironment
-    wheel = Environment
-    drain = {"heap": _bench_drain(heap, drain_events), "wheel": _bench_drain(wheel, drain_events)}
-    ping = {"heap": _bench_ping(heap, ping_events), "wheel": _bench_ping(wheel, ping_events)}
+def run_kernel_suite(*, verb_ops: int = 4_000) -> dict[str, Any]:
+    """The macro cell, event path vs fast path; JSON-ready."""
     verb = {
-        "baseline": _bench_verbs(heap, verb_ops, fastpath=False),
-        "fast": _bench_verbs(wheel, verb_ops, fastpath=True),
+        "baseline": _bench_verbs(Environment, verb_ops, fastpath=False),
+        "fast": _bench_verbs(Environment, verb_ops, fastpath=True),
     }
     return {
         "suite": "kernel",
-        "drain": {**drain, "ratio": drain["wheel"]["events_per_sec"] / drain["heap"]["events_per_sec"]},
-        "ping": {**ping, "ratio": ping["wheel"]["events_per_sec"] / ping["heap"]["events_per_sec"]},
         "verb": {
             **verb,
             "sim_identical": verb["baseline"]["sim_ns"] == verb["fast"]["sim_ns"],

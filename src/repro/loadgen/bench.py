@@ -33,10 +33,10 @@ __all__ = ["run_load_bench_suite", "load_cell_spec"]
 #: SLO is meetable) while keeping arrivals dense enough that completion
 #: grid ticks are shared across clients.
 _RATE_PER_CLIENT_OPS_S = 2_000.0
-#: Completion-grid bucket for the load cells. Wider than the kernel's
-#: 128 ns wheel bucket: the sweep showed 256 ns maximizes cross-client
-#: sharing before latency quantization starts costing more events than
-#: batching saves.
+#: Completion-grid bucket for the load cells (the batcher's own grid;
+#: the kernel's heap has none). Wider than the batcher's 128 ns default:
+#: the sweep showed 256 ns maximizes cross-client sharing before latency
+#: quantization starts costing more events than batching saves.
 _BUCKET_NS = 256.0
 _SLO_NS = 25_000.0
 

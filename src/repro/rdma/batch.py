@@ -2,16 +2,16 @@
 
 With thousands of open-loop clients, most simulator work is completion
 wake-ups: every verb's final timer is its own kernel event, so a 1k-client
-fan-in schedules and dispatches a thousand near-simultaneous timeouts per
-wheel bucket. The :class:`CompletionBatcher` coalesces them: a completion
-wait due at time ``t`` wakes at ``ceil(t / bucket_ns) * bucket_ns`` — the
-next edge of a fixed time grid aligned with the kernel's wheel buckets —
+fan-in schedules and dispatches a thousand near-simultaneous timeouts.
+The :class:`CompletionBatcher` coalesces them: a completion wait due at
+time ``t`` wakes at ``ceil(t / bucket_ns) * bucket_ns`` — the next edge
+of the batcher's own fixed time grid (the kernel has none) —
 and **all waits sharing a grid tick are resumed by one kernel event**, in
 registration order. This amortizes scheduling across clients the way
 PR 5's doorbell batching amortized work requests.
 
 The price is an upward latency quantization of strictly less than
-``bucket_ns`` (default 128 ns, one wheel bucket) per batched wait. That
+``bucket_ns`` (default 128 ns) per batched wait. That
 shifts individual completion times, so batching is **default-off** and
 armed only by the open-loop load engine
 (:meth:`~repro.rdma.fabric.Fabric.enable_completion_batching`); with it

@@ -16,6 +16,7 @@ caches, rather than in non-volatile memory", §3).
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -208,8 +209,8 @@ class Fabric:
 
         a = Endpoint(self, initiator, target)
         b = Endpoint(self, target, initiator)
-        a.peer = b
-        b.peer = a
+        a._peer = b
+        b._peer_ref = weakref.ref(a)
         return a
 
     # -- in-flight write tracking ----------------------------------------------

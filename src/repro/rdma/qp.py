@@ -55,6 +55,7 @@ whose TX leg walked the engine.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable, Generator, Sequence
 from typing import Any, Optional
 
@@ -86,14 +87,22 @@ def _call_at(env, when: float, callback: Callable[[Event], None]) -> None:
 class Endpoint:
     """One side of a reliable connection (see module docstring)."""
 
-    __slots__ = ("fabric", "local", "remote", "peer", "stats", "_error", "fastpath_ops")
+    __slots__ = (
+        "fabric", "local", "remote", "_peer", "_peer_ref", "stats", "_error",
+        "fastpath_ops", "__weakref__",
+    )
 
     def __init__(self, fabric: Fabric, local: Node, remote: Node) -> None:
         self.fabric = fabric
         self.local = local
         self.remote = remote
-        #: The opposite endpoint (set by Fabric.connect).
-        self.peer: Optional["Endpoint"] = None
+        # The opposite endpoint (set by Fabric.connect): the initiator
+        # side owns the target side (_peer); the target side only refers
+        # back (_peer_ref), so a dropped connection is freed by refcount
+        # — with it the node, its device and the NVM image — rather than
+        # waiting for the cycle collector.
+        self._peer: Optional["Endpoint"] = None
+        self._peer_ref: Optional["weakref.ref[Endpoint]"] = None
         #: Per-opcode counters.
         self.stats: dict[str, int] = {}
         #: Verbs this endpoint completed via the analytic fast path.
@@ -102,6 +111,13 @@ class Endpoint:
         #: qp_error / completion_drop fault): every verb fails until
         #: :meth:`reset` re-establishes the connection.
         self._error = False
+
+    @property
+    def peer(self) -> Optional["Endpoint"]:
+        """The opposite endpoint (``None`` before :meth:`Fabric.connect`,
+        and on the target side once the initiator side is gone)."""
+        ref = self._peer_ref
+        return self._peer if ref is None else ref()
 
     # -- QP state (fault injection / resilience) ----------------------------
     @property
@@ -112,8 +128,9 @@ class Endpoint:
         """Re-establish the connection: both directions leave the error
         state (models tearing down the QP pair and reconnecting)."""
         self._error = False
-        if self.peer is not None:
-            self.peer._error = False
+        peer = self.peer
+        if peer is not None:
+            peer._error = False
 
     def _check_usable(self) -> None:
         if self._error:

@@ -21,31 +21,17 @@ Design notes
   the library (see :mod:`repro.rdma.latency`), although the kernel itself
   is unit-agnostic.
 
-Scheduler structure (see DESIGN.md §11)
----------------------------------------
-The queue is a bucketed timer wheel rather than a single binary heap:
-
-* The wheel covers a fixed absolute window of ``_WHEEL_BUCKETS`` buckets,
-  each ``_BUCKET_NS`` wide, starting at ``_base`` (a bucket number, not a
-  time). An event at time ``t`` lands in bucket ``int(t / _BUCKET_NS) -
-  _base``; events beyond the window go to a single overflow heap.
-* Bucket storage is array-of-struct: each bucket is three parallel
-  append-only lists ``(times, keys, events)`` where ``keys`` holds the
-  fused ordering key ``(priority << 60) | sequence`` — no per-entry tuple
-  is allocated on the bucketed path. Keys are globally unique (the
-  sequence is), so sorting indices by key and then stable-sorting by time
-  reproduces the exact ``(time, priority, sequence)`` order the seed heap
-  produced, regardless of append order.
-* A bucket is sorted lazily when the cursor reaches it (*staged*): two
-  C-level key-function sorts over an index list, popped from the end.
-  Events scheduled into the staged bucket **while it drains** (delay-0
-  ``succeed()``s, urgent process resumptions — the common case) go to a
-  small residual heap merged at pop time, so mid-drain inserts still pop
-  in exact global order.
-* When the wheel runs dry the window is **rebased** onto the earliest
-  overflow event and every overflow event inside the new window migrates
-  into its bucket. The window never moves while the wheel holds events,
-  so an event is sorted at most twice (overflow, then one bucket).
+Scheduler (see DESIGN.md §11)
+-----------------------------
+The queue is one binary heap (C ``heapq``) of ``(time, key, event)``
+with the fused key ``(priority << 60) | sequence``. The sequence is
+unique, so no two entries compare equal before the event is reached and
+pop order is exactly ``(time, priority, sequence)``. Times are compared
+as the floats they were scheduled with, which is what lets
+:meth:`Environment.timeout_at` keep the analytic verb fast path
+bit-identical to the event path. The queue is small (one pending
+wake-up per client at most), so the heap's two C calls per event beat
+any Python-level structure.
 
 Two allocation optimizations ride on top:
 
@@ -106,13 +92,6 @@ PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 PRIORITY_LOW = 2
 
-#: Timer-wheel geometry. 1024 buckets × 128 ns ≈ a 131 µs window — wide
-#: enough that verb segments, server polls, and the 50 µs verifier delay
-#: all land in-wheel; only long experiment horizons hit the overflow heap.
-_WHEEL_BUCKETS = 1024
-_BUCKET_NS = 128.0
-_INV_BUCKET_NS = 1.0 / _BUCKET_NS
-
 #: Fused ordering key: ``(priority << _PRIO_SHIFT) | seq``. Priorities are
 #: 0..2 and the sequence counter never approaches 2**60, so comparing the
 #: fused int is identical to comparing ``(priority, seq)`` and the key is
@@ -121,6 +100,8 @@ _PRIO_SHIFT = 60
 
 #: Upper bound on the recycled-Timeout freelist.
 _FREELIST_CAP = 256
+
+_INF = float("inf")
 
 
 class StopSimulation(Exception):
@@ -525,9 +506,10 @@ class AnyOf(_Condition):
 class Environment:
     """Owns the event queue and the current simulation time.
 
-    The queue is a bucketed timer wheel with an overflow heap (see the
-    module docstring); :attr:`events_scheduled` / :attr:`events_processed`
-    count queue traffic so consumers can report events-per-op.
+    The queue is one binary heap keyed ``(time, priority, sequence)``
+    (see the module docstring); :attr:`events_scheduled` /
+    :attr:`events_processed` count queue traffic so consumers can report
+    events-per-op.
 
     Parameters
     ----------
@@ -540,16 +522,7 @@ class Environment:
         "_seq",
         "_active_process",
         "trace_hook",
-        "_b_times",
-        "_b_keys",
-        "_b_events",
-        "_order",
-        "_drain",
-        "_extra",
-        "_wheel_count",
-        "_overflow",
-        "_base",
-        "_cursor",
+        "_queue",
         "_free_timeouts",
         "events_scheduled",
         "events_processed",
@@ -562,26 +535,9 @@ class Environment:
         #: Optional callable ``(time, event)`` invoked as each event is
         #: processed; used by :mod:`repro.sim.trace`.
         self.trace_hook: Optional[Callable[[float, Event], None]] = None
-        # Timer wheel, array-of-struct: bucket _base + i holds its entries
-        # as the parallel lists _b_times[i] / _b_keys[i] / _b_events[i]
-        # (key = fused (priority << _PRIO_SHIFT) | seq). _cursor is the
-        # lowest possibly-non-empty bucket index; it only advances except
-        # when a schedule lands behind it.
-        self._b_times: list[list[float]] = [[] for _ in range(_WHEEL_BUCKETS)]
-        self._b_keys: list[list[int]] = [[] for _ in range(_WHEEL_BUCKETS)]
-        self._b_events: list[list[Event]] = [[] for _ in range(_WHEEL_BUCKETS)]
-        # The staged (lazily sorted) bucket being drained: _drain is its
-        # cursor index (-1 when none), _order the reversed sorted index
-        # list (next entry at _order[-1]), _extra a heap of
-        # (time, key, event) for entries scheduled into the staged bucket
-        # mid-drain. _extra is mutated in place only — run() aliases it.
-        self._order: list[int] = []
-        self._drain = -1
-        self._extra: list[tuple[float, int, Event]] = []
-        self._wheel_count = 0
-        self._overflow: list[tuple[float, int, Event]] = []
-        self._base = int(self._now * _INV_BUCKET_NS)
-        self._cursor = 0
+        # Heap of (time, (priority << _PRIO_SHIFT) | seq, event). Mutated
+        # in place only — run() aliases it.
+        self._queue: list[tuple[float, int, Event]] = []
         self._free_timeouts: list[Timeout] = []
         #: Total events ever placed on the queue / popped from it.
         self.events_scheduled = 0
@@ -665,206 +621,36 @@ class Environment:
         self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
     ) -> None:
         """Place a triggered event on the queue ``delay`` from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past ({delay!r})")
-        when = self._now + delay
+        # One comparison chain rejects the past, NaN and ±inf: a NaN at the
+        # heap top is never <= stop_at and would hide every event behind it.
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"cannot schedule {delay!r} from now")
         self._seq = seq = self._seq + 1
         self.events_scheduled += 1
-        idx = int(when * _INV_BUCKET_NS) - self._base
-        if idx >= _WHEEL_BUCKETS:
-            heappush(self._overflow, (when, priority << _PRIO_SHIFT | seq, event))
-            return
-        if idx < 0:
-            # Pre-window time (possible when peek() rebased the window
-            # past `now` before the clock advanced): bucket 0 is the
-            # earliest, and full-key ordering inside it keeps the
-            # pop order exact.
-            idx = 0
-        if idx == self._drain:
-            # The bucket is mid-drain (already sorted): route through the
-            # residual heap so the entry still pops in exact order.
-            heappush(self._extra, (when, priority << _PRIO_SHIFT | seq, event))
-        else:
-            self._b_times[idx].append(when)
-            self._b_keys[idx].append(priority << _PRIO_SHIFT | seq)
-            self._b_events[idx].append(event)
-        self._wheel_count += 1
-        if idx < self._cursor:
-            # The cursor may have overshot the clock while scanning
-            # empty buckets (e.g. run(until=T) stopped between
-            # events); every remaining event is later than everything
-            # already processed, so regressing it is exact.
-            self._cursor = idx
+        heappush(
+            self._queue, (self._now + delay, priority << _PRIO_SHIFT | seq, event)
+        )
 
     def schedule_at(
         self, event: Event, when: float, priority: int = PRIORITY_NORMAL
     ) -> None:
         """Place a triggered event on the queue at absolute time ``when``."""
-        if when < self._now:
-            raise SimulationError(f"cannot schedule into the past ({when!r})")
+        if not self._now <= when < _INF:
+            raise SimulationError(f"cannot schedule at {when!r} (now={self._now!r})")
         self._seq = seq = self._seq + 1
         self.events_scheduled += 1
-        idx = int(when * _INV_BUCKET_NS) - self._base
-        if idx >= _WHEEL_BUCKETS:
-            heappush(self._overflow, (when, priority << _PRIO_SHIFT | seq, event))
-            return
-        if idx < 0:
-            idx = 0
-        if idx == self._drain:
-            heappush(self._extra, (when, priority << _PRIO_SHIFT | seq, event))
-        else:
-            self._b_times[idx].append(when)
-            self._b_keys[idx].append(priority << _PRIO_SHIFT | seq)
-            self._b_events[idx].append(event)
-        self._wheel_count += 1
-        if idx < self._cursor:
-            self._cursor = idx
-
-    def _stage(self, cursor: int) -> None:
-        """Sort bucket ``cursor`` for draining: indices ordered by key
-        (unique), then a stable sort by time — exactly
-        ``(time, priority, seq)`` — reversed so the next entry pops from
-        the end."""
-        keys = self._b_keys[cursor]
-        n = len(keys)
-        if n == 1:
-            order = [0]
-        else:
-            order = sorted(range(n), key=keys.__getitem__)
-            order.sort(key=self._b_times[cursor].__getitem__)
-            order.reverse()
-        self._order = order
-        self._drain = cursor
-
-    def _unstage(self) -> None:
-        """Push a part-drained staged bucket's pending entries back into
-        its append lists (a schedule landed in an earlier bucket; the
-        cursor must regress). Append order is irrelevant — keys are
-        unique, so re-staging re-sorts exactly."""
-        drain = self._drain
-        times = self._b_times[drain]
-        keys = self._b_keys[drain]
-        events = self._b_events[drain]
-        order = self._order
-        pend_t = [times[i] for i in order]
-        pend_k = [keys[i] for i in order]
-        pend_e = [events[i] for i in order]
-        for when, key, event in self._extra:
-            pend_t.append(when)
-            pend_k.append(key)
-            pend_e.append(event)
-        del self._extra[:]
-        self._b_times[drain] = pend_t
-        self._b_keys[drain] = pend_k
-        self._b_events[drain] = pend_e
-        self._order = []
-        self._drain = -1
-
-    def _advance(self) -> bool:
-        """Ensure the cursor sits on a staged bucket with pending entries
-        (scanning forward, clearing exhausted staged buckets, rebasing
-        the window from overflow as needed). False when the schedule is
-        empty."""
-        b_times = self._b_times
-        while True:
-            if self._wheel_count:
-                cursor = self._cursor
-                drain = self._drain
-                # Scan to the next bucket with entries. The staged
-                # bucket's raw lists are stale (already consumed via
-                # _order), so stop there regardless of their contents.
-                while cursor != drain and not b_times[cursor]:
-                    cursor += 1
-                self._cursor = cursor
-                if cursor == drain:
-                    if self._order or self._extra:
-                        return True
-                    # Staged bucket exhausted: clear and keep scanning.
-                    b_times[cursor].clear()
-                    self._b_keys[cursor].clear()
-                    self._b_events[cursor].clear()
-                    self._drain = -1
-                    self._cursor = cursor + 1
-                    continue
-                if drain >= 0:
-                    # A bucket before the part-drained one became
-                    # non-empty: put the leftovers back, stage the
-                    # earlier bucket first.
-                    self._unstage()
-                self._stage(cursor)
-                return True
-            if self._drain >= 0:
-                # Wheel empty ⇒ the staged bucket is fully consumed;
-                # clear its stale lists before rebasing into them.
-                drain = self._drain
-                b_times[drain].clear()
-                self._b_keys[drain].clear()
-                self._b_events[drain].clear()
-                self._drain = -1
-            overflow = self._overflow
-            if not overflow:
-                return False
-            # Rebase the window onto the earliest overflow event and
-            # migrate everything now inside it.
-            base = int(overflow[0][0] * _INV_BUCKET_NS)
-            self._base = base
-            self._cursor = 0
-            horizon = (base + _WHEEL_BUCKETS) * _BUCKET_NS
-            b_keys = self._b_keys
-            b_events = self._b_events
-            count = 0
-            while overflow and overflow[0][0] < horizon:
-                when, key, event = heappop(overflow)
-                idx = int(when * _INV_BUCKET_NS) - base
-                b_times[idx].append(when)
-                b_keys[idx].append(key)
-                b_events[idx].append(event)
-                count += 1
-            self._wheel_count = count
-
-    def _pop_next(self) -> tuple[float, Event]:
-        """Pop the globally next entry off the staged bucket, merging the
-        residual heap (caller must have _advance()d successfully)."""
-        order = self._order
-        extra = self._extra
-        if order:
-            drain = self._drain
-            i = order[-1]
-            when = self._b_times[drain][i]
-            if extra:
-                head = extra[0]
-                if head[0] < when or (
-                    head[0] == when and head[1] < self._b_keys[drain][i]
-                ):
-                    heappop(extra)
-                    self._wheel_count -= 1
-                    return head[0], head[2]
-            order.pop()
-            self._wheel_count -= 1
-            return when, self._b_events[drain][i]
-        head = heappop(extra)
-        self._wheel_count -= 1
-        return head[0], head[2]
+        heappush(self._queue, (when, priority << _PRIO_SHIFT | seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if not self._advance():
-            return float("inf")
-        order = self._order
-        extra = self._extra
-        if order:
-            when = self._b_times[self._drain][order[-1]]
-            if extra and extra[0][0] < when:
-                return extra[0][0]
-            return when
-        return extra[0][0]
+        queue = self._queue
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        if not self._advance():
+        if not self._queue:
             raise SimulationError("step(): empty schedule")
-        when, event = self._pop_next()
-        self._now = when
+        self._now, _, event = heappop(self._queue)
         self._dispatch(event)
 
     def _dispatch(self, event: Event) -> None:
@@ -908,65 +694,26 @@ class Environment:
           value (raising if it failed).
         """
         if until is None:
-            stop_at = float("inf")
+            stop_at = _INF
         elif isinstance(until, Event):
             if until.callbacks is None:
                 if not until._ok:
                     raise until._value
                 return until._value
             until.callbacks.append(self._stop_on)
-            stop_at = float("inf")
+            stop_at = _INF
         else:
             stop_at = float(until)
             if stop_at < self._now:
                 raise SimulationError(
                     f"until={stop_at!r} is in the past (now={self._now!r})"
                 )
-        b_times = self._b_times
-        b_keys = self._b_keys
-        b_events = self._b_events
-        extra = self._extra  # stable alias: mutated in place only
+        queue = self._queue
         dispatch = self._dispatch
         try:
-            while True:
-                drain = self._drain
-                order = self._order
-                # Fast case: the cursor bucket is staged with entries
-                # pending; otherwise scan/rebase/stage via _advance().
-                if drain != self._cursor or not (order or extra):
-                    if not self._advance():
-                        break
-                    drain = self._drain
-                    order = self._order
-                if order:
-                    i = order[-1]
-                    when = b_times[drain][i]
-                    if extra:
-                        head = extra[0]
-                        if head[0] < when or (
-                            head[0] == when and head[1] < b_keys[drain][i]
-                        ):
-                            if head[0] > stop_at:
-                                break
-                            heappop(extra)
-                            self._wheel_count -= 1
-                            self._now = head[0]
-                            dispatch(head[2])
-                            continue
-                    if when > stop_at:
-                        break
-                    order.pop()
-                    self._wheel_count -= 1
-                    self._now = when
-                    dispatch(b_events[drain][i])
-                else:
-                    head = extra[0]
-                    if head[0] > stop_at:
-                        break
-                    heappop(extra)
-                    self._wheel_count -= 1
-                    self._now = head[0]
-                    dispatch(head[2])
+            while queue and queue[0][0] <= stop_at:
+                self._now, _, event = heappop(queue)
+                dispatch(event)
         except StopSimulation as stop:
             return stop.value
         if isinstance(until, Event):

@@ -1,5 +1,5 @@
 """Analytic fast path: eligibility/fallback matrix, exact equivalence
-with the event path, and determinism under the wheel scheduler."""
+with the event path, and determinism."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,10 @@ from repro.harness.runner import RunSpec, run_experiment
 from repro.nvm.device import NVMDevice
 from repro.rdma.cq import CompletionQueue, post_write
 from repro.rdma.fabric import Fabric
-from repro.sim.heapkernel import HeapEnvironment
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.workloads.ycsb import update_only, ycsb_c
+from tests.sim.heapkernel import HeapEnvironment
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 """Fabric topology, in-flight tracking, crash tearing, timing model."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -148,6 +151,53 @@ class TestCrashTearing:
         assert fabric.inflight_count(server) == 1
         env.run()
         assert fabric.inflight_count() == 0
+
+
+class TestConnectionLifetime:
+    def test_peer_links(self, env):
+        fabric = Fabric(env)
+        a = fabric.connect(fabric.create_node("c"), fabric.create_node("s"))
+        b = a.peer
+        assert b.peer is a
+        assert a.peer.peer is a
+
+    def test_dropped_rig_is_freed_by_refcount(self):
+        """The target-side endpoint refers back to the initiator weakly,
+        so a rig nobody holds any more — endpoints, nodes, the device and
+        its NVM image — goes at once, not when the cycle collector next
+        happens to run."""
+
+        class Probe(str):
+            pass  # a device name a weakref can watch
+
+        def run_and_drop():
+            env = Environment()
+            fabric = Fabric(env, jitter_ns=0.0)
+            device = NVMDevice(env, 1 << 20, name=Probe("probe"))
+            server = fabric.create_node("s", device=device)
+            ep = fabric.connect(fabric.create_node("c"), server)
+            mr = server.register_memory(0, 1 << 20)
+
+            def client():
+                yield from ep.write(mr.rkey, 0, b"x" * 256)
+                yield from ep.send({"op": "ping"}, wire_bytes=64)
+
+            env.run(env.process(client()))
+            env.run()
+            # An unconsumed message is the server's to drop: node -> SRQ
+            # -> message -> reply_to -> endpoint -> node.
+            ok, msg = server.srq.try_get()
+            assert ok and msg.reply_to is ep.peer
+            assert device.read(0, 4) == b"xxxx"
+            return weakref.ref(device.name)
+
+        gc.collect()
+        gc.disable()
+        try:
+            probe = run_and_drop()
+            assert probe() is None
+        finally:
+            gc.enable()
 
 
 class TestJitter:

@@ -8,9 +8,9 @@ fallback counts, the batcher's counters, per-endpoint ``stats``, the
 arrival instants of two-sided deliveries, and a digest of target memory.
 
 Matrix: verb x {1 issuer, 6 overlapping issuers} x fastpath on/off x
-completion batcher off/256 ns x wheel/heap kernel. The six issuers sit on
-two client nodes, three to an endpoint, so they contend for a local TX
-engine *and* (READ responses) for the server's.
+completion batcher off/256 ns x live kernel/seed-heap oracle. The six
+issuers sit on two client nodes, three to an endpoint, so they contend
+for a local TX engine *and* (READ responses) for the server's.
 
 ``verb_characterisation.json`` was generated at the commit *before* the
 one-verb-executor refactor and must only be regenerated when a change in
@@ -30,8 +30,8 @@ from pathlib import Path
 from repro.nvm.device import NVMDevice
 from repro.rdma.cq import CompletionQueue, post_write
 from repro.rdma.fabric import Fabric
-from repro.sim.heapkernel import HeapEnvironment
 from repro.sim.kernel import Environment
+from tests.sim.heapkernel import HeapEnvironment
 
 FIXTURE = Path(__file__).with_name("verb_characterisation.json")
 
@@ -39,6 +39,8 @@ VERBS = (
     "write", "read", "cas", "faa", "send", "write_with_imm",
     "write_many_1", "write_many_4", "write_many_16", "post_write", "mixed",
 )
+# The labels are cell ids in the recorded fixture: "wheel" is the live
+# kernel (once a timer wheel), "heap" the tests' seed-heap oracle.
 KERNELS = {"wheel": Environment, "heap": HeapEnvironment}
 SLOT = 64 * 1024  # per-issuer window of target memory
 ROUNDS = 3  # back-to-back ops per issuer

@@ -1,14 +1,15 @@
-"""The pre-wheel, single-heap scheduler, kept as a benchmark baseline.
+"""The seed single-heap scheduler, kept as the tests' oracle.
 
 :class:`HeapEnvironment` reproduces the original ``Environment`` queue:
 one binary heap of ``(time, priority, sequence, event)`` tuples, a fresh
 ``Timeout`` object per ``timeout()`` call (no freelist), and a per-event
 ``step()`` method call. Event/Process semantics are shared with the live
-kernel, so the two environments produce identical simulations — only the
-scheduler data structure and allocation behaviour differ.
+kernel, so the two environments must produce identical simulations — the
+oracle is naive on purpose (no fused key, no recycling), independent
+enough to catch a mistake in either of those in
+:class:`repro.sim.kernel.Environment`.
 
-Used by :mod:`repro.harness.kernelbench` to measure the wheel scheduler's
-events/sec speedup against the seed design; not used by any experiment.
+Not shipped: nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations

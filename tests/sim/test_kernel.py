@@ -75,6 +75,39 @@ class TestTimeout:
         assert env.run(env.process(proc())) == "hello"
 
 
+def _sleep(env, delay):
+    yield env.timeout(delay)
+
+
+class TestBadTimes:
+    """A NaN or infinite time at the top of the heap would hide every
+    event behind it (``nan <= stop_at`` is false), so every way onto the
+    queue rejects them with the comparison that rejects the past."""
+
+    ENTRY_POINTS = {
+        "schedule": lambda env, x: env.schedule(env.event(), delay=x),
+        "schedule_at": lambda env, x: env.schedule_at(env.event(), x),
+        "timeout": lambda env, x: env.timeout(x),
+        "timeout_at": lambda env, x: env.timeout_at(x),
+        "Timeout": lambda env, x: Timeout(env, x),  # timeout() with no freelist
+    }
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1.0"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejected_and_queue_untouched(self, env, entry, bad):
+        env.run(env.process(_sleep(env, 10.0)))  # now = 10, one recycled timeout
+        assert env._free_timeouts
+        fired = []
+        env.timeout(5.0).callbacks.append(fired.append)
+        scheduled = env.events_scheduled
+        with pytest.raises(SimulationError):
+            self.ENTRY_POINTS[entry](env, float(bad))
+        assert env.events_scheduled == scheduled
+        assert env.peek() == 15.0
+        env.run()
+        assert len(fired) == 1 and env.now == 15.0
+
+
 class TestProcess:
     def test_return_value(self, env):
         def proc():

@@ -1,10 +1,17 @@
-"""Wheel scheduler: ordering across the wheel/overflow boundary,
-timeout-freelist recycling, absolute-time scheduling, and counters."""
+"""Scheduler behaviour: dispatch order against the seed-heap oracle
+(:mod:`tests.sim.heapkernel`) for same-instant groups, near and far-future
+times and a schedule-at-now after an idle ``run(until=...)``;
+timeout-freelist recycling, absolute-time scheduling, and counters.
+
+The file and a few case names still say "wheel": the cases were written
+against the timer wheel the kernel once had, every one of them is a
+behaviour any scheduler owes, and their ids are pinned by the tier-1
+floor list.
+"""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.heapkernel import HeapEnvironment
 from repro.sim.kernel import (
     Environment,
     PRIORITY_LOW,
@@ -13,8 +20,10 @@ from repro.sim.kernel import (
     Timeout,
 )
 from repro.sim.resources import Store
+from tests.sim.heapkernel import HeapEnvironment
 
-#: One full wheel window (_WHEEL_BUCKETS * _BUCKET_NS).
+#: ~131 us, the retired wheel's window: times below it are the verb- and
+#: persist-scale delays, multiples of it the far-future timers.
 WINDOW = 1024 * 128.0
 
 
@@ -32,8 +41,8 @@ def _dispatch_order(env_cls, schedule):
 
 class TestBoundaryOrdering:
     def test_wheel_and_heap_agree_across_horizon(self):
-        """Same-timestamp groups on both sides of the wheel horizon keep
-        the exact (time, priority, sequence) order the heap produces."""
+        """Same-timestamp groups around ``WINDOW`` keep the exact
+        (time, priority, sequence) order the oracle produces."""
         sched = []
         stamps = (0.0, 100.0, WINDOW - 1.0, WINDOW, WINDOW + 1.0, WINDOW * 3)
         for i, base in enumerate(stamps):
@@ -41,14 +50,13 @@ class TestBoundaryOrdering:
             sched.append((base, PRIORITY_URGENT, f"u{i}"))
             sched.append((base, PRIORITY_NORMAL, f"n{i}b"))
             sched.append((base, PRIORITY_LOW, f"l{i}"))
-        wheel = _dispatch_order(Environment, sched)
-        heap = _dispatch_order(HeapEnvironment, sched)
-        assert wheel == heap
-        assert wheel[:4] == ["u0", "n0", "n0b", "l0"]
+        order = _dispatch_order(Environment, sched)
+        assert order == _dispatch_order(HeapEnvironment, sched)
+        assert order[:4] == ["u0", "n0", "n0b", "l0"]
 
     def test_overflow_migration_preserves_order(self):
-        """Entries that migrate from the overflow heap into wheel buckets
-        dispatch in exactly the order the plain heap produces."""
+        """Two hundred scattered times, most of them far beyond
+        ``WINDOW``, dispatch in exactly the order the oracle produces."""
         sched = [
             (float((k * 37) % 5000) * 100.0, PRIORITY_NORMAL, k)
             for k in range(200)
@@ -59,9 +67,9 @@ class TestBoundaryOrdering:
 
     def test_schedule_behind_cursor_after_idle_run(self):
         """A schedule at ``now`` right after run(until=...) advanced the
-        clock past the cursor's bucket must still dispatch (and first)."""
+        clock past the last event must still dispatch (and first)."""
         env = Environment()
-        env.timeout(WINDOW * 2.4)  # force cursor scans across the window
+        env.timeout(WINDOW * 2.4)
         env.run(until=WINDOW * 2.5)
         order = []
         ev = env.event()
