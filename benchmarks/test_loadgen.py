@@ -10,8 +10,8 @@ not asserted; interpreter noise swamps it on shared CI runners).
 from dataclasses import replace
 
 from benchmarks.conftest import scaled
-from repro.loadgen.bench import load_cell_spec
 from repro.loadgen.engine import run_load
+from tests.harness.cells import load_cell_spec
 
 CLIENTS = 1000
 

@@ -1,7 +1,7 @@
 """The run scaffold every experiment driver stands on.
 
 A driver (closed-loop run, crash experiment, crash-point matrix, chaos
-run, open-loop load run, microbench cell) owns its op loop, rng stream
+run, open-loop load run, fixed test cell) owns its op loop, rng stream
 names, spec and report. What surrounds the loop is written here once:
 size the log pool, deploy the store, preload the keys, let the
 background machinery settle, recover after a crash. The consistency

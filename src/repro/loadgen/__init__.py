@@ -1,7 +1,6 @@
 """Open-loop multi-tenant load engine (thousand-client scale-out)."""
 
 from repro.loadgen.arrivals import ArrivalCurve
-from repro.loadgen.bench import load_cell_spec, run_load_bench_suite
 from repro.loadgen.engine import LoadReport, LoadSpec, TenantResult, run_load
 from repro.loadgen.tenants import TenantSpec
 
@@ -11,7 +10,5 @@ __all__ = [
     "LoadSpec",
     "TenantResult",
     "TenantSpec",
-    "load_cell_spec",
     "run_load",
-    "run_load_bench_suite",
 ]

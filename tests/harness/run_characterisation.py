@@ -3,7 +3,9 @@
 One small cell per driver — closed-loop run, crash experiment, chaos run
 (every shipped plan, cluster-shaped where the plan needs one, plus a
 ``--parity`` cell), crash-point matrix, open-loop load run, and the
-``harness/bench.py`` microbench cells — records the driver's report and,
+``bench/*`` cells of :mod:`tests.harness.cells` (single-client PUT,
+``put_many``, cached and uncached GET, the three cluster cells), which
+stand on the same scaffold — records the driver's report and,
 for every store the driver deployed along the way, the final ``env.now``
 (``float.hex``), ``events_processed`` and a SHA-256 of each server's NVM
 image. Deployments are observed by wrapping ``StoreSetup.start`` /
@@ -35,15 +37,20 @@ from pathlib import Path
 
 from repro.cluster.node import ClusterSetup
 from repro.faults.plans import NODE_KILL_PLANS, shipped_plan_names
-from repro.harness.bench import BenchSpec, bench_cell, run_cluster_bench_suite
 from repro.harness.chaos import ChaosSpec, run_chaos_experiment
 from repro.harness.crash import CrashSpec, run_crash_experiment
 from repro.harness.crashmatrix import CrashMatrixSpec, run_crash_matrix
 from repro.harness.runner import RunSpec, run_experiment
-from repro.loadgen import LoadSpec, TenantSpec, load_cell_spec, run_load
+from repro.loadgen import LoadSpec, TenantSpec, run_load
 from repro.mem.buffer import PersistentBuffer
 from repro.stores import StoreSetup, store_names
 from repro.workloads.ycsb import WORKLOADS, WorkloadSpec
+from tests.harness.cells import (
+    BenchSpec,
+    bench_cell,
+    load_cell_spec,
+    run_cluster_bench_suite,
+)
 
 FIXTURE = Path(__file__).with_name("run_characterisation.json")
 

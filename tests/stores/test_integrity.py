@@ -6,11 +6,13 @@ The integrity-tree mode adds end-to-end detection on the cache-warm
 
 import pytest
 
+from repro.core.config import integrity_overrides
 from repro.errors import ConfigError
 from repro.integrity import PARITY_PAGE, PoolIntegrity
 from repro.kv.hashtable import key_fingerprint
 from repro.kv.objects import HEADER_SIZE
 from tests.conftest import run1, small_store
+from tests.harness.cells import BenchSpec, bench_cell
 
 #: Scrubber + the integrity tier at the shipped defaults.
 PARITY = {
@@ -374,3 +376,20 @@ class TestRecoveryRebuild:
         stats = _wait_for_scrub(env, setup, "reconstructed")
         assert stats["reconstructed"] >= 1
         assert run1(env, c.get(_key(99), size_hint=64)) == b"H" * 64
+
+
+class TestPutOverhead:
+    def test_parity_put_overhead_within_budget(self):
+        """192 sequential 64 B PUTs with the tier off vs on: parity,
+        ledger and tree ride the background verifier, so the acked-PUT
+        path loses at most 15% of its simulated throughput (none,
+        measured) while the extra background work is really done."""
+        off = bench_cell(BenchSpec(bench="put", ops=192, value_len=64))
+        on = bench_cell(
+            BenchSpec(
+                bench="put", ops=192, value_len=64,
+                config_overrides=dict(integrity_overrides()),
+            )
+        )
+        assert on["ops_per_sec"] >= 0.85 * off["ops_per_sec"], (off, on)
+        assert on["events_processed"] > off["events_processed"]

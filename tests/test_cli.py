@@ -140,21 +140,3 @@ def test_crashmatrix(capsys, tmp_path):
     assert payload["violations"] == []
     assert payload["non_idempotent"] == []
     assert payload["total_points"] >= 1
-
-
-def test_bench_kernel(capsys, tmp_path):
-    path = tmp_path / "kernel.json"
-    rc = main(
-        [
-            "bench-kernel", "--verb-ops", "200", "--equiv-ops", "6",
-            "--out", str(path),
-        ]
-    )
-    assert rc == 0
-    assert "bit-identical" in capsys.readouterr().out
-    payload = json.loads(path.read_text())
-    assert payload["verb"]["sim_identical"]
-    assert payload["verb"]["fast"]["events_per_op"] < payload["verb"]["baseline"]["events_per_op"]
-    assert payload["equivalence"]["identical"]
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["bench-kernel", "--ping-events", "10"])
