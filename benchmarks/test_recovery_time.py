@@ -37,7 +37,7 @@ def _populate_and_crash(n_keys: int, value_len: int = 256, seed: int = 3):
 
     env.run(env.process(load()))
     # settle until the verifier drains
-    while setup.server.background.backlog:
+    while setup.server.backlog:
         env.run(until=env.now + 100_000)
     setup.server.stop()
     setup.fabric.crash_node(setup.server.node, np.random.default_rng(seed), 0.5)

@@ -39,7 +39,8 @@ def main() -> None:
     env.run(env.process(load()))
     env.run(until=env.now + 1_000_000)  # background verifier settles
 
-    old_pool = server.pools[server.write_pool_id]
+    part = server.partitions[0]  # the default server is one partition
+    old_pool = part.pools[part.write_pool_id]
     print("before cleaning:")
     print(f"  pool {old_pool.pool_id}: {old_pool.used:,} B used, "
           f"{len(old_pool.allocations)} objects "
@@ -59,8 +60,8 @@ def main() -> None:
     clean_proc = server.trigger_cleaning()
     env.run(env.all_of([churn_proc, clean_proc]))
 
-    stats = server.cleaner.stats
-    new_pool = server.pools[server.write_pool_id]
+    stats = part.cleaner.stats
+    new_pool = part.pools[part.write_pool_id]
     print("\nafter one cleaning cycle:")
     print(f"  moved {stats.moved} live objects ({stats.bytes_copied:,} B copied)")
     print(f"  skipped {stats.skipped_stale} stale versions, "

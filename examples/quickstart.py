@@ -56,7 +56,7 @@ def main() -> None:
     print(f"  GET during the read-write race (RPC+RDMA): {fmt_ns(latencies['get_fallback'])}")
     print(f"  GET once durable (pure RDMA, 2 reads):     {fmt_ns(latencies['get_pure'])}")
     print(f"  bob's read paths: {bob.read_stats()}")
-    print(f"  background verifier: {setup.server.background.stats()}")
+    print(f"  background verifier: {setup.server.metrics()['verifier']}")
 
 
 if __name__ == "__main__":

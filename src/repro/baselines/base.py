@@ -11,8 +11,10 @@ that code base. It provides:
   two log pools per partition), the SEND-based-RPC dispatch loop, and
   session management.  The server is a composition of
   :class:`~repro.baselines.partition.Partition` objects behind a
-  deterministic key→partition router; the default ``num_partitions=1``
-  reproduces the paper's single-threaded server exactly;
+  deterministic key→partition router, and ``server.partitions`` is the
+  only way into table, pool and object state; the default
+  ``num_partitions=1`` reproduces the paper's single-threaded server
+  exactly;
 * :class:`BaseClient` — connection setup (obtaining rkeys and geometry,
   §4.3), the client half of the client-active PUT, pure-RDMA GET
   helpers (partition-aware: the route is computed locally from the key
@@ -49,12 +51,7 @@ from repro.kv.hashtable import (
     partition_of_fp,
 )
 from repro.kv.logpool import LogPool
-from repro.kv.objects import (
-    FLAG_VALID,
-    HEADER_SIZE,
-    ObjectImage,
-    parse_object,
-)
+from repro.kv.objects import HEADER_SIZE, ObjectImage, parse_object
 from repro.nvm.device import NVMDevice, NVMTiming
 from repro.rdma.fabric import Fabric, Node
 from repro.rdma.mr import MemoryRegion
@@ -115,7 +112,6 @@ class StoreConfig:
     table_buckets: int = 8192
     slots_per_bucket: int = 4
     probe_limit: int = 4
-    hopscotch_neighborhood: int = 8  # Erda only
 
     # partitioning (1 = the paper's single-threaded server, bit-for-bit)
     num_partitions: int = 1
@@ -246,7 +242,6 @@ class ClientSession:
 
     session_id: int
     table_rkey: int
-    pool_rkeys: tuple[int, ...]  # partition 0 (compat shortcut)
     geometry: HashTableGeometry  # one partition's table segment
     server_ep: Endpoint  # server-side endpoint toward the client
     num_partitions: int = 1
@@ -391,29 +386,9 @@ class BaseServer:
     def partition_for_key(self, key: bytes) -> Partition:
         return self.partition_for_fp(key_fingerprint(key))
 
-    # -- partition-0 compatibility views -------------------------------------
-    # The monolith's attributes remain valid names for the first (and,
-    # by default, only) partition, so single-partition code and tests
-    # read exactly the state they always did.
-    @property
-    def table(self) -> Any:
-        return self.partitions[0].table
-
-    @property
-    def pools(self) -> list[LogPool]:
-        return self.partitions[0].pools
-
-    @property
-    def pool_mrs(self) -> list[MemoryRegion]:
-        return self.partitions[0].pool_mrs
-
-    @property
-    def write_pool_id(self) -> int:
-        return self.partitions[0].write_pool_id
-
-    @write_pool_id.setter
-    def write_pool_id(self, pool_id: int) -> None:
-        self.partitions[0].write_pool_id = pool_id
+    def lookup_slot(self, key: bytes) -> Optional[tuple[int, Optional[Slot], Optional[Slot]]]:
+        """(entry_off, cur, alt) for ``key`` on its partition (state only)."""
+        return self.partition_for_key(key).lookup_slot(key)
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -431,7 +406,6 @@ class BaseServer:
         session = ClientSession(
             session_id=next(self._session_ids),
             table_rkey=self.table_mr.rkey,
-            pool_rkeys=tuple(mr.rkey for mr in self.partitions[0].pool_mrs),
             geometry=self.config.partition_geometry,
             server_ep=ep.peer,
             num_partitions=len(self.partitions),
@@ -557,67 +531,8 @@ class BaseServer:
         nbytes = RESPONSE_BYTES + BATCH_RESPONSE_ITEM_BYTES * max(0, len(reqs) - 1)
         return {"results": results}, nbytes
 
-    def alloc_object(
-        self,
-        key: bytes,
-        vlen: int,
-        crc: int,
-        *,
-        publish: bool = True,
-        flags: int = FLAG_VALID,
-    ) -> Generator[Event, Any, tuple[ObjectLocation, int]]:
-        """Allocate on the key's partition (see
-        :meth:`repro.baselines.partition.Partition.alloc_object`)."""
-        part = self.partition_for_key(key)
-        return (
-            yield from part.alloc_object(key, vlen, crc, publish=publish, flags=flags)
-        )
-
     def on_allocated(self, part: Partition, loc: ObjectLocation, entry_off: int) -> None:
         """Subclass hook (eFactory feeds its background verifier)."""
-
-    # -- partition-0 object helpers (compat; core code uses Partition) ---------
-    def publish_object(
-        self, entry_off: int, loc: ObjectLocation
-    ) -> Generator[Event, Any, None]:
-        yield from self.partitions[0].publish_object(entry_off, loc)
-
-    def persist_header(
-        self, loc: ObjectLocation, klen: int
-    ) -> Generator[Event, Any, None]:
-        yield from self.partitions[0].persist_header(loc, klen)
-
-    def persist_entry_timed(self, entry_off: int) -> Generator[Event, Any, None]:
-        yield from self.partitions[0].persist_entry_timed(entry_off)
-
-    def read_object(self, loc: ObjectLocation) -> ObjectImage:
-        """Instant state read of an object (timing charged by caller)."""
-        return self.partitions[0].read_object(loc)
-
-    def object_value_ok(self, img: ObjectImage) -> bool:
-        """Functional CRC verification (the *time* is charged by caller
-        via ``config.crc_cost``)."""
-        return (
-            img.well_formed
-            and img.vlen == len(img.value)
-            and crc32_fast(img.value) == img.crc
-        )
-
-    def persist_object(self, loc: ObjectLocation) -> Generator[Event, Any, None]:
-        yield from self.partitions[0].persist_object(loc)
-
-    def set_object_flags(self, loc: ObjectLocation, flags: int) -> None:
-        self.partitions[0].set_object_flags(loc, flags)
-
-    def mark_durable(self, loc: ObjectLocation, img: ObjectImage) -> None:
-        self.partitions[0].mark_durable(loc, img)
-
-    def lookup_slot(self, key: bytes) -> Optional[tuple[int, Optional[Slot], Optional[Slot]]]:
-        """(entry_off, cur, alt) for ``key`` on its partition (state only)."""
-        return self.partition_for_key(key).lookup_slot(key)
-
-    def _previous_location(self, loc: ObjectLocation) -> Optional[ObjectLocation]:
-        return self.partitions[0].previous_location(loc)
 
 
 class BaseClient:
@@ -659,9 +574,7 @@ class BaseClient:
         return partition_of_fp(fp, self.session.num_partitions)
 
     def _pool_rkey(self, part: int, pool: int) -> int:
-        if self.session.partition_pool_rkeys:
-            return self.session.partition_pool_rkeys[part][pool]
-        return self.session.pool_rkeys[pool]
+        return self.session.partition_pool_rkeys[part][pool]
 
     def _note_part(self, part: int) -> None:
         """Tag the next verb with its partition for fault injection
@@ -761,19 +674,6 @@ class BaseClient:
     def _notification_loop(self) -> Generator[Event, Any, None]:
         while True:
             msg = yield self.node.srq.get(self._is_cleaning_notice)
-            yield from self._handle_cleaning_notice(msg)
-
-    def poll_notifications(self) -> Generator[Event, Any, None]:
-        """Drain pending server notifications.
-
-        Kept for call-site symmetry (the listener process normally
-        handles notices the moment they arrive); a direct call still
-        works when the listener is somehow behind.
-        """
-        while True:
-            ok, msg = self.node.srq.try_get(self._is_cleaning_notice)
-            if not ok:
-                return
             yield from self._handle_cleaning_notice(msg)
 
     def _handle_cleaning_notice(self, msg: Message) -> Generator[Event, Any, None]:

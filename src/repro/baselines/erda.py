@@ -64,12 +64,7 @@ class ErdaServer(BaseServer):
         return self.config.table_buckets * ERDA_ENTRY_SIZE
 
     def _make_table(self, part: int = 0) -> HopscotchTable:
-        return HopscotchTable(
-            self.device,
-            0,
-            self.config.table_buckets,
-            H=self.config.hopscotch_neighborhood,
-        )
+        return HopscotchTable(self.device, 0, self.config.table_buckets)
 
     def _register_handlers(self) -> None:
         self.rpc.register("alloc", self._handle_alloc)
@@ -79,7 +74,8 @@ class ErdaServer(BaseServer):
         p = msg.payload
         key: bytes = p["key"]
         vlen: int = p["vlen"]
-        pool = self.pools[0]
+        table: HopscotchTable = self.partitions[0].table
+        pool = self.partitions[0].pools[0]
         size = object_size(len(key), vlen)
         yield self.env.timeout(cfg.alloc_ns)
         try:
@@ -89,7 +85,7 @@ class ErdaServer(BaseServer):
 
         yield self.env.timeout(cfg.index_ns)
         fp = _fp(key)
-        prior = self.table.lookup(fp)
+        prior = table.lookup(fp)
         pre_ptr = (
             pack_ptr(0, prior[1].off1)
             if prior is not None and prior[1].off1 is not None
@@ -107,7 +103,7 @@ class ErdaServer(BaseServer):
         pool.write(offset, header + key)
 
         yield self.env.timeout(cfg.entry_update_ns)
-        self.table.insert_or_update(fp, offset)
+        table.insert_or_update(fp, offset)
         return (
             {
                 "pool": 0,
@@ -140,8 +136,7 @@ class ErdaClient(BaseClient):
         """
         if size_hint is None:
             raise StoreError("Erda GET requires a value-size hint")
-        server: ErdaServer = self.server  # type: ignore[assignment]
-        table: HopscotchTable = server.table
+        table: HopscotchTable = self.server.partitions[0].table
         fp = _fp(key)
         n_off, n_len = table.neighborhood_offset(fp)
         raw = yield from self.ep.read(self.session.table_rkey, n_off, n_len)

@@ -20,9 +20,10 @@ server core's worth of state:
   1`` so the single-partition event sequence is bit-for-bit the
   monolith's).
 
-All object-path helpers that used to live on ``BaseServer`` (allocate,
-publish, persist, lookup, read) live here at partition scope;
-``BaseServer`` keeps thin partition-0 delegates for compatibility.
+Every object-path helper (allocate, publish, persist, settle, lookup,
+read) lives here at partition scope, and ``server.partitions`` is the
+only way to reach them: ``BaseServer`` has no partition-0 shortcuts,
+so code reads the same at ``num_partitions == 1`` as at N.
 """
 
 from __future__ import annotations
@@ -322,6 +323,26 @@ class Partition:
         self.set_object_flags(loc, img.flags | FLAG_DURABLE)
         # the flag itself must be durable before pure-RDMA readers trust it
         self.device.flush(self.pools[loc.pool].abs_addr(loc.offset), 8)
+
+    def settle_verified(
+        self, loc: ObjectLocation, img: ObjectImage
+    ) -> Generator[Event, Any, None]:
+        """Persist one CRC-verified object and set its durability flag
+        (the verifier's one-object step and the GET path's inline
+        settle). With the integrity tier on, the verified pre-persist
+        bytes are snapshotted first — if the settling persist itself
+        corrupts the media, they are what parity must cover so the
+        scrubber can reconstruct the good image — and folded into
+        parity + ledger after the flag, as a one-object batch."""
+        raw = (
+            bytes(self.pools[loc.pool].read(loc.offset, loc.size))
+            if self.integrity is not None
+            else None
+        )
+        yield from self.persist_object(loc)
+        self.mark_durable(loc, img)
+        if self.integrity is not None:
+            yield from self.integrity.settle_batch([(loc, raw)])
 
     def lookup_slot(
         self, key: bytes

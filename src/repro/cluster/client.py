@@ -36,6 +36,7 @@ from repro.errors import OperationTimeout, QPError
 from repro.kv.hashtable import key_fingerprint, partition_of_fp
 from repro.rdma.rpc import ERR_FENCED, RpcFault
 from repro.sim.kernel import Environment, Event
+from repro.util import sum_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import Cluster
@@ -207,19 +208,12 @@ class ClusterClient:
         return (yield from self._routed_op(part, attempt, "delete"))
 
     # -- surface shared with BaseClient (harness compatibility) --------------
-    def poll_notifications(self) -> Generator[Event, Any, None]:
-        for sub in self.subs:
-            yield from sub.poll_notifications()
-
     @property
     def degraded_reads(self) -> int:
         return sum(sub.degraded_reads for sub in self.subs)
 
     def read_stats(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for sub in self.subs:
-            for k, v in sub.read_stats().items():
-                out[k] = out.get(k, 0) + v
+        out = sum_counters(sub.read_stats() for sub in self.subs)
         out["rerouted"] = self.rerouted_ops
         out["route_waits"] = self.route_waits
         return out

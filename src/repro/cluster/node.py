@@ -44,6 +44,7 @@ from repro.rdma.rpc import (
 )
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Environment, Event, Interrupt
+from repro.util import sum_counters
 
 __all__ = ["Cluster", "ClusterNode", "ClusterSetup", "build_cluster"]
 
@@ -304,7 +305,7 @@ class ClusterNode:
             ),
             "shipped_bytes": sum(s.shipped_bytes for s in self.shippers.values()),
             "repl_lag_bytes": sum(s.lag_bytes for s in self.shippers.values()),
-            "scrub": self.server.scrubber.stats(),
+            "scrub": sum_counters(p.scrubber.stats() for p in self.server.partitions),
             "failovers": c.failovers,
             "promotions": c.promotions,
             "migrations": c.migrations,

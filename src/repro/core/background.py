@@ -14,17 +14,17 @@ request CPU. Coordination with the GET handler is exactly the paper's:
 the durability flag lets each side skip objects the other already
 persisted.
 
-With a partitioned server every partition runs its own verifier over
-its own log pools (the same range-sharding Pangolin applies to its
-checksum workers); :class:`VerifierGroup` aggregates them behind the
-single-verifier interface.
+Every partition runs its own verifier over its own log pools (the same
+range-sharding Pangolin applies to its checksum workers), reached as
+``server.partitions[i].verifier``; ``server.metrics()["verifier"]`` is
+their per-key sum.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Generator
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 from repro.baselines.base import ObjectLocation, Partition
 from repro.kv.objects import FLAG_VALID
@@ -33,17 +33,15 @@ from repro.sim.kernel import Event, Interrupt, Process
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.server import EFactoryServer
 
-__all__ = ["BackgroundVerifier", "VerifierGroup"]
+__all__ = ["BackgroundVerifier"]
 
 
 class BackgroundVerifier:
     """One partition's background verify-and-persist thread."""
 
-    def __init__(
-        self, server: "EFactoryServer", partition: Optional[Partition] = None
-    ) -> None:
+    def __init__(self, server: "EFactoryServer", partition: Partition) -> None:
         self.server = server
-        self.part = partition if partition is not None else server.partitions[0]
+        self.part = partition
         self.env = server.env
         #: Freshly allocated objects in log order.
         self.queue: deque[ObjectLocation] = deque()
@@ -269,16 +267,8 @@ class BackgroundVerifier:
         yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
         self.verified += 1
         if part.object_value_ok(img):
-            raw = (
-                bytes(part.pools[loc.pool].read(loc.offset, loc.size))
-                if part.integrity is not None
-                else None
-            )
-            yield from part.persist_object(loc)
-            part.mark_durable(loc, img)
+            yield from part.settle_verified(loc, img)
             self.persisted += 1
-            if part.integrity is not None:
-                yield from part.integrity.settle_batch([(loc, raw)])
             return
         yield from self._retry_or_invalidate(loc, img)
 
@@ -314,39 +304,3 @@ class BackgroundVerifier:
             "coalesced_flushes": self.coalesced_flushes,
             "wakeups": self.wakeups,
         }
-
-
-class VerifierGroup:
-    """The partitioned server's verifiers behind the monolith interface."""
-
-    def __init__(self, verifiers: list[BackgroundVerifier]) -> None:
-        self.verifiers = list(verifiers)
-
-    @property
-    def backlog(self) -> int:
-        return sum(v.backlog for v in self.verifiers)
-
-    def start(self) -> None:
-        for v in self.verifiers:
-            v.start()
-
-    def stop(self) -> None:
-        for v in self.verifiers:
-            v.stop()
-
-    def stats(self) -> dict[str, int]:
-        out = {
-            "verified": 0,
-            "persisted": 0,
-            "invalidated": 0,
-            "skipped": 0,
-            "requeued": 0,
-            "backlog": 0,
-            "batches": 0,
-            "coalesced_flushes": 0,
-            "wakeups": 0,
-        }
-        for v in self.verifiers:
-            for key, value in v.stats().items():
-                out[key] += value
-        return out

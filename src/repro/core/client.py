@@ -41,6 +41,10 @@ from repro.util import LruMap
 
 __all__ = ["EFactoryClient"]
 
+#: Bound on the adaptive-read skip map (entries, LRU-evicted), so it
+#: cannot grow without bound under churn.
+ADAPTIVE_SKIP_CAP = 4096
+
 
 class EFactoryClient(BaseClient):
     def __init__(self, env, server, name: str) -> None:
@@ -66,9 +70,9 @@ class EFactoryClient(BaseClient):
         self.tree_rejects = 0
         #: adaptive-read extension: key -> time until which the pure
         #: attempt is skipped (set after a fallback on that key).
-        #: Bounded: LRU-evicted past ``adaptive_skip_cap`` entries, and
+        #: Bounded: LRU-evicted past ``ADAPTIVE_SKIP_CAP`` entries, and
         #: expired entries are swept opportunistically on insert.
-        self._skip_until: LruMap = LruMap(cfg.adaptive_skip_cap)
+        self._skip_until: LruMap = LruMap(ADAPTIVE_SKIP_CAP)
 
     # -- PUT (Figure 5) ------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> Generator[Event, Any, None]:
@@ -178,9 +182,7 @@ class EFactoryClient(BaseClient):
         describes the *dead* node's layout — and unlike an overwrite or
         delete, the image-staleness check never runs because the READ
         itself faults. Drop everything cached."""
-        cfg: EFactoryConfig = self.config  # type: ignore[assignment]
-        if cfg.loc_cache_flush_on_reconnect:
-            self._loc_cache.clear()
+        self._loc_cache.clear()
 
     def _try_pure_read(
         self, key: bytes, part: int = 0

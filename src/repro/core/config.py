@@ -61,16 +61,6 @@ class EFactoryConfig(StoreConfig):
     #: two-READ path and drops the entry).  0 (default) disables the
     #: cache, preserving the seed's event sequence bit-for-bit.
     loc_cache_size: int = 0
-    #: Drop every cached location when the client re-establishes its QP
-    #: after a fault.  A reconnect often means the far end changed (node
-    #: failover repoints the route), so cached (partition, slot) pairs
-    #: may describe a dead primary; the image-staleness check cannot
-    #: catch that — the READ itself fails.  Default-equivalent: with the
-    #: cache disabled (size 0) there is nothing to flush.
-    loc_cache_flush_on_reconnect: bool = True
-    #: Bound on the adaptive-read skip map (entries, LRU-evicted).  The
-    #: map previously grew without bound under churn.
-    adaptive_skip_cap: int = 4096
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -78,8 +68,6 @@ class EFactoryConfig(StoreConfig):
             raise ConfigError("recv_batching must be in (0, 1]")
         if self.loc_cache_size < 0:
             raise ConfigError("loc_cache_size must be >= 0")
-        if self.adaptive_skip_cap < 1:
-            raise ConfigError("adaptive_skip_cap must be >= 1")
 
     @property
     def effective_dispatch_ns(self) -> float:

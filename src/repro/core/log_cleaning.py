@@ -68,7 +68,7 @@ from repro.sim.kernel import Event, Interrupt, Process
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.server import EFactoryServer
 
-__all__ = ["LogCleaner", "CleanerGroup", "CleaningStats"]
+__all__ = ["LogCleaner", "CleaningStats"]
 
 #: Cleaner-core cost of scanning one object header during the sweep.
 _SCAN_NS = 120.0
@@ -132,11 +132,9 @@ def _apply_interference(server: "EFactoryServer") -> None:
 class LogCleaner:
     """Runs cleaning cycles on one partition's dedicated core."""
 
-    def __init__(
-        self, server: "EFactoryServer", partition: Optional[Partition] = None
-    ) -> None:
+    def __init__(self, server: "EFactoryServer", partition: Partition) -> None:
         self.server = server
-        self.part = partition if partition is not None else server.partitions[0]
+        self.part = partition
         self.env = server.env
         self.stats = CleaningStats()
         self._proc: Optional[Process] = None
@@ -467,29 +465,3 @@ class LogCleaner:
                 offset=prev_off_val,
                 size=object_size(nxt.klen, nxt.vlen),
             )
-
-
-class CleanerGroup:
-    """The partitioned server's cleaners behind the monolith interface."""
-
-    def __init__(self, cleaners: list[LogCleaner]) -> None:
-        self.cleaners = list(cleaners)
-
-    @property
-    def stats(self) -> CleaningStats:
-        merged = CleaningStats()
-        for cleaner in self.cleaners:
-            for name in CleaningStats.__slots__:
-                setattr(
-                    merged, name,
-                    getattr(merged, name) + getattr(cleaner.stats, name),
-                )
-        return merged
-
-    def note_ack(self) -> None:  # pragma: no cover - acks are routed per part
-        for cleaner in self.cleaners:
-            cleaner.note_ack()
-
-    def stop(self) -> None:
-        for cleaner in self.cleaners:
-            cleaner.stop()

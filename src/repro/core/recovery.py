@@ -381,13 +381,14 @@ def recover_erda(server) -> Generator[Event, Any, RecoveryReport]:
     survived natural eviction."""
     env = server.env
     t = server.config.nvm_timing
-    table: HopscotchTable = server.table
+    part = server.partitions[0]  # a hopscotch index is never sharded
+    table: HopscotchTable = part.table
     if not isinstance(table, HopscotchTable):
         raise RecoveryError("recover_erda needs a hopscotch-indexed server")
     report = RecoveryReport()
     start = env.now
 
-    pool = server.pools[0]
+    pool = part.pools[0]
     pool.allocations = scan_pool(pool)
     report.objects_scanned = len(pool.allocations)
     if pool.allocations:

@@ -36,9 +36,9 @@ the shipped pool extents record-by-record, CRC-verifying every settled
 record and repairing rot from local parity or by re-fetching the bytes
 from the partition's primary — symmetric replica-assisted repair.
 
-One scrubber per partition (the same sharding as the verifier);
-:class:`ScrubberGroup` aggregates them behind the single-scrubber
-interface. Paced by ``StoreConfig.scrub_interval_ns`` (0 = disabled,
+One scrubber per partition (the same sharding as the verifier), reached
+as ``server.partitions[i].scrubber``; ``server.metrics()["scrubber"]``
+is their per-key sum. Paced by ``StoreConfig.scrub_interval_ns`` (0 = disabled,
 the default — the paper's system has no scrubber).
 """
 
@@ -68,7 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import ClusterNode
     from repro.core.server import EFactoryServer
 
-__all__ = ["Scrubber", "ScrubberGroup"]
+__all__ = ["Scrubber"]
 
 #: Cycle/depth guard for rollback-chain walks over possibly-rotten
 #: pre_ptr links (mirrors recovery's cycle check).
@@ -93,11 +93,9 @@ _STAT_KEYS = (
 class Scrubber:
     """One partition's background CRC-scrub-and-repair thread."""
 
-    def __init__(
-        self, server: "EFactoryServer", partition: Optional[Partition] = None
-    ) -> None:
+    def __init__(self, server: "EFactoryServer", partition: Partition) -> None:
         self.server = server
-        self.part = partition if partition is not None else server.partitions[0]
+        self.part = partition
         self.env = server.env
         self._proc: Process | None = None
         self._cursor = 0  # entry index into this partition's segment
@@ -513,33 +511,3 @@ class Scrubber:
 
     def stats(self) -> dict[str, int]:
         return {key: getattr(self, key) for key in _STAT_KEYS}
-
-
-class ScrubberGroup:
-    """The partitioned server's scrubbers behind the monolith interface."""
-
-    def __init__(self, scrubbers: list[Scrubber]) -> None:
-        self.scrubbers = list(scrubbers)
-
-    def start(self) -> None:
-        for s in self.scrubbers:
-            s.start()
-
-    def stop(self) -> None:
-        for s in self.scrubbers:
-            s.stop()
-
-    @property
-    def active(self) -> bool:
-        return any(s.active for s in self.scrubbers)
-
-    @property
-    def laps(self) -> int:
-        return min((s.laps for s in self.scrubbers), default=0)
-
-    def stats(self) -> dict[str, int]:
-        out = {key: 0 for key in _STAT_KEYS}
-        for s in self.scrubbers:
-            for key, value in s.stats().items():
-                out[key] += value
-        return out

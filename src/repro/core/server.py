@@ -7,10 +7,11 @@ verification thread (§4.3.2), the RPC read path with the *selective
 durability guarantee* (§4.3.3 steps 6–8 / §5.3 "durability check first,
 CRC only if needed"), and the two-stage log cleaner (§4.4).
 
-With ``num_partitions > 1`` the server is a composition of independent
-partitions (own pools, table segment, verifier, cleaner — see
-``repro.baselines.partition``); every RPC handler routes by the key's
-fingerprint and runs under that partition's dispatch budget.
+The server is a composition of ``num_partitions`` independent partitions
+(own pools, table segment, verifier, cleaner, scrubber — see
+``repro.baselines.partition``), one by default; every RPC handler
+routes by the key's fingerprint and runs under that partition's
+dispatch budget.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from repro.baselines.base import (
     RESPONSE_BYTES,
     busy_error,
 )
-from repro.core.background import BackgroundVerifier, VerifierGroup
-from repro.core.scrub import Scrubber, ScrubberGroup
+from repro.core.background import BackgroundVerifier
+from repro.core.scrub import Scrubber
 from repro.core.config import EFactoryConfig, efactory_config
 from repro.kv.objects import FLAG_VALID
 from repro.rdma.fabric import Fabric
 from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Environment, Event
+from repro.util import sum_counters
 
 __all__ = ["EFactoryServer"]
 
@@ -52,22 +54,12 @@ class EFactoryServer(BaseServer):
         cfg: EFactoryConfig = self.config  # type: ignore[assignment]
         # Multiple receive regions -> cheaper per-message dispatch (§6.1).
         self.rpc.dispatch_ns = cfg.effective_dispatch_ns
-        from repro.core.log_cleaning import CleanerGroup, LogCleaner  # import cycle
+        from repro.core.log_cleaning import LogCleaner  # import cycle
 
         for part in self.partitions:
             part.verifier = BackgroundVerifier(self, part)
             part.cleaner = LogCleaner(self, part)
             part.scrubber = Scrubber(self, part)
-        # Monolith-compatible facades (the single-partition objects
-        # themselves when N == 1, aggregates otherwise).
-        if len(self.partitions) == 1:
-            self.background = self.partitions[0].verifier
-            self.cleaner = self.partitions[0].cleaner
-            self.scrubber = self.partitions[0].scrubber
-        else:
-            self.background = VerifierGroup([p.verifier for p in self.partitions])
-            self.cleaner = CleanerGroup([p.cleaner for p in self.partitions])
-            self.scrubber = ScrubberGroup([p.scrubber for p in self.partitions])
         #: Back-reference set by :class:`repro.cluster.ClusterNode` when
         #: this server is a member of a replicated cluster; None on
         #: standalone servers.
@@ -77,6 +69,18 @@ class EFactoryServer(BaseServer):
     def cleaning_active(self) -> bool:
         """True while *any* partition runs a cleaning cycle."""
         return any(p.cleaning_active for p in self.partitions)
+
+    @property
+    def backlog(self) -> int:
+        """Objects still queued for any partition's verifier."""
+        return sum(p.verifier.backlog for p in self.partitions)
+
+    @property
+    def background(self) -> "EFactoryServer":
+        """``background.backlog`` is :attr:`backlog`: the name the
+        benchmark's settle loop (``bench/driver.py``) reads. Delete once
+        that loop reads ``metrics()["verifier"]["backlog"]``."""
+        return self
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -96,14 +100,14 @@ class EFactoryServer(BaseServer):
     def metrics(self) -> dict[str, dict[str, int]]:
         """Aggregated background-machinery counters (one dict per
         subsystem, partition-summed)."""
-        cs = self.cleaner.stats() if callable(self.cleaner.stats) else self.cleaner.stats
+        parts = self.partitions
         fastpath = self.fabric.fastpath_ops
         total_ops = fastpath + self.fabric.fallback_ops
         processed = self.env.events_processed
         out = {
-            "verifier": self.background.stats(),
-            "cleaner": {name: getattr(cs, name) for name in type(cs).__slots__},
-            "scrubber": self.scrubber.stats(),
+            "verifier": sum_counters(p.verifier.stats() for p in parts),
+            "cleaner": sum_counters(p.cleaner.stats.as_dict() for p in parts),
+            "scrubber": sum_counters(p.scrubber.stats() for p in parts),
             "sim": {
                 "events_scheduled": self.env.events_scheduled,
                 "events_processed": processed,
@@ -117,17 +121,13 @@ class EFactoryServer(BaseServer):
             # consumer sees an unchanged dict shape.
             out["admission"] = {
                 "watermark": self.config.admission_watermark,
-                "admitted": sum(p.admitted_requests for p in self.partitions),
-                "shed": sum(p.shed_requests for p in self.partitions),
-                "peak_inflight": max(p.peak_inflight for p in self.partitions),
-                "inflight": sum(p.inflight for p in self.partitions),
+                "admitted": sum(p.admitted_requests for p in parts),
+                "shed": sum(p.shed_requests for p in parts),
+                "peak_inflight": max(p.peak_inflight for p in parts),
+                "inflight": sum(p.inflight for p in parts),
             }
-        if self.partitions[0].integrity is not None:
-            integ: dict[str, int] = {}
-            for part in self.partitions:
-                for key, value in part.integrity.stats().items():
-                    integ[key] = integ.get(key, 0) + value
-            out["integrity"] = integ
+        if self.config.parity_stripe_kb > 0:
+            out["integrity"] = sum_counters(p.integrity.stats() for p in parts)
         if self.cluster_node is not None:
             out["cluster"] = self.cluster_node.metrics()
         return out
@@ -220,17 +220,7 @@ class EFactoryServer(BaseServer):
         # reader is never blocked behind the background thread's cursor.
         yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
         if part.object_value_ok(img):
-            raw = (
-                bytes(part.pools[loc.pool].read(loc.offset, loc.size))
-                if part.integrity is not None
-                else None
-            )
-            yield from part.persist_object(loc)
-            part.mark_durable(loc, img)
-            if part.integrity is not None:
-                # Request-path settle: cover + flush inline, same as a
-                # one-object verifier batch.
-                yield from part.integrity.settle_batch([(loc, raw)])
+            yield from part.settle_verified(loc, img)
             return loc
         return None
 

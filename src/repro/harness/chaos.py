@@ -35,6 +35,7 @@ from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 from repro.stores import STORES
+from repro.util import sum_counters
 from repro.workloads.keyspace import make_key, make_value
 
 __all__ = ["ChaosSpec", "ChaosReport", "run_chaos_experiment"]
@@ -215,7 +216,6 @@ def run_chaos_experiment(
         rng = rngs.stream(f"chaos.client{i}")
         my_keys = [k for k in range(spec.key_count) if k % spec.n_clients == i]
         for _ in range(spec.ops_per_client):
-            yield from client.poll_notifications()
             do_put = bool(my_keys) and rng.random() < spec.put_fraction
             stats["attempted"] += 1
             try:
@@ -277,8 +277,8 @@ def run_chaos_experiment(
     # Raw slot reads would misreport legitimately-invalidated versions
     # (publish-on-alloc indexes not-yet-durable objects); the advertised
     # guarantee is about what GET *returns*, so that is what we check.
-    scrubber = getattr(setup.server, "scrubber", None)
-    scrub_active = scrubber is not None and getattr(scrubber, "active", False)
+    scrubbers = [p.scrubber for p in setup.server.partitions if p.scrubber is not None]
+    scrub_active = any(sc.active for sc in scrubbers)
     violations: list[str] = []
     weaknesses: list[str] = []
 
@@ -317,15 +317,13 @@ def run_chaos_experiment(
     # -- repair-outcome accounting (every node's scrubber + device) -----------
     all_servers = list(getattr(setup, "servers", None) or [setup.server])
     repair: dict[str, int] = {}
-    integrity: dict[str, int] = {}
     if media_plan:
-        totals: dict[str, int] = {}
-        for srv in all_servers:
-            sc = getattr(srv, "scrubber", None)
-            if sc is None:
-                continue
-            for name, count in sc.stats().items():
-                totals[name] = totals.get(name, 0) + count
+        totals = sum_counters(
+            part.scrubber.stats()
+            for srv in all_servers
+            for part in srv.partitions
+            if part.scrubber is not None
+        )
         repair = {
             "media_faults": sum(s.device.media_faults for s in all_servers),
             "detected": totals.get("corrupt_found", 0),
@@ -338,12 +336,12 @@ def run_chaos_experiment(
                 getattr(c, "tree_rejects", 0) for c in setup.clients
             ),
         }
-    for srv in all_servers:
-        for part in getattr(srv, "partitions", ()):
-            if getattr(part, "integrity", None) is None:
-                continue
-            for name, count in part.integrity.stats().items():
-                integrity[name] = integrity.get(name, 0) + count
+    integrity = sum_counters(
+        part.integrity.stats()
+        for srv in all_servers
+        for part in srv.partitions
+        if part.integrity is not None
+    )
 
     return ChaosReport(
         spec=spec,
@@ -360,7 +358,7 @@ def run_chaos_experiment(
         degraded_reads=degraded,
         wall_ns=wall_ns,
         trace_counts=tracer.counts() if tracer is not None else {},
-        scrub=dict(scrubber.stats()) if scrubber is not None else {},
+        scrub=sum_counters(sc.stats() for sc in scrubbers),
         repair=repair,
         integrity=integrity,
         cluster=cluster_metrics,

@@ -157,17 +157,17 @@ def read_value_state(server, key: bytes) -> Optional[bytes]:
     pattern check audits it as exactly the torn value a client would
     see. A direct durable-state read: no simulated time passes.
     """
-    if isinstance(server.table, HopscotchTable):
-        found = server.table.lookup(key_fingerprint(key))
+    part = server.partition_for_key(key)
+    if isinstance(part.table, HopscotchTable):
+        found = part.table.lookup(key_fingerprint(key))
         if found is None or found[1].off1 is None:
             return None
         off = found[1].off1
-        hdr = parse_header(server.pools[0].read(off, HEADER_SIZE))
+        hdr = parse_header(part.pools[0].read(off, HEADER_SIZE))
         if hdr is None:
             return None
-        raw = server.pools[0].read(off, object_size(hdr.klen, hdr.vlen))
+        raw = part.pools[0].read(off, object_size(hdr.klen, hdr.vlen))
     else:
-        part = server.partition_for_key(key)
         found = part.lookup_slot(key)
         slot = found and (found[1] or found[2])  # working slot, else the alt
         if slot is None:

@@ -112,7 +112,6 @@ def run_experiment(spec: RunSpec, post_setup=None) -> RunResult:
         rng = rngs.stream(f"client{i}")
         ops = w.client_stream(rng, spec.warmup_ops + spec.ops_per_client)
         for j, op in enumerate(ops):
-            yield from client.poll_notifications()
             measured = j >= spec.warmup_ops
             if measured:
                 state["start"][0] = min(state["start"][0], env.now)

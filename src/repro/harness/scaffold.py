@@ -103,13 +103,22 @@ def settle(
     servers = [
         s for s in getattr(setup, "servers", None) or [setup.server] if s.node.alive
     ]
-    backgrounds = [s.background for s in servers if hasattr(s, "background")]
-    scrubbers = [s.scrubber for s in servers if hasattr(s, "scrubber")]
-    want_laps = [sc.laps + scrub_laps if sc.active else 0 for sc in scrubbers]
+    efactory = [s for s in servers if isinstance(s, EFactoryServer)]
+    # Per server: it has made a lap once its slowest partition has, and
+    # it is scrubbing if any of its partitions is.
+    scrubbers = [[p.scrubber for p in s.partitions] for s in efactory]
+
+    def laps(scs: list) -> int:
+        return min(sc.laps for sc in scs)
+
+    want_laps = [
+        laps(scs) + scrub_laps if any(sc.active for sc in scs) else 0
+        for scs in scrubbers
+    ]
     while env.now < deadline:
         env.run(until=min(deadline, env.now + 50_000.0))
-        if not any(b.backlog for b in backgrounds) and all(
-            sc.laps >= want for sc, want in zip(scrubbers, want_laps)
+        if not any(s.backlog for s in efactory) and all(
+            laps(scs) >= want for scs, want in zip(scrubbers, want_laps)
         ):
             break
 
@@ -122,7 +131,6 @@ def recover(setup: StoreSetup) -> Optional[RecoveryReport]:
         return None
     if not server.node.alive:
         setup.fabric.restart_node(server.node)
-    procedure = (
-        recover_erda if isinstance(server.table, HopscotchTable) else recover_bucketized
-    )
+    hopscotch = isinstance(server.partitions[0].table, HopscotchTable)
+    procedure = recover_erda if hopscotch else recover_bucketized
     return setup.env.run(setup.env.process(procedure(server), name="recover"))

@@ -345,7 +345,6 @@ def run_load(spec: LoadSpec) -> LoadReport:
                     yield env.timeout_at(due)
                 else:
                     yield bat.wait_until(due)
-            yield from client.poll_notifications()
             gid = base + op.key_id
             key = make_key(gid, w.key_len)
             value = None

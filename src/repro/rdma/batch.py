@@ -16,8 +16,9 @@ shifts individual completion times, so batching is **default-off** and
 armed only by the open-loop load engine
 (:meth:`~repro.rdma.fabric.Fabric.enable_completion_batching`); with it
 off, every verb takes its usual ``timeout``/``timeout_at`` waits and
-fig1/fig2, the crash matrix, and the bench-kernel equivalence gate stay
-bit-identical. Determinism is unaffected either way: grid ticks and
+fig1/fig2, the crash matrix, and the pinned macro cell
+(``tests/harness/test_fastpath.py::TestExactEquivalence::
+test_macro_cell_same_ns_fewer_events``) stay bit-identical. Determinism is unaffected either way: grid ticks and
 registration order are pure functions of simulated execution.
 """
 

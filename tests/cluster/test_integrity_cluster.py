@@ -71,11 +71,11 @@ def _record_bytes(setup, node_id: int, part_id: int, cur) -> bytes:
 
 
 def _wait_for_scrub(env, setup, node_id: int, field: str, deadline_ns=200_000_000):
-    scrubber = setup.cluster.nodes[node_id].server.scrubber
+    server = setup.cluster.nodes[node_id].server
     deadline = env.now + deadline_ns
-    while env.now < deadline and scrubber.stats()[field] == 0:
+    while env.now < deadline and server.metrics()["scrubber"][field] == 0:
         env.run(until=env.now + 1_000_000)
-    return scrubber.stats()
+    return server.metrics()["scrubber"]
 
 
 class TestBackupScrubbing:
@@ -183,7 +183,7 @@ class TestPrimaryReplicaAssistedRepair:
         assert got0 == v0b  # the newest version survived, not a rollback
         assert got1 == v1
         # replica repair beat rollback: no version was discarded
-        assert setup.cluster.nodes[pid].server.scrubber.stats()["repaired"] == 0
+        assert setup.cluster.nodes[pid].server.metrics()["scrubber"]["repaired"] == 0
         setup.stop()
 
 

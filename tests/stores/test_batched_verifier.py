@@ -31,7 +31,7 @@ class TestEquivalence:
         results = {}
         for bg_batch in (1, 8):
             env, setup, c, items = _run_ingest(bg_batch)
-            stats = setup.server.background.stats()
+            stats = setup.server.metrics()["verifier"]
             assert stats["persisted"] == len(items)
             assert stats["backlog"] == 0
 
@@ -62,7 +62,7 @@ class TestEquivalence:
 
         run1(env, work())
         env.run(until=env.now + 400_000)
-        assert setup.server.background.stats()["invalidated"] == 1
+        assert setup.server.metrics()["verifier"]["invalidated"] == 1
 
 
 class TestAccounting:
@@ -78,7 +78,7 @@ class TestAccounting:
         items = [(_key(i), bytes([i]) * 64) for i in range(24)]
         run1(env, c.put_many(items))
         env.run(until=env.now + 3_000_000)
-        stats = setup.server.background.stats()
+        stats = setup.server.metrics()["verifier"]
         assert stats["persisted"] == len(items)
         assert stats["batches"] >= 1
         assert stats["wakeups"] >= 1
@@ -88,7 +88,7 @@ class TestAccounting:
 
     def test_unbatched_reports_zero_batches(self):
         env, setup, _c, _items = _run_ingest(bg_batch=1)
-        stats = setup.server.background.stats()
+        stats = setup.server.metrics()["verifier"]
         assert stats["batches"] == 0
         assert stats["coalesced_flushes"] == 0
         assert stats["wakeups"] == 0

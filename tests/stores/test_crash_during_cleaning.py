@@ -61,7 +61,7 @@ def _audit(setup):
         if slot is None:
             bad.append((i, "no slot"))
             continue
-        img = server.read_object(
+        img = server.partition_for_key(_key(i)).read_object(
             ObjectLocation(pool=slot.pool, offset=slot.offset, size=slot.size)
         )
         parsed = parse_value(img.value) if img.well_formed else None
@@ -122,7 +122,7 @@ def test_recovery_after_completed_cleaning_cycle():
     bad = _audit(setup)
     assert bad == [], bad
     # everything lives in the (new) working pool now
-    wp = setup.server.write_pool_id
+    wp = setup.server.partitions[0].write_pool_id
     for i in range(N_KEYS):
         _e, cur, _a = setup.server.lookup_slot(_key(i))
         assert cur.pool == wp

@@ -83,7 +83,7 @@ class TestStoreLevel:
         run1(env, work())
         found = setup.server.lookup_slot(KEY)
         cur = found[1]
-        pool = setup.server.pools[cur.pool]
+        pool = setup.server.partition_for_key(KEY).pools[cur.pool]
         # the *value* region arrived via DMA and is durable
         from repro.kv.objects import HEADER_SIZE
 

@@ -123,7 +123,6 @@ class TestDeleteIndexState:
 
         def drop():
             yield from c.delete(KEY)
-            yield from c.poll_notifications()
 
         run1(env, drop())
         part, found = _entry(setup.server, KEY)

@@ -112,7 +112,7 @@ class TestBackgroundVerifier:
 
         run1(env, work())
         env.run(until=env.now + 500_000)
-        stats = setup.server.background.stats()
+        stats = setup.server.metrics()["verifier"]
         assert stats["persisted"] == 5
         assert stats["backlog"] == 0
 
@@ -130,7 +130,7 @@ class TestBackgroundVerifier:
 
         run1(env, work())
         env.run(until=env.now + 3_000_000)
-        stats = setup.server.background.stats()
+        stats = setup.server.metrics()["verifier"]
         assert stats["skipped"] >= 1
 
     def test_timeout_invalidates_never_completed_write(self, env):
@@ -150,9 +150,9 @@ class TestBackgroundVerifier:
         loc = ObjectLocation(
             pool=resp["pool"], offset=resp["obj_off"], size=resp["size"]
         )
-        img = server.read_object(loc)
+        img = server.partitions[0].read_object(loc)
         assert not img.valid
-        assert server.background.stats()["invalidated"] == 1
+        assert server.metrics()["verifier"]["invalidated"] == 1
 
     def test_inflight_write_retried_not_invalidated(self, env):
         setup = small_store("efactory", env)
@@ -163,7 +163,7 @@ class TestBackgroundVerifier:
 
         run1(env, work())
         env.run(until=env.now + 500_000)
-        stats = setup.server.background.stats()
+        stats = setup.server.metrics()["verifier"]
         assert stats["invalidated"] == 0
         assert stats["persisted"] == 1
 
@@ -184,11 +184,12 @@ class TestVersionList:
         loc = ObjectLocation(
             pool=found[1].pool, offset=found[1].offset, size=found[1].size
         )
+        part = server.partition_for_key(KEY)
         seen = []
         while loc is not None:
-            img = server.read_object(loc)
+            img = part.read_object(loc)
             seen.append(img.value[:4])
-            loc = server._previous_location(loc)
+            loc = part.previous_location(loc)
         assert seen == [b"ver3", b"ver2", b"ver1", b"ver0"]
 
 

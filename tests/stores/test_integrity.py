@@ -50,7 +50,7 @@ def _settle(env, ns=800_000):
 
 
 def _wait_for_scrub(env, setup, field, deadline_ns=80_000_000):
-    scrubber = setup.server.scrubber
+    scrubber = setup.server.partitions[0].scrubber
     deadline = env.now + deadline_ns
     while env.now < deadline and scrubber.stats()[field] == 0:
         env.run(until=env.now + 1_000_000)
@@ -187,7 +187,7 @@ class TestReconstructingRepair:
         assert len(corrupted) >= 2  # the sweep spans several stripes
 
         deadline = env.now + 120_000_000
-        scrubber = setup.server.scrubber
+        scrubber = setup.server.partitions[0].scrubber
         while (
             env.now < deadline
             and scrubber.stats()["reconstructed"] < len(corrupted)
@@ -235,7 +235,7 @@ class TestReconstructingRepair:
         # key 50 rolled back to its intact older version; key 51 had no
         # older version left and was cleared (loud miss, never rot).
         deadline = env.now + 80_000_000
-        scrubber = setup.server.scrubber
+        scrubber = setup.server.partitions[0].scrubber
         while env.now < deadline and scrubber.stats()["repaired"] == 0:
             env.run(until=env.now + 1_000_000)
         stats = scrubber.stats()
@@ -324,18 +324,18 @@ class TestCleaningMigration:
         run1(env, load())
         _settle(env, 3_000_000)
 
-        old_wp = server.write_pool_id
+        part = server.partitions[0]
+        old_wp = part.write_pool_id
         new_pool_id = 1 - old_wp
         proc = server.trigger_cleaning()
         assert proc is not None
         # Pause mid-cycle: at least one object moved, cycle not finished.
         deadline = env.now + 50_000_000
-        while env.now < deadline and server.cleaner.stats.moved < 1:
+        while env.now < deadline and part.cleaner.stats.moved < 1:
             env.run(until=env.now + 10_000)
-        assert server.cleaner.stats.moved >= 1
+        assert part.cleaner.stats.moved >= 1
 
         # Rot the freshly-moved copy at its new home.
-        part = server.partitions[0]
         new_pool = part.pools[new_pool_id]
         moved = new_pool.allocations[0]
         setup.server.device.corrupt(

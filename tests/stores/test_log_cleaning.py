@@ -29,7 +29,7 @@ class TestCleaningCycle:
 
         proc = server.trigger_cleaning()
         env.run(proc)
-        assert server.cleaner.stats.cycles == 1
+        assert server.metrics()["cleaner"]["cycles"] == 1
 
         c = setup.client()
 
@@ -46,33 +46,35 @@ class TestCleaningCycle:
         setup = small_store("efactory", env)
         self._fill(env, setup, n_keys=10, versions=5)
         server = setup.server
-        old_pool = server.pools[server.write_pool_id]
+        (part,) = server.partitions
+        old_pool = part.pools[part.write_pool_id]
         used_before = old_pool.used
 
         proc = server.trigger_cleaning()
         env.run(proc)
-        new_pool = server.pools[server.write_pool_id]
+        new_pool = part.pools[part.write_pool_id]
         # 50 versions compacted to 10 live objects
         assert new_pool.used < used_before
         assert len(new_pool.allocations) == 10
-        assert server.cleaner.stats.moved == 10
-        assert server.cleaner.stats.skipped_stale == 40
+        assert part.cleaner.stats.moved == 10
+        assert part.cleaner.stats.skipped_stale == 40
 
     def test_write_pool_swapped(self, env):
         setup = small_store("efactory", env)
         self._fill(env, setup, n_keys=4)
         server = setup.server
-        before = server.write_pool_id
+        (part,) = server.partitions
+        before = part.write_pool_id
         env.run(server.trigger_cleaning())
-        assert server.write_pool_id == 1 - before
+        assert part.write_pool_id == 1 - before
         # old pool recycled
-        assert server.pools[before].used == 0
+        assert part.pools[before].used == 0
 
     def test_entries_point_to_new_pool_after_cleaning(self, env):
         setup = small_store("efactory", env)
         self._fill(env, setup, n_keys=8)
         server = setup.server
-        new_pool_id = 1 - server.write_pool_id
+        new_pool_id = 1 - server.partitions[0].write_pool_id
         env.run(server.trigger_cleaning())
         for i in range(8):
             found = server.lookup_slot(_key(i))
@@ -85,6 +87,7 @@ class TestCleaningCycle:
         setup = small_store("efactory", env)
         self._fill(env, setup, n_keys=6)
         server = setup.server
+        (part,) = server.partitions
         env.run(server.trigger_cleaning())
         for i in range(6):
             found = server.lookup_slot(_key(i))
@@ -92,9 +95,9 @@ class TestCleaningCycle:
 
             cur = found[1]
             loc = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
-            img = server.read_object(loc)
+            img = part.read_object(loc)
             assert img.durable
-            pool = server.pools[cur.pool]
+            pool = part.pools[cur.pool]
             assert server.device.is_persistent(pool.abs_addr(cur.offset), cur.size)
 
     def test_second_cycle_works(self, env):
@@ -104,7 +107,7 @@ class TestCleaningCycle:
         env.run(server.trigger_cleaning())
         self._fill(env, setup, n_keys=5)  # more garbage
         env.run(server.trigger_cleaning())
-        assert server.cleaner.stats.cycles == 2
+        assert server.metrics()["cleaner"]["cycles"] == 2
         c = setup.client()
 
         def check():
@@ -139,7 +142,6 @@ class TestConcurrentOperations:
                 latest[i] = value
                 got = yield from writer_c.get(_key(i), size_hint=64)
                 assert got == value, (round_, got[:8])
-                yield from writer_c.poll_notifications()
 
         churn_proc = env.process(churn())
         clean_proc = server.trigger_cleaning()
@@ -170,7 +172,6 @@ class TestConcurrentOperations:
             # poll until cleaning mode observed, then until restored
             saw_cleaning = False
             for _ in range(10_000):
-                yield from c.poll_notifications()
                 if c.cleaning_mode:
                     saw_cleaning = True
                 if saw_cleaning and not c.cleaning_mode:
@@ -197,7 +198,6 @@ class TestConcurrentOperations:
         def read_during():
             # wait until the notification arrives, then read
             while not c.cleaning_mode:
-                yield from c.poll_notifications()
                 yield env.timeout(500)
             before = c.fallback_reads
             yield from c.get(_key(0), size_hint=64)
@@ -217,7 +217,7 @@ class TestConcurrentOperations:
         p1 = setup.server.trigger_cleaning()
         assert setup.server.trigger_cleaning() is None
         env.run(p1)
-        assert setup.server.cleaner.stats.cycles == 1
+        assert setup.server.metrics()["cleaner"]["cycles"] == 1
 
 
 class TestAutoTrigger:
@@ -235,8 +235,7 @@ class TestAutoTrigger:
             # each object ~192B aligned; write until past the threshold
             for i in range(260):
                 yield from c.put(_key(i % 40), bytes([i % 256]) * 100)
-                yield from c.poll_notifications()
 
         run1(env, work())
         env.run(until=env.now + 2_000_000)
-        assert setup.server.cleaner.stats.cycles >= 1
+        assert setup.server.metrics()["cleaner"]["cycles"] >= 1

@@ -46,14 +46,15 @@ class TestRouting:
         assert hit == {0, 1, 2, 3}
 
     def test_single_partition_compat_facade(self, env):
-        """At N=1 the legacy monolithic attributes alias partition 0."""
+        """At N=1 the server is its one partition: state is reached only
+        through ``server.partitions``, with no monolith aliases on top."""
         setup = small_store("efactory", env)
         server = setup.server
         assert len(server.partitions) == 1
         part = server.partitions[0]
-        assert server.table is part.table
-        assert server.pools is part.pools
-        assert server.write_pool_id == part.write_pool_id
+        for name in ("table", "pools", "write_pool_id"):
+            assert not hasattr(server, name)
+            assert hasattr(part, name)
         # no RPC budget resource at N=1: zero extra yields on dispatch
         assert part.cpu is None
 
@@ -152,7 +153,6 @@ class TestPartitionLocalCleaning:
         def read_during():
             # wait until the client learns partition `target` is cleaning
             while not c.partition_cleaning(target):
-                yield from c.poll_notifications()
                 yield env.timeout(500)
             assert not c.partition_cleaning(other_part)
             pure0, fb0 = c.pure_reads, c.fallback_reads
@@ -192,7 +192,7 @@ class TestPartitionLocalCleaning:
         self._fill(env, setup)
         done = server.trigger_cleaning()
         env.run(done)
-        assert server.cleaner.stats.cycles == 2  # merged group stats
+        assert server.metrics()["cleaner"]["cycles"] == 2  # partition-summed
 
         c = setup.client()
 

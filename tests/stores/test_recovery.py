@@ -36,7 +36,7 @@ class TestScanPool:
 
         run1(env, work())
         env.run(until=env.now + 500_000)
-        pool = setup.server.pools[0]
+        pool = setup.server.partitions[0].pools[0]
         expected = [(a.offset, a.size) for a in pool.allocations]
         _crash(setup, evict=1.0)  # keep everything for a clean scan
         scanned = scan_pool(pool)
@@ -52,7 +52,7 @@ class TestScanPool:
 
         run1(env, work())
         env.run(until=env.now + 500_000)
-        pool = setup.server.pools[0]
+        pool = setup.server.partitions[0].pools[0]
         # corrupt the second object's magic
         second = pool.allocations[1]
         pool.write(second.offset, b"\xff\xff")
@@ -96,7 +96,7 @@ class TestBucketizedRecovery:
         loc = ObjectLocation(
             pool=found[1].pool, offset=found[1].offset, size=found[1].size
         )
-        img = server.read_object(loc)
+        img = server.partition_for_key(_key(1)).read_object(loc)
         assert parse_value(img.value) == (1, 1)
 
     def test_never_durable_key_cleared(self, env):
@@ -193,11 +193,11 @@ class TestErdaRecovery:
 
         run1(env, work2())
         # flush only metadata region (the table), not v2's data
-        server.device.buffer.flush(0, server.table.table_bytes)
+        server.device.buffer.flush(0, server.partitions[0].table.table_bytes)
         _crash(setup, evict=0.0)
         report = env.run(env.process(recover_erda(server)))
         assert report.keys_rolled_back == 1
-        found = server.table.lookup(key_fingerprint(_key(2)))
+        found = server.partitions[0].table.lookup(key_fingerprint(_key(2)))
         assert found[1].off1 is not None
 
     def test_unrecoverable_key_cleared(self, env):
@@ -210,11 +210,11 @@ class TestErdaRecovery:
 
         run1(env, work())
         # persist the index but none of the data
-        server.device.buffer.flush(0, server.table.table_bytes)
+        server.device.buffer.flush(0, server.partitions[0].table.table_bytes)
         _crash(setup, evict=0.0)
         report = env.run(env.process(recover_erda(server)))
         assert report.keys_lost == 1
-        found = server.table.lookup(key_fingerprint(_key(4)))
+        found = server.partitions[0].table.lookup(key_fingerprint(_key(4)))
         assert found is None or found[1].off1 is None
 
     def test_wrong_table_type_rejected(self, env):

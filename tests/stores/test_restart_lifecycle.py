@@ -88,4 +88,4 @@ def test_background_thread_restarts(env):
     run1(env, work())
     env.run(until=env.now + 1_000_000)
     # the (new) background thread verified and persisted the write
-    assert server.background.stats()["persisted"] >= 1
+    assert server.metrics()["verifier"]["persisted"] >= 1

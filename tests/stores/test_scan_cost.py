@@ -56,7 +56,8 @@ def test_recovery_decodes_per_live_key(env, decodes):
 
 def test_scrubber_lap_decodes_per_live_key(env, decodes):
     setup = _loaded_store(env, scrub_interval_ns=2_000.0)
-    scrubber = setup.server.scrubber
+    (part,) = setup.server.partitions
+    scrubber = part.scrubber
 
     def finish_lap():
         lap = scrubber.laps

@@ -31,11 +31,11 @@ def _settle(env, setup, ns=800_000):
 
 
 def _wait_for_scrub(env, setup, field, deadline_ns=80_000_000):
-    scrubber = setup.server.scrubber
+    server = setup.server
     deadline = env.now + deadline_ns
-    while env.now < deadline and scrubber.stats()[field] == 0:
+    while env.now < deadline and server.metrics()["scrubber"][field] == 0:
         env.run(until=env.now + 1_000_000)
-    return scrubber.stats()
+    return server.metrics()["scrubber"]
 
 
 class TestRepair:
@@ -105,7 +105,7 @@ class TestRepair:
         run1(env, work())
         _settle(env, setup)
         _wait_for_scrub(env, setup, "scrubbed")
-        stats = setup.server.scrubber.stats()
+        stats = setup.server.metrics()["scrubber"]
         assert stats["scrubbed"] >= 1
         assert stats["corrupt_found"] == 0
 
@@ -114,7 +114,7 @@ class TestWiring:
     def test_disabled_by_default(self, env):
         setup = small_store("efactory", env)
         assert setup.server.config.scrub_interval_ns == 0.0
-        assert not setup.server.scrubber.active
+        assert not any(p.scrubber.active for p in setup.server.partitions)
 
     def test_metrics_expose_scrub_counters(self, env):
         setup = small_store("efactory", env, **SCRUB)
@@ -136,5 +136,6 @@ class TestWiring:
         run1(env, work())
         _settle(env, setup)
         _wait_for_scrub(env, setup, "scrubbed")
-        assert setup.server.scrubber.active
-        assert len(setup.server.scrubber.scrubbers) == 4
+        scrubbers = {id(p.scrubber): p.scrubber for p in setup.server.partitions}
+        assert len(scrubbers) == 4
+        assert all(sc.active for sc in scrubbers.values())

@@ -16,11 +16,12 @@ def _object_loc(server, key):
     from repro.kv.hopscotch import HopscotchTable
     from repro.kv.objects import HEADER_SIZE, object_size, parse_header
 
-    if isinstance(server.table, HopscotchTable):
-        found = server.table.lookup(key_fingerprint(key))
+    part = server.partition_for_key(key)
+    if isinstance(part.table, HopscotchTable):
+        found = part.table.lookup(key_fingerprint(key))
         assert found is not None and found[1].off1 is not None
         off = found[1].off1
-        hdr = parse_header(server.pools[0].read(off, HEADER_SIZE))
+        hdr = parse_header(part.pools[0].read(off, HEADER_SIZE))
         return ObjectLocation(
             pool=0, offset=off, size=object_size(hdr.klen, hdr.vlen)
         )
@@ -32,7 +33,7 @@ def _object_loc(server, key):
 
 def _is_durable(server, key):
     loc = _object_loc(server, key)
-    pool = server.pools[loc.pool]
+    pool = server.partition_for_key(key).pools[loc.pool]
     return server.device.is_persistent(pool.abs_addr(loc.offset), loc.size)
 
 
@@ -72,7 +73,8 @@ class TestDurabilityPoint:
         assert not _is_durable(setup.server, KEY)  # ack preceded durability
         env.run(until=env.now + 200_000)  # let the background thread run
         assert _is_durable(setup.server, KEY)
-        img = setup.server.read_object(_object_loc(setup.server, KEY))
+        part = setup.server.partition_for_key(KEY)
+        img = part.read_object(_object_loc(setup.server, KEY))
         assert img.durable  # flag set too
 
 
@@ -134,11 +136,11 @@ class TestVerificationPlacement:
             yield from c.put(KEY, b"A" * 64)
             yield from c.put(KEY, b"B" * 64)
             # tear the latest version's value behind the index's back
-            found = server.table.lookup(key_fingerprint(KEY))
+            found = server.partitions[0].table.lookup(key_fingerprint(KEY))
             off1 = found[1].off1
             from repro.kv.objects import HEADER_SIZE
 
-            server.pools[0].write(off1 + HEADER_SIZE + len(KEY), b"X" * 10)
+            server.partitions[0].pools[0].write(off1 + HEADER_SIZE + len(KEY), b"X" * 10)
             return (yield from c.get(KEY, size_hint=64))
 
         assert run1(env, work()) == b"A" * 64  # rolled back to previous
@@ -153,9 +155,9 @@ class TestVerificationPlacement:
 
             yield from c.put(KEY, b"A" * 64)
             yield from c.put(KEY, b"B" * 64)
-            found = server.table.lookup(key_fingerprint(KEY))
+            found = server.partitions[0].table.lookup(key_fingerprint(KEY))
             for off in (found[1].off1, found[1].off2):
-                server.pools[0].write(off + HEADER_SIZE + len(KEY), b"X" * 8)
+                server.partitions[0].pools[0].write(off + HEADER_SIZE + len(KEY), b"X" * 8)
             yield from c.get(KEY, size_hint=64)
 
         with pytest.raises(CorruptObjectError):
@@ -198,7 +200,7 @@ class TestVerificationPlacement:
             yield from c.put(KEY, b"A" * 64)
             yield from c.put(KEY, b"B" * 64)
             loc = _object_loc(server, KEY)
-            server.pools[0].write(
+            server.partitions[0].pools[0].write(
                 loc.offset + HEADER_SIZE + len(KEY), b"X" * 8
             )
             return (yield from c.get(KEY, size_hint=64))
@@ -216,7 +218,7 @@ class TestVerificationPlacement:
 
             yield from c.put(KEY, b"GOOD" * 16)
             loc = _object_loc(server, KEY)
-            server.pools[0].write(loc.offset + HEADER_SIZE + len(KEY), b"EVIL")
+            server.partitions[0].pools[0].write(loc.offset + HEADER_SIZE + len(KEY), b"EVIL")
             return (yield from c.get(KEY, size_hint=64))
 
         value = run1(env, work())

@@ -72,7 +72,7 @@ def test_efactory_mixed_sizes_recovery(env):
     from repro.baselines.base import ObjectLocation
 
     cur = found[1]
-    img = server.read_object(
+    img = server.partition_for_key(KEY).read_object(
         ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
     )
     assert parse_value(img.value) == (1, 1)

@@ -19,7 +19,7 @@ def _chain_offsets(server, key):
     loc = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
     while loc is not None:
         out.append((loc.pool, loc.offset))
-        loc = server._previous_location(loc)
+        loc = server.partition_for_key(key).previous_location(loc)
     return out
 
 
@@ -40,7 +40,7 @@ def test_forward_links_mirror_backward_links(env):
     forward = [oldest]
     while True:
         pool, off = forward[-1]
-        hdr = parse_header(server.pools[pool].read(off, HEADER_SIZE))
+        hdr = parse_header(server.partitions[0].pools[pool].read(off, HEADER_SIZE))
         nxt = unpack_ptr(hdr.nxt_ptr)
         if nxt is None:
             break
@@ -58,7 +58,7 @@ def test_latest_version_has_no_forward_link(env):
     run1(env, work())
     server = setup.server
     (pool, off), = _chain_offsets(server, KEY)
-    hdr = parse_header(server.pools[pool].read(off, HEADER_SIZE))
+    hdr = parse_header(server.partitions[0].pools[pool].read(off, HEADER_SIZE))
     assert unpack_ptr(hdr.nxt_ptr) is None
 
 
@@ -77,10 +77,10 @@ def test_cleaner_skips_invalidated_objects(env):
 
     run1(env, work())
     env.run(until=env.now + 500_000)  # timeout fires; good version durable
-    assert server.background.stats()["invalidated"] == 1
+    assert server.metrics()["verifier"]["invalidated"] == 1
 
     env.run(server.trigger_cleaning())
-    assert server.cleaner.stats.moved == 1  # only the intact version
+    assert server.metrics()["cleaner"]["moved"] == 1  # only the intact version
 
     def check():
         return (yield from c.get(KEY, size_hint=64))

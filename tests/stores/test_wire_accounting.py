@@ -104,8 +104,9 @@ class TestGetWire:
         from repro.kv.hashtable import key_fingerprint
         from repro.kv.objects import HEADER_SIZE
 
-        found = setup.server.table.lookup(key_fingerprint(KEY))
-        setup.server.pools[0].write(
+        (part,) = setup.server.partitions
+        found = part.table.lookup(key_fingerprint(KEY))
+        part.pools[0].write(
             found[1].off1 + HEADER_SIZE + len(KEY), b"XX"
         )
         delta = _ops_delta(c, lambda: c.get(KEY, size_hint=64))
