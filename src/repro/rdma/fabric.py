@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -37,7 +38,7 @@ class Node:
 
     __slots__ = (
         "env", "name", "device", "alive", "tx", "cpu", "pd", "srq", "ddio",
-        "tx_reserved_until",
+        "tx_reserved_until", "tx_turns",
     )
 
     def __init__(
@@ -63,9 +64,13 @@ class Node:
         #: Analytic fast-path reservation on the TX engine: the engine is
         #: busy (without a simulated occupancy event) until this time.
         #: The event path honours it by waiting out the remainder after
-        #: acquiring ``tx``, so mixed fast/event executions keep exact
-        #: FIFO engine semantics.
+        #: acquiring ``tx``, and queued turns by their wake instants, so
+        #: mixed executions keep exact FIFO engine semantics.
         self.tx_reserved_until = 0.0
+        #: Claims queued on the fast path for the busy TX engine: a FIFO
+        #: of the events their claimants yield (see :mod:`repro.rdma.qp`),
+        #: created on the node's first turn.
+        self.tx_turns: Optional[deque] = None
         #: Request-processing threads (RPC handlers contend here).
         self.cpu = Resource(env, capacity=cores)
         self.pd = ProtectionDomain()

@@ -9,8 +9,8 @@ simulated processes::
     rid  = yield from ep.send({"op": "put"}, wire_bytes=64)
     msg  = yield from ep.recv_response(rid)
 
-One description per verb, two leg primitives (see DESIGN.md §11)
-----------------------------------------------------------------
+One description per verb, three ways to take a leg (see DESIGN.md §11)
+-----------------------------------------------------------------------
 Every verb is one straight-line generator that states, once: its
 prologue (QP usable → fault injection → target and MR validation →
 stats), its TX leg, the delay to its remote-side instant with the side
@@ -30,33 +30,53 @@ effect that happens there, and its ACK leg (terms: :mod:`repro.rdma.latency`):
 * ``cas``/``faa`` — 8-byte target-NIC read-modify-write.
 * ``write_many`` — ``write`` of a doorbell chain: one TX leg, one ACK.
 
-How a leg is simulated is decided in two primitives, not in the verbs.
-The TX leg passes a WR through a TX engine and yields the instant it
-enters the wire: :meth:`Endpoint._claim_tx` takes it in closed form —
-the engine reserved via ``Node.tx_reserved_until``, same terms, same
-``jitter()`` draw, no events — when :meth:`Fabric.fastpath_ok` and the
-engine is idle; otherwise :meth:`Endpoint._tx_walk` goes through the
-engine event by event, honouring outstanding reservations, so mixed
-executions keep exact FIFO engine semantics. READ decides again for its
-response leg, at arrival time. :meth:`Endpoint._wait` turns an absolute
-instant into the event the verb yields. Every instant accumulates in the
-walk's float association order, so a verb completes at bit-identical
-times however its legs were simulated — an analytic verb costs two or
-three wake-ups instead of five to nine events. ``fabric.fastpath =
-False`` forces the walk everywhere; it stays as the reference the
-closed form is checked against.
+How a leg is simulated is decided in the leg primitives, not in the
+verbs. The TX leg passes a WR through a TX engine and yields the instant
+it enters the wire, in one of three modes:
+
+* **idle claim** (:meth:`Endpoint._claim_tx`) — when
+  :meth:`Fabric.fastpath_ok` and the engine is idle, the leg is taken in
+  closed form (:meth:`Endpoint._reserve_tx`: the engine reserved via
+  ``Node.tx_reserved_until``, same terms, same ``jitter()`` draw). No
+  event; the leg is *analytic*.
+* **queued turn** (:meth:`Endpoint._tx_leg`) — when the fast path is
+  allowed but the engine is busy (a reservation outstanding or turns
+  queued), the claim joins the node's FIFO of turns
+  (``Node.tx_turns``). It is woken once, when the walk would start
+  serving it, takes the leg in the same closed form there and hands the
+  engine on to the next turn when its own occupancy ends: one event,
+  where the walk costs three or four plus one per doorbell-chained WR.
+* **walk** (:meth:`Endpoint._tx_walk`) — when ``fastpath_ok()`` is False
+  (crash harnesses, armed injector) or a walker already holds the
+  engine: grant, reservation wait, occupancy and pipelined latency as
+  events while holding ``Node.tx``. A walker that finds turns queued
+  waits for them to drain and a fast claim that finds walkers walks
+  behind them, so the engine stays one FIFO.
+
+READ decides again for its response leg, at arrival time.
+:meth:`Endpoint._wait` turns an absolute instant into the event the verb
+yields. Every instant accumulates in the walk's float association order
+and every jitter draw happens at the instant the walk makes it, so a
+verb completes at bit-identical times whichever mode took its legs — an
+analytic verb costs two or three wake-ups instead of five to nine
+events. ``fabric.fastpath = False`` forces the walk everywhere: it is the
+one mode in which every step of a leg is an event (what the crash
+harnesses and the fault injector observe), and the reference both
+closed forms are checked against.
 
 **Grid rule.** With a completion batcher armed, the waits of an analytic
 READ, WRITE, CAS, FAA or SEND ride its grid (one kernel event per tick
 for every client); ``write_many``, ``write_with_imm`` and posted writes
-(:meth:`Endpoint.write_async`) always wait exactly, as does every verb
-whose TX leg walked the engine.
+(:meth:`Endpoint.write_async`) always wait exactly, as does any verb
+whose TX leg was not claimed idle.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from collections.abc import Callable, Generator, Sequence
+from functools import partial
 from typing import Any, Optional
 
 from repro.errors import MemoryAccessError, QPError
@@ -82,6 +102,71 @@ def _call_at(env, when: float, callback: Callable[[Event], None]) -> None:
     ev._value = None
     ev.callbacks.append(callback)
     env.schedule_at(ev, when)
+
+
+# -- the line of turns at a busy TX engine (Node.tx_turns) -----------------------
+# An entry is the event its claimant yields. Only the head's is scheduled:
+# its wake is the walk's grant, reservation wait included.
+
+
+def _join_turns(node: Node) -> Event:
+    """Queue a claim for ``node``'s busy engine; returns the event the
+    claimant yields. The first in line is woken when the walk's
+    reservation timeout would fire, ``now + (tx_reserved_until - now)``;
+    the rest when their predecessor hands the engine on."""
+    turns = node.tx_turns
+    if turns is None:
+        turns = node.tx_turns = deque()
+    ev = Event(node.env)
+    turns.append(ev)
+    if len(turns) == 1:
+        now = node.env.now
+        _wake_turn(node, ev, now + (node.tx_reserved_until - now), None)
+    else:
+        ev.on_abandon = partial(turns.remove, ev)
+    return ev
+
+
+def _wake_turn(
+    node: Node, ev: Event, when: float, handed_at: Optional[float]
+) -> None:
+    """Make ``ev`` the head of the line, woken at ``when``: ``handed_at``
+    is ``when`` when a served turn handed the engine on, None when the
+    head took the engine at once and waits out a reservation (the two
+    differ in what the walk's release would re-grant: :func:`_leave_line`)."""
+    ev._value = None
+    node.env.schedule_at(ev, when)
+    ev.on_abandon = partial(_leave_line, node, handed_at)
+
+
+def _pass_turn(node: Node, ev: Event) -> None:
+    """The head's claimant has taken its leg: ``ev`` leaves the line and
+    the next turn is woken when the engine frees, at the end of this WR's
+    occupancy."""
+    ev.on_abandon = None
+    turns = node.tx_turns
+    turns.popleft()
+    if turns:
+        when = node.tx_reserved_until
+        _wake_turn(node, turns[0], when, when)
+
+
+def _leave_line(node: Node, handed_at: Optional[float]) -> None:
+    """The head's claimant was interrupted before its wake: it leaves the
+    line, and the next turn is woken where the walk's release would have
+    granted it the engine — at the hand-off instant itself, or, after a
+    head that held the engine waiting out a reservation, now plus what is
+    left of it."""
+    turns = node.tx_turns
+    turns.popleft()
+    if not turns:
+        return
+    if handed_at is not None:
+        _wake_turn(node, turns[0], handed_at, handed_at)
+        return
+    now = node.env.now
+    reserved = node.tx_reserved_until - now
+    _wake_turn(node, turns[0], now + reserved if reserved > 0 else now, None)
 
 
 class Endpoint:
@@ -177,20 +262,35 @@ class Endpoint:
         self.fastpath_ops += 1
         self.fabric.fastpath_ops += 1
 
-    # -- the two leg primitives --------------------------------------------
+    # -- the leg primitives ------------------------------------------------
     def _tx_idle(self, node: Node) -> bool:
-        """True when nobody holds or awaits ``node``'s TX engine and no
-        analytic reservation on it is outstanding."""
+        """True when nobody holds, awaits or is queued for ``node``'s TX
+        engine and no reservation on it is outstanding."""
         tx = node.tx
-        return not (tx._users or tx._waiting or node.tx_reserved_until > node.env.now)
+        return not (
+            tx._users
+            or tx._waiting
+            or node.tx_turns
+            or node.tx_reserved_until > node.env.now
+        )
 
     def _claim_tx(
         self, node: Node, nbytes: int, fast: bool, chain: Sequence[int] = ()
     ) -> Optional[float]:
-        """The TX leg of one WR of ``nbytes`` in closed form: reserve
-        ``node``'s engine and return the instant the WR enters the wire.
-        Returns None — the caller must :meth:`_tx_walk` — unless
-        ``fast`` and the engine is idle.
+        """The TX leg of one WR of ``nbytes``, claimed idle: returns the
+        instant the WR enters the wire (:meth:`_reserve_tx`). Returns
+        None — the caller must :meth:`_tx_leg` — unless ``fast`` and the
+        engine is idle; a busy engine counts ``fabric.fallback_ops``."""
+        if not fast:
+            return None
+        if not self._tx_idle(node):
+            self.fabric.fallback_ops += 1
+            return None
+        return self._reserve_tx(node, nbytes, chain)
+
+    def _reserve_tx(self, node: Node, nbytes: int, chain: Sequence[int]) -> float:
+        """Take ``node``'s engine from now in closed form: reserve it and
+        return the instant the WR enters the wire.
 
         The engine is *occupied* for ``nic_tx_occupancy_ns`` plus the
         payload serialization (this bounds message rate and bandwidth);
@@ -200,12 +300,7 @@ class Endpoint:
         latency and the jitter are paid once, on the first WR; later
         ones pay the (much smaller) per-WQE decode cost.
         """
-        if not fast:
-            return None
         fabric = self.fabric
-        if not self._tx_idle(node):
-            fabric.fallback_ops += 1
-            return None
         t = fabric.timing
         t_wire = node.env.now + (
             t.nic_tx_occupancy_ns + t.serialize_ns(nbytes) + fabric.jitter()
@@ -218,25 +313,51 @@ class Endpoint:
             t_wire = t_wire + pipelined
         return t_wire
 
+    def _tx_leg(
+        self, node: Node, nbytes: int, chain: Sequence[int] = ()
+    ) -> Generator[Event, Any, float]:
+        """A TX leg that was not claimed idle. While the fast path is
+        allowed and no walker holds the engine it is a queued turn — or,
+        on an idle engine (READ's response after a queued request leg),
+        the closed form at once; otherwise the walk."""
+        tx = node.tx
+        if tx._users or tx._waiting or not self.fabric.fastpath_ok():
+            return (yield from self._tx_walk(node, nbytes, chain))
+        if node.tx_turns or node.tx_reserved_until > node.env.now:
+            turn = _join_turns(node)
+            yield turn
+            t_wire = self._reserve_tx(node, nbytes, chain)
+            _pass_turn(node, turn)
+            return t_wire
+        return self._reserve_tx(node, nbytes, chain)
+
     def _tx_walk(
         self, node: Node, nbytes: int, chain: Sequence[int] = ()
     ) -> Generator[Event, Any, float]:
-        """The TX leg of :meth:`_claim_tx`, event by event: the same
-        terms as sequential timeouts while holding the engine."""
+        """The TX leg event by event: the terms of :meth:`_reserve_tx` as
+        sequential timeouts while holding the engine."""
         fabric = self.fabric
         t = fabric.timing
         env = node.env
         req = yield from node.tx.acquire()
         try:
-            # Wait out any analytic reservation first: the closed form
-            # claimed the engine without holding the Resource, so the
-            # grant can arrive while the engine is still (logically)
-            # busy. Jitter is sampled after the wait, at the time the
-            # engine actually starts serving this WR — exactly when a
-            # pure event-path run would have sampled it.
-            reserved = node.tx_reserved_until - env.now
-            if reserved > 0:
-                yield env.timeout(reserved)
+            if node.tx_turns:
+                # Turns queued before this walker go first (holding the
+                # grant keeps new ones out); the last one hands the engine
+                # on at the instant the walk would have been granted it.
+                turn = _join_turns(node)
+                yield turn
+                _pass_turn(node, turn)
+            else:
+                # Wait out any analytic reservation first: the closed
+                # form claimed the engine without holding the Resource,
+                # so the grant can arrive while the engine is still
+                # (logically) busy. Jitter is sampled after the wait, at
+                # the time the engine actually starts serving this WR —
+                # exactly when a pure event-path run would have sampled it.
+                reserved = node.tx_reserved_until - env.now
+                if reserved > 0:
+                    yield env.timeout(reserved)
             yield env.timeout(
                 t.nic_tx_occupancy_ns + t.serialize_ns(nbytes) + fabric.jitter()
             )
@@ -303,7 +424,7 @@ class Endpoint:
         t_wire = self._claim_tx(self.local, len(data), fabric.fastpath_ok())
         analytic = t_wire is not None
         if not analytic:
-            t_wire = yield from self._tx_walk(self.local, len(data))
+            t_wire = yield from self._tx_leg(self.local, len(data))
         fl = self._fly(addr, data, t_wire)
         yield self._wait(t_wire + (t.propagation_ns + t.dma_ns), analytic)
         self._land(fl, "WRITE")
@@ -405,7 +526,7 @@ class Endpoint:
         t_wire = self._claim_tx(self.local, first, fabric.fastpath_ok(), chain)
         analytic = t_wire is not None
         if not analytic:
-            t_wire = yield from self._tx_walk(self.local, first, chain)
+            t_wire = yield from self._tx_leg(self.local, first, chain)
         inflight = [self._fly(addr, data, t_wire) for addr, data in pinned]
         yield env.timeout_at(t_wire + (t.propagation_ns + t.dma_ns))
         for fl in inflight:
@@ -434,18 +555,18 @@ class Endpoint:
         t_wire = self._claim_tx(self.local, 0, fabric.fastpath_ok())
         analytic = t_wire is not None
         if not analytic:
-            t_wire = yield from self._tx_walk(self.local, 0)
+            t_wire = yield from self._tx_leg(self.local, 0)
         yield self._wait(t_wire + (t.propagation_ns + t.dma_ns), analytic)
         fabric.check_target(self.remote)
         # Target NIC snapshots memory now, then streams the response.
         data = mr.device.read(addr, length)
         # Response leg: claimed at arrival time (never in advance, so
         # FIFO order on the remote engine is preserved); a busy engine
-        # walks the rest of the verb event by event.
+        # takes the rest of the verb off the analytic path.
         t_wire = self._claim_tx(self.remote, length, analytic)
         analytic = t_wire is not None
         if not analytic:
-            t_wire = yield from self._tx_walk(self.remote, length)
+            t_wire = yield from self._tx_leg(self.remote, length)
         yield self._wait(t_wire + (t.propagation_ns + t.nic_rx_ns), analytic)
         if analytic:
             self._fast_done()
@@ -471,7 +592,7 @@ class Endpoint:
         t_wire = self._claim_tx(self.local, 16, fabric.fastpath_ok())
         analytic = t_wire is not None
         if not analytic:
-            t_wire = yield from self._tx_walk(self.local, 16)
+            t_wire = yield from self._tx_leg(self.local, 16)
         yield self._wait(
             t_wire + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns), analytic
         )
@@ -502,7 +623,7 @@ class Endpoint:
         t_wire = self._claim_tx(self.local, 16, fabric.fastpath_ok())
         analytic = t_wire is not None
         if not analytic:
-            t_wire = yield from self._tx_walk(self.local, 16)
+            t_wire = yield from self._tx_leg(self.local, 16)
         yield self._wait(
             t_wire + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns), analytic
         )
@@ -538,7 +659,7 @@ class Endpoint:
         t_wire = self._claim_tx(self.local, wire_bytes, fabric.fastpath_ok())
         analytic = t_wire is not None
         if not analytic:
-            t_wire = yield from self._tx_walk(self.local, wire_bytes)
+            t_wire = yield from self._tx_leg(self.local, wire_bytes)
         yield self._wait(
             t_wire
             + (t.propagation_ns + t.nic_rx_ns + t.two_sided_rx_cost(wire_bytes)),
@@ -585,7 +706,7 @@ class Endpoint:
         t_wire = self._claim_tx(self.local, len(data), fabric.fastpath_ok())
         analytic = t_wire is not None
         if not analytic:
-            t_wire = yield from self._tx_walk(self.local, len(data))
+            t_wire = yield from self._tx_leg(self.local, len(data))
         fl = self._fly(addr, data, t_wire)
         # imm notification only; data went one-sided
         yield env.timeout_at(

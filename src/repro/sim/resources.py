@@ -11,6 +11,9 @@ Three primitives cover everything the RDMA/NVM models need:
   convenient for notification-style signalling.
 
 All wait queues are strictly FIFO, preserving the kernel's determinism.
+A queued waiter's ``on_abandon`` hook (which closes over its own event)
+is cleared the moment it is served, so a served wait and the item it
+carries are freed by refcount instead of waiting for the cycle collector.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ class Resource:
     def _grant_next(self) -> None:
         while self._waiting and len(self._users) < self.capacity:
             nxt = self._waiting.popleft()
+            nxt.on_abandon = None
             self._users.add(nxt)
             nxt.succeed()
 
@@ -161,6 +165,7 @@ class Store:
         if self._getters:
             # Hand straight to the longest-waiting getter.
             getter = self._getters.popleft()
+            getter.on_abandon = None
             getter.succeed(item)
             ev.succeed()
         elif len(self.items) < self.capacity:
@@ -176,7 +181,9 @@ class Store:
         no event, so hot producers that never block (e.g. completion
         queues) pay nothing for the confirmation they don't read."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            getter = self._getters.popleft()
+            getter.on_abandon = None
+            getter.succeed(item)
             return True
         if len(self.items) < self.capacity:
             self.items.append(item)
@@ -234,6 +241,7 @@ class FilterStore:
         for idx, (ev, pred) in enumerate(self._getters):
             if pred is None or pred(item):
                 del self._getters[idx]
+                ev.on_abandon = None
                 ev.succeed(item)
                 return
         self.items.append(item)
@@ -289,6 +297,8 @@ class Semaphore:
     def release(self, n: int = 1) -> None:
         for _ in range(n):
             if self._waiting:
-                self._waiting.popleft().succeed()
+                ev = self._waiting.popleft()
+                ev.on_abandon = None
+                ev.succeed()
             else:
                 self._count += 1

@@ -24,16 +24,35 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+#: Memo of :func:`fnv1a_64` over ``bytes`` inputs: every op hashes its key
+#: (index fingerprint) and its value seed again, with a per-byte Python
+#: loop. Emptied when it reaches ``_FNV_MEMO_CAP`` entries, which bounds
+#: its memory; a pure function's memo cannot change a result.
+_FNV_MEMO: dict[bytes, int] = {}
+_FNV_MEMO_CAP = 1 << 14
 
-def fnv1a_64(data: bytes | str) -> int:
-    """64-bit FNV-1a hash — stable across processes and Python versions."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+
+def _fnv1a(data: bytes | bytearray | memoryview) -> int:
     h = _FNV_OFFSET
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+def fnv1a_64(data: bytes | bytearray | memoryview | str) -> int:
+    """64-bit FNV-1a hash — stable across processes and Python versions."""
+    if type(data) is bytes:
+        h = _FNV_MEMO.get(data)
+        if h is None:
+            h = _fnv1a(data)
+            if len(_FNV_MEMO) >= _FNV_MEMO_CAP:
+                _FNV_MEMO.clear()
+            _FNV_MEMO[data] = h
+        return h
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return _fnv1a(data)
 
 
 class RngRegistry:

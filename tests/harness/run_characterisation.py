@@ -16,10 +16,13 @@ of release, by wrapping ``PersistentBuffer.release`` the same way.
 
 ``run_characterisation.json`` was generated at the commit *before* the
 drivers were moved onto the shared scaffold and oracle
-(``harness/scaffold.py``, ``harness/oracle.py``) and must only be
-regenerated when a change in simulated behaviour is intended and
-explained::
+(``harness/scaffold.py``, ``harness/oracle.py``) and regenerated once
+since, when queued turns took the busy verb legs off the walk (event
+counts only). Regenerate it only for an intended, explained change of
+simulated behaviour, and list what moved first — every ``(cell, JSON
+path)`` that differs from the recording::
 
+    PYTHONPATH=src python -m tests.harness.run_characterisation --diff
     PYTHONPATH=src python -m tests.harness.run_characterisation --write
 
 A crash report's violation *strings* are not recorded (the oracle words
@@ -30,8 +33,6 @@ audits and ``ok`` are.
 from __future__ import annotations
 
 import hashlib
-import json
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from repro.loadgen import LoadSpec, TenantSpec, run_load
 from repro.mem.buffer import PersistentBuffer
 from repro.stores import StoreSetup, store_names
 from repro.workloads.ycsb import WORKLOADS, WorkloadSpec
+from tests.characterisation import main
 from tests.harness.cells import (
     BenchSpec,
     bench_cell,
@@ -229,12 +231,4 @@ def characterise() -> dict:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(__doc__)
-    # One cell per line: a behaviour change shows up as that cell's diff.
-    lines = [
-        f"{json.dumps(cid)}: {json.dumps(cell, sort_keys=True, separators=(',', ':'))}"
-        for cid, cell in characterise().items()
-    ]
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {FIXTURE}")
+    main(__doc__, FIXTURE, characterise)

@@ -13,9 +13,13 @@ issuers sit on two client nodes, three to an endpoint, so they contend
 for a local TX engine *and* (READ responses) for the server's.
 
 ``verb_characterisation.json`` was generated at the commit *before* the
-one-verb-executor refactor and must only be regenerated when a change in
-simulated behaviour is intended and explained::
+one-verb-executor refactor and regenerated once since, when queued turns
+took the busy legs off the walk (event counts only). Regenerate it only
+for an intended, explained change of simulated behaviour, and list what
+moved first — every ``(cell, JSON path)`` that differs from the
+recording::
 
+    PYTHONPATH=src python -m tests.rdma.verb_characterisation --diff
     PYTHONPATH=src python -m tests.rdma.verb_characterisation --write
 """
 
@@ -23,14 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
-import sys
 from pathlib import Path
 
 from repro.nvm.device import NVMDevice
 from repro.rdma.cq import CompletionQueue, post_write
 from repro.rdma.fabric import Fabric
 from repro.sim.kernel import Environment
+from tests.characterisation import main
 from tests.sim.heapkernel import HeapEnvironment
 
 FIXTURE = Path(__file__).with_name("verb_characterisation.json")
@@ -155,12 +158,4 @@ def characterise() -> dict:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(__doc__)
-    # One cell per line: a behaviour change shows up as that cell's diff.
-    lines = [
-        f"{json.dumps(cid)}: {json.dumps(cell, sort_keys=True, separators=(',', ':'))}"
-        for cid, cell in characterise().items()
-    ]
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {FIXTURE}")
+    main(__doc__, FIXTURE, characterise)

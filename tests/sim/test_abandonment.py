@@ -6,8 +6,16 @@ engine (Resource), the SRQ (FilterStore), a mailbox (Store), or a
 semaphore — none of which may strand later traffic.
 """
 
+import gc
+import weakref
+
+from repro.rdma.verbs import Message, Opcode
 from repro.sim.kernel import Environment, Interrupt
 from repro.sim.resources import FilterStore, Resource, Semaphore, Store
+
+
+class _TrackedMessage(Message):
+    __slots__ = ("__weakref__",)
 
 
 def test_interrupted_resource_waiter_releases_queue_slot(env):
@@ -164,3 +172,30 @@ def test_interrupt_before_first_step_is_deliverable(env):
     p.interrupt("early")  # before the Initialize event processed
     env.run()
     assert log == ["early"]
+
+
+def test_served_blocking_get_is_freed_by_refcount(env):
+    """A served getter leaves no reference cycle behind: with the cycle
+    collector off, its wait event (seen through the predicate its wait
+    entry holds) and the Message it delivered die with the getter."""
+    fs = FilterStore(env)
+    refs = []
+
+    def getter():
+        pred = lambda m: m.imm == 7  # noqa: E731
+        refs.append(weakref.ref(pred))
+        msg = yield fs.get(pred)
+        refs.append(weakref.ref(msg))
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.process(getter())
+        env.run()  # the getter blocks: nothing matches yet
+        fs.put(_TrackedMessage(Opcode.SEND, None, 8, imm=7))
+        env.run()
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

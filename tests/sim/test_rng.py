@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+from repro.sim import rng
 from repro.sim.rng import RngRegistry, fnv1a_64
 
 
@@ -21,6 +22,36 @@ class TestFnv:
     def test_sensitive_to_last_byte(self, data):
         flipped = data[:-1] + bytes([data[-1] ^ 0xFF])
         assert fnv1a_64(data) != fnv1a_64(flipped)
+
+    @given(
+        st.one_of(
+            st.binary(max_size=48),
+            st.text(max_size=24),
+            st.binary(max_size=48).map(bytearray),
+            st.binary(max_size=48).map(memoryview),
+        )
+    )
+    def test_every_input_type_hashes_like_the_loop(self, data):
+        raw = data.encode("utf-8") if isinstance(data, str) else bytes(data)
+        # Twice: a memoised bytes input must give the loop's value on a hit too.
+        assert fnv1a_64(data) == fnv1a_64(data) == _fnv_loop(raw)
+
+    def test_memo_never_exceeds_its_cap(self, monkeypatch):
+        monkeypatch.setattr(rng, "_FNV_MEMO", {})
+        monkeypatch.setattr(rng, "_FNV_MEMO_CAP", 8)
+        for i in range(100):
+            data = (i % 37).to_bytes(4, "little")
+            assert fnv1a_64(data) == _fnv_loop(data)
+            assert len(rng._FNV_MEMO) <= 8
+
+
+def _fnv_loop(data: bytes) -> int:
+    """FNV-1a 64 written out, the reference the memoised hash must equal."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 class TestRegistry:
