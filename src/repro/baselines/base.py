@@ -26,11 +26,11 @@ Concrete stores subclass these and register/override handlers.
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-from repro.baselines.partition import ObjectLocation, Partition
+from repro.baselines.partition import RESPONSE_BYTES, ObjectLocation, Partition
 from repro.crc.cost import CrcCostModel
 from repro.crc.crc32 import crc32_fast
 from repro.integrity import PartitionIntegrity, integrity_region_bytes
@@ -57,16 +57,14 @@ from repro.rdma.fabric import Fabric, Node
 from repro.rdma.mr import MemoryRegion
 from repro.rdma.qp import Endpoint
 from repro.rdma.rpc import (
-    ERR_BUSY,
-    ERR_FENCED,
     RpcClient,
     RpcFault,
     RpcServer,
-    rpc_error,
     rpc_error_for,
 )
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Environment, Event
+from repro.util import sum_counters
 
 __all__ = [
     "StoreConfig",
@@ -75,7 +73,6 @@ __all__ = [
     "ClientSession",
     "BaseServer",
     "BaseClient",
-    "busy_error",
     "PUT_REQUEST_OVERHEAD",
     "GET_REQUEST_OVERHEAD",
     "RESPONSE_BYTES",
@@ -88,8 +85,6 @@ __all__ = [
 PUT_REQUEST_OVERHEAD = 40
 #: Wire bytes of a GET-by-RPC request beyond the key.
 GET_REQUEST_OVERHEAD = 24
-#: Wire bytes of a small control response (offset + status).
-RESPONSE_BYTES = 32
 #: Extra wire bytes per additional item in a coalesced ``alloc_batch``
 #: request (vlen, crc, alloc_id — the op code and framing are shared).
 PUT_BATCH_ITEM_OVERHEAD = 16
@@ -159,10 +154,11 @@ class StoreConfig:
     scrub_interval_ns: float = 0.0
 
     # admission control (0 = disabled; see DESIGN.md §15)
-    #: Per-partition concurrent-request watermark: a control RPC
-    #: arriving while this many admitted requests are already in flight
-    #: on its partition is shed at handler entry with retryable
-    #: ``ERR_BUSY`` instead of queueing behind the dispatch budget. The
+    #: Per-partition concurrent-request watermark: a request that begins
+    #: an operation, arriving while this many admitted requests are
+    #: already in flight on its partition, is shed at the lifecycle's
+    #: entry (``Partition.serve``) with retryable ``ERR_BUSY`` instead
+    #: of queueing behind the dispatch budget. The
     #: client's retry backoff (PR 2 machinery) is the congestion-control
     #: loop. 0 keeps every request path bit-identical to the seed.
     admission_watermark: int = 0
@@ -422,45 +418,69 @@ class BaseServer:
     # -- handler registry ------------------------------------------------------
     def _register_handlers(self) -> None:
         """Subclasses register their RPC handlers here."""
-        self.rpc.register("alloc", self._handle_alloc)
+        self.register_keyed("alloc", self._handle_alloc, write=True)
         self.rpc.register("alloc_batch", self._handle_alloc_batch)
 
+    def register_keyed(
+        self,
+        op: str,
+        handler: Callable[[Partition, Message], Generator[Event, Any, Any]],
+        *,
+        write: bool = False,
+    ) -> None:
+        """Register ``handler(part, msg)`` for ``op``: it runs inside the
+        request lifecycle (:meth:`Partition.serve`) of the partition that
+        owns ``msg.payload["key"]``."""
+        route = self.partition_for_key
+
+        def dispatch(msg: Message) -> Generator[Event, Any, Any]:
+            part = route(msg.payload["key"])
+            return part.serve(handler(part, msg), write=write)
+
+        self.rpc.register(op, dispatch)
+
+    def admission_metrics(self) -> Optional[dict[str, int]]:
+        """``metrics()["admission"]``: the partitions' admission counters
+        summed (peak: the largest partition's), or None while the
+        watermark is off."""
+        if self.config.admission_watermark == 0:
+            return None
+        out = {
+            "watermark": self.config.admission_watermark,
+            **sum_counters(p.admission_stats() for p in self.partitions),
+        }
+        out["peak_inflight"] = max(p.peak_inflight for p in self.partitions)
+        return out
+
     # -- the shared allocation path (client-active PUT, steps 2-4) -------------
-    def _handle_alloc(self, msg: Message) -> Generator[Event, Any, tuple[Any, int]]:
-        p = msg.payload
-        part = self.partition_for_key(p["key"])
-        if part.fenced:
-            return (
-                rpc_error(
-                    f"partition {part.part_id} is write-fenced (migrating)",
-                    code=ERR_FENCED,
-                ),
-                RESPONSE_BYTES,
-            )
-        if not part.try_admit():
-            return busy_error(part), RESPONSE_BYTES
-        budget = yield from part.acquire_budget()
+    def _handle_alloc(
+        self, part: Partition, msg: Message
+    ) -> Generator[Event, Any, tuple[Any, int]]:
+        item = yield from self._alloc_item(part, msg.payload)
+        return item, RESPONSE_BYTES
+
+    def _alloc_item(
+        self, part: Partition, r: dict, *, charge_alloc: bool = True
+    ) -> Generator[Event, Any, dict]:
+        """One allocation request: its response item, or its error."""
         try:
-            try:
-                loc, entry_off = yield from part.alloc_object(
-                    p["key"], p["vlen"], p.get("crc", 0), publish=self.publish_on_alloc
-                )
-            except StoreError as exc:
-                return rpc_error_for(exc), RESPONSE_BYTES
-            self.pending_allocs[p["alloc_id"]] = (loc, entry_off, len(p["key"]), part)
-            return (
-                {
-                    "pool": loc.pool,
-                    "value_off": loc.offset + HEADER_SIZE + len(p["key"]),
-                    "obj_off": loc.offset,
-                    "size": loc.size,
-                    "part": part.part_id,
-                },
-                RESPONSE_BYTES,
+            loc, entry_off = yield from part.alloc_object(
+                r["key"],
+                r["vlen"],
+                r.get("crc", 0),
+                publish=self.publish_on_alloc,
+                charge_alloc=charge_alloc,
             )
-        finally:
-            part.release_budget(budget)
-            part.depart()
+        except StoreError as exc:
+            return rpc_error_for(exc)
+        self.pending_allocs[r["alloc_id"]] = (loc, entry_off, len(r["key"]), part)
+        return {
+            "pool": loc.pool,
+            "value_off": loc.offset + HEADER_SIZE + len(r["key"]),
+            "obj_off": loc.offset,
+            "size": loc.size,
+            "part": part.part_id,
+        }
 
     # -- the coalesced allocation path (put_many, one SEND for N allocs) -------
     def _handle_alloc_batch(
@@ -468,12 +488,14 @@ class BaseServer:
     ) -> Generator[Event, Any, tuple[Any, int]]:
         """Serve N allocation requests from one ``alloc_batch`` SEND.
 
-        Requests are grouped by partition and each group is served under
-        one budget acquisition as a slab: the first allocation in a
-        group pays the allocator's CPU cost, the rest ride the same
-        log-head bump (``charge_alloc=False``). Per-item failures come
-        back as per-item error payloads so one exhausted partition does
-        not fail the whole batch.
+        Requests are grouped by partition and each group is served as
+        one request of the partition's lifecycle, as a slab: the first
+        allocation in a group pays the allocator's CPU cost, the rest
+        ride the same log-head bump (``charge_alloc=False``). A refused
+        group (fenced, or shed as one unit) answers every item in it
+        with the refusal; per-item failures come back as per-item error
+        payloads so one exhausted partition does not fail the whole
+        batch.
         """
         reqs = msg.payload["reqs"]
         results: list[Any] = [None] * len(reqs)
@@ -483,53 +505,23 @@ class BaseServer:
             groups.setdefault(part.part_id, []).append(idx)
         for part_id, indexes in groups.items():
             part = self.partitions[part_id]
-            if part.fenced:
-                err = rpc_error(
-                    f"partition {part.part_id} is write-fenced (migrating)",
-                    code=ERR_FENCED,
-                )
+            refused = yield from part.serve(
+                self._alloc_group(part, reqs, indexes, results), write=True
+            )
+            if refused is not None:
                 for idx in indexes:
-                    results[idx] = err
-                continue
-            if not part.try_admit():
-                # The whole partition group is shed as one unit — it
-                # would have ridden one budget acquisition anyway.
-                err = busy_error(part)
-                for idx in indexes:
-                    results[idx] = err
-                continue
-            budget = yield from part.acquire_budget()
-            try:
-                first = True
-                for idx in indexes:
-                    r = reqs[idx]
-                    try:
-                        loc, entry_off = yield from part.alloc_object(
-                            r["key"],
-                            r["vlen"],
-                            r.get("crc", 0),
-                            publish=self.publish_on_alloc,
-                            charge_alloc=first,
-                        )
-                    except StoreError as exc:
-                        results[idx] = rpc_error_for(exc)
-                        continue
-                    first = False
-                    self.pending_allocs[r["alloc_id"]] = (
-                        loc, entry_off, len(r["key"]), part,
-                    )
-                    results[idx] = {
-                        "pool": loc.pool,
-                        "value_off": loc.offset + HEADER_SIZE + len(r["key"]),
-                        "obj_off": loc.offset,
-                        "size": loc.size,
-                        "part": part.part_id,
-                    }
-            finally:
-                part.release_budget(budget)
-                part.depart()
+                    results[idx] = refused[0]
         nbytes = RESPONSE_BYTES + BATCH_RESPONSE_ITEM_BYTES * max(0, len(reqs) - 1)
         return {"results": results}, nbytes
+
+    def _alloc_group(
+        self, part: Partition, reqs: list, indexes: list[int], results: list
+    ) -> Generator[Event, Any, None]:
+        first = True
+        for idx in indexes:
+            item = yield from self._alloc_item(part, reqs[idx], charge_alloc=first)
+            results[idx] = item
+            first = first and "error" in item
 
     def on_allocated(self, part: Partition, loc: ObjectLocation, entry_off: int) -> None:
         """Subclass hook (eFactory feeds its background verifier)."""
@@ -985,12 +977,3 @@ class BaseClient:
 
 def _align(n: int, a: int) -> int:
     return (n + a - 1) & ~(a - 1)
-
-
-def busy_error(part: Partition) -> dict:
-    """The retryable shed response (admission control, DESIGN.md §15)."""
-    return rpc_error(
-        f"partition {part.part_id} over admission watermark "
-        f"({part.inflight} in flight)",
-        code=ERR_BUSY,
-    )

@@ -20,6 +20,7 @@ from typing import Any, Optional
 from repro.baselines.base import (
     BaseClient,
     BaseServer,
+    Partition,
     RESPONSE_BYTES,
     StoreConfig,
 )
@@ -67,15 +68,17 @@ class ErdaServer(BaseServer):
         return HopscotchTable(self.device, 0, self.config.table_buckets)
 
     def _register_handlers(self) -> None:
-        self.rpc.register("alloc", self._handle_alloc)
+        self.register_keyed("alloc", self._handle_alloc, write=True)
 
-    def _handle_alloc(self, msg: Message) -> Generator[Event, Any, tuple[Any, int]]:
+    def _handle_alloc(
+        self, part: Partition, msg: Message
+    ) -> Generator[Event, Any, tuple[Any, int]]:
         cfg = self.config
         p = msg.payload
         key: bytes = p["key"]
         vlen: int = p["vlen"]
-        table: HopscotchTable = self.partitions[0].table
-        pool = self.partitions[0].pools[0]
+        table: HopscotchTable = part.table
+        pool = part.pools[0]
         size = object_size(len(key), vlen)
         yield self.env.timeout(cfg.alloc_ns)
         try:

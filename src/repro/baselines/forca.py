@@ -23,6 +23,7 @@ from repro.baselines.base import (
     BaseServer,
     GET_REQUEST_OVERHEAD,
     ObjectLocation,
+    Partition,
     RESPONSE_BYTES,
     StoreConfig,
 )
@@ -48,43 +49,40 @@ class ForcaServer(BaseServer):
 
     def _register_handlers(self) -> None:
         super()._register_handlers()
-        self.rpc.register("get_loc", self._handle_get_loc)
+        self.register_keyed("get_loc", self._handle_get_loc)
 
-    def _handle_get_loc(self, msg: Message) -> Generator[Event, Any, tuple[Any, int]]:
+    def _handle_get_loc(
+        self, part: Partition, msg: Message
+    ) -> Generator[Event, Any, tuple[Any, int]]:
         cfg = self.config
         key: bytes = msg.payload["key"]
-        part = self.partition_for_key(key)
-        budget = yield from part.acquire_budget()
-        try:
-            yield self.env.timeout(cfg.index_ns + cfg.meta_indirection_ns)
-            found = part.lookup_slot(key)
-            if found is None:
-                return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
-            _entry_off, cur, _alt = found
-            if cur is None:
-                return rpc_error(f"key {key!r} has no version", ERR_NOT_FOUND), RESPONSE_BYTES
+        yield self.env.timeout(cfg.index_ns + cfg.meta_indirection_ns)
+        found = part.lookup_slot(key)
+        if found is None:
+            return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
+        _entry_off, cur, _alt = found
+        if cur is None:
+            return rpc_error(f"key {key!r} has no version", ERR_NOT_FOUND), RESPONSE_BYTES
 
-            loc: Optional[ObjectLocation] = ObjectLocation(
-                pool=cur.pool, offset=cur.offset, size=cur.size
-            )
-            while loc is not None:
-                img = part.read_object(loc)
-                # Forca verifies by CRC on *every* read (no durability flag).
-                yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-                if img.well_formed and img.key == key and part.object_value_ok(img):
-                    # ... and persists on the read path before returning.
-                    # (No durability flag — Forca re-verifies every read;
-                    # that absence is the design gap eFactory closes.)
-                    yield from part.persist_object(loc)
-                    return (
-                        {"pool": loc.pool, "offset": loc.offset,
-                         "size": loc.size, "part": part.part_id},
-                        RESPONSE_BYTES,
-                    )
-                loc = self._previous_location(part, img)
-            return rpc_error(f"key {key!r}: no intact version", ERR_NO_INTACT), RESPONSE_BYTES
-        finally:
-            part.release_budget(budget)
+        loc: Optional[ObjectLocation] = ObjectLocation(
+            pool=cur.pool, offset=cur.offset, size=cur.size
+        )
+        while loc is not None:
+            img = part.read_object(loc)
+            # Forca verifies by CRC on *every* read (no durability flag).
+            yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+            if img.well_formed and img.key == key and part.object_value_ok(img):
+                # ... and persists on the read path before returning.
+                # (No durability flag — Forca re-verifies every read;
+                # that absence is the design gap eFactory closes.)
+                yield from part.persist_object(loc)
+                return (
+                    {"pool": loc.pool, "offset": loc.offset,
+                     "size": loc.size, "part": part.part_id},
+                    RESPONSE_BYTES,
+                )
+            loc = self._previous_location(part, img)
+        return rpc_error(f"key {key!r}: no intact version", ERR_NO_INTACT), RESPONSE_BYTES
 
     def _previous_location(self, part, img) -> Optional[ObjectLocation]:
         prev = unpack_ptr(img.pre_ptr) if img.well_formed else None

@@ -22,7 +22,6 @@ from repro.baselines.base import (
     StoreConfig,
 )
 from repro.errors import KeyNotFoundError, StoreError
-from repro.kv.objects import FLAG_DURABLE
 from repro.rdma.verbs import Message, Opcode
 from repro.sim.kernel import Event
 
@@ -52,17 +51,7 @@ class IMMServer(BaseServer):
         if pending is None:
             return None
         loc, entry_off, _klen, part = pending
-        budget = yield from part.acquire_budget()
-        try:
-            # Flag before flushing so the durable flag never outruns the data.
-            img = part.read_object(loc)
-            part.set_object_flags(loc, img.flags | FLAG_DURABLE)
-            yield from part.persist_object(loc)
-            yield from part.publish_object(entry_off, loc)
-            yield self.env.timeout(self.config.nvm_timing.flush_cost(32))
-            part.table.persist_entry(entry_off)
-        finally:
-            part.release_budget(budget)
+        yield from part.serve(part.publish_durable(loc, entry_off), admit=False)
         # Acked off-CPU by the dispatch loop; the client matches on the
         # payload since it never saw this message's req_id.
         return {"ack_alloc": msg.imm}, RESPONSE_BYTES

@@ -48,6 +48,7 @@ from repro.kv.objects import (
     parse_object,
     unpack_ptr,
 )
+from repro.rdma.rpc import ERR_BUSY, ERR_FENCED, rpc_error
 from repro.sim.kernel import Event
 from repro.sim.resources import Resource
 
@@ -56,7 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kv.logpool import LogPool
     from repro.rdma.mr import MemoryRegion
 
-__all__ = ["ObjectLocation", "Partition"]
+__all__ = ["ObjectLocation", "Partition", "RESPONSE_BYTES"]
+
+#: Wire bytes of a small control response (offset + status).
+RESPONSE_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,10 @@ class Partition:
         self.write_pool_id = 0
         #: Set while this partition's log cleaner runs a cycle.
         self.cleaning_active = False
-        #: Write fence: while True, alloc RPCs fail with ERR_FENCED.
-        #: Raised by cluster migration during the drain window so the
-        #: delta pass sees a frozen log; never set on single-node runs.
+        #: Write fence: while True, write requests (:meth:`serve` with
+        #: ``write=True``) fail with ERR_FENCED. Raised by cluster
+        #: migration during the drain window so the delta pass sees a
+        #: frozen log; never set on single-node runs.
         self.fenced = False
         #: Attached by EFactoryServer (None for the other schemes).
         self.verifier: Any = None
@@ -111,13 +116,13 @@ class Partition:
         #: ``parity_stripe_kb > 0``, else None (legacy paths verbatim).
         self.integrity: Any = None
         #: Per-partition dispatch budget (one core per partition).  None
-        #: when the server is unpartitioned: acquire_budget then yields
-        #: nothing, keeping the monolith's event sequence untouched.
+        #: when the server is unpartitioned: :meth:`serve` then takes no
+        #: budget, keeping the monolith's event sequence untouched.
         self.cpu: Optional[Resource] = (
             Resource(server.env, capacity=cpu_budget) if cpu_budget else None
         )
         # -- admission control (config.admission_watermark > 0) --------
-        #: Requests admitted and not yet departed (handler in flight).
+        #: Requests admitted and not yet served (handler in flight).
         self.inflight = 0
         #: High-water mark of :attr:`inflight` (load metric).
         self.peak_inflight = 0
@@ -125,20 +130,68 @@ class Partition:
         self.admitted_requests = 0
         self.shed_requests = 0
 
-    # -- admission control ----------------------------------------------------
-    def try_admit(self) -> bool:
-        """Admission decision at handler entry (instant, no events).
+    @property
+    def config(self):
+        return self.server.config
 
-        With the watermark disabled (0, the default) this is a bare
-        ``return True`` — no counters move, no injection site fires, so
-        every existing run stays bit-identical. Enabled, a request over
-        the watermark is shed (the handler answers retryable
-        ``ERR_BUSY``); admitted requests must be balanced with
-        :meth:`depart`.
+    @property
+    def device(self):
+        return self.server.device
+
+    # -- the request lifecycle ------------------------------------------------
+    def serve(
+        self,
+        body: Generator[Event, Any, Any],
+        *,
+        write: bool = False,
+        admit: bool = True,
+    ) -> Generator[Event, Any, Any]:
+        """Run one request's ``body`` on this partition: the one place a
+        handler's work meets the write fence, admission and the budget.
+
+        In order: a ``write`` request is refused with ``ERR_FENCED``
+        while :attr:`fenced`; a request that begins an operation is shed
+        with retryable ``ERR_BUSY`` while the watermark's worth are in
+        flight (DESIGN.md §15); the dispatch budget is taken; ``body``
+        runs; budget and admission are given back. The completion step
+        of an operation admitted at its alloc (SAW ``persist``, IMM's
+        WRITE_WITH_IMM) passes ``admit=False`` and takes the budget only.
+
+        Returns what ``body`` returns, or ``(refusal, RESPONSE_BYTES)``
+        without running it.
         """
-        wm = self.config.admission_watermark
-        if wm == 0:
-            return True
+        if write and self.fenced:
+            return (
+                rpc_error(
+                    f"partition {self.part_id} is write-fenced (migrating)",
+                    code=ERR_FENCED,
+                ),
+                RESPONSE_BYTES,
+            )
+        admitted = admit and self.config.admission_watermark > 0
+        if admitted and not self._admit():
+            return (
+                rpc_error(
+                    f"partition {self.part_id} over admission watermark "
+                    f"({self.inflight} in flight)",
+                    code=ERR_BUSY,
+                ),
+                RESPONSE_BYTES,
+            )
+        cpu = self.cpu
+        req = (yield from cpu.acquire()) if cpu is not None else None
+        try:
+            return (yield from body)
+        finally:
+            if req is not None:
+                cpu.release(req)
+            if admitted:
+                self.inflight -= 1
+
+    def _admit(self) -> bool:
+        """The armed watermark's decision (instant, no events): False
+        sheds; True counts the request in flight until :meth:`serve`
+        gives it back."""
         inj = self.server.fabric.injector
         if inj is not None:
             act = inj.fire("admission.enter")
@@ -147,7 +200,7 @@ class Partition:
                 # without needing real overload.
                 self.shed_requests += 1
                 return False
-        if self.inflight >= wm:
+        if self.inflight >= self.config.admission_watermark:
             self.shed_requests += 1
             if inj is not None:
                 inj.fire("admission.shed")
@@ -158,30 +211,13 @@ class Partition:
             self.peak_inflight = self.inflight
         return True
 
-    def depart(self) -> None:
-        """Balance a successful :meth:`try_admit` at handler exit."""
-        if self.config.admission_watermark:
-            self.inflight -= 1
-
-    @property
-    def config(self):
-        return self.server.config
-
-    @property
-    def device(self):
-        return self.server.device
-
-    # -- dispatch budget ------------------------------------------------------
-    def acquire_budget(self) -> Generator[Event, Any, Any]:
-        """Claim this partition's handler budget (no-op when unsharded)."""
-        if self.cpu is None:
-            return None
-        req = yield from self.cpu.acquire()
-        return req
-
-    def release_budget(self, req: Any) -> None:
-        if req is not None:
-            self.cpu.release(req)
+    def admission_stats(self) -> dict[str, int]:
+        return {
+            "admitted": self.admitted_requests,
+            "shed": self.shed_requests,
+            "peak_inflight": self.peak_inflight,
+            "inflight": self.inflight,
+        }
 
     # -- the shared allocation path (client-active PUT, steps 2-4) ------------
     def alloc_object(
@@ -290,6 +326,20 @@ class Partition:
         yield self.env.timeout(t.flush_line_ns + t.fence_ns)
         self.table.persist_entry(entry_off)
 
+    def publish_durable(
+        self, loc: ObjectLocation, entry_off: int
+    ) -> Generator[Event, Any, None]:
+        """The completion step of the durable-before-visible schemes
+        (SAW ``persist``, IMM's WRITE_WITH_IMM): flag, flush the object,
+        then publish and persist its hash entry."""
+        # Flag first so the flush below covers it: post-crash, a set
+        # durability flag must imply the value is on media.
+        img = self.read_object(loc)
+        self.set_object_flags(loc, img.flags | FLAG_DURABLE)
+        yield from self.persist_object(loc)
+        yield from self.publish_object(entry_off, loc)
+        yield from self.persist_entry_timed(entry_off)
+
     # -- shared object helpers ------------------------------------------------
     def read_object(self, loc: ObjectLocation) -> ObjectImage:
         """Instant state read of an object (timing charged by caller)."""
@@ -353,6 +403,32 @@ class Partition:
         if entry_off is None:
             return None
         return entry_off, self.table.read_cur(entry_off), self.table.read_alt(entry_off)
+
+    def delete(self, key: bytes) -> Generator[Event, Any, bool]:
+        """Unindex ``key`` and invalidate its current version (a DELETE
+        request's work, and a migration's deletion delta). False, after
+        the index probe, when the key has no current version."""
+        cfg = self.config
+        yield self.env.timeout(cfg.index_ns)
+        found = self.lookup_slot(key)
+        if found is None or found[1] is None:
+            return False
+        entry_off, cur, _alt = found
+        loc = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
+        img = self.read_object(loc)
+        yield self.env.timeout(cfg.entry_update_ns)
+        self.table.clear_cur(entry_off)
+        self.table.clear_alt(entry_off)
+        self.table.persist_entry(entry_off)
+        if img.well_formed:
+            self.set_object_flags(loc, img.flags & ~FLAG_VALID)
+            # The VALID clear must be durable before the ack, or a
+            # crash resurrects the object when the pool scan re-seeds
+            # the index (same store+flush pairing as mark_durable;
+            # the flush_cost timeout below already charges the time).
+            self.device.flush(self.pools[loc.pool].abs_addr(loc.offset), 8)
+        yield self.env.timeout(cfg.nvm_timing.flush_cost(32))
+        return True
 
     def previous_location(self, loc: ObjectLocation) -> Optional[ObjectLocation]:
         """Follow the on-media pre_ptr one hop down the version list."""

@@ -20,12 +20,15 @@ from repro.baselines.base import (
     BaseClient,
     BaseServer,
     GET_REQUEST_OVERHEAD,
+    ObjectLocation,
+    Partition,
     PUT_REQUEST_OVERHEAD,
     RESPONSE_BYTES,
     StoreConfig,
 )
+from repro.errors import StoreError
 from repro.kv.objects import FLAG_DURABLE, FLAG_VALID, HEADER_SIZE
-from repro.rdma.rpc import ERR_NOT_FOUND, rpc_error
+from repro.rdma.rpc import ERR_NOT_FOUND, rpc_error, rpc_error_for
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Event
 
@@ -41,65 +44,48 @@ class RpcStoreServer(BaseServer):
     store_name = "rpc"
 
     def _register_handlers(self) -> None:
-        self.rpc.register("put", self._handle_put)
-        self.rpc.register("get", self._handle_get)
+        self.register_keyed("put", self._handle_put, write=True)
+        self.register_keyed("get", self._handle_get)
 
-    def _handle_put(self, msg: Message) -> Generator[Event, Any, tuple[Any, int]]:
+    def _handle_put(
+        self, part: Partition, msg: Message
+    ) -> Generator[Event, Any, tuple[Any, int]]:
         p = msg.payload
         key: bytes = p["key"]
         value: bytes = p["value"]
-        part = self.partition_for_key(key)
-        budget = yield from part.acquire_budget()
+        # Allocate + write metadata, but publish only after durability.
         try:
-            # Allocate + write metadata, but publish only after durability.
             loc, entry_off = yield from part.alloc_object(
                 key, len(value), 0, publish=False, flags=FLAG_VALID | FLAG_DURABLE
             )
-            # Staging-buffer -> NVM copy (the extra data pass RPC pays).
-            value_addr = (
-                part.pools[loc.pool].abs_addr(loc.offset) + HEADER_SIZE + len(key)
-            )
-            yield from self.device.copy_in(value_addr, value)
-            yield from part.persist_object(loc)
-            yield from part.publish_object(entry_off, loc)
-            yield from self._persist_entry_timed(part, entry_off)
-            return {"ok": True}, RESPONSE_BYTES
-        finally:
-            part.release_budget(budget)
+        except StoreError as exc:
+            return rpc_error_for(exc), RESPONSE_BYTES
+        # Staging-buffer -> NVM copy (the extra data pass RPC pays).
+        value_addr = (
+            part.pools[loc.pool].abs_addr(loc.offset) + HEADER_SIZE + len(key)
+        )
+        yield from self.device.copy_in(value_addr, value)
+        yield from part.persist_object(loc)
+        yield from part.publish_object(entry_off, loc)
+        yield from part.persist_entry_timed(entry_off)
+        return {"ok": True}, RESPONSE_BYTES
 
-    def _handle_get(self, msg: Message) -> Generator[Event, Any, tuple[Any, int]]:
+    def _handle_get(
+        self, part: Partition, msg: Message
+    ) -> Generator[Event, Any, tuple[Any, int]]:
         key: bytes = msg.payload["key"]
-        part = self.partition_for_key(key)
-        budget = yield from part.acquire_budget()
-        try:
-            yield self.env.timeout(self.config.index_ns)
-            found = part.lookup_slot(key)
-            if found is None or found[1] is None:
-                return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
-            _entry_off, cur, _alt = found
-            loc_img = part.read_object(
-                # metadata published only after durability => object intact
-                _loc_from_slot(cur)
-            )
-            # server-side read of the value before shipping it back
-            yield self.env.timeout(self.config.nvm_timing.read_cost(loc_img.vlen))
-            return (
-                {"value": loc_img.value},
-                RESPONSE_BYTES + loc_img.vlen,
-            )
-        finally:
-            part.release_budget(budget)
-
-    def _persist_entry_timed(self, part, entry_off: int) -> Generator[Event, Any, None]:
-        t = self.config.nvm_timing
-        yield self.env.timeout(t.flush_cost(32))
-        part.table.persist_entry(entry_off)
-
-
-def _loc_from_slot(slot):
-    from repro.baselines.base import ObjectLocation
-
-    return ObjectLocation(pool=slot.pool, offset=slot.offset, size=slot.size)
+        yield self.env.timeout(self.config.index_ns)
+        found = part.lookup_slot(key)
+        if found is None or found[1] is None:
+            return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
+        _entry_off, cur, _alt = found
+        # metadata published only after durability => object intact
+        img = part.read_object(
+            ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
+        )
+        # server-side read of the value before shipping it back
+        yield self.env.timeout(self.config.nvm_timing.read_cost(img.vlen))
+        return {"value": img.value}, RESPONSE_BYTES + img.vlen
 
 
 class RpcStoreClient(BaseClient):

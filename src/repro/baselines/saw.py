@@ -21,7 +21,6 @@ from repro.baselines.base import (
     StoreConfig,
 )
 from repro.errors import KeyNotFoundError
-from repro.kv.objects import FLAG_DURABLE
 from repro.rdma.rpc import ERR_UNKNOWN_ALLOC, rpc_error
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Event
@@ -47,18 +46,7 @@ class SAWServer(BaseServer):
         if pending is None:
             return rpc_error("unknown alloc_id", ERR_UNKNOWN_ALLOC), RESPONSE_BYTES
         loc, entry_off, _klen, part = pending
-        budget = yield from part.acquire_budget()
-        try:
-            # Flag first so the flush below covers it: post-crash, a set
-            # durability flag must imply the value is on media.
-            img = part.read_object(loc)
-            part.set_object_flags(loc, img.flags | FLAG_DURABLE)
-            yield from part.persist_object(loc)
-            yield from part.publish_object(entry_off, loc)
-            yield self.env.timeout(self.config.nvm_timing.flush_cost(32))
-            part.table.persist_entry(entry_off)
-        finally:
-            part.release_budget(budget)
+        yield from part.serve(part.publish_durable(loc, entry_off), admit=False)
         return {"ok": True}, RESPONSE_BYTES
 
 

@@ -18,11 +18,12 @@ instead of across pools:
    single-version history). The source keeps serving reads and writes
    throughout; copied source versions gain ``FLAG_TRANS``, which the
    client location cache already treats as "stale, re-resolve".
-3. **Drain + delta** — the source partition is write-fenced (allocs
+3. **Drain + delta** — the source partition is write-fenced (writes
    fail with ``ERR_FENCED``; the cluster client waits and re-routes),
-   in-flight WRITEs get ``drain_grace_ns`` to land, and every record
+   in-flight WRITEs get ``drain_grace_ns`` to land, every record
    appended since the copy-pass snapshot is re-copied (last write wins
-   at the destination index).
+   at the destination index), and every copied key the source has
+   deleted since is deleted at the destination (``mig_drop``).
 4. **Flip** — the router makes the destination primary (epoch bump →
    clients drop caches and re-route), the fence drops, and the
    destination starts shipping its fresh log to the surviving backups
@@ -62,6 +63,7 @@ MIG_ALLOC_OVERHEAD = 24
 MIG_ALLOC_ITEM_BYTES = 8
 MIG_COMMIT_OVERHEAD = 24
 MIG_COMMIT_ITEM_BYTES = 12
+MIG_DROP_OVERHEAD = 24
 
 
 def _latest_intact(
@@ -208,12 +210,14 @@ def migrate_partition(
 
         # 2. copy pass over a snapshot of the index (writes continue).
         batch: list[tuple[ObjectLocation, Any]] = []
+        copied: list[bytes] = []
         for entry_off, entry in list(src_part.table.iter_entries()):
             check_live()
             found = yield from _latest_intact(src_part, entry_off, entry.fp)
             if found is None:
                 continue
             batch.append(found)
+            copied.append(found[1].key)
             if len(batch) >= cfg.migrate_batch:
                 yield from _copy_batch(
                     cluster, src, dst_id, part_id, batch, stats
@@ -265,6 +269,21 @@ def migrate_partition(
         if batch:
             yield from _copy_batch(cluster, src, dst_id, part_id, batch, stats)
         stats["delta_moved"] = stats["moved"] - moved_before_delta
+        # A DELETE allocates nothing, so the delta above cannot see one:
+        # drop at the destination every copied key the source no longer
+        # holds a current version of.
+        gone = []
+        for key in copied:
+            found = src_part.lookup_slot(key)
+            if found is None or found[1] is None:
+                gone.append(key)
+        if gone:
+            check_live()
+            yield from src.call(
+                dst_id,
+                {"op": "mig_drop", "part": part_id, "keys": gone},
+                MIG_DROP_OVERHEAD + sum(len(key) for key in gone),
+            )
 
         # 4. flip ownership; re-seed replication from the new primary.
         check_live()

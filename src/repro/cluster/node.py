@@ -11,11 +11,12 @@ promotion rebuilds them from the log, see
 
 :class:`ClusterNode` wraps one server with the cluster-internal RPC
 handlers (ping / repl_commit / repl_reset / repl_wait / mig_alloc /
-mig_commit) and the per-partition :class:`~repro.cluster.replicator.
-LogShipper` instances; :class:`Cluster` owns the router, the failure
-detector, and the whole-node-kill fault hook; :class:`ClusterSetup`
-mirrors :class:`repro.stores.StoreSetup` so the chaos harness drives a
-cluster through the same surface as a standalone store.
+mig_commit / mig_drop) and the per-partition
+:class:`~repro.cluster.replicator.LogShipper` instances;
+:class:`Cluster` owns the router, the failure detector, and the
+whole-node-kill fault hook; :class:`ClusterSetup` mirrors
+:class:`repro.stores.StoreSetup` so the chaos harness drives a cluster
+through the same surface as a standalone store.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class ClusterNode:
         rpc.register("repl_wait", self._handle_repl_wait)
         rpc.register("mig_alloc", self._handle_mig_alloc)
         rpc.register("mig_commit", self._handle_mig_commit)
+        rpc.register("mig_drop", self._handle_mig_drop)
         rpc.register("repair_fetch", self._handle_repair_fetch)
 
     # -- inter-node transport ----------------------------------------------
@@ -265,6 +267,18 @@ class ClusterNode:
                 part.integrity.cover_from_media(loc)
         if done and part.integrity is not None:
             yield from part.integrity.flush()
+        return {"ok": done}, RESPONSE_BYTES
+
+    def _handle_mig_drop(
+        self, msg: Message
+    ) -> Generator[Event, Any, tuple[Any, int]]:
+        """Migration destination: delete keys the source deleted after
+        the copy pass shipped them."""
+        p = msg.payload
+        part = self.server.partitions[p["part"]]
+        done = 0
+        for key in p["keys"]:
+            done += yield from part.delete(key)
         return {"ok": done}, RESPONSE_BYTES
 
     def _handle_repair_fetch(

@@ -10,8 +10,9 @@ CRC only if needed"), and the two-stage log cleaner (§4.4).
 The server is a composition of ``num_partitions`` independent partitions
 (own pools, table segment, verifier, cleaner, scrubber — see
 ``repro.baselines.partition``), one by default; every RPC handler
-routes by the key's fingerprint and runs under that partition's
-dispatch budget.
+routes by the key's fingerprint and runs inside that partition's
+request lifecycle (``Partition.serve``: write fence, admission,
+dispatch budget).
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from repro.baselines.base import (
     ObjectLocation,
     Partition,
     RESPONSE_BYTES,
-    busy_error,
 )
 from repro.core.background import BackgroundVerifier
 from repro.core.scrub import Scrubber
 from repro.core.config import EFactoryConfig, efactory_config
-from repro.kv.objects import FLAG_VALID
 from repro.rdma.fabric import Fabric
 from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error
 from repro.rdma.verbs import Message
@@ -116,16 +115,11 @@ class EFactoryServer(BaseServer):
                 "events_per_op": processed / total_ops if total_ops else 0,
             },
         }
-        if self.config.admission_watermark > 0:
+        admission = self.admission_metrics()
+        if admission is not None:
             # Only present when the knob is on, so every legacy metrics
             # consumer sees an unchanged dict shape.
-            out["admission"] = {
-                "watermark": self.config.admission_watermark,
-                "admitted": sum(p.admitted_requests for p in parts),
-                "shed": sum(p.shed_requests for p in parts),
-                "peak_inflight": max(p.peak_inflight for p in parts),
-                "inflight": sum(p.inflight for p in parts),
-            }
+            out["admission"] = admission
         if self.config.parity_stripe_kb > 0:
             out["integrity"] = sum_counters(p.integrity.stats() for p in parts)
         if self.cluster_node is not None:
@@ -135,8 +129,8 @@ class EFactoryServer(BaseServer):
     # -- handlers ----------------------------------------------------------------
     def _register_handlers(self) -> None:
         super()._register_handlers()
-        self.rpc.register("get_loc", self._handle_get_loc)
-        self.rpc.register("delete", self._handle_delete)
+        self.register_keyed("get_loc", self._handle_get_loc)
+        self.register_keyed("delete", self._handle_delete, write=True)
         self.rpc.register("cleaning_ack", self._handle_cleaning_ack)
 
     def on_allocated(
@@ -159,46 +153,39 @@ class EFactoryServer(BaseServer):
         yield  # pragma: no cover - makes this a generator
 
     # -- the RPC read path (§4.3.3 steps 6-8) --------------------------------------
-    def _handle_get_loc(self, msg: Message) -> Generator[Event, Any, tuple[Any, int]]:
-        cfg = self.config
+    def _handle_get_loc(
+        self, part: Partition, msg: Message
+    ) -> Generator[Event, Any, tuple[Any, int]]:
         key: bytes = msg.payload["key"]
-        part = self.partition_for_key(key)
-        if not part.try_admit():
-            return busy_error(part), RESPONSE_BYTES
-        budget = yield from part.acquire_budget()
-        try:
-            yield self.env.timeout(cfg.index_ns)
-            found = part.lookup_slot(key)
-            if found is None:
-                return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
-            _entry_off, cur, alt = found
+        yield self.env.timeout(self.config.index_ns)
+        found = part.lookup_slot(key)
+        if found is None:
+            return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
+        _entry_off, cur, alt = found
 
-            # Walk the version list from the latest version (step 7).
-            loc = _loc(cur)
-            while loc is not None:
-                resolved = yield from self._resolve_version(part, loc, key)
-                if resolved is not None:
-                    return (
-                        {"pool": resolved.pool, "offset": resolved.offset,
-                         "size": resolved.size, "part": part.part_id},
-                        RESPONSE_BYTES,
-                    )
-                loc = part.previous_location(loc)
+        # Walk the version list from the latest version (step 7).
+        loc = _loc(cur)
+        while loc is not None:
+            resolved = yield from self._resolve_version(part, loc, key)
+            if resolved is not None:
+                return (
+                    {"pool": resolved.pool, "offset": resolved.offset,
+                     "size": resolved.size, "part": part.part_id},
+                    RESPONSE_BYTES,
+                )
+            loc = part.previous_location(loc)
 
-            # Fall back to the log-cleaning copy (durable by construction).
-            if alt is not None:
-                loc = _loc(alt)
-                img = part.read_object(loc)
-                if img.well_formed and img.key == key and img.durable:
-                    return (
-                        {"pool": loc.pool, "offset": loc.offset,
-                         "size": loc.size, "part": part.part_id},
-                        RESPONSE_BYTES,
-                    )
-            return rpc_error(f"key {key!r}: no intact version", ERR_NO_INTACT), RESPONSE_BYTES
-        finally:
-            part.release_budget(budget)
-            part.depart()
+        # Fall back to the log-cleaning copy (durable by construction).
+        if alt is not None:
+            loc = _loc(alt)
+            img = part.read_object(loc)
+            if img.well_formed and img.key == key and img.durable:
+                return (
+                    {"pool": loc.pool, "offset": loc.offset,
+                     "size": loc.size, "part": part.part_id},
+                    RESPONSE_BYTES,
+                )
+        return rpc_error(f"key {key!r}: no intact version", ERR_NO_INTACT), RESPONSE_BYTES
 
     def _resolve_version(
         self, part: Partition, loc: ObjectLocation, key: bytes
@@ -225,37 +212,13 @@ class EFactoryServer(BaseServer):
         return None
 
     # -- delete (API completeness; reclaimed by log cleaning) ------------------------
-    def _handle_delete(self, msg: Message) -> Generator[Event, Any, tuple[Any, int]]:
-        cfg = self.config
+    def _handle_delete(
+        self, part: Partition, msg: Message
+    ) -> Generator[Event, Any, tuple[Any, int]]:
         key: bytes = msg.payload["key"]
-        part = self.partition_for_key(key)
-        if not part.try_admit():
-            return busy_error(part), RESPONSE_BYTES
-        budget = yield from part.acquire_budget()
-        try:
-            yield self.env.timeout(cfg.index_ns)
-            found = part.lookup_slot(key)
-            if found is None or found[1] is None:
-                return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
-            entry_off, cur, _alt = found
-            loc = _loc(cur)
-            img = part.read_object(loc)
-            yield self.env.timeout(cfg.entry_update_ns)
-            part.table.clear_cur(entry_off)
-            part.table.clear_alt(entry_off)
-            part.table.persist_entry(entry_off)
-            if img.well_formed:
-                part.set_object_flags(loc, img.flags & ~FLAG_VALID)
-                # The VALID clear must be durable before the ack, or a
-                # crash resurrects the object when the pool scan re-seeds
-                # the index (same store+flush pairing as mark_durable;
-                # the flush_cost timeout below already charges the time).
-                part.device.flush(part.pools[loc.pool].abs_addr(loc.offset), 8)
-            yield self.env.timeout(cfg.nvm_timing.flush_cost(32))
-            return {"ok": True}, RESPONSE_BYTES
-        finally:
-            part.release_budget(budget)
-            part.depart()
+        if not (yield from part.delete(key)):
+            return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
+        return {"ok": True}, RESPONSE_BYTES
 
     # -- maintenance -----------------------------------------------------------------
     def trigger_cleaning(self, part_id: Optional[int] = None) -> Optional[Event]:

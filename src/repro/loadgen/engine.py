@@ -417,7 +417,7 @@ def run_load(spec: LoadSpec) -> LoadReport:
     if bat is not None:
         sim["batches"] = bat.batches
         sim["batched_waits"] = bat.batched_waits
-    admission = setup.server.metrics().get("admission")
+    admission = setup.server.admission_metrics()
     res = {
         "enabled": spec.retry_enabled,
         "retries": sum(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.kv.hashtable import key_fingerprint, partition_of_fp
 from repro.kv.objects import FLAG_TRANS
+from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, RpcFault
 
 from tests.cluster.conftest import run1, small_cluster
 
@@ -147,4 +150,53 @@ def test_migration_source_unfenced_after_abort(env):
 
     run1(env, body())
     assert spart.fenced is False
+    setup.stop()
+
+
+@pytest.mark.parametrize(
+    "delay_us, state",
+    [
+        (10, "migrating"),
+        (20, "migrating"),
+        (28, "migrating"),
+        (34, "migrating"),
+        (40, "migrating"),
+        (42, "migrating"),
+        (46, "draining"),
+        (56, "draining"),
+        (66, "draining"),
+        (72, "draining"),
+    ],
+)
+def test_delete_during_migration_stays_deleted(env, delay_us, state):
+    """A DELETE acked while the partition moves is not resurrected by
+    the flip: the copy pass may already have shipped the key, and the
+    delete allocates nothing for the delta to see."""
+    setup = small_cluster(env, nodes=3, replication=2)
+    client = setup.client(0)
+    cluster = setup.cluster
+    part, part_keys, all_keys = _keys_of_partition(cluster)
+    src = cluster.router.primary(part)
+    dst = next(i for i in range(3) if i != src)
+    victim = part_keys[0]
+
+    def body():
+        for k in all_keys:
+            yield from client.put(k, k * 4)
+        mig = env.process(cluster.migrate(part, dst))
+        yield env.timeout(delay_us * 1000.0)
+        assert cluster.router.routes[part].state == state
+        yield from client.delete(victim)
+        stats = yield mig
+        assert not stats["aborted"], stats
+        with pytest.raises(RpcFault) as err:
+            yield from client.get(victim)
+        assert err.value.code in (ERR_NOT_FOUND, ERR_NO_INTACT)
+        for k in part_keys[1:]:
+            assert (yield from client.get(k)) == k * 4
+
+    run1(env, body())
+    assert cluster.router.primary(part) == dst
+    found = cluster.nodes[dst].server.partitions[part].lookup_slot(victim)
+    assert found is None or found[1] is None
     setup.stop()

@@ -8,6 +8,7 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.loadgen.arrivals import ArrivalCurve
 from repro.loadgen.engine import LoadSpec, run_load
 from repro.loadgen.tenants import TenantSpec
+from repro.stores import STORES
 from repro.workloads.ycsb import ycsb_a, ycsb_b, ycsb_f
 
 
@@ -168,6 +169,36 @@ class TestAdmissionControl:
         report = run_load(small_spec())
         assert report.admission is None
         assert not report.resilience["enabled"]
+
+
+@pytest.mark.parametrize("watermark", [0, 2])
+@pytest.mark.parametrize("store", list(STORES))
+def test_every_store_runs_under_load(store, watermark):
+    """Every store serves an open-loop run, and reports admission from
+    its partitions when the watermark is armed."""
+    spec = small_spec(
+        tenants=(
+            TenantSpec(
+                name="t0",
+                workload=ycsb_a(key_count=32, value_len=64),
+                clients=8,
+                ops_per_client=6,
+                rate_ops_s=8 * 400_000.0,
+                slo_ns=100_000.0,
+            ),
+        ),
+        store=store,
+        admission_watermark=watermark,
+        settle_ns=200_000.0,
+    )
+    report = run_load(spec)
+    assert report.tenants[0].ops + report.tenants[0].errors == 48
+    if watermark == 0:
+        assert report.admission is None
+        return
+    assert report.admission["watermark"] == 2
+    assert report.admission["admitted"] > 0
+    assert report.admission["inflight"] == 0
 
 
 class TestChaosSites:
