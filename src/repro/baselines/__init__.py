@@ -4,7 +4,6 @@ from repro.baselines.base import (
     BaseClient,
     BaseServer,
     ClientSession,
-    ObjectLocation,
     Partition,
     StoreConfig,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "ForcaServer",
     "IMMClient",
     "IMMServer",
-    "ObjectLocation",
     "Partition",
     "RpcStoreClient",
     "RpcStoreServer",

@@ -30,7 +30,7 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-from repro.baselines.partition import RESPONSE_BYTES, ObjectLocation, Partition
+from repro.baselines.partition import RESPONSE_BYTES, Partition
 from repro.crc.cost import CrcCostModel
 from repro.crc.crc32 import crc32_fast
 from repro.integrity import PartitionIntegrity, integrity_region_bytes
@@ -68,7 +68,6 @@ from repro.util import sum_counters
 
 __all__ = [
     "StoreConfig",
-    "ObjectLocation",
     "Partition",
     "ClientSession",
     "BaseServer",
@@ -130,7 +129,6 @@ class StoreConfig:
 
     # scheme switches
     persist_meta: bool = False  # flush header+entry inside the alloc handler
-    crc_on_put: bool = False  # client computes a CRC and ships it
 
     # eFactory background verification
     verify_timeout_ns: float = 50_000.0
@@ -523,7 +521,7 @@ class BaseServer:
             results[idx] = item
             first = first and "error" in item
 
-    def on_allocated(self, part: Partition, loc: ObjectLocation, entry_off: int) -> None:
+    def on_allocated(self, part: Partition, loc: Slot, entry_off: int) -> None:
         """Subclass hook (eFactory feeds its background verifier)."""
 
 
@@ -943,13 +941,6 @@ class BaseClient:
             self._pool_rkey(part, slot.pool), slot.offset, slot.size
         )
         return parse_object(raw), bytes(raw)
-
-    def read_object_loc(
-        self, pool: int, offset: int, size: int, part: int = 0
-    ) -> Generator[Event, Any, ObjectImage]:
-        self._note_part(part)
-        raw = yield from self.ep.read(self._pool_rkey(part, pool), offset, size)
-        return parse_object(raw)
 
     # -- interface -------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> Generator[Event, Any, None]:

@@ -23,7 +23,7 @@ __all__ = ["CAServer", "CAClient", "ca_config"]
 
 def ca_config(**overrides: Any) -> StoreConfig:
     """Defaults for CA: no metadata persistence, no CRC anywhere."""
-    cfg = StoreConfig(persist_meta=False, crc_on_put=False)
+    cfg = StoreConfig(persist_meta=False)
     return cfg.with_(**overrides) if overrides else cfg
 
 

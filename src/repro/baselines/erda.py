@@ -26,6 +26,7 @@ from repro.baselines.base import (
 )
 from repro.crc.crc32 import crc32_fast
 from repro.errors import CorruptObjectError, KeyNotFoundError, StoreError
+from repro.kv.hashtable import Slot
 from repro.kv.hopscotch import (
     ERDA_ENTRY_SIZE,
     HopscotchTable,
@@ -49,7 +50,7 @@ __all__ = ["ErdaServer", "ErdaClient", "erda_config"]
 def erda_config(**overrides: Any) -> StoreConfig:
     """Erda defaults: no flushing anywhere; hopscotch insert pays more
     index CPU than a simple bucket probe (displacement scans)."""
-    cfg = StoreConfig(persist_meta=False, crc_on_put=True, index_ns=100.0)
+    cfg = StoreConfig(persist_meta=False, index_ns=100.0)
     return cfg.with_(**overrides) if overrides else cfg
 
 
@@ -151,7 +152,7 @@ class ErdaClient(BaseClient):
         for attempt, off in enumerate((region.off1, region.off2)):
             if off is None:
                 continue
-            img = yield from self.read_object_loc(0, off, obj_size)
+            img = yield from self.read_object_at(Slot(pool=0, offset=off, size=obj_size))
             # Client-side CRC — the Fig 2 read-path overhead.
             yield self.env.timeout(self.config.crc_cost.cost_ns(size_hint))
             if (

@@ -22,12 +22,11 @@ from repro.baselines.base import (
     BaseClient,
     BaseServer,
     GET_REQUEST_OVERHEAD,
-    ObjectLocation,
     Partition,
     RESPONSE_BYTES,
     StoreConfig,
 )
-from repro.kv.objects import HEADER_SIZE, object_size, parse_header, unpack_ptr
+from repro.kv.hashtable import Slot
 from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Event
@@ -36,11 +35,7 @@ __all__ = ["ForcaServer", "ForcaClient", "forca_config"]
 
 
 def forca_config(**overrides: Any) -> StoreConfig:
-    cfg = StoreConfig(
-        persist_meta=False,
-        crc_on_put=True,
-        meta_indirection_ns=120.0,
-    )
+    cfg = StoreConfig(persist_meta=False, meta_indirection_ns=120.0)
     return cfg.with_(**overrides) if overrides else cfg
 
 
@@ -64,10 +59,7 @@ class ForcaServer(BaseServer):
         if cur is None:
             return rpc_error(f"key {key!r} has no version", ERR_NOT_FOUND), RESPONSE_BYTES
 
-        loc: Optional[ObjectLocation] = ObjectLocation(
-            pool=cur.pool, offset=cur.offset, size=cur.size
-        )
-        while loc is not None:
+        for loc in part.versions(cur):
             img = part.read_object(loc)
             # Forca verifies by CRC on *every* read (no durability flag).
             yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
@@ -76,27 +68,8 @@ class ForcaServer(BaseServer):
                 # (No durability flag — Forca re-verifies every read;
                 # that absence is the design gap eFactory closes.)
                 yield from part.persist_object(loc)
-                return (
-                    {"pool": loc.pool, "offset": loc.offset,
-                     "size": loc.size, "part": part.part_id},
-                    RESPONSE_BYTES,
-                )
-            loc = self._previous_location(part, img)
+                return part.location_reply(loc)
         return rpc_error(f"key {key!r}: no intact version", ERR_NO_INTACT), RESPONSE_BYTES
-
-    def _previous_location(self, part, img) -> Optional[ObjectLocation]:
-        prev = unpack_ptr(img.pre_ptr) if img.well_formed else None
-        if prev is None:
-            return None
-        pool_id, offset = prev
-        # Size the previous version from its own header (state read; the
-        # walk's timing is dominated by the CRC charges above).
-        hdr = parse_header(part.pools[pool_id].read(offset, HEADER_SIZE))
-        if hdr is None:
-            return None  # header itself torn: cannot even size the object
-        return ObjectLocation(
-            pool=pool_id, offset=offset, size=object_size(hdr.klen, hdr.vlen)
-        )
 
 
 class ForcaClient(BaseClient):
@@ -109,8 +82,9 @@ class ForcaClient(BaseClient):
         resp = yield from self.rpc.call(
             {"op": "get_loc", "key": key}, GET_REQUEST_OVERHEAD + len(key)
         )
-        img = yield from self.read_object_loc(
-            resp["pool"], resp["offset"], resp["size"], resp.get("part", 0)
+        img = yield from self.read_object_at(
+            Slot(pool=resp["pool"], offset=resp["offset"], size=resp["size"]),
+            resp.get("part", 0),
         )
         self._check_found(img, key)
         return img.value

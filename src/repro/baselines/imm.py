@@ -29,7 +29,7 @@ __all__ = ["IMMServer", "IMMClient", "imm_config"]
 
 
 def imm_config(**overrides: Any) -> StoreConfig:
-    cfg = StoreConfig(persist_meta=False, crc_on_put=False)
+    cfg = StoreConfig(persist_meta=False)
     return cfg.with_(**overrides) if overrides else cfg
 
 

@@ -28,11 +28,11 @@ so code reads the same at ``num_partitions == 1`` as at N.
 
 from __future__ import annotations
 
-from collections.abc import Generator
-from dataclasses import dataclass
+from collections.abc import Generator, Iterator
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.crc.crc32 import crc32_fast
+from repro.errors import CorruptObjectError, MemoryAccessError, PoolExhaustedError
 from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import (
     FLAG_DURABLE,
@@ -57,27 +57,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kv.logpool import LogPool
     from repro.rdma.mr import MemoryRegion
 
-__all__ = ["ObjectLocation", "Partition", "RESPONSE_BYTES"]
+__all__ = ["Partition", "RESPONSE_BYTES", "ROTTEN_LOCATION"]
 
 #: Wire bytes of a small control response (offset + status).
 RESPONSE_BYTES = 32
 
-
-@dataclass(frozen=True)
-class ObjectLocation:
-    """Where an object lives: pool id, pool-relative offset, total size.
-
-    Pool ids are partition-local; an :class:`ObjectLocation` is only
-    meaningful together with the partition that owns the pools.
-    """
-
-    pool: int
-    offset: int
-    size: int
-
-    @property
-    def slot(self) -> Slot:
-        return Slot(pool=self.pool, size=self.size, offset=self.offset)
+#: What a read through rotten slot or ``pre_ptr`` bits raises: the
+#: device's bounds check when offset + size runs past it, the pool's own
+#: (``LogPool.abs_addr``) when the offset is outside the pool, and
+#: ``parse_object`` on a fragment shorter than a header.
+ROTTEN_LOCATION = (MemoryAccessError, PoolExhaustedError, CorruptObjectError)
 
 
 class Partition:
@@ -229,7 +218,7 @@ class Partition:
         publish: bool = True,
         flags: int = FLAG_VALID,
         charge_alloc: bool = True,
-    ) -> Generator[Event, Any, tuple[ObjectLocation, int]]:
+    ) -> Generator[Event, Any, tuple[Slot, int]]:
         """Allocate + write header/key (+ index update when ``publish``).
 
         Runs inside a request handler (CPU already held). Returns the
@@ -246,7 +235,7 @@ class Partition:
         if charge_alloc:
             yield env.timeout(cfg.alloc_ns)
         offset = pool.allocate(size)
-        loc = ObjectLocation(pool=pool.pool_id, offset=offset, size=size)
+        loc = Slot(pool=pool.pool_id, offset=offset, size=size)
 
         # previous-version link (the version list, §4.2.2)
         fp = key_fingerprint(key)
@@ -305,14 +294,14 @@ class Partition:
         return loc, entry_off
 
     def publish_object(
-        self, entry_off: int, loc: ObjectLocation
+        self, entry_off: int, loc: Slot
     ) -> Generator[Event, Any, None]:
         """Make the hash entry point at the object (one atomic store)."""
         yield self.env.timeout(self.config.entry_update_ns)
-        self.table.set_cur(entry_off, loc.slot)
+        self.table.set_cur(entry_off, loc)
 
     def persist_header(
-        self, loc: ObjectLocation, klen: int
+        self, loc: Slot, klen: int
     ) -> Generator[Event, Any, None]:
         """Flush the object header + key (before any entry exposes it)."""
         t = self.config.nvm_timing
@@ -327,7 +316,7 @@ class Partition:
         self.table.persist_entry(entry_off)
 
     def publish_durable(
-        self, loc: ObjectLocation, entry_off: int
+        self, loc: Slot, entry_off: int
     ) -> Generator[Event, Any, None]:
         """The completion step of the durable-before-visible schemes
         (SAW ``persist``, IMM's WRITE_WITH_IMM): flag, flush the object,
@@ -341,7 +330,15 @@ class Partition:
         yield from self.persist_entry_timed(entry_off)
 
     # -- shared object helpers ------------------------------------------------
-    def read_object(self, loc: ObjectLocation) -> ObjectImage:
+    def location_reply(self, loc: Slot) -> tuple[dict[str, int], int]:
+        """A ``get_loc`` answer: where the client READs the object."""
+        return (
+            {"pool": loc.pool, "offset": loc.offset, "size": loc.size,
+             "part": self.part_id},
+            RESPONSE_BYTES,
+        )
+
+    def read_object(self, loc: Slot) -> ObjectImage:
         """Instant state read of an object (timing charged by caller)."""
         return parse_object(self.pools[loc.pool].read(loc.offset, loc.size))
 
@@ -354,12 +351,12 @@ class Partition:
             and crc32_fast(img.value) == img.crc
         )
 
-    def persist_object(self, loc: ObjectLocation) -> Generator[Event, Any, None]:
+    def persist_object(self, loc: Slot) -> Generator[Event, Any, None]:
         """Timed flush of a whole object."""
         pool = self.pools[loc.pool]
         yield from self.device.persist(pool.abs_addr(loc.offset), loc.size)
 
-    def set_object_flags(self, loc: ObjectLocation, flags: int) -> None:
+    def set_object_flags(self, loc: Slot, flags: int) -> None:
         """Instant single-byte flag store (offset 2 in the header)."""
         pool = self.pools[loc.pool]
         if self.integrity is None:
@@ -369,13 +366,13 @@ class Partition:
         pool.write(loc.offset + 2, bytes([flags]))
         self.integrity.note_mutation(loc.pool, loc.offset, 2, old)
 
-    def mark_durable(self, loc: ObjectLocation, img: ObjectImage) -> None:
+    def mark_durable(self, loc: Slot, img: ObjectImage) -> None:
         self.set_object_flags(loc, img.flags | FLAG_DURABLE)
         # the flag itself must be durable before pure-RDMA readers trust it
         self.device.flush(self.pools[loc.pool].abs_addr(loc.offset), 8)
 
     def settle_verified(
-        self, loc: ObjectLocation, img: ObjectImage
+        self, loc: Slot, img: ObjectImage
     ) -> Generator[Event, Any, None]:
         """Persist one CRC-verified object and set its durability flag
         (the verifier's one-object step and the GET path's inline
@@ -413,8 +410,7 @@ class Partition:
         found = self.lookup_slot(key)
         if found is None or found[1] is None:
             return False
-        entry_off, cur, _alt = found
-        loc = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
+        entry_off, loc, _alt = found
         img = self.read_object(loc)
         yield self.env.timeout(cfg.entry_update_ns)
         self.table.clear_cur(entry_off)
@@ -430,20 +426,59 @@ class Partition:
         yield self.env.timeout(cfg.nvm_timing.flush_cost(32))
         return True
 
-    def previous_location(self, loc: ObjectLocation) -> Optional[ObjectLocation]:
-        """Follow the on-media pre_ptr one hop down the version list."""
-        hdr = parse_header(self.pools[loc.pool].read(loc.offset, HEADER_SIZE))
-        if hdr is None:
+    # -- the version list (§4.2.2) --------------------------------------------
+    def versions(self, head: Optional[Slot]) -> Iterator[Slot]:
+        """Walk a key's version list: ``head``, then each predecessor
+        along the on-media ``pre_ptr`` chain, newest first.
+
+        Lazy and instant: a hop reads the two headers it needs only when
+        the caller asks for the next version, so the caller's own time
+        charges decide when that happens. The walk ends at a null
+        ``pre_ptr``, at a header that does not parse, at a location it
+        has already yielded (a rotten link into its own chain), and at a
+        location whose read raises (rotten bits pointing outside a pool)
+        — it terminates on any media, and never trusts a link further
+        than the header it lands on.
+        """
+        seen: set[tuple[int, int]] = set()
+        loc = head
+        while loc is not None:
+            seen.add((loc.pool, loc.offset))
+            yield loc
+            try:
+                hdr = parse_header(self.pools[loc.pool].read(loc.offset, HEADER_SIZE))
+                prev = unpack_ptr(hdr.pre_ptr) if hdr is not None else None
+                if prev is None or prev[0] >= len(self.pools) or prev in seen:
+                    return
+                pool_id, offset = prev
+                prev_hdr = parse_header(self.pools[pool_id].read(offset, HEADER_SIZE))
+            except ROTTEN_LOCATION:
+                return
+            if prev_hdr is None:
+                return
+            loc = Slot(
+                pool=pool_id,
+                offset=offset,
+                size=object_size(prev_hdr.klen, prev_hdr.vlen),
+            )
+
+    def provably_intact(
+        self, loc: Slot, fp: int
+    ) -> Generator[Event, Any, Optional[ObjectImage]]:
+        """The version at ``loc`` if it is provably intact on media, else
+        None: valid, the entry's fingerprint, and the durability flag set
+        (flushed only after the value, so trustworthy) or, failing that,
+        a CRC that verifies. Charges the object read, and the CRC only
+        when the flag is clear (recovery's and migration's rule)."""
+        cfg = self.config
+        yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
+        try:
+            img = self.read_object(loc)
+        except ROTTEN_LOCATION:
             return None
-        prev = unpack_ptr(hdr.pre_ptr)
-        if prev is None:
+        if not img.well_formed or not img.valid or key_fingerprint(img.key) != fp:
             return None
-        pool_id, offset = prev
-        prev_hdr = parse_header(self.pools[pool_id].read(offset, HEADER_SIZE))
-        if prev_hdr is None:
-            return None
-        return ObjectLocation(
-            pool=pool_id,
-            offset=offset,
-            size=object_size(prev_hdr.klen, prev_hdr.vlen),
-        )
+        if img.durable:
+            return img
+        yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+        return img if self.object_value_ok(img) else None

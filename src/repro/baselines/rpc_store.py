@@ -20,7 +20,6 @@ from repro.baselines.base import (
     BaseClient,
     BaseServer,
     GET_REQUEST_OVERHEAD,
-    ObjectLocation,
     Partition,
     PUT_REQUEST_OVERHEAD,
     RESPONSE_BYTES,
@@ -36,7 +35,7 @@ __all__ = ["RpcStoreServer", "RpcStoreClient", "rpc_store_config"]
 
 
 def rpc_store_config(**overrides: Any) -> StoreConfig:
-    cfg = StoreConfig(persist_meta=False, crc_on_put=False)
+    cfg = StoreConfig(persist_meta=False)
     return cfg.with_(**overrides) if overrides else cfg
 
 
@@ -80,9 +79,7 @@ class RpcStoreServer(BaseServer):
             return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
         _entry_off, cur, _alt = found
         # metadata published only after durability => object intact
-        img = part.read_object(
-            ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
-        )
+        img = part.read_object(cur)
         # server-side read of the value before shipping it back
         yield self.env.timeout(self.config.nvm_timing.read_cost(img.vlen))
         return {"value": img.value}, RESPONSE_BYTES + img.vlen

@@ -41,10 +41,10 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.baselines.partition import ObjectLocation, Partition
+from repro.baselines.partition import Partition
 from repro.cluster.replicator import REPL_RESET_BYTES
 from repro.errors import RDMAError, StoreError
-from repro.kv.hashtable import key_fingerprint
+from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import (
     FLAG_TRANS,
     FLAG_VALID,
@@ -68,36 +68,13 @@ MIG_DROP_OVERHEAD = 24
 
 def _latest_intact(
     part: Partition, entry_off: int, fp: int
-) -> Generator[Event, Any, Optional[tuple[ObjectLocation, Any]]]:
+) -> Generator[Event, Any, Optional[tuple[Slot, Any]]]:
     """The cleaner's selection rule: newest version that is valid and
     provably intact (durable flag, else CRC), walking pre_ptr down."""
-    env = part.env
-    cfg = part.config
-    t = cfg.nvm_timing
-    slot = part.table.read_cur(entry_off)
-    loc = (
-        ObjectLocation(pool=slot.pool, offset=slot.offset, size=slot.size)
-        if slot is not None
-        else None
-    )
-    visited: set[tuple[int, int]] = set()
-    while loc is not None:
-        if (loc.pool, loc.offset) in visited:
-            return None
-        visited.add((loc.pool, loc.offset))
-        yield env.timeout(t.read_cost(loc.size))
-        img = part.read_object(loc)
-        if (
-            img.well_formed
-            and key_fingerprint(img.key) == fp
-            and img.valid
-        ):
-            if img.durable:
-                return loc, img
-            yield env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-            if part.object_value_ok(img):
-                return loc, img
-        loc = part.previous_location(loc)
+    for loc in part.versions(part.table.read_cur(entry_off)):
+        img = yield from part.provably_intact(loc, fp)
+        if img is not None:
+            return loc, img
     return None
 
 
@@ -106,7 +83,7 @@ def _copy_batch(
     src: "ClusterNode",
     dst_id: int,
     part_id: int,
-    records: list[tuple[ObjectLocation, Any]],
+    records: list[tuple[Slot, Any]],
     stats: dict,
 ) -> Generator[Event, Any, None]:
     """Move one batch: mig_alloc → doorbell WRITE chain → mig_commit,
@@ -209,7 +186,7 @@ def migrate_partition(
         began = True
 
         # 2. copy pass over a snapshot of the index (writes continue).
-        batch: list[tuple[ObjectLocation, Any]] = []
+        batch: list[tuple[Slot, Any]] = []
         copied: list[bytes] = []
         for entry_off, entry in list(src_part.table.iter_entries()):
             check_live()

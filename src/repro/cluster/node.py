@@ -25,13 +25,12 @@ from collections.abc import Generator
 from typing import Any, Optional
 
 from repro.baselines.base import RESPONSE_BYTES
-from repro.baselines.partition import ObjectLocation
 from repro.cluster.config import ClusterConfig
 from repro.cluster.replicator import PING_BYTES, LogShipper, repl_wait_loop
 from repro.cluster.router import ClusterRouter
 from repro.core import EFactoryServer, efactory_config
 from repro.errors import ConfigError
-from repro.kv.hashtable import key_fingerprint
+from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import parse_object
 from repro.rdma.fabric import Fabric
 from repro.rdma.latency import FabricTiming
@@ -148,7 +147,7 @@ class ClusterNode:
             # re-fetches it from the primary on its next lap.
             for off, size in p["ranges"]:
                 part.integrity.cover_from_media(
-                    ObjectLocation(pool=p["pool"], offset=off, size=size)
+                    Slot(pool=p["pool"], offset=off, size=size)
                 )
             yield from part.integrity.flush()
         self.replica_state[p["part"]] = (p["pool"], p["gen"], p["end"])
@@ -256,11 +255,11 @@ class ClusterNode:
             img = parse_object(pool.read(off, size))
             if not img.well_formed:
                 continue  # torn in flight; source will see no ack for it
-            loc = ObjectLocation(pool=p["pool"], offset=off, size=size)
+            loc = Slot(pool=p["pool"], offset=off, size=size)
             part.mark_durable(loc, img)
             yield self.env.timeout(cfg.index_ns)
             entry_off = part.table.find_or_create(key_fingerprint(img.key))
-            part.table.set_cur(entry_off, loc.slot)
+            part.table.set_cur(entry_off, loc)
             yield from part.persist_entry_timed(entry_off)
             done += 1
             if part.integrity is not None:

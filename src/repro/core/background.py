@@ -26,7 +26,8 @@ from collections import deque
 from collections.abc import Generator
 from typing import Any, TYPE_CHECKING
 
-from repro.baselines.base import ObjectLocation, Partition
+from repro.baselines.base import Partition
+from repro.kv.hashtable import Slot
 from repro.kv.objects import FLAG_VALID
 from repro.sim.kernel import Event, Interrupt, Process
 
@@ -44,9 +45,9 @@ class BackgroundVerifier:
         self.part = partition
         self.env = server.env
         #: Freshly allocated objects in log order.
-        self.queue: deque[ObjectLocation] = deque()
+        self.queue: deque[Slot] = deque()
         #: Objects whose WRITE had not landed yet: (due_time, loc).
-        self.retry: deque[tuple[float, ObjectLocation]] = deque()
+        self.retry: deque[tuple[float, Slot]] = deque()
         self._proc: Process | None = None
         #: Armed while the batched loop sleeps; ``enqueue`` fires it so
         #: the thread wakes on arrival instead of on the next poll tick.
@@ -62,7 +63,7 @@ class BackgroundVerifier:
         self.wakeups = 0
 
     # -- feeding ------------------------------------------------------------
-    def enqueue(self, loc: ObjectLocation) -> None:
+    def enqueue(self, loc: Slot) -> None:
         self.queue.append(loc)
         ev = self._wakeup
         if ev is not None and not ev.triggered:
@@ -125,7 +126,7 @@ class BackgroundVerifier:
                     act = inj.fire("bg.verifier", partition=self.part.part_id)
                     if act is not None and act.kind == "pause":
                         yield self.env.timeout(act.delay_ns)
-                batch: list[ObjectLocation] = []
+                batch: list[Slot] = []
                 while len(batch) < cfg.bg_batch:
                     loc = self._next_due()
                     if loc is None:
@@ -163,7 +164,7 @@ class BackgroundVerifier:
             self._wakeup = None
 
     def _process_batch(
-        self, batch: "list[ObjectLocation]"
+        self, batch: "list[Slot]"
     ) -> Generator[Event, Any, None]:
         """Verify a drained batch, then persist with coalesced flushes.
 
@@ -174,8 +175,8 @@ class BackgroundVerifier:
         contiguous, so one fence covers the whole run."""
         part = self.part
         cfg = self.server.config
-        ok: list[tuple[ObjectLocation, Any]] = []
-        raws: dict[ObjectLocation, bytes] = {}
+        ok: list[tuple[Slot, Any]] = []
+        raws: dict[Slot, bytes] = {}
         for loc in batch:
             yield self.env.timeout(cfg.peek_ns)
             img = part.read_object(loc)
@@ -203,20 +204,20 @@ class BackgroundVerifier:
             return
         # Coalesced flush: merge adjacent (pool, offset..offset+size)
         # ranges into single persist calls.
-        by_pool: dict[int, list[tuple[ObjectLocation, Any]]] = {}
+        by_pool: dict[int, list[tuple[Slot, Any]]] = {}
         for loc, img in ok:
             by_pool.setdefault(loc.pool, []).append((loc, img))
         for pool_id, members in by_pool.items():
             pool = part.pools[pool_id]
             mask = pool.align - 1
 
-            def alloc_end(loc: ObjectLocation) -> int:
+            def alloc_end(loc: Slot) -> int:
                 # The bump allocator rounds every object to the pool's
                 # alignment; the next adjacent object starts there.
                 return loc.offset + ((loc.size + mask) & ~mask)
 
             members.sort(key=lambda m: m[0].offset)
-            runs: list[list[tuple[ObjectLocation, Any]]] = [[members[0]]]
+            runs: list[list[tuple[Slot, Any]]] = [[members[0]]]
             for m in members[1:]:
                 if m[0].offset == alloc_end(runs[-1][-1][0]):
                     runs[-1].append(m)
@@ -240,14 +241,14 @@ class BackgroundVerifier:
                 [(loc, raws.get(loc)) for loc, _img in ok]
             )
 
-    def _next_due(self) -> ObjectLocation | None:
+    def _next_due(self) -> Slot | None:
         if self.queue:
             return self.queue.popleft()
         if self.retry and self.retry[0][0] <= self.env.now:
             return self.retry.popleft()[1]
         return None
 
-    def _process_one(self, loc: ObjectLocation) -> Generator[Event, Any, None]:
+    def _process_one(self, loc: Slot) -> Generator[Event, Any, None]:
         part = self.part
         cfg = self.server.config
         yield self.env.timeout(cfg.peek_ns)
@@ -273,7 +274,7 @@ class BackgroundVerifier:
         yield from self._retry_or_invalidate(loc, img)
 
     def _retry_or_invalidate(
-        self, loc: ObjectLocation, img
+        self, loc: Slot, img
     ) -> Generator[Event, Any, None]:
         cfg = self.server.config
         ts = img.ts if img is not None and img.well_formed else 0

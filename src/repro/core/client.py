@@ -264,8 +264,9 @@ class EFactoryClient(BaseClient):
         resp = yield from self.rpc.call(
             {"op": "get_loc", "key": key}, GET_REQUEST_OVERHEAD + len(key)
         )
-        img = yield from self.read_object_loc(
-            resp["pool"], resp["offset"], resp["size"], resp.get("part", 0)
+        img = yield from self.read_object_at(
+            Slot(pool=resp["pool"], offset=resp["offset"], size=resp["size"]),
+            resp.get("part", 0),
         )
         self._check_found(img, key)
         return img.value

@@ -79,7 +79,6 @@ def efactory_config(**overrides: Any) -> EFactoryConfig:
     reads, metadata persisted at allocation, dual pools for cleaning."""
     base = dict(
         persist_meta=True,
-        crc_on_put=True,
         dual_pools=True,
     )
     base.update(overrides)

@@ -47,9 +47,9 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import Any, Optional, TYPE_CHECKING
 
-from repro.baselines.base import ObjectLocation, Partition
+from repro.baselines.base import Partition
 from repro.errors import StoreError
-from repro.kv.hashtable import key_fingerprint
+from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import (
     FLAG_DURABLE,
     FLAG_TRANS,
@@ -58,10 +58,8 @@ from repro.kv.objects import (
     NULL_PTR,
     OBJECT_HEADER,
     build_header,
-    object_size,
     pack_ptr,
     parse_header,
-    unpack_ptr,
 )
 from repro.sim.kernel import Event, Interrupt, Process
 
@@ -294,8 +292,7 @@ class LogCleaner:
                 continue
             start = None
             if cur.pool == new.pool_id:
-                start = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
-                head = part.read_object(start)
+                head = part.read_object(cur)
                 if head.well_formed and head.valid and head.durable:
                     # D2 case: a durable new-pool version supersedes the
                     # old one (D1), which is skipped.
@@ -305,8 +302,9 @@ class LogCleaner:
                 # crash must fall back to is the old-pool one behind it:
                 # move that, and _finish splices the head onto the copy
                 # instead of cutting its chain.
-                while start is not None and start.pool != old.pool_id:
-                    start = part.previous_location(start)
+                start = next(
+                    (v for v in part.versions(cur) if v.pool == old.pool_id), None
+                )
                 if start is None:
                     continue
             yield from self._move_latest_intact(entry_off, key, old, new, start)
@@ -322,37 +320,35 @@ class LogCleaner:
 
     def _move_latest_intact(
         self, entry_off: int, key: bytes, old, new,
-        start: Optional[ObjectLocation] = None,
+        start: Optional[Slot] = None,
     ) -> Generator[Event, Any, None]:
         """Find the latest verifiable version along the chain (from
         ``start``, default the working slot) and copy it into the new
         pool with the durability flag set."""
         part = self.part
         cfg = part.config
-        loc = start
-        if loc is None:
-            cur = part.table.read_cur(entry_off)
-            if cur is not None:
-                loc = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
-        while loc is not None:
+        if start is None:
+            start = part.table.read_cur(entry_off)
+        for loc in part.versions(start):
             img = part.read_object(loc)
+            while img.well_formed and img.valid and not img.durable:
+                yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+                if part.object_value_ok(img):
+                    yield from part.persist_object(loc)
+                    part.mark_durable(loc, img)
+                elif self.env.now - img.ts <= cfg.verify_timeout_ns:
+                    yield self.env.timeout(_WAIT_NS)  # in-flight write: wait
+                else:
+                    break
+                img = part.read_object(loc)
             if not img.well_formed or not img.valid:
-                loc = part.previous_location(loc)
                 continue
             if not img.durable:
-                yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-                if not part.object_value_ok(img):
-                    # In-flight write: wait for it; or time it out.
-                    if self.env.now - img.ts <= cfg.verify_timeout_ns:
-                        yield self.env.timeout(_WAIT_NS)
-                        continue  # re-read the same location
-                    part.set_object_flags(loc, img.flags & ~FLAG_VALID)
-                    self.stats.invalidated += 1
-                    loc = part.previous_location(loc)
-                    continue
-                yield from part.persist_object(loc)
-                part.mark_durable(loc, img)
-                img = part.read_object(loc)
+                # Its CRC still fails past the verify timeout: the value
+                # never arrived. Time it out and fall back a version.
+                part.set_object_flags(loc, img.flags & ~FLAG_VALID)
+                self.stats.invalidated += 1
+                continue
 
             # Copy into the new pool: fresh header (history truncated),
             # durable from the first byte readers can reach it.
@@ -368,23 +364,18 @@ class LogCleaner:
             yield self.env.timeout(cfg.nvm_timing.copy_cost(loc.size))
             new.write(new_off, header + img.key + img.value)
             yield from part.device.persist(new.abs_addr(new_off), loc.size)
+            new_slot = Slot(pool=new.pool_id, offset=new_off, size=loc.size)
             if part.integrity is not None:
                 # The copy is settled by construction: cover the intended
                 # bytes (so a corrupting persist is reconstructible) and
                 # flush parity/ledger with the move.
-                new_loc = ObjectLocation(
-                    pool=new.pool_id, offset=new_off, size=loc.size
-                )
                 part.integrity.note_settled(
-                    new_loc, header + img.key + img.value
+                    new_slot, header + img.key + img.value
                 )
                 yield from part.integrity.flush()
 
             # Publish as the cleaning copy; mark the original migrated.
             yield self.env.timeout(cfg.entry_update_ns)
-            new_slot = ObjectLocation(
-                pool=new.pool_id, offset=new_off, size=loc.size
-            ).slot
             part.table.set_alt(entry_off, new_slot)
             part.table.persist_entry(entry_off)
             if loc.pool == old.pool_id:
@@ -409,7 +400,7 @@ class LogCleaner:
             if cur is not None and cur.pool == new.pool_id:
                 # Raced with a new-pool write: splice its chain onto the
                 # moved copy and retire the alt slot.
-                self._fix_cross_pool_chain(cur, old.pool_id, alt, new.pool_id)
+                self._fix_cross_pool_chain(cur, old.pool_id, alt)
                 part.table.clear_alt(entry_off)
             elif alt is not None:
                 part.table.promote_alt(entry_off)
@@ -419,49 +410,27 @@ class LogCleaner:
             part.table.persist_entry(entry_off)
             self.stats.entries_fixed += 1
 
-    def _fix_cross_pool_chain(
-        self, cur, old_pool_id: int, alt, new_pool_id: int
-    ) -> None:
+    def _fix_cross_pool_chain(self, cur: Slot, old_pool_id: int, alt) -> None:
         """Rewrite the first old-pool PrePTR in a new-pool chain to the
         moved copy (or null it when nothing was moved)."""
         part = self.part
-        loc = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
+        newer = None
+        for loc in part.versions(cur):
+            if loc.pool == old_pool_id:
+                break
+            newer = loc
+        else:
+            return  # the chain never reaches the old pool
+        new_ptr = pack_ptr(alt.pool, alt.offset) if alt is not None else NULL_PTR
+        pool = part.pools[newer.pool]
         pre_off = OBJECT_HEADER.offset_of("pre_ptr")
-        while True:
-            hdr = parse_header(part.pools[loc.pool].read(loc.offset, HEADER_SIZE))
-            if hdr is None:
-                return
-            prev = unpack_ptr(hdr.pre_ptr)
-            if prev is None:
-                return
-            prev_pool, prev_off_val = prev
-            if prev_pool == old_pool_id:
-                new_ptr = (
-                    pack_ptr(alt.pool, alt.offset) if alt is not None else NULL_PTR
-                )
-                addr = part.pools[loc.pool].abs_addr(loc.offset) + pre_off
-                old_pre = (
-                    bytes(part.pools[loc.pool].read(loc.offset + pre_off, 8))
-                    if part.integrity is not None
-                    else None
-                )
-                part.device.write_atomic64(
-                    addr, OBJECT_HEADER.pack_field("pre_ptr", new_ptr)
-                )
-                part.device.flush(addr, 8)
-                if old_pre is not None:
-                    part.integrity.note_mutation(
-                        loc.pool, loc.offset, pre_off, old_pre
-                    )
-                return
-            # hop along the new-pool chain
-            nxt = parse_header(
-                part.pools[prev_pool].read(prev_off_val, HEADER_SIZE)
-            )
-            if nxt is None:
-                return
-            loc = ObjectLocation(
-                pool=prev_pool,
-                offset=prev_off_val,
-                size=object_size(nxt.klen, nxt.vlen),
-            )
+        addr = pool.abs_addr(newer.offset) + pre_off
+        old_pre = (
+            bytes(pool.read(newer.offset + pre_off, 8))
+            if part.integrity is not None
+            else None
+        )
+        part.device.write_atomic64(addr, OBJECT_HEADER.pack_field("pre_ptr", new_ptr))
+        part.device.flush(addr, 8)
+        if old_pre is not None:
+            part.integrity.note_mutation(newer.pool, newer.offset, pre_off, old_pre)

@@ -34,23 +34,18 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.baselines.base import BaseServer, ObjectLocation, Partition
+from repro.baselines.base import BaseServer, Partition
 from repro.crc.crc32 import crc32_fast
-from repro.errors import (
-    CorruptObjectError,
-    MemoryAccessError,
-    RecoveryError,
-)
+from repro.errors import RecoveryError
+from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.hopscotch import HopscotchTable, TwoVersions
 from repro.kv.logpool import Allocation, LogPool
 from repro.kv.objects import (
     FLAG_DURABLE,
-    FLAG_VALID,
     HEADER_SIZE,
     object_size,
     parse_header,
     parse_object,
-    unpack_ptr,
 )
 from repro.sim.kernel import Event
 
@@ -114,6 +109,19 @@ def scan_pool(pool: LogPool) -> list[Allocation]:
     return allocations
 
 
+def _adopt_scan(pool: LogPool, allocations: list[Allocation]) -> None:
+    """Adopt a pool scan as the pool's allocator state (pass 1): the
+    journal, the log head just past its last object, and a garbage count
+    restarted at zero (volatile trigger state; it re-accumulates)."""
+    pool.allocations = allocations
+    pool.garbage_bytes = 0
+    if allocations:
+        last = allocations[-1]
+        pool.head = (last.offset + last.size + pool.align - 1) & ~(pool.align - 1)
+    else:
+        pool.head = 0
+
+
 def recover_bucketized(
     server: BaseServer,
 ) -> Generator[Event, Any, RecoveryReport]:
@@ -129,12 +137,12 @@ def recover_bucketized(
     start = env.now
 
     if len(server.partitions) == 1:
-        part_report = yield from _recover_partition(server, server.partitions[0])
+        part_report = yield from recover_partition(server, server.partitions[0])
         report.merge(part_report)
     else:
         procs = [
             env.process(
-                _recover_partition(server, part), name=f"recover-p{part.part_id}"
+                recover_partition(server, part), name=f"recover-p{part.part_id}"
             )
             for part in server.partitions
         ]
@@ -146,10 +154,13 @@ def recover_bucketized(
     return report
 
 
-def _recover_partition(
+def recover_partition(
     server: BaseServer, part: Partition
 ) -> Generator[Event, Any, RecoveryReport]:
-    """Scan one partition's pools and repair its table segment."""
+    """Scan one partition's pools and repair its table segment (timed
+    generator): the pass :func:`recover_bucketized` runs per shard, and
+    what cluster failover runs to promote one orphaned partition on an
+    otherwise live node without replaying its other shards."""
     env = server.env
     t = server.config.nvm_timing
     report = RecoveryReport()
@@ -160,15 +171,7 @@ def _recover_partition(
         yield env.timeout(
             t.read_cost(HEADER_SIZE) * max(1, len(allocations) + 1)
         )
-        pool.allocations = allocations
-        pool.garbage_bytes = 0  # volatile trigger state; re-accumulates
-        if allocations:
-            last = allocations[-1]
-            pool.head = (
-                (last.offset + last.size + pool.align - 1) & ~(pool.align - 1)
-            )
-        else:
-            pool.head = 0
+        _adopt_scan(pool, allocations)
         report.pool_heads.append(pool.head)
         report.objects_scanned += len(allocations)
 
@@ -179,13 +182,12 @@ def _recover_partition(
         cur = part.table.read_cur(entry_off)
         alt = part.table.read_alt(entry_off)
 
-        winner, rolled, torn = yield from _resolve_chain(part, entry.fp, cur)
+        winner, torn = yield from _resolve_chain(part, entry.fp, cur)
+        rolled = torn > 0
         report.torn_objects += torn
         if winner is None and alt is not None:
-            alt_loc = ObjectLocation(pool=alt.pool, offset=alt.offset, size=alt.size)
-            ok = yield from _verify_version(part, entry.fp, alt_loc)
-            if ok:
-                winner, rolled = alt_loc, True
+            if (yield from part.provably_intact(alt, entry.fp)) is not None:
+                winner, rolled = alt, True
 
         if winner is None:
             if cur is not None or alt is not None:
@@ -198,7 +200,7 @@ def _recover_partition(
         img = part.read_object(winner)
         part.set_object_flags(winner, img.flags | FLAG_DURABLE)
         yield from part.persist_object(winner)
-        part.table.set_cur(entry_off, winner.slot)
+        part.table.set_cur(entry_off, winner)
         part.table.clear_alt(entry_off)
         part.table.persist_entry(entry_off)
         if rolled:
@@ -213,19 +215,6 @@ def _recover_partition(
     if part.integrity is not None:
         yield from part.integrity.rebuild()
 
-    return report
-
-
-def recover_partition(
-    server: BaseServer, part: Partition
-) -> Generator[Event, Any, RecoveryReport]:
-    """Scan-and-repair a single partition (timed generator).
-
-    The same pass :func:`recover_bucketized` runs per shard, exposed so
-    cluster failover can promote one orphaned partition on an otherwise
-    live node without replaying its other shards.
-    """
-    report = yield from _recover_partition(server, part)
     return report
 
 
@@ -247,25 +236,15 @@ def seed_index_from_pools(
 
     Returns the number of entries seeded.
     """
-    from repro.kv.hashtable import key_fingerprint
-
     env = server.env
     cfg = server.config
     t = cfg.nvm_timing
-    best: dict[int, tuple[tuple[int, int], ObjectLocation]] = {}
+    best: dict[int, tuple[tuple[int, int], Slot]] = {}
     seq = 0
     for pool_id, pool in enumerate(part.pools):
         allocations = scan_pool(pool)
         yield env.timeout(t.read_cost(HEADER_SIZE) * max(1, len(allocations) + 1))
-        pool.allocations = allocations
-        pool.garbage_bytes = 0
-        if allocations:
-            last = allocations[-1]
-            pool.head = (
-                (last.offset + last.size + pool.align - 1) & ~(pool.align - 1)
-            )
-        else:
-            pool.head = 0
+        _adopt_scan(pool, allocations)
         for alloc in allocations:
             hdr = parse_header(pool.read(alloc.offset, HEADER_SIZE))
             if hdr is None:
@@ -275,14 +254,14 @@ def seed_index_from_pools(
             fp = key_fingerprint(key)
             rank = (hdr.ts, seq)
             seq += 1
-            loc = ObjectLocation(pool=pool_id, offset=alloc.offset, size=alloc.size)
+            loc = Slot(pool=pool_id, offset=alloc.offset, size=alloc.size)
             prev = best.get(fp)
             if prev is None or rank > prev[0]:
                 best[fp] = (rank, loc)
     for fp, (_rank, loc) in best.items():
         yield env.timeout(cfg.index_ns)
         entry_off = part.table.find_or_create(fp)
-        part.table.set_cur(entry_off, loc.slot)
+        part.table.set_cur(entry_off, loc)
     return len(best)
 
 
@@ -300,80 +279,26 @@ def _recovery_step(part: Partition) -> Generator[Event, Any, None]:
 
 
 def _resolve_chain(
-    part: Partition, fp: int, cur
-) -> Generator[Event, Any, tuple[Optional[ObjectLocation], bool, int]]:
-    """Walk a version chain; return (winner, rolled_back, torn_count).
+    part: Partition, fp: int, cur: Optional[Slot]
+) -> Generator[Event, Any, tuple[Optional[Slot], int]]:
+    """Walk a version chain; return (winner, torn): the newest provably
+    intact version, or None, and how many newer versions were rejected
+    on the way (a winner behind any is a rollback).
 
     Each pre_ptr hop costs two header reads, charged like the scan loop
-    (a corrupt chain is walked at media speed, not for free). Chains are
-    also cycle-checked: a torn ``pre_ptr`` pointing back into the chain
-    (or at itself) would otherwise loop forever — such a chain has no
-    provably-intact tail and resolves to "no winner".
+    (a corrupt chain is walked at media speed, not for free). A chain
+    the walk ends early — a torn or out-of-pool ``pre_ptr``, or one
+    pointing back into the chain — has no provably-intact tail and
+    resolves to "no winner".
     """
-    t = part.config.nvm_timing
-    env = part.env
+    hop_ns = 2 * part.config.nvm_timing.read_cost(HEADER_SIZE)
     torn = 0
-    rolled = False
-    visited: set[tuple[int, int]] = set()
-    loc = (
-        ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
-        if cur is not None
-        else None
-    )
-    while loc is not None:
-        if (loc.pool, loc.offset) in visited:
-            return None, rolled, torn  # corrupt self-referencing chain
-        visited.add((loc.pool, loc.offset))
-        ok = yield from _verify_version(part, fp, loc)
-        if ok:
-            return loc, rolled, torn
+    for loc in part.versions(cur):
+        if (yield from part.provably_intact(loc, fp)) is not None:
+            return loc, torn
         torn += 1
-        rolled = True
-        # follow the on-media pre_ptr (one header read per end); a
-        # corrupted pointer may fall outside the pool — same as torn
-        yield env.timeout(2 * t.read_cost(HEADER_SIZE))
-        try:
-            hdr = parse_header(part.pools[loc.pool].read(loc.offset, HEADER_SIZE))
-            prev = unpack_ptr(hdr.pre_ptr) if hdr is not None else None
-            if prev is None:
-                return None, rolled, torn
-            pool_id, offset = prev
-            prev_hdr = parse_header(part.pools[pool_id].read(offset, HEADER_SIZE))
-        except MemoryAccessError:
-            return None, rolled, torn
-        if prev_hdr is None:
-            return None, rolled, torn
-        loc = ObjectLocation(
-            pool=pool_id,
-            offset=offset,
-            size=object_size(prev_hdr.klen, prev_hdr.vlen),
-        )
-    return None, rolled, torn
-
-
-def _verify_version(
-    part: Partition, fp: int, loc: ObjectLocation
-) -> Generator[Event, Any, bool]:
-    """Is the version at ``loc`` provably intact on media?"""
-    from repro.kv.hashtable import key_fingerprint
-
-    env = part.env
-    cfg = part.config
-    t = cfg.nvm_timing
-    yield env.timeout(t.read_cost(loc.size))
-    try:
-        img = part.read_object(loc)
-    except (MemoryAccessError, CorruptObjectError):
-        # out-of-pool pointer or short/garbled fragment: not intact
-        return False
-    if not img.well_formed or not (img.flags & FLAG_VALID):
-        return False
-    if key_fingerprint(img.key) != fp:
-        return False
-    if img.durable:
-        return True  # flag flushed only after the value: trustworthy
-    yield env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-    return part.object_value_ok(img)
+        yield part.env.timeout(hop_ns)
+    return None, torn
 
 
 def recover_erda(server) -> Generator[Event, Any, RecoveryReport]:
@@ -389,11 +314,8 @@ def recover_erda(server) -> Generator[Event, Any, RecoveryReport]:
     start = env.now
 
     pool = part.pools[0]
-    pool.allocations = scan_pool(pool)
+    _adopt_scan(pool, scan_pool(pool))
     report.objects_scanned = len(pool.allocations)
-    if pool.allocations:
-        last = pool.allocations[-1]
-        pool.head = (last.offset + last.size + pool.align - 1) & ~(pool.align - 1)
     report.pool_heads.append(pool.head)
     yield env.timeout(t.read_cost(HEADER_SIZE) * max(1, report.objects_scanned))
 

@@ -45,14 +45,13 @@ the default — the paper's system has no scrubber).
 from __future__ import annotations
 
 from collections.abc import Generator
+from itertools import islice
 from typing import Any, Optional, TYPE_CHECKING
 
-from repro.baselines.base import ObjectLocation, Partition
+from repro.baselines.partition import Partition, ROTTEN_LOCATION
 from repro.crc.crc32 import crc32_fast
-from repro.errors import (
-    MemoryAccessError, PoolExhaustedError, RDMAError, StoreError,
-)
-from repro.kv.hashtable import ENTRY_SIZE, key_fingerprint
+from repro.errors import RDMAError, StoreError
+from repro.kv.hashtable import ENTRY_SIZE, Slot, key_fingerprint
 from repro.kv.objects import (
     FLAG_DURABLE,
     FLAG_VALID,
@@ -69,15 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.server import EFactoryServer
 
 __all__ = ["Scrubber"]
-
-#: Cycle/depth guard for rollback-chain walks over possibly-rotten
-#: pre_ptr links (mirrors recovery's cycle check).
-_MAX_CHAIN_HOPS = 64
-
-#: What a read through rotten slot or pre_ptr bits raises: the device's
-#: bounds check when offset + size runs past it, the pool's own
-#: (``LogPool.abs_addr``) when the offset is outside the pool.
-_ROTTEN_LOCATION = (MemoryAccessError, PoolExhaustedError)
 
 _STAT_KEYS = (
     "scrubbed",
@@ -200,11 +190,10 @@ class Scrubber:
     ) -> Generator[Event, Any, None]:
         part = self.part
         cfg = self.server.config
-        loc = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
-        yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
+        yield self.env.timeout(cfg.nvm_timing.read_cost(cur.size))
         try:
-            img = part.read_object(loc)
-        except _ROTTEN_LOCATION:
+            img = part.read_object(cur)
+        except ROTTEN_LOCATION:
             img = None  # rotten slot bits point outside the pool
         if img is not None and img.well_formed:
             if not img.valid:
@@ -220,11 +209,11 @@ class Scrubber:
             # parses: metadata was persisted before publication, so this
             # is media rot, not an in-flight write.
             self.scrubbed += 1
-        yield from self._repair(entry_off, fp, loc, img)
+        yield from self._repair(entry_off, fp, cur, img)
 
     # -- repair (escalating: reconstruct → replica → rollback) -------------------
     def _repair(
-        self, entry_off: int, fp: int, bad_loc: ObjectLocation, bad_img
+        self, entry_off: int, fp: int, bad_loc: Slot, bad_img
     ) -> Generator[Event, Any, None]:
         part = self.part
         cfg = self.server.config
@@ -244,35 +233,28 @@ class Scrubber:
             if restored:
                 return
 
-        # 1. newest intact older version along the pre_ptr chain
-        visited = {(bad_loc.pool, bad_loc.offset)}
-        loc = self._previous(bad_loc)
-        hops = 0
-        while loc is not None and hops < _MAX_CHAIN_HOPS:
-            if (loc.pool, loc.offset) in visited:
-                break  # rotten self-referencing chain
-            visited.add((loc.pool, loc.offset))
-            hops += 1
+        # 1. newest intact older version along the pre_ptr chain, CRC
+        # at every version (rot can sit under a set durability flag)
+        for loc in islice(part.versions(bad_loc), 1, None):
             yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
             try:
                 img = part.read_object(loc)
-            except _ROTTEN_LOCATION:
+            except ROTTEN_LOCATION:
                 break
             if img.well_formed and img.valid and key_fingerprint(img.key) == fp:
                 yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
                 if part.object_value_ok(img):
                     yield from self._promote(entry_off, loc, img, bad_loc, bad_img)
                     return
-            loc = self._previous(loc)
 
         # 2. the log-cleaning copy (durable by construction when present)
         alt = part.table.read_alt(entry_off)
-        if alt is not None and (alt.pool, alt.offset) not in visited:
-            loc = ObjectLocation(pool=alt.pool, offset=alt.offset, size=alt.size)
+        if alt is not None and alt != bad_loc:
+            loc = alt
             yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
             try:
                 img = part.read_object(loc)
-            except _ROTTEN_LOCATION:
+            except ROTTEN_LOCATION:
                 img = None
             if (
                 img is not None
@@ -293,7 +275,7 @@ class Scrubber:
         self.unrepairable += 1
 
     def _reconstruct(
-        self, fp: Optional[int], loc: ObjectLocation
+        self, fp: Optional[int], loc: Slot
     ) -> Generator[Event, Any, bool]:
         """Stage-0 repair: rebuild the covered object from stripe ⊕
         parity, validate the candidate end-to-end, reinstall in place."""
@@ -319,7 +301,7 @@ class Scrubber:
         return True
 
     def _replica_restore(
-        self, node: "ClusterNode", fp: Optional[int], loc: ObjectLocation
+        self, node: "ClusterNode", fp: Optional[int], loc: Slot
     ) -> Generator[Event, Any, bool]:
         """Stage-0b repair on a primary: reinstall the record from any
         live backup holding it at the identical shipped offset."""
@@ -340,7 +322,7 @@ class Scrubber:
         node: "ClusterNode",
         source: int,
         fp: Optional[int],
-        loc: ObjectLocation,
+        loc: Slot,
     ) -> Generator[Event, Any, bool]:
         """``repair_fetch`` the record's bytes from ``source``, validate
         them end-to-end, and persist them over the rot."""
@@ -393,21 +375,21 @@ class Scrubber:
     def _promote(
         self,
         entry_off: int,
-        loc: ObjectLocation,
+        loc: Slot,
         img,
-        bad_loc: ObjectLocation,
+        bad_loc: Slot,
         bad_img,
     ) -> Generator[Event, Any, None]:
         """Re-point the entry at the intact version; retire the rot."""
         part = self.part
         part.set_object_flags(loc, img.flags | FLAG_DURABLE)
         yield from part.persist_object(loc)
-        part.table.set_cur(entry_off, loc.slot)
+        part.table.set_cur(entry_off, loc)
         part.table.persist_entry(entry_off)
         self._retire(bad_loc, bad_img)
         self.repaired += 1
 
-    def _retire(self, bad_loc: ObjectLocation, bad_img) -> None:
+    def _retire(self, bad_loc: Slot, bad_img) -> None:
         """Invalidate the corrupt head so no version walk revisits it,
         and charge its footprint as garbage — retired rot used to be
         invisible to the cleaning trigger, so those bytes were never
@@ -420,12 +402,6 @@ class Scrubber:
             bad_loc, bad_img.flags & ~(FLAG_VALID | FLAG_DURABLE)
         )
         part.device.flush(part.pools[bad_loc.pool].abs_addr(bad_loc.offset), 8)
-
-    def _previous(self, loc: ObjectLocation) -> Optional[ObjectLocation]:
-        try:
-            return self.part.previous_location(loc)
-        except _ROTTEN_LOCATION:
-            return None
 
     # -- backup-node mode: walk the shipped extents ------------------------------
     def _is_backup(self, node: "ClusterNode") -> bool:
@@ -466,7 +442,7 @@ class Scrubber:
                 if size <= 0 or cur + size > pool.size:
                     cur += pool.align
                     continue
-                loc = ObjectLocation(pool=pid, offset=cur, size=size)
+                loc = Slot(pool=pid, offset=cur, size=size)
                 cur += (size + pool.align - 1) & ~(pool.align - 1)
                 if (hdr.flags & FLAG_VALID) and (hdr.flags & FLAG_DURABLE):
                     self._replica_cursors[pid] = cur
@@ -479,7 +455,7 @@ class Scrubber:
             self._replica_cursors[pid] = 0
 
     def _scrub_replica_record(
-        self, node: "ClusterNode", loc: ObjectLocation
+        self, node: "ClusterNode", loc: Slot
     ) -> Generator[Event, Any, None]:
         """CRC one shipped record; repair rot from local parity, else by
         re-fetching the bytes from the partition's primary."""
@@ -488,7 +464,7 @@ class Scrubber:
         yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
         try:
             img = part.read_object(loc)
-        except _ROTTEN_LOCATION:
+        except ROTTEN_LOCATION:
             img = None
         self.scrubbed += 1
         if img is not None and img.well_formed:

@@ -20,15 +20,11 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import Any, Optional
 
-from repro.baselines.base import (
-    BaseServer,
-    ObjectLocation,
-    Partition,
-    RESPONSE_BYTES,
-)
+from repro.baselines.base import BaseServer, Partition, RESPONSE_BYTES
 from repro.core.background import BackgroundVerifier
 from repro.core.scrub import Scrubber
 from repro.core.config import EFactoryConfig, efactory_config
+from repro.kv.hashtable import Slot
 from repro.rdma.fabric import Fabric
 from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error
 from repro.rdma.verbs import Message
@@ -134,7 +130,7 @@ class EFactoryServer(BaseServer):
         self.rpc.register("cleaning_ack", self._handle_cleaning_ack)
 
     def on_allocated(
-        self, part: Partition, loc: ObjectLocation, entry_off: int
+        self, part: Partition, loc: Slot, entry_off: int
     ) -> None:
         """Feed the partition's background thread; maybe trigger cleaning."""
         part.verifier.enqueue(loc)
@@ -164,32 +160,20 @@ class EFactoryServer(BaseServer):
         _entry_off, cur, alt = found
 
         # Walk the version list from the latest version (step 7).
-        loc = _loc(cur)
-        while loc is not None:
-            resolved = yield from self._resolve_version(part, loc, key)
-            if resolved is not None:
-                return (
-                    {"pool": resolved.pool, "offset": resolved.offset,
-                     "size": resolved.size, "part": part.part_id},
-                    RESPONSE_BYTES,
-                )
-            loc = part.previous_location(loc)
+        for loc in part.versions(cur):
+            if (yield from self._resolve_version(part, loc, key)):
+                return part.location_reply(loc)
 
         # Fall back to the log-cleaning copy (durable by construction).
         if alt is not None:
-            loc = _loc(alt)
-            img = part.read_object(loc)
+            img = part.read_object(alt)
             if img.well_formed and img.key == key and img.durable:
-                return (
-                    {"pool": loc.pool, "offset": loc.offset,
-                     "size": loc.size, "part": part.part_id},
-                    RESPONSE_BYTES,
-                )
+                return part.location_reply(alt)
         return rpc_error(f"key {key!r}: no intact version", ERR_NO_INTACT), RESPONSE_BYTES
 
     def _resolve_version(
-        self, part: Partition, loc: ObjectLocation, key: bytes
-    ) -> Generator[Event, Any, Optional[ObjectLocation]]:
+        self, part: Partition, loc: Slot, key: bytes
+    ) -> Generator[Event, Any, bool]:
         """Selective durability guarantee for one version.
 
         Durability check first (cheap); CRC + persist only when the
@@ -200,16 +184,16 @@ class EFactoryServer(BaseServer):
         yield self.env.timeout(cfg.peek_ns)  # header peek
         img = part.read_object(loc)
         if not img.well_formed or img.key != key or not img.valid:
-            return None
+            return False
         if img.durable:
-            return loc
+            return True
         # Not yet durable: verify + persist on the request path so the
         # reader is never blocked behind the background thread's cursor.
         yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
         if part.object_value_ok(img):
             yield from part.settle_verified(loc, img)
-            return loc
-        return None
+            return True
+        return False
 
     # -- delete (API completeness; reclaimed by log cleaning) ------------------------
     def _handle_delete(
@@ -237,9 +221,3 @@ class EFactoryServer(BaseServer):
         if not procs:
             return None
         return self.env.all_of(procs)
-
-
-def _loc(slot) -> Optional[ObjectLocation]:
-    if slot is None:
-        return None
-    return ObjectLocation(pool=slot.pool, offset=slot.offset, size=slot.size)

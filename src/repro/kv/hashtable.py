@@ -88,7 +88,12 @@ _SIZE_MASK = (1 << _SIZE_BITS) - 1
 
 @dataclass(frozen=True, slots=True)
 class Slot:
-    """Decoded form of a packed 8-byte slot."""
+    """Decoded form of a packed 8-byte slot, and the one location type:
+    where an object lives (pool id, pool-relative offset, total size).
+
+    Pool ids are partition-local; a :class:`Slot` is only meaningful
+    together with the partition that owns the pools.
+    """
 
     pool: int
     size: int

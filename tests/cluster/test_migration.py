@@ -59,11 +59,7 @@ def test_migrate_moves_keys_and_flips_ownership(env):
         slot = spart.table.read_cur(entry_off)
         if slot is None:
             continue
-        from repro.baselines.partition import ObjectLocation
-
-        img = spart.read_object(
-            ObjectLocation(pool=slot.pool, offset=slot.offset, size=slot.size)
-        )
+        img = spart.read_object(slot)
         if img.well_formed and img.flags & FLAG_TRANS:
             flagged += 1
     assert flagged >= len(part_keys)

@@ -9,7 +9,6 @@ when within the cycle the plug is pulled.
 import numpy as np
 import pytest
 
-from repro.baselines.base import ObjectLocation
 from repro.core.recovery import recover_bucketized
 from repro.sim.kernel import Environment
 from repro.workloads.keyspace import make_value, parse_value
@@ -61,9 +60,7 @@ def _audit(setup):
         if slot is None:
             bad.append((i, "no slot"))
             continue
-        img = server.partition_for_key(_key(i)).read_object(
-            ObjectLocation(pool=slot.pool, offset=slot.offset, size=slot.size)
-        )
+        img = server.partition_for_key(_key(i)).read_object(slot)
         parsed = parse_value(img.value) if img.well_formed else None
         if parsed is None or parsed[0] != i:
             bad.append((i, "torn"))

@@ -8,7 +8,6 @@ alternative (older) version at delete time.
 
 import pytest
 
-from repro.baselines.base import ObjectLocation
 from repro.rdma.rpc import RpcFault
 from tests.conftest import run1, small_store
 
@@ -46,9 +45,7 @@ class TestDeleteIndexState:
 
         run1(env, put_it())
         part, found = _entry(setup.server, KEY)
-        loc = ObjectLocation(
-            pool=found[1].pool, offset=found[1].offset, size=found[1].size
-        )
+        loc = found[1]
 
         def drop_it():
             yield from c.delete(KEY)

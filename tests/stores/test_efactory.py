@@ -3,8 +3,8 @@ timeout invalidation, the version list, delete."""
 
 import pytest
 
-from repro.baselines.base import ObjectLocation
 from repro.errors import KeyNotFoundError, StoreError
+from repro.kv.hashtable import Slot
 from repro.kv.objects import FLAG_VALID, HEADER_SIZE
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment
@@ -147,9 +147,7 @@ class TestBackgroundVerifier:
 
         resp = run1(env, work())
         env.run(until=env.now + 400_000)
-        loc = ObjectLocation(
-            pool=resp["pool"], offset=resp["obj_off"], size=resp["size"]
-        )
+        loc = Slot(pool=resp["pool"], offset=resp["obj_off"], size=resp["size"])
         img = server.partitions[0].read_object(loc)
         assert not img.valid
         assert server.metrics()["verifier"]["invalidated"] == 1
@@ -181,15 +179,8 @@ class TestVersionList:
         run1(env, work())
         # walk the chain from the entry
         found = server.lookup_slot(KEY)
-        loc = ObjectLocation(
-            pool=found[1].pool, offset=found[1].offset, size=found[1].size
-        )
         part = server.partition_for_key(KEY)
-        seen = []
-        while loc is not None:
-            img = part.read_object(loc)
-            seen.append(img.value[:4])
-            loc = part.previous_location(loc)
+        seen = [part.read_object(loc).value[:4] for loc in part.versions(found[1])]
         assert seen == [b"ver3", b"ver2", b"ver1", b"ver0"]
 
 

@@ -90,12 +90,8 @@ class TestCleaningCycle:
         (part,) = server.partitions
         env.run(server.trigger_cleaning())
         for i in range(6):
-            found = server.lookup_slot(_key(i))
-            from repro.baselines.base import ObjectLocation
-
-            cur = found[1]
-            loc = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
-            img = part.read_object(loc)
+            cur = server.lookup_slot(_key(i))[1]
+            img = part.read_object(cur)
             assert img.durable
             pool = part.pools[cur.pool]
             assert server.device.is_persistent(pool.abs_addr(cur.offset), cur.size)

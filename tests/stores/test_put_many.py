@@ -4,9 +4,9 @@ amortization counters, error surfacing, and crash-point spot-checks."""
 import numpy as np
 import pytest
 
-from repro.baselines.base import ObjectLocation
 from repro.core.recovery import recover_bucketized
 from repro.errors import QPError, StoreError
+from repro.kv.hashtable import Slot
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment
 from tests.conftest import run1, small_store
@@ -204,7 +204,7 @@ class TestCrashSpotCheck:
         for part in setup.server.partitions:
             for pool in part.pools:
                 for alloc in pool.allocations:
-                    loc = ObjectLocation(
+                    loc = Slot(
                         pool=pool.pool_id, offset=alloc.offset, size=alloc.size
                     )
                     img = part.read_object(loc)

@@ -4,7 +4,6 @@ recovery, durable-flag trust."""
 import numpy as np
 import pytest
 
-from repro.baselines.base import ObjectLocation
 from repro.core.recovery import recover_bucketized, recover_erda, scan_pool
 from repro.kv.hashtable import key_fingerprint
 from repro.kv.objects import HEADER_SIZE
@@ -93,10 +92,7 @@ class TestBucketizedRecovery:
         report = env.run(env.process(recover_bucketized(server)))
         assert report.keys_rolled_back == 1
         found = server.lookup_slot(_key(1))
-        loc = ObjectLocation(
-            pool=found[1].pool, offset=found[1].offset, size=found[1].size
-        )
-        img = server.partition_for_key(_key(1)).read_object(loc)
+        img = server.partition_for_key(_key(1)).read_object(found[1])
         assert parse_value(img.value) == (1, 1)
 
     def test_never_durable_key_cleared(self, env):

@@ -3,9 +3,8 @@ placement, metadata publish ordering."""
 
 import pytest
 
-from repro.baselines.base import ObjectLocation
 from repro.errors import CorruptObjectError, KeyNotFoundError
-from repro.kv.hashtable import key_fingerprint
+from repro.kv.hashtable import Slot, key_fingerprint
 from repro.sim.kernel import Environment
 from tests.conftest import run1, small_store
 
@@ -22,13 +21,10 @@ def _object_loc(server, key):
         assert found is not None and found[1].off1 is not None
         off = found[1].off1
         hdr = parse_header(part.pools[0].read(off, HEADER_SIZE))
-        return ObjectLocation(
-            pool=0, offset=off, size=object_size(hdr.klen, hdr.vlen)
-        )
+        return Slot(pool=0, offset=off, size=object_size(hdr.klen, hdr.vlen))
     found = server.lookup_slot(key)
     assert found is not None
-    _, cur, _ = found
-    return ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
+    return found[1]
 
 
 def _is_durable(server, key):

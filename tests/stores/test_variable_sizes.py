@@ -69,11 +69,6 @@ def test_efactory_mixed_sizes_recovery(env):
     report = env.run(env.process(recover_bucketized(server)))
     assert report.keys_rolled_back == 1
     found = server.lookup_slot(KEY)
-    from repro.baselines.base import ObjectLocation
-
-    cur = found[1]
-    img = server.partition_for_key(KEY).read_object(
-        ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
-    )
+    img = server.partition_for_key(KEY).read_object(found[1])
     assert parse_value(img.value) == (1, 1)
     assert img.vlen == 2048

@@ -3,7 +3,6 @@ forward, and the cleaner's treatment of invalidated objects."""
 
 import pytest
 
-from repro.baselines.base import ObjectLocation
 from repro.kv.objects import FLAG_VALID, HEADER_SIZE, parse_header, unpack_ptr
 from repro.sim.kernel import Environment
 from tests.conftest import run1, small_store
@@ -13,14 +12,11 @@ KEY = b"key-00000000link"
 
 def _chain_offsets(server, key):
     """Offsets of all versions newest-first via PrePTR."""
-    found = server.lookup_slot(key)
-    cur = found[1]
-    out = []
-    loc = ObjectLocation(pool=cur.pool, offset=cur.offset, size=cur.size)
-    while loc is not None:
-        out.append((loc.pool, loc.offset))
-        loc = server.partition_for_key(key).previous_location(loc)
-    return out
+    cur = server.lookup_slot(key)[1]
+    return [
+        (loc.pool, loc.offset)
+        for loc in server.partition_for_key(key).versions(cur)
+    ]
 
 
 def test_forward_links_mirror_backward_links(env):
