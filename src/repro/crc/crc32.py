@@ -56,8 +56,13 @@ def crc32(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
 
 
 def crc32_fast(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
-    """CRC-32 via :mod:`zlib` — identical results, C speed."""
-    return zlib.crc32(bytes(data), crc & _MASK) & _MASK
+    """CRC-32 via :mod:`zlib` — identical results, C speed.
+
+    ``data`` is read in place (any contiguous buffer). :func:`zlib.crc32`
+    already takes ``crc`` modulo 2**32 and returns an unsigned 32-bit
+    value, so nothing is masked here.
+    """
+    return zlib.crc32(data, crc)
 
 
 # -- crc combination (zlib-style GF(2) matrix trick) -------------------------

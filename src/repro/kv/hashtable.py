@@ -36,7 +36,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -86,13 +86,14 @@ _OFF_MASK = (1 << _OFF_BITS) - 1
 _SIZE_MASK = (1 << _SIZE_BITS) - 1
 
 
-@dataclass(frozen=True, slots=True)
-class Slot:
+class Slot(NamedTuple):
     """Decoded form of a packed 8-byte slot, and the one location type:
     where an object lives (pool id, pool-relative offset, total size).
 
     Pool ids are partition-local; a :class:`Slot` is only meaningful
-    together with the partition that owns the pools.
+    together with the partition that owns the pools. An immutable
+    record whose ``hash`` and ``==`` are those of its field tuple, as a
+    frozen dataclass of the same fields would give.
     """
 
     pool: int
@@ -100,29 +101,21 @@ class Slot:
     offset: int
 
     def pack(self) -> int:
-        if self.pool not in (0, 1):
-            raise StoreError(f"slot pool must be 0/1, got {self.pool}")
-        if not 0 <= self.size <= _SIZE_MASK:
-            raise StoreError(f"slot size {self.size} out of range")
-        if not 0 <= self.offset <= _OFF_MASK:
-            raise StoreError(f"slot offset {self.offset} out of range")
-        return (
-            (1 << 63)
-            | (self.pool << 62)
-            | (self.size << _OFF_BITS)
-            | self.offset
-        )
+        pool, size, offset = self
+        if pool not in (0, 1):
+            raise StoreError(f"slot pool must be 0/1, got {pool}")
+        if not 0 <= size <= _SIZE_MASK:
+            raise StoreError(f"slot size {size} out of range")
+        if not 0 <= offset <= _OFF_MASK:
+            raise StoreError(f"slot offset {offset} out of range")
+        return (1 << 63) | (pool << 62) | (size << _OFF_BITS) | offset
 
     @staticmethod
     def unpack(word: int) -> Optional["Slot"]:
         """Decode a packed slot; ``None`` when the valid bit is clear."""
         if not word >> 63:
             return None
-        return Slot(
-            pool=(word >> 62) & 1,
-            size=(word >> _OFF_BITS) & _SIZE_MASK,
-            offset=word & _OFF_MASK,
-        )
+        return Slot((word >> 62) & 1, (word >> _OFF_BITS) & _SIZE_MASK, word & _OFF_MASK)
 
 
 @dataclass(frozen=True)
@@ -195,12 +188,8 @@ class NvmHashTable:
         self.geom = geom
 
     # -- entry access -------------------------------------------------------
-    def _entry_addr(self, entry_off: int) -> int:
-        return self.base + entry_off
-
     def read_entry(self, entry_off: int):
-        raw = self.device.read(self._entry_addr(entry_off), ENTRY_SIZE)
-        return ENTRY_LAYOUT.unpack(raw)
+        return ENTRY_LAYOUT.unpack(self.device.read(self.base + entry_off, ENTRY_SIZE))
 
     def _count_read(self, n_entries: int) -> None:
         """Account for entries examined through a view as loads."""
@@ -215,16 +204,17 @@ class NvmHashTable:
         compared from a single unpack.
         """
         g = self.geom
+        per_bucket = g.slots_per_bucket
+        bucket_bytes = g.bucket_bytes
         bucket = g.bucket_of(fp)
         left = g.probe_limit
         free: Optional[int] = None
         examined = 0
         while left:
             run = min(left, g.n_buckets - bucket)
-            off = bucket * g.bucket_bytes
-            n = run * g.slots_per_bucket
-            raw = self.device.view(self._entry_addr(off), n * ENTRY_SIZE)
-            fps = _fp_words(n).unpack(raw)
+            off = bucket * bucket_bytes
+            n = run * per_bucket
+            fps = _fp_words(n).unpack(self.device.view(self.base + off, n * ENTRY_SIZE))
             if fp in fps:
                 k = fps.index(fp)
                 self._count_read(examined + k + 1)
@@ -257,14 +247,16 @@ class NvmHashTable:
                 f"(raise n_buckets or probe_limit)"
             )
         self.device.write_atomic64(
-            self._entry_addr(free), ENTRY_LAYOUT.pack_field("fp", fp)
+            self.base + free, ENTRY_LAYOUT.pack_field("fp", fp)
         )
         return free
 
     # -- slot words ----------------------------------------------------------
     def _write_word(self, entry_off: int, field: str, word: int) -> None:
-        addr = self._entry_addr(entry_off) + ENTRY_LAYOUT.offset_of(field)
-        self.device.write_atomic64(addr, ENTRY_LAYOUT.pack_field(field, word))
+        self.device.write_atomic64(
+            self.base + entry_off + ENTRY_LAYOUT.offset_of(field),
+            ENTRY_LAYOUT.pack_field(field, word),
+        )
 
     def read_cur(self, entry_off: int) -> Optional[Slot]:
         return Slot.unpack(self.read_entry(entry_off).cur)
@@ -298,7 +290,7 @@ class NvmHashTable:
 
     def persist_entry(self, entry_off: int) -> None:
         """State-level flush of one entry (timing charged by caller)."""
-        self.device.flush(self._entry_addr(entry_off), ENTRY_SIZE)
+        self.device.flush(self.base + entry_off, ENTRY_SIZE)
 
     # -- iteration (cleaning / recovery / scrubbing) ------------------------------
     def next_occupied(self, start: int, limit: int) -> Optional[int]:
@@ -317,7 +309,7 @@ class NvmHashTable:
         while skipped < limit:
             idx = (start + skipped) % total
             n = min(window, limit - skipped, total - idx)
-            raw = self.device.view(self._entry_addr(idx * ENTRY_SIZE), n * ENTRY_SIZE)
+            raw = self.device.view(self.base + idx * ENTRY_SIZE, n * ENTRY_SIZE)
             fps = np.frombuffer(raw, dtype="<u8")[::_WORDS_PER_ENTRY]
             hits = fps.nonzero()[0]
             if hits.size:
@@ -358,8 +350,7 @@ def client_lookup_bucket(
             f"bucket read returned {len(bucket_raw)} bytes, "
             f"expected {geom.bucket_bytes}"
         )
-    for s in range(geom.slots_per_bucket):
-        entry = ENTRY_LAYOUT.unpack_from(bucket_raw, s * ENTRY_SIZE)
-        if entry.fp == fp:
-            return Slot.unpack(entry.cur), Slot.unpack(entry.alt)
+    for entry_fp, cur, alt, _rsv in ENTRY_LAYOUT.struct.iter_unpack(bucket_raw):
+        if entry_fp == fp:
+            return Slot.unpack(cur), Slot.unpack(alt)
     return None

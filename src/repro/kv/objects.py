@@ -20,6 +20,10 @@ flag that powers the hybrid read scheme. Layout::
 * ``ts`` — server receive time, for background-thread timeout
   invalidation (§4.3.2).
 
+:data:`OBJECT_HEADER` is the one declaration of this format;
+:func:`build_header` and :func:`parse_object` run on the codec compiled
+from it.
+
 The header and key are written (and persisted, scheme permitting) by the
 server at allocation; only the value travels by client RDMA WRITE — so
 the CRC needs to cover only the value, exactly as in the paper.
@@ -105,6 +109,13 @@ def unpack_ptr(ptr: int) -> tuple[int, int] | None:
     return (ptr >> _PTR_POOL_SHIFT) & 1, (ptr & _PTR_OFF_MASK) - 1
 
 
+#: The compiled header codec; its fields are positional, in the order
+#: :data:`OBJECT_HEADER` declares them.
+_HEADER = OBJECT_HEADER.struct
+_pack_header = _HEADER.pack
+_unpack_header = _HEADER.unpack_from
+
+
 def build_header(
     *,
     flags: int,
@@ -115,19 +126,8 @@ def build_header(
     nxt_ptr: int = NULL_PTR,
     ts: int = 0,
 ) -> bytes:
-    """Pack an object header."""
-    return OBJECT_HEADER.pack(
-        magic=OBJ_MAGIC,
-        flags=flags,
-        rsv=0,
-        klen=klen,
-        rsv2=0,
-        vlen=vlen,
-        crc=crc,
-        pre_ptr=pre_ptr,
-        nxt_ptr=nxt_ptr,
-        ts=ts,
-    )
+    """Pack an object header (``rsv`` and ``rsv2`` are zero)."""
+    return _pack_header(OBJ_MAGIC, flags, 0, klen, 0, vlen, crc, pre_ptr, nxt_ptr, ts)
 
 
 @dataclass(slots=True)
@@ -163,10 +163,9 @@ def parse_header(raw: bytes | bytearray | memoryview):
     """Parse just a header (first :data:`HEADER_SIZE` bytes of ``raw``);
     returns the header record, or ``None`` when the magic is wrong (torn
     or unallocated space)."""
-    raw = bytes(raw)
     if len(raw) < HEADER_SIZE:
         return None
-    hdr = OBJECT_HEADER.unpack(raw[:HEADER_SIZE])
+    hdr = OBJECT_HEADER.unpack_from(raw)
     return hdr if hdr.magic == OBJ_MAGIC else None
 
 
@@ -177,31 +176,18 @@ def parse_object(raw: bytes | bytearray | memoryview) -> ObjectImage:
     error; ``well_formed=False`` flags headers too mangled to interpret
     (readers then treat the object as failing verification).
     """
-    raw = bytes(raw)
     if len(raw) < HEADER_SIZE:
         raise CorruptObjectError(
             f"object fragment of {len(raw)} bytes is smaller than a header"
         )
-    hdr = OBJECT_HEADER.unpack(raw[:HEADER_SIZE])
-    well_formed = (
-        hdr.magic == OBJ_MAGIC
-        and HEADER_SIZE + hdr.klen + hdr.vlen <= len(raw)
-    )
-    if well_formed:
-        key = raw[HEADER_SIZE : HEADER_SIZE + hdr.klen]
-        value = raw[HEADER_SIZE + hdr.klen : HEADER_SIZE + hdr.klen + hdr.vlen]
-    else:
-        key = b""
-        value = b""
-    return ObjectImage(
-        flags=hdr.flags,
-        klen=hdr.klen,
-        vlen=hdr.vlen,
-        crc=hdr.crc,
-        pre_ptr=hdr.pre_ptr,
-        nxt_ptr=hdr.nxt_ptr,
-        ts=hdr.ts,
-        key=key,
-        value=value,
-        well_formed=well_formed,
-    )
+    magic, flags, _, klen, _, vlen, crc, pre_ptr, nxt_ptr, ts = _unpack_header(raw)
+    key_end = HEADER_SIZE + klen
+    end = key_end + vlen
+    if magic == OBJ_MAGIC and end <= len(raw):
+        key = raw[HEADER_SIZE:key_end]
+        value = raw[key_end:end]
+        if type(raw) is not bytes:
+            key = bytes(key)
+            value = bytes(value)
+        return ObjectImage(flags, klen, vlen, crc, pre_ptr, nxt_ptr, ts, key, value)
+    return ObjectImage(flags, klen, vlen, crc, pre_ptr, nxt_ptr, ts, b"", b"", False)

@@ -97,6 +97,7 @@ PRIORITY_LOW = 2
 #: fused int is identical to comparing ``(priority, seq)`` and the key is
 #: globally unique.
 _PRIO_SHIFT = 60
+_NORMAL_KEY = PRIORITY_NORMAL << _PRIO_SHIFT
 
 #: Upper bound on the recycled-Timeout freelist.
 _FREELIST_CAP = 256
@@ -243,6 +244,16 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env.schedule(self, delay=delay)
+
+
+def _fresh_timeout(env: "Environment") -> Timeout:
+    """A poolable :class:`Timeout` for ``env``, built without the
+    ``__init__`` chain; the caller sets its outcome and schedules it."""
+    ev = Timeout.__new__(Timeout)
+    ev.env = env
+    ev._waiter = None
+    ev._pooled = True
+    return ev
 
 
 class Initialize(Event):
@@ -518,18 +529,19 @@ class Environment:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_seq",
         "_active_process",
         "trace_hook",
         "_queue",
         "_free_timeouts",
         "events_scheduled",
-        "events_processed",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulation time: a plain attribute, written only by this
+        #: kernel as it pops events (staticcheck rule DT006).
+        self.now = float(initial_time)
         self._seq = 0
         self._active_process: Optional[Process] = None
         #: Optional callable ``(time, event)`` invoked as each event is
@@ -539,16 +551,17 @@ class Environment:
         # in place only — run() aliases it.
         self._queue: list[tuple[float, int, Event]] = []
         self._free_timeouts: list[Timeout] = []
-        #: Total events ever placed on the queue / popped from it.
+        #: Total events ever placed on the queue.
         self.events_scheduled = 0
-        self.events_processed = 0
+
+    @property
+    def events_processed(self) -> int:
+        """Total events ever popped from the queue. Exact without a
+        per-event count: an event leaves the queue only by being popped,
+        so this is what was scheduled minus what is still queued."""
+        return self.events_scheduled - len(self._queue)
 
     # -- clock -------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
@@ -559,21 +572,22 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay < _INF:  # NaN, +inf: what schedule() would reject
+            raise SimulationError(f"cannot schedule {delay!r} from now")
         free = self._free_timeouts
-        if free:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay!r}")
-            ev = free.pop()
-            ev.callbacks = []
-            ev._value = value
-            ev._ok = True
-            ev._defused = False
-            ev.on_abandon = None
-            ev.delay = delay
-            self.schedule(ev, delay=delay)
-            return ev
-        ev = Timeout(self, delay, value)
-        ev._pooled = True
+        ev = free.pop() if free else _fresh_timeout(self)
+        ev.callbacks = []
+        ev._defused = False
+        ev.on_abandon = None
+        ev._ok = True
+        ev._value = value
+        ev.delay = delay
+        # schedule(ev, delay), inlined.
+        self._seq = seq = self._seq + 1
+        self.events_scheduled += 1
+        heappush(self._queue, (self.now + delay, _NORMAL_KEY | seq, ev))
         return ev
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
@@ -583,25 +597,16 @@ class Environment:
         event-path timeout chain would have produced (rather than
         ``now + (when - now)``) keeps the two paths bit-identical.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(f"timeout_at({when!r}) is in the past")
         free = self._free_timeouts
-        if free:
-            ev = free.pop()
-            ev.callbacks = []
-            ev._defused = False
-            ev.on_abandon = None
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.env = self
-            ev.callbacks = []
-            ev._defused = False
-            ev._waiter = None
-            ev.on_abandon = None
-            ev._pooled = True
+        ev = free.pop() if free else _fresh_timeout(self)
+        ev.callbacks = []
+        ev._defused = False
+        ev.on_abandon = None
         ev._ok = True
         ev._value = value
-        ev.delay = when - self._now
+        ev.delay = when - self.now
         self.schedule_at(ev, when)
         return ev
 
@@ -628,15 +633,15 @@ class Environment:
         self._seq = seq = self._seq + 1
         self.events_scheduled += 1
         heappush(
-            self._queue, (self._now + delay, priority << _PRIO_SHIFT | seq, event)
+            self._queue, (self.now + delay, priority << _PRIO_SHIFT | seq, event)
         )
 
     def schedule_at(
         self, event: Event, when: float, priority: int = PRIORITY_NORMAL
     ) -> None:
         """Place a triggered event on the queue at absolute time ``when``."""
-        if not self._now <= when < _INF:
-            raise SimulationError(f"cannot schedule at {when!r} (now={self._now!r})")
+        if not self.now <= when < _INF:
+            raise SimulationError(f"cannot schedule at {when!r} (now={self.now!r})")
         self._seq = seq = self._seq + 1
         self.events_scheduled += 1
         heappush(self._queue, (when, priority << _PRIO_SHIFT | seq, event))
@@ -650,14 +655,13 @@ class Environment:
         """Process exactly one event (advancing the clock to it)."""
         if not self._queue:
             raise SimulationError("step(): empty schedule")
-        self._now, _, event = heappop(self._queue)
+        self.now, _, event = heappop(self._queue)
         self._dispatch(event)
 
     def _dispatch(self, event: Event) -> None:
         """Run one popped event's waiter/callbacks; recycle pooled timeouts."""
         if self.trace_hook is not None:
-            self.trace_hook(self._now, event)
-        self.events_processed += 1
+            self.trace_hook(self.now, event)
         callbacks = event.callbacks
         event.callbacks = None  # marks processed
         waiter = event._waiter
@@ -704,15 +708,15 @@ class Environment:
             stop_at = _INF
         else:
             stop_at = float(until)
-            if stop_at < self._now:
+            if stop_at < self.now:
                 raise SimulationError(
-                    f"until={stop_at!r} is in the past (now={self._now!r})"
+                    f"until={stop_at!r} is in the past (now={self.now!r})"
                 )
         queue = self._queue
         dispatch = self._dispatch
         try:
             while queue and queue[0][0] <= stop_at:
-                self._now, _, event = heappop(queue)
+                self.now, _, event = heappop(queue)
                 dispatch(event)
         except StopSimulation as stop:
             return stop.value
@@ -721,7 +725,7 @@ class Environment:
                 "run() ran out of events before its target event triggered"
             )
         if until is not None:
-            self._now = stop_at
+            self.now = stop_at
         return None
 
     @staticmethod

@@ -27,6 +27,10 @@ Rules:
   serialization: ``for`` / comprehension over a set literal,
   ``set(...)`` call, set comprehension, or a local bound to one —
   unless wrapped in ``sorted(...)``.
+* **DT006** — a store or augmented store to an attribute named ``now``
+  outside :mod:`repro.sim.kernel`. ``Environment.now`` is a plain
+  attribute that only the kernel writes as it pops events; anything
+  else moving the clock desynchronises it from the event queue.
 * **EX001** — bare ``except:``, ``except Exception:`` or
   ``except BaseException:``: the tree's own
   :class:`~repro.errors.ReproError` hierarchy exists precisely so
@@ -83,6 +87,8 @@ _OTHER_ENTROPY = {
     "uuid.uuid4",
 }
 _SORTISH = {"sorted", "min", "max"}
+#: The one module allowed to write ``.now`` (DT006).
+_KERNEL_MODULE = "repro.sim.kernel"
 
 
 def _np_random_chain(name: str) -> bool:
@@ -178,8 +184,34 @@ class _Visitor(ast.NodeVisitor):
             return node.id in self.set_locals[-1]
         return False
 
+    # -- DT006: the simulated clock is written by the kernel only ------------
+    def _check_clock_store(self, target: ast.AST) -> None:
+        if self.module.name == _KERNEL_MODULE:
+            return
+        for sub in ast.walk(target):
+            if (
+                isinstance(sub, ast.Attribute)
+                and sub.attr == "now"
+                and isinstance(sub.ctx, ast.Store)
+            ):
+                self.add(
+                    "DT006",
+                    sub,
+                    "store to .now: only the kernel (repro.sim.kernel) "
+                    "moves the simulated clock",
+                )
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_clock_store(node.target)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_clock_store(node.target)
+        self.generic_visit(node)
+
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
+            self._check_clock_store(target)
             if isinstance(target, ast.Name):
                 if self._is_set_expr(node.value):
                     self.set_locals[-1].add(target.id)

@@ -56,6 +56,8 @@ RULES: dict[str, str] = {
     "DT004": "id()-keyed ordering (sort key or mapping key)",
     "DT005": "iteration over an unordered set feeding scheduling or "
     "serialization",
+    "DT006": "store to an attribute named now outside repro.sim.kernel "
+    "(only the kernel moves the simulated clock)",
     "EX001": "bare or over-broad except handler (except / "
     "except Exception / except BaseException)",
     "RG001": "fire() names an injection site missing from the registry",

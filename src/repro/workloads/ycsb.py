@@ -30,7 +30,9 @@ the simulation's hot loop does no distribution sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from functools import lru_cache
+from itertools import repeat
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -53,12 +55,34 @@ __all__ = [
 OpKind = Literal["get", "put", "rmw"]
 
 
-@dataclass(frozen=True)
-class Op:
-    """One operation in a client's stream."""
+class Op(NamedTuple):
+    """One operation in a client's stream: an immutable record whose
+    ``hash`` and ``==`` are those of ``(kind, key_id)``, as a frozen
+    dataclass of the same fields would give."""
 
     kind: OpKind
     key_id: int
+
+
+#: Builds records from ready field tuples (``map`` over it makes a stream
+#: without a Python-level constructor call per op).
+_new_record = tuple.__new__
+
+#: Op kinds by code: 0 below the read fraction, 1 below read + RMW, else 2.
+_KINDS = ("get", "rmw", "put")
+
+
+@lru_cache(maxsize=32)
+def _stateless_sampler(distribution: str, key_count: int, theta: float):
+    """The key sampler of a distribution, built once per shape: these
+    samplers keep no state between draws, so one instance serves every
+    stream (a :class:`~repro.workloads.zipf.RotatingHotSet` does, and is
+    never built here)."""
+    if distribution == "zipfian":
+        return ScrambledZipfian(key_count, theta)
+    if distribution == "latest":
+        return SkewedLatest(key_count, theta)
+    return UniformGenerator(key_count)
 
 
 @dataclass(frozen=True)
@@ -102,11 +126,7 @@ class WorkloadSpec:
         return replace(self, **kw)
 
     def _sampler(self):
-        if self.distribution == "zipfian":
-            return ScrambledZipfian(self.key_count, self.zipf_theta)
-        if self.distribution == "latest":
-            return SkewedLatest(self.key_count, self.zipf_theta)
-        return UniformGenerator(self.key_count)
+        return _stateless_sampler(self.distribution, self.key_count, self.zipf_theta)
 
     def client_stream(
         self, rng: np.random.Generator, n_ops: int
@@ -119,14 +139,11 @@ class WorkloadSpec:
         if self.scan_fraction == 0.0:
             # The seed's exact two-draw sequence: streams of every
             # scan-free workload stay bit-identical.
-            kinds = np.where(
-                roll < self.read_fraction,
-                "get",
-                np.where(roll < self.read_fraction + self.rmw_fraction, "rmw", "put"),
+            codes = (roll >= self.read_fraction).astype(np.int8) + (
+                roll >= self.read_fraction + self.rmw_fraction
             )
-            return [
-                Op(kind, int(k)) for kind, k in zip(kinds.tolist(), keys.tolist())
-            ]
+            kinds = map(_KINDS.__getitem__, codes.tolist())
+            return list(map(_new_record, repeat(Op), zip(kinds, keys.tolist())))
         scan_hi = self.read_fraction + self.rmw_fraction + self.scan_fraction
         kinds = np.where(
             roll < self.read_fraction,

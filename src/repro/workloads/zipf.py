@@ -75,6 +75,8 @@ class ScrambledZipfian:
         # precomputed permutation-ish mapping via FNV of the rank
         ranks = np.arange(n, dtype=np.uint64)
         self._map = self._scramble(ranks, n)
+        # One instance may serve many streams (see ``WorkloadSpec``).
+        self._map.flags.writeable = False
 
     @staticmethod
     def _scramble(ranks: np.ndarray, n: int) -> np.ndarray:

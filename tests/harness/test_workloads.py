@@ -8,6 +8,7 @@ from repro.errors import WorkloadError
 from repro.workloads.keyspace import make_key, make_value, parse_value
 from repro.workloads.ycsb import (
     WORKLOADS,
+    Op,
     update_only,
     ycsb_a,
     ycsb_b,
@@ -337,3 +338,97 @@ class TestYcsbSpecs:
         with pytest.raises(WorkloadError):
             # scan budget exceeded: 95% reads leave only 5%
             ycsb_b(scan_fraction=0.5)
+
+
+def _fresh_sampler(spec):
+    """The spec's key sampler built anew, bypassing the memo."""
+    if spec.distribution == "zipfian":
+        return ScrambledZipfian(spec.key_count, spec.zipf_theta)
+    if spec.distribution == "latest":
+        return SkewedLatest(spec.key_count, spec.zipf_theta)
+    return UniformGenerator(spec.key_count)
+
+
+def _reference_stream(spec, rng, n_ops):
+    """``client_stream`` as written before its sampler was memoised and
+    its ops built without a constructor call per op."""
+    keys = np.asarray(_fresh_sampler(spec).sample(rng, n_ops))
+    roll = rng.random(n_ops)
+    if spec.scan_fraction == 0.0:
+        kinds = np.where(
+            roll < spec.read_fraction,
+            "get",
+            np.where(roll < spec.read_fraction + spec.rmw_fraction, "rmw", "put"),
+        )
+        return [(kind, int(k)) for kind, k in zip(kinds.tolist(), keys.tolist())]
+    scan_hi = spec.read_fraction + spec.rmw_fraction + spec.scan_fraction
+    kinds = np.where(
+        roll < spec.read_fraction,
+        "get",
+        np.where(
+            roll < spec.read_fraction + spec.rmw_fraction,
+            "rmw",
+            np.where(roll < scan_hi, "scan", "put"),
+        ),
+    )
+    lens = rng.integers(1, spec.max_scan_len + 1, size=n_ops)
+    ops = []
+    for kind, k, length in zip(kinds.tolist(), keys.tolist(), lens.tolist()):
+        if kind == "scan":
+            for i in range(length):
+                ops.append(("get", (int(k) + i) % spec.key_count))
+                if len(ops) == n_ops:
+                    break
+        else:
+            ops.append((kind, int(k)))
+        if len(ops) == n_ops:
+            break
+    return ops
+
+
+class TestSamplerMemo:
+    """``WorkloadSpec`` shares one sampler per (distribution, key_count,
+    theta); that is only sound because those samplers keep no state."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_stream_equals_a_freshly_built_samplers(self, name, seed):
+        for key_count in (64, 8192):
+            spec = WORKLOADS[name](key_count=key_count)
+            got = spec.client_stream(np.random.default_rng(seed), 700)
+            want = _reference_stream(spec, np.random.default_rng(seed), 700)
+            assert [tuple(op) for op in got] == want
+            assert all(type(op) is Op for op in got)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_alternating_specs_that_share_an_entry(self, seed):
+        a, b = ycsb_a(key_count=300), ycsb_b(key_count=300)
+        assert a._sampler() is b._sampler()
+        rng_a, ref_a = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng_b, ref_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for n in (1, 50, 3, 200):
+            for spec, rng, ref in ((a, rng_a, ref_a), (b, rng_b, ref_b)):
+                got = [tuple(op) for op in spec.client_stream(rng, n)]
+                assert got == _reference_stream(spec, ref, n)
+
+    def test_distinct_shapes_do_not_share(self):
+        base = ycsb_a(key_count=300)
+        assert base._sampler() is not base.with_(key_count=301)._sampler()
+        assert base._sampler() is not base.with_(zipf_theta=0.9)._sampler()
+        assert base._sampler() is not base.with_(distribution="latest")._sampler()
+
+    def test_shared_scatter_is_read_only(self):
+        sampler = ycsb_c(key_count=128)._sampler()
+        with pytest.raises(ValueError):
+            sampler._map[0] = 1
+
+    def test_rotating_hot_set_stays_outside_the_memo(self):
+        """It counts its draws, so sharing one would change every stream
+        after the first. The workload samplers never build one."""
+        for distribution in ("zipfian", "latest", "uniform"):
+            spec = ycsb_a(key_count=300, distribution=distribution)
+            assert not isinstance(spec._sampler(), RotatingHotSet)
+        hot = RotatingHotSet(300, 0.99, rotate_every=10)
+        first = hot.sample(np.random.default_rng(5), 30).tolist()
+        again = hot.sample(np.random.default_rng(5), 30).tolist()
+        assert hot._drawn == 60 and first != again

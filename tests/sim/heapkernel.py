@@ -26,11 +26,17 @@ __all__ = ["HeapEnvironment"]
 class HeapEnvironment(Environment):
     """Drop-in :class:`Environment` with the seed heap-based scheduler."""
 
-    __slots__ = ("_heap",)
+    __slots__ = ("_heap", "_popped")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         super().__init__(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
+        self._popped = 0
+
+    @property
+    def events_processed(self) -> int:
+        # Counted per pop, as the seed kernel did.
+        return self._popped
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         # Seed behaviour: always allocate; never recycle.
@@ -41,10 +47,10 @@ class HeapEnvironment(Environment):
             raise SimulationError(f"cannot schedule into the past ({delay!r})")
         self._seq += 1
         self.events_scheduled += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
     def schedule_at(self, event: Event, when: float, priority: int = 1) -> None:
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(f"cannot schedule into the past ({when!r})")
         self._seq += 1
         self.events_scheduled += 1
@@ -58,7 +64,8 @@ class HeapEnvironment(Environment):
             when, _prio, _seq, event = heapq.heappop(self._heap)
         except IndexError:
             raise SimulationError("step(): empty schedule") from None
-        self._now = when
+        self.now = when
+        self._popped += 1
         self._dispatch(event)
 
     def run(self, until: "float | Event | None" = None) -> Any:
@@ -73,9 +80,9 @@ class HeapEnvironment(Environment):
             stop_at = float("inf")
         else:
             stop_at = float(until)
-            if stop_at < self._now:
+            if stop_at < self.now:
                 raise SimulationError(
-                    f"until={stop_at!r} is in the past (now={self._now!r})"
+                    f"until={stop_at!r} is in the past (now={self.now!r})"
                 )
         try:
             while self._heap and self._heap[0][0] <= stop_at:
@@ -87,5 +94,5 @@ class HeapEnvironment(Environment):
                 "run() ran out of events before its target event triggered"
             )
         if until is not None:
-            self._now = stop_at
+            self.now = stop_at
         return None

@@ -16,13 +16,12 @@ SRC = Path(repro.__file__).parent
 
 #: Everything an Environment holds that is not its event queue.
 NOT_THE_QUEUE = {
-    "_now",
+    "now",
     "_seq",
     "_active_process",
     "trace_hook",
     "_free_timeouts",
     "events_scheduled",
-    "events_processed",
 }
 
 

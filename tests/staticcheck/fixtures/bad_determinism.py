@@ -37,6 +37,12 @@ def set_iteration(pools):
         print(q)
 
 
+def clock_writes(env, proc):
+    env.now = 5.0  # DT006
+    env.now += 1.0  # DT006
+    proc.env.now, _ = 3.0, None  # DT006
+
+
 def swallow_everything(part, loc):
     try:
         return part.read_object(loc)
@@ -61,3 +67,10 @@ def ok_seeded_and_sorted(rng, pools, env):
     for p in sorted(live, key=lambda p: p.pool_id):  # sanctioned
         p.scrub()
     return jitter, gen, env.now
+
+
+def ok_clock_reads(env, stats):
+    now = env.now  # a local named now, a read of the clock
+    stats.now_ns = env.now  # another attribute
+    stats.seen[env.now] = now
+    return now

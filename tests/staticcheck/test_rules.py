@@ -44,6 +44,7 @@ def test_rule_ids_are_stable():
         "DT003",
         "DT004",
         "DT005",
+        "DT006",
         "EX001",
         "RG001",
         "RG002",
@@ -91,11 +92,14 @@ def test_determinism_rules():
     assert symbols(dt4) == {"id_ordered"} and len(dt4) == 2
     dt5 = by_rule(findings, "DT005")
     assert symbols(dt5) == {"set_iteration"} and len(dt5) == 2
+    dt6 = by_rule(findings, "DT006")
+    assert symbols(dt6) == {"clock_writes"} and len(dt6) == 3
     assert symbols(by_rule(findings, "EX001")) == {
         "swallow_everything",
         "swallow_bare",
     }
     assert "ok_seeded_and_sorted" not in symbols(findings)
+    assert "ok_clock_reads" not in symbols(findings)
 
 
 def test_registry_rules():
