@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix_p.add_argument(
         "--no-replay", action="store_true",
-        help="skip the byte-identical replay check (2x faster)",
+        help="skip the from-scratch replay of each point (and with it the "
+        "crash capsules: every point crashes from scratch once)",
     )
     matrix_p.add_argument(
         "--strict",

@@ -10,28 +10,43 @@ not *cover* it. This module enumerates the crash space systematically:
    injection site; those per-site operation counters are the universe of
    crash points (every persist/atomic-store boundary in the PUT
    pipeline, background verify, each log-cleaning stage, RPC dispatch).
-2. **Crash pass** — for each selected ``(site, op_index)``, re-run the
-   *identical* workload (same seed, same streams) with one deterministic
-   rule: ``crash`` at exactly that visit. The injector's crash hook
-   stops the server machinery, power-fails the node through the
-   word-granular media model (in-flight stores tear at 8-byte
-   granularity), and raises :class:`~repro.errors.PowerFailure`, which
-   escalates out of ``env.run`` into the harness.
-3. **Recover + audit** — restart the node, run the store's recovery,
-   then let the shared consistency oracle (:mod:`repro.harness.oracle`,
-   DESIGN.md §9b) judge every key's recovered state against the
-   advertised guarantees (torn exposure, durability of acked writes,
-   monotonic reads, no phantoms).
-4. **Idempotence** — run recovery a *second* time and require a
-   byte-identical NVM image and a second report with zero rolled-back /
-   lost keys: recovery must be safe to crash and re-run.
+2. **Armed pass** (with replay) — run the *identical* workload once more
+   with every selected crash rule armed, the double-crash primary (5)
+   included. Its crash hook does not crash: at each firing it takes a
+   *crash capsule* — the server device's touched chunks of both images
+   and their dirty lines, the fabric's WRITEs in flight to the server,
+   a copy of the oracle's ledger, the instant — and lets the run go on
+   (a returned ``crash`` action is inert at every site). Its per-site
+   counts must equal the counting pass's; if they do not, the pass did
+   not reproduce the run it was meant to, and every point is judged
+   from scratch (3) and reported as not deterministic.
+3. **Crash** — a point is crashed from its capsule: the store is
+   deployed into a fresh environment at the captured instant, loaded
+   with the capsule, and power-failed exactly as the crash hook does it
+   (stop the server machinery, crash the node through the word-granular
+   media model — in-flight stores tear at 8-byte granularity — and
+   drain as long as the from-scratch run does: see
+   :class:`_Capsule`). Without capsules (no replay) a point re-runs the
+   workload from scratch with one deterministic rule, ``crash`` at
+   exactly that visit, whose hook power-fails the node and raises
+   :class:`~repro.errors.PowerFailure` out of ``env.run``.
+4. **Recover + audit + idempotence** — restart the node, run the store's
+   recovery, then let the shared consistency oracle
+   (:mod:`repro.harness.oracle`, DESIGN.md §9b) judge every key's
+   recovered state against the advertised guarantees (torn exposure,
+   durability of acked writes, monotonic reads, no phantoms). Recovery
+   runs a *second* time and must leave a byte-identical NVM image and
+   a second report with zero rolled-back / lost keys: recovery must be
+   safe to crash and re-run.
 5. **Double crash** — a separate set of points crashes *inside
-   recovery itself* (site ``recovery.step``), recovers again, and holds
-   the result to the same bar.
+   recovery itself* (site ``recovery.step``) after one fixed primary
+   crash, recovers again, and holds the result to the same bar.
 6. **Replay** — each crash point is re-run from scratch under the same
-   seed up to the end of its first recovery; the NVM image there must be
-   byte-identical to the original's (the whole matrix is a pure function
-   of ``(store, seed, workload shape)``).
+   seed, really crashing, up to the end of its first recovery; its NVM
+   image there must be byte-identical to the original's, and its crash
+   summary and recovery report equal (the whole matrix is a pure
+   function of ``(store, seed, workload shape)``, and a capsule crash
+   is the crash it stands for).
 
 What is hashed and what is compared (DESIGN.md §9): the image after the
 first recovery is fingerprinted *once* per crashed point
@@ -40,20 +55,23 @@ strings iff equal images), because that string is published in the
 report. The two judgements made on the image — idempotence (4) and
 replay (6) — are byte comparisons against one
 :class:`~repro.mem.buffer.ImageSnapshot` taken at the same instant;
-nothing else is hashed. Fingerprint, snapshot and comparison each cost
-what the run stored to, not what the device could hold. Every instance's
-NVM image is released as soon as its point is judged.
+nothing else is hashed. Capsule, fingerprint, snapshot and comparison
+each cost what the run stored to, not what the device could hold.
+Every instance's NVM image is released as soon as its point is judged.
 
 Everything here is deterministic: crash rules carry ``probability=1``
-so they draw no coins, which keeps the counting pass and every crash
-pass on exactly the same event sequence up to the crash instant.
+so they draw no coins, which keeps the counting pass, the armed pass
+and every from-scratch crash on exactly the same event sequence up to
+the crash instant.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
+from collections.abc import Generator, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import partial
+from typing import Any, NamedTuple, Optional
 
 from repro.errors import (
     OperationTimeout,
@@ -69,7 +87,7 @@ from repro.harness.oracle import KeyLedger
 from repro.harness.scaffold import (
     deploy, pool_bytes, preload, recover, settle, version0,
 )
-from repro.mem.buffer import ImageSnapshot
+from repro.mem.buffer import ImageCapture, ImageSnapshot
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment, Event, Interrupt
 from repro.sim.rng import RngRegistry
@@ -113,7 +131,10 @@ class CrashMatrixSpec:
     max_per_site: int = 12
     #: Double-crash points inside recovery (site ``recovery.step``).
     recovery_points: int = 6
-    #: Re-run every crash point and require byte-identical state.
+    #: Re-run every crash point from scratch and require the original's
+    #: bytes, crash summary and recovery report. With it the originals
+    #: are judged on the armed pass's crash capsules; without it each
+    #: crashes from scratch.
     replay: bool = True
     settle_ns: float = 10_000_000.0
     config_overrides: dict = field(default_factory=dict)
@@ -208,20 +229,42 @@ class CrashMatrixReport:
 # -- one workload instance ------------------------------------------------------
 
 
+class _Capsule(NamedTuple):
+    """What the armed pass records at one crash instant: everything the
+    power failure and the recovery after it read of the run."""
+
+    time: float
+    device: ImageCapture
+    inflight: tuple[tuple[int, bytes, float, float], ...]
+    ledger: KeyLedger
+    #: How long a from-scratch run drains after this crash before its
+    #: recovery starts. A crash while the clients run ends the drain at
+    #: the crash instant: the clients take their interrupts at once, and
+    #: their ``all_of`` — still subscribed by the ``env.run`` the crash
+    #: escaped — stops the drain's ``env.run`` when it fires. A crash in
+    #: the settle drains the whole microsecond.
+    drain_ns: float
+
+
 class _Instance:
     """One fresh simulation of the scripted matrix workload.
 
-    Carries everything the harness needs after the run: the (possibly
-    crashed) environment, the oracle's per-key bookkeeping, and the
-    armed injector. Use it as a context manager: leaving the block
-    releases the server's NVM image, which would otherwise sit in the
-    finished simulation's reference cycles until a generational
-    collection.
+    There are two ways in: from scratch (:meth:`run_workload`, which
+    runs up to the crash its ``rules`` arm), or from a capsule
+    (:meth:`from_capsule`, deployed at the crash instant). Either way
+    the instance then carries everything the verdict needs: the crashed
+    environment, the oracle's per-key bookkeeping, and the armed
+    injector. Use it as a context manager: leaving the block releases
+    the server's NVM image, which would otherwise sit in the finished
+    simulation's reference cycles until a generational collection.
     """
 
-    def __init__(self, spec: CrashMatrixSpec, rules: tuple[FaultRule, ...]) -> None:
+    def __init__(
+        self, spec: CrashMatrixSpec, rules: tuple[FaultRule, ...] = (),
+        *, now: float = 0.0,
+    ) -> None:
         self.spec = spec
-        self.env = Environment()
+        self.env = Environment(initial_time=now)
         self.rngs = RngRegistry(spec.seed)
         puts = spec.key_count + spec.n_clients * spec.ops_per_client
         self.setup = deploy(
@@ -239,10 +282,26 @@ class _Instance:
         self.setup.fabric.fastpath = False
         self.keys = [make_key(k, spec.key_len) for k in range(spec.key_count)]
         self.ledger = KeyLedger(spec.key_count)
-        self.state = {"completed": 0, "crashed": False}
+        self.state = {"completed": 0, "crashed": False, "clients_done": False}
         self.crash_info: dict[str, Any] = {}
         self.rules = rules
         self.injector: Optional[FaultInjector] = None
+        #: The first recovery's report, as :meth:`recovers_to` saw it.
+        self.recovery: Optional[dict] = None
+
+    @classmethod
+    def from_capsule(cls, spec: CrashMatrixSpec, capsule: _Capsule) -> "_Instance":
+        """A fresh deployment at the capsule's instant, loaded with it and
+        power-failed as the crash hook does it, then drained as
+        :meth:`run_workload` drains a crash: the state a from-scratch run
+        stands in when its crash rule has fired."""
+        inst = cls(spec, now=capsule.time)
+        inst.server.device.restore(capsule.device)
+        inst.setup.fabric.adopt_inflight(inst.server.node, capsule.inflight)
+        inst.ledger = capsule.ledger.copy()
+        inst._power_fail()
+        inst._drain(capsule.drain_ns)
+        return inst
 
     def __enter__(self) -> "_Instance":
         return self
@@ -251,9 +310,11 @@ class _Instance:
         self.server.device.release()
 
     # -- the scripted workload ------------------------------------------------
-    def run_workload(self) -> bool:
+    def run_workload(self, capsules: Optional[dict[Point, _Capsule]] = None) -> bool:
         """Drive the workload to its end or to the crash point, and disarm;
-        returns True if a crash rule fired."""
+        returns True if a crash rule fired. With ``capsules`` (the armed
+        pass) no rule crashes: each firing stores its
+        ``(site, op_index)``'s :class:`_Capsule` there instead."""
         spec, env = self.spec, self.env
 
         preload(
@@ -265,7 +326,10 @@ class _Instance:
         # faulted window, not the preload.
         plan = FaultPlan("matrix", self.rules)
         self.injector = arm_store(self.setup, plan, rngs=self.rngs)
-        self.injector.crash_hook = self._crash_hook
+        self.injector.crash_hook = (
+            self._crash_hook if capsules is None
+            else partial(self._take_capsule, capsules)
+        )
 
         procs = [
             env.process(self._client_proc(i), name=f"matrix-client{i}")
@@ -277,6 +341,7 @@ class _Instance:
         # settle (background verify/flush still runs), even stop().
         try:
             env.run(env.all_of(procs))
+            self.state["clients_done"] = True
             if not self.state["crashed"]:
                 if cleaner.is_alive:
                     cleaner.interrupt("done")
@@ -340,13 +405,11 @@ class _Instance:
         if not self.state["crashed"]:
             trigger()
 
-    def _crash_hook(self, site: str) -> None:
-        """Installed on the injector; runs inside the crashing process."""
+    def _power_fail(self) -> None:
+        """Stop the server machinery and power-fail its node."""
         self.state["crashed"] = True
-        self.crash_info["site"] = site
-        self.crash_info["time"] = self.env.now
         # Active-process-safe: stop() skips the process we are inside of
-        # (it dies by the PowerFailure below).
+        # (the crash hook's, which dies by its PowerFailure).
         self.server.stop()
         self.crash_info["summary"] = self.setup.fabric.crash_node(
             self.server.node,
@@ -354,7 +417,24 @@ class _Instance:
             self.spec.evict_probability,
             tear_words=True,
         )
+
+    def _crash_hook(self, site: str) -> None:
+        """Installed on the injector; runs inside the crashing process."""
+        self._power_fail()
         raise PowerFailure(f"crash point {site}")
+
+    def _take_capsule(self, capsules: dict[Point, _Capsule], site: str) -> None:
+        """The armed pass's crash hook: record this instant, crash nothing."""
+        assert self.injector is not None
+        point = (site, self.injector.events[-1].op_index)
+        last = next(reversed(capsules.values()), None)
+        capsules[point] = _Capsule(
+            self.env.now,
+            self.server.device.capture(like=last and last.device),
+            self.setup.fabric.inflight_to(self.server.node),
+            self.ledger.copy(),
+            1_000.0 if self.state["clients_done"] else 0.0,
+        )
 
     # -- crashing recovery itself -----------------------------------------------
     def arm_recovery(self, rules: tuple[FaultRule, ...]) -> None:
@@ -364,16 +444,13 @@ class _Instance:
         )
 
     def crash_in_recovery(self, op_index: int) -> bool:
-        """Crash at this instance's workload point, then crash *again*
-        at the ``op_index``-th recovery step. False if either crash was
-        never reached (recovery finishing before step ``op_index`` means
-        the site's universe is smaller than requested — not an error)."""
-        if not self.run_workload():
-            return False
+        """On an instance past its workload crash, crash *again* at the
+        ``op_index``-th recovery step. False if that step is never
+        reached (recovery finishing before step ``op_index`` means the
+        site's universe is smaller than requested — not an error)."""
         self.arm_recovery(_crash_rule("recovery.step", op_index))
 
         def hook(site: str) -> None:
-            self.crash_info["site2"] = site
             self.crash_info["summary2"] = self.setup.fabric.crash_node(
                 self.server.node,
                 self.rngs.stream("matrix.crash2"),
@@ -433,11 +510,22 @@ class _Instance:
     def recovers_to(self, image: ImageSnapshot) -> bool:
         """Replay side of :meth:`verdict`: recover once and compare, byte
         for byte, with the original's image at that same instant."""
-        recover(self.setup)
+        report = recover(self.setup)
+        self.recovery = report.as_dict() if report is not None else None
         return self.server.device.same_image(image)
+
+    def judged_like(self, result: CrashPointResult, summary: str) -> bool:
+        """After :meth:`recovers_to`: the crash resolved and the first
+        recovery reported exactly what the original's did."""
+        return (
+            dict(self.crash_info.get(summary, {})) == result.crash_summary
+            and self.recovery == result.recovery
+        )
 
 
 # -- matrix orchestration ---------------------------------------------------------
+
+Point = tuple[str, int]  # (site, op_index)
 
 
 def _crash_rule(site: str, op_index: int) -> tuple[FaultRule, ...]:
@@ -462,73 +550,137 @@ def _sample(count: int, cap: int) -> list[int]:
     return list(range(0, count, stride))[:cap]
 
 
+@contextmanager
+def _crashed(
+    spec: CrashMatrixSpec, point: Point, capsule: Optional[_Capsule]
+) -> Iterator[Optional[_Instance]]:
+    """An instance standing right after the crash at ``point`` — loaded
+    from its capsule, or, without one, run from scratch up to it — for
+    the block; None if the crash is never reached."""
+    if capsule is not None:
+        with _Instance.from_capsule(spec, capsule) as inst:
+            yield inst
+        return
+    with _Instance(spec, _crash_rule(*point)) as inst:
+        yield inst if inst.run_workload() else None
+
+
 def _judge_point(
     spec: CrashMatrixSpec,
-    rules: tuple[FaultRule, ...],
-    reach: Callable[[_Instance], bool],
+    point: Point,
+    capsule: Optional[_Capsule],
     result: CrashPointResult,
-    summary: str,
+    step: Optional[int] = None,
 ) -> CrashPointResult:
-    """One crash point: a fresh instance under ``rules`` is driven to the
-    crash by ``reach``, recovered, audited and checked for idempotence;
-    then, with ``spec.replay``, a second fresh instance must reach the
-    same crash and recover to the same bytes."""
-    with _Instance(spec, rules) as inst:
-        result.crashed = reach(inst)
+    """One crash point: the instance past the crash at ``point`` — and,
+    for a double-crash point, past a second crash at recovery step
+    ``step`` — is recovered, audited and checked for idempotence; then,
+    with ``spec.replay``, a fresh instance must reach the same crashes
+    from scratch and recover to the same bytes, crash summary and
+    recovery report."""
+    summary = "summary" if step is None else "summary2"
+    with _crashed(spec, point, capsule) as original:
+        result.crashed = original is not None and (
+            step is None or original.crash_in_recovery(step)
+        )
         if not result.crashed:
             return result
-        image = inst.verdict(result, summary)
+        image = original.verdict(result, summary)
     if spec.replay:
-        with _Instance(spec, rules) as replay:
-            result.replay_identical = reach(replay) and replay.recovers_to(image)
+        with _Instance(spec, _crash_rule(*point)) as replay:
+            result.replay_identical = (
+                replay.run_workload()
+                and (step is None or replay.crash_in_recovery(step))
+                and replay.recovers_to(image)
+                and replay.judged_like(result, summary)
+            )
     # This frame outlives the call: the PowerFailure caught below it holds
     # it through its traceback, from inside the dead simulations' reference
-    # cycles. Do not let it hold two images' worth of bytes until a GC.
-    del image
+    # cycles. Do not let it hold images' worth of bytes until a GC.
+    del image, capsule
     return result
+
+
+def _armed_pass(
+    spec: CrashMatrixSpec, points: list[Point], counts: dict[str, int]
+) -> tuple[dict[Point, _Capsule], bool]:
+    """Step 2: one run with every point's rule armed. Returns each
+    point's capsule and False — or none and True if the run strayed from
+    the counting pass (when it did not, every rule fired: each point is
+    a visit the counting pass made)."""
+    rules = tuple(rule for point in points for rule in _crash_rule(*point))
+    capsules: dict[Point, _Capsule] = {}
+    with _Instance(spec, rules) as armed:
+        armed.run_workload(capsules)
+        assert armed.injector is not None
+        if armed.injector.site_op_counts() != counts:
+            return {}, True
+    assert capsules.keys() == set(points)
+    return capsules, False
 
 
 def run_crash_matrix(spec: CrashMatrixSpec) -> CrashMatrixReport:
     """Enumerate and execute the full crash-point matrix for ``spec``."""
     # 1. counting pass: the universe of crash points
-    with _Instance(spec, ()) as counting:
+    with _Instance(spec) as counting:
         counting.run_workload()
         assert counting.injector is not None
         counts = counting.injector.site_op_counts()
 
-    results: list[CrashPointResult] = []
-
-    # 2-4. workload-phase crash points
-    for site in spec.sites:
-        for k in _sample(counts.get(site, 0), spec.max_per_site):
-            results.append(_judge_point(
-                spec, _crash_rule(site, k), _Instance.run_workload,
-                CrashPointResult(site=site, op_index=k, phase="workload",
-                                 crashed=False),
-                "summary",
-            ))
-
-    # 5. double-crash points (crash during recovery of a mid-run crash):
-    #    the third recovery must land the same place a clean one would
+    points = [
+        (site, k)
+        for site in spec.sites
+        for k in _sample(counts.get(site, 0), spec.max_per_site)
+    ]
     primary = None
     if spec.recovery_points > 0 and spec.store != "ca":
         primary = _pick_primary(spec, counts)
+
+    # 2. armed pass, with replay: a capsule for each crash, and each
+    #    point's replay holds its capsule to a real crash. Without replay,
+    #    or if the pass strayed, every point crashes from scratch.
+    capsules: dict[Point, _Capsule] = {}
+    strayed = False
+    if spec.replay:
+        armed = list(points)
+        if primary is not None and primary not in armed:
+            armed.append(primary)
+        capsules, strayed = _armed_pass(spec, armed, counts)
+    primary_capsule = capsules.get(primary)
+
+    results: list[CrashPointResult] = []
+
+    # 3-4. workload-phase crash points; each capsule goes with its point
+    for site, k in points:
+        results.append(_judge_point(
+            spec, (site, k), capsules.pop((site, k), None),
+            CrashPointResult(site=site, op_index=k, phase="workload",
+                             crashed=False),
+        ))
+
+    # 5. double-crash points (crash during recovery of a mid-run crash):
+    #    the third recovery must land the same place a clean one would
     if primary is not None:
         # count recovery steps for that primary crash
         rec_ops = 0
-        with _Instance(spec, _crash_rule(*primary)) as probe:
-            if probe.run_workload():
+        with _crashed(spec, primary, primary_capsule) as probe:
+            if probe is not None:
                 probe.arm_recovery(())
                 recover(probe.setup)
                 rec_ops = probe.injector.site_op_counts().get("recovery.step", 0)
         for k in _sample(rec_ops, spec.recovery_points):
             results.append(_judge_point(
-                spec, _crash_rule(*primary),
-                lambda inst, k=k: inst.crash_in_recovery(k),
+                spec, primary, primary_capsule,
                 CrashPointResult(site="recovery.step", op_index=k,
                                  phase="recovery", crashed=False),
-                "summary2",
+                step=k,
             ))
+
+    if strayed:
+        # The armed pass is not the run the points were chosen from: the
+        # matrix is not the pure function of its spec the capsules stand on.
+        for r in results:
+            r.replay_identical = False
 
     return CrashMatrixReport(spec=spec, site_op_counts=counts, results=results)
 

@@ -64,6 +64,13 @@ class KeyLedger:
         self.acked = [0] * key_count
         self.max_read = [-1] * key_count
 
+    def copy(self) -> "KeyLedger":
+        """An independent ledger with this one's history so far."""
+        twin = KeyLedger(0)
+        twin.issued, twin.acked = list(self.issued), list(self.acked)
+        twin.max_read = list(self.max_read)
+        return twin
+
     def next_version(self, kid: int) -> int:
         """The version the next PUT of ``kid`` carries."""
         self.issued[kid] += 1

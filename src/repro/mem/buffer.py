@@ -48,10 +48,11 @@ bytearray — there is one dirty map, not two — and revert only the dirty
 lines: a clean line already reads what the media holds.
 
 The **touched map** is one byte per :data:`CHUNK` (4 KiB) of buffer, set
-by every mutator that can bring a non-zero byte into a chunk (``write``,
-``corrupt``; ``flush`` and ``crash`` only move bytes between the two
-images inside chunks already set) and never cleared. Its invariant:
-*outside touched chunks both images are zero.* That is why ``visible``
+by every mutator that can bring a non-zero byte or a dirty line into a
+chunk (``write``, ``corrupt``, ``flush_torn``; ``flush`` and ``crash``
+only move bytes between the two images inside chunks already set) and
+never cleared. Its invariant: *outside touched chunks both images are
+zero and every line is clean.* That is why ``visible``
 and ``durable`` are exposed as **read-only** views — a poke that
 bypassed the mutators would silently evade the map, so it raises
 ``TypeError`` instead; stores go through the mappings, which stay
@@ -88,6 +89,16 @@ later access to its bytes raises
 A caller's window (``view()``, a slice of an image) that is still alive
 keeps its mapping alive, not the buffer usable: the release does not
 raise, and the pages go when the window does.
+
+Everything a crash reads of a buffer is its two images and its dirty map,
+and all three are zero outside touched chunks. :meth:`PersistentBuffer.capture`
+copies that share, chunk by chunk, into an :class:`ImageCapture`, and
+:meth:`PersistentBuffer.restore` makes another buffer of the same size
+hold exactly it, so crashing the restored buffer resolves the same lines
+with the same coins as crashing the original would have. Both cost the
+chunks either buffer touched, like every whole-image primitive; a series
+of captures of one run, each lent the bytes of the one before, holds
+each version of a chunk once.
 """
 
 from __future__ import annotations
@@ -110,6 +121,7 @@ __all__ = [
     "PersistentBuffer",
     "BufferStats",
     "ImageSnapshot",
+    "ImageCapture",
 ]
 
 #: Cacheline size in bytes; the dirty-tracking and crash granularity.
@@ -188,6 +200,22 @@ class ImageSnapshot(NamedTuple):
     #: The pieces' bytes of each image, concatenated.
     durable: bytes
     visible: bytes
+
+
+class ImageCapture(NamedTuple):
+    """Everything a crash reads of a buffer at one instant (see
+    :meth:`PersistentBuffer.capture`)."""
+
+    #: Size of the buffer it was taken from.
+    size: int
+    #: ``(addr, durable, visible, dirty)`` of each touched chunk, in
+    #: address order: its bytes of both images and of the dirty map.
+    chunks: tuple[tuple[int, bytes, bytes, bytes], ...]
+
+
+def _lines(addr: int, length: int) -> slice:
+    """The dirty-map slice of the lines covering ``[addr, addr+length)``."""
+    return slice(addr // CACHELINE, (addr + length + CACHELINE - 1) // CACHELINE)
 
 
 class PersistentBuffer:
@@ -485,6 +513,7 @@ class PersistentBuffer:
         n = self.flush(addr, length)
         self._dmap[ws : ws + ATOMIC_WORD] = saved
         self._dirty[ws // CACHELINE] = True
+        self._touched[ws // CHUNK] = 1
         self.stats.torn_stores += 1
         return n
 
@@ -539,6 +568,50 @@ class PersistentBuffer:
         fresh = set(self._pieces(snap.ranges)).difference(snap.pieces)
         durable, visible = self._gather(fresh)
         return not (durable.strip(b"\0") or visible.strip(b"\0"))
+
+    def capture(self, like: ImageCapture | None = None) -> ImageCapture:
+        """Copy what a crash of this buffer would read — both images and
+        the dirty map, over the touched chunks — for :meth:`restore`.
+        ``like``, an earlier capture of this buffer, lends its bytes to
+        every chunk that still holds them, and a visible chunk equal to
+        its durable one is that same object: a series of captures keeps
+        one copy of each version of each chunk."""
+        before = {addr: (d, v) for addr, d, v, _ in like.chunks} if like else {}
+        chunks = []
+        for addr, n in self._pieces(((0, self.size),)):
+            durable, visible = self._dmap[addr : addr + n], self._vmap[addr : addr + n]
+            d, v = before.get(addr, (None, None))
+            if durable == d:
+                durable = d
+            if visible == durable:
+                visible = durable
+            elif visible == v:
+                visible = v
+            dirty = bytes(self._dirty_map[_lines(addr, n)])
+            chunks.append((addr, durable, visible, dirty))
+        return ImageCapture(self.size, tuple(chunks))
+
+    def restore(self, cap: ImageCapture) -> None:
+        """Make both images and the dirty map exactly what ``cap`` holds
+        (taken from a buffer of this size): its chunks are copied in, and
+        a chunk touched here but not there is zeroed and cleaned."""
+        self._require_live()
+        if cap.size != self.size:
+            raise MemoryAccessError(
+                f"capture of a {cap.size}-byte buffer restored into {self.size} bytes"
+            )
+        held = {addr for addr, *_ in cap.chunks}
+        for addr, n in self._pieces(((0, self.size),)):
+            if addr not in held:
+                self._dmap[addr : addr + n] = self._vmap[addr : addr + n] = bytes(n)
+                lines = _lines(addr, n)
+                self._dirty_map[lines] = bytes(lines.stop - lines.start)
+        for addr, durable, visible, dirty in cap.chunks:
+            n = len(durable)
+            self._dmap[addr : addr + n] = durable
+            self._vmap[addr : addr + n] = visible
+            self._dirty_map[_lines(addr, n)] = dirty
+            self._touched[addr // CHUNK] = 1
 
     def fingerprint(self, *ranges: tuple[int, int]) -> str:
         """Printable SHA-256 fingerprint of both images over the whole

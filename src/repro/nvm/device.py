@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.mem.buffer import CACHELINE, ImageSnapshot, PersistentBuffer
+from repro.mem.buffer import CACHELINE, ImageCapture, ImageSnapshot, PersistentBuffer
 from repro.sim.kernel import Environment, Event
 
 __all__ = ["NVMTiming", "NVMDevice"]
@@ -241,6 +241,16 @@ class NVMDevice:
     def same_image(self, snap: ImageSnapshot) -> bool:
         """Byte-equality of the live images with ``snap`` (memcmp, no hash)."""
         return self.buffer.same_image(snap)
+
+    def capture(self, like: ImageCapture | None = None) -> ImageCapture:
+        """What a crash of the device would read (see
+        :meth:`repro.mem.buffer.PersistentBuffer.capture`)."""
+        return self.buffer.capture(like)
+
+    def restore(self, cap: ImageCapture) -> None:
+        """Load a :meth:`capture` of a device of this size (see
+        :meth:`repro.mem.buffer.PersistentBuffer.restore`)."""
+        self.buffer.restore(cap)
 
     def fingerprint(self, *ranges: tuple[int, int]) -> str:
         """Printable fingerprint of both images (see

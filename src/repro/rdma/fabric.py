@@ -250,6 +250,25 @@ class Fabric:
         fl.state = "applied"
         return True
 
+    def inflight_to(self, target: Node) -> tuple[tuple[int, bytes, float, float], ...]:
+        """The WRITEs flying to ``target``, in the order :meth:`crash_node`
+        tears them, as ``(addr, data, t_start, t_apply)`` — what
+        :meth:`adopt_inflight` puts in flight on another fabric."""
+        return tuple(
+            (fl.addr, bytes(fl.data), fl.t_start, fl.t_apply)
+            for fl in self._inflight.values()
+            if fl.target is target and fl.state == "flying"
+        )
+
+    def adopt_inflight(
+        self, target: Node, writes: tuple[tuple[int, bytes, float, float], ...]
+    ) -> None:
+        """Put another fabric's :meth:`inflight_to` in flight to ``target``
+        here, after whatever already flies: a crash of ``target`` now tears
+        them as it would have there. Nothing applies them otherwise."""
+        for addr, data, t_start, t_apply in writes:
+            self.register_inflight(target, addr, data, t_apply, t_start)
+
     def inflight_count(self, target: Optional[Node] = None) -> int:
         if target is None:
             return len(self._inflight)

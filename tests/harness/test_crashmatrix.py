@@ -164,24 +164,91 @@ def test_a_replay_that_lands_on_other_bytes_is_reported(monkeypatch, image):
 
 
 def test_a_replay_that_never_reaches_its_crash_is_reported(monkeypatch):
-    built: Counter = Counter()
+    armed = []
 
     class _DeafReplay(crashmatrix._Instance):
-        """The second instance built for a point — its replay — is armed
-        with a crash no run can reach."""
+        """Every instance that crashes from scratch — armed with one crash
+        rule: with replay on that is each point's replay, since the
+        originals come from capsules (the counting pass holds no rule, the
+        armed pass every point's) — is armed with a crash no run can reach."""
 
-        def __init__(self, spec, rules):
-            if rules:
-                point = (rules[0].site, rules[0].after_op)
-                built[point] += 1
-                if built[point] == 2:
-                    rules = crashmatrix._crash_rule(rules[0].site, 10**9)
-            super().__init__(spec, rules)
+        def __init__(self, spec, rules=(), **kw):
+            armed.append(len(rules))
+            if len(rules) == 1:
+                rules = crashmatrix._crash_rule(rules[0].site, 10**9)
+            super().__init__(spec, rules, **kw)
 
     monkeypatch.setattr(crashmatrix, "_Instance", _DeafReplay)
     rep = run_crash_matrix(_spec(replay=True, recovery_points=0))
     assert rep.replay_mismatches == _point_ids(rep) != []
     assert rep.non_idempotent == [] and rep.violations == []
+    assert armed[:2] == [0, rep.total_points] and armed.count(1) == rep.total_points
+
+
+# -- the replay holds the capsule route to a real crash ------------------------------
+
+
+def _bump_capsule_crash(monkeypatch):
+    """Every capsule crash reports one torn write more than it tore."""
+    real = crashmatrix._Instance.from_capsule.__func__
+
+    def from_capsule(cls, spec, capsule):
+        inst = real(cls, spec, capsule)
+        inst.crash_info["summary"]["torn_writes"] += 1
+        return inst
+
+    monkeypatch.setattr(crashmatrix._Instance, "from_capsule", classmethod(from_capsule))
+
+
+def _bump_first_recovery(monkeypatch):
+    """Every original's first recovery reports one torn object more."""
+    real = crashmatrix._Instance.verdict
+
+    def verdict(self, result, summary):
+        image = real(self, result, summary)
+        result.recovery["torn_objects"] += 1
+        return image
+
+    monkeypatch.setattr(crashmatrix._Instance, "verdict", verdict)
+
+
+@pytest.mark.parametrize("mutant", [_bump_capsule_crash, _bump_first_recovery])
+def test_a_replay_that_crashes_or_recovers_otherwise_is_reported(monkeypatch, mutant):
+    """Same bytes are not enough: the replay's crash summary and first
+    recovery report must equal the original's too."""
+    clean = run_crash_matrix(_spec(replay=True))
+    mutant(monkeypatch)
+    rep = run_crash_matrix(_spec(replay=True))
+    # The torn-write count is the workload crash's; a double-crash point
+    # publishes its crash inside recovery, which both routes run alike.
+    expected = [
+        p for p in _point_ids(rep)
+        if mutant is _bump_first_recovery or p.startswith("workload:")
+    ]
+    assert rep.replay_mismatches == expected != []
+    assert rep.non_idempotent == [] and rep.violations == []
+    assert [r.digest for r in rep.results] == [r.digest for r in clean.results]
+
+
+def test_an_armed_pass_that_strays_from_the_counting_pass_is_reported(monkeypatch):
+    """One site visit more in the armed pass than in the counting pass:
+    its capsules are not of the run the points were chosen from, so every
+    point is judged from scratch instead and reported as not
+    deterministic — never judged on them silently."""
+    clean = run_crash_matrix(_spec(replay=True))
+    real = crashmatrix._Instance._take_capsule
+
+    def take_capsule(self, capsules, site):
+        real(self, capsules, site)
+        if len(capsules) == 1:
+            self.injector.fire("bg.verifier")  # a visit the counting pass never made
+
+    monkeypatch.setattr(crashmatrix._Instance, "_take_capsule", take_capsule)
+    rep = run_crash_matrix(_spec(replay=True))
+    assert rep.site_op_counts == clean.site_op_counts
+    assert rep.replay_mismatches == _point_ids(rep) == _point_ids(clean) != []
+    assert rep.non_idempotent == [] and rep.violations == []
+    assert [r.digest for r in rep.results] == [r.digest for r in clean.results]
 
 
 def test_two_points_share_a_digest_iff_they_share_a_dense_hash(monkeypatch):
@@ -239,12 +306,16 @@ def _image_costs(monkeypatch, spec):
     """Run ``spec`` and return its report with what the whole-image
     primitive was made to do: bytes fed to SHA-256, bytes gathered out of
     the images (``snapshot`` copies, ``same_image`` compares), per
-    snapshot the (bytes, pieces) its touched chunks hold, device sizes."""
+    snapshot the (bytes, pieces) its touched chunks hold, per capsule's
+    capture the (bytes, chunks) of one image it holds, and the instances
+    with their device sizes. Every instance built must find all earlier
+    ones released."""
     with monkeypatch.context() as m:
         counting = _CountingSha256()
         m.setattr(buffer_module, "hashlib", counting)
-        gathered, touched, instances = [0], [], []
+        gathered, touched, captured, instances = [0], [], [], []
         real_gather, real_snapshot = PersistentBuffer._gather, PersistentBuffer.snapshot
+        real_capture = PersistentBuffer.capture
 
         def _gather(self, pieces):
             out = real_gather(self, pieces)
@@ -256,43 +327,56 @@ def _image_costs(monkeypatch, spec):
             touched.append((sum(n for _, n in snap.pieces), len(snap.pieces)))
             return snap
 
+        def capture(self, like=None):
+            cap = real_capture(self, like)
+            captured.append((sum(len(d) for _, d, _, _ in cap.chunks), len(cap.chunks)))
+            return cap
+
         m.setattr(PersistentBuffer, "_gather", _gather)
         m.setattr(PersistentBuffer, "snapshot", snapshot)
+        m.setattr(PersistentBuffer, "capture", capture)
 
         class _Tracked(crashmatrix._Instance):
-            def __init__(self, spec, rules):
-                super().__init__(spec, rules)
+            def __init__(self, spec, rules=(), **kw):
+                # the point before this one, the pass before it: all freed
+                for inst, _ in instances:
+                    assert inst.server.device.buffer.visible is None
+                super().__init__(spec, rules, **kw)
                 instances.append((self, self.server.device.size))
 
         m.setattr(crashmatrix, "_Instance", _Tracked)
         rep = run_crash_matrix(spec)
-    return rep, counting.fed, gathered[0], touched, instances
+    return rep, counting.fed, gathered[0], touched, captured, instances
 
 
 def test_a_point_costs_its_touched_chunks_and_every_image_is_freed(monkeypatch):
-    """Fingerprint, snapshot and both comparisons of a crashed point move
-    bytes of the chunks its run stored to and nothing else: the same
-    counts on a device eight times the size, under what those chunks
-    hold; and no instance keeps its image past the end of its point. If
-    this fails, a whole-image judgement went back to paying per device
-    byte, or an instance is being left to the garbage collector."""
+    """Capsule, fingerprint, snapshot and both comparisons of a crashed
+    point move bytes of the chunks its run stored to and nothing else:
+    the same counts on a device eight times the size, under what those
+    chunks hold; and no instance — counting pass, armed pass, capsule
+    setup, replay — keeps its image past the end of its point. If this
+    fails, a whole-image judgement went back to paying per device byte,
+    or an instance is being left to the garbage collector."""
     expected = run_crash_matrix(_spec(replay=True))
-    rep, fed, gathered, touched, instances = _image_costs(
+    rep, fed, gathered, touched, captured, instances = _image_costs(
         monkeypatch, _spec(replay=True)
     )
     assert rep.as_dict() == expected.as_dict()  # same report, counted or not
 
     points = rep.total_points
     assert points >= 4 and len(touched) == points  # one snapshot per crashed point
+    # one capsule per crash the armed pass met, each feeding a crashed
+    # point (the double-crash points all start from the primary's)
+    assert 0 < len(captured) <= points
     # per image: the non-zero touched chunks, each behind a 17-byte record
     # header, after 32 bytes of size and range
     assert 0 < fed <= sum(32 + 2 * (size + 17 * pieces) for size, pieces in touched)
     # one copy (snapshot) and two compares (second recovery, replay), two images
     assert 0 < gathered <= 3 * 2 * sum(size for size, _ in touched)
     sizes = {size for _, size in instances}
-    assert len(sizes) == 1 and 2 * max(size for size, _ in touched) < sizes.pop() / 8
-    # counting pass + probe + (original + replay) per crashed point at least
-    assert len(instances) >= 2 + 2 * points
+    assert len(sizes) == 1 and 2 * max(size for size, _ in touched + captured) < sizes.pop() / 8
+    # counting pass + armed pass + probe + (capsule setup + replay) per crashed point
+    assert len(instances) == 3 + 2 * points
     for inst, _ in instances:
         buf = inst.server.device.buffer
         assert buf.visible is None and buf.durable is None
@@ -302,8 +386,8 @@ def test_a_point_costs_its_touched_chunks_and_every_image_is_freed(monkeypatch):
         monkeypatch, _spec(replay=True, config_overrides={"pool_size": 8 * pool})
     )
     assert big.ok and big.total_points == points
-    assert costs[:3] == [fed, gathered, touched]
-    assert min(size for _, size in costs[3]) > 4 * max(size for _, size in instances)
+    assert costs[:4] == [fed, gathered, touched, captured]
+    assert min(size for _, size in costs[4]) > 4 * max(size for _, size in instances)
 
 
 def test_no_dense_image_idiom_remains():

@@ -1,5 +1,5 @@
 """The whole-image primitive — ``snapshot`` / ``same_image`` /
-``fingerprint`` / ``release``.
+``fingerprint`` / ``capture`` / ``restore`` / ``release``.
 
 The buffer pays for these per touched chunk, but what they say is about
 every byte: byte-equality against a snapshot, and equality of two
@@ -19,7 +19,7 @@ from repro.mem.buffer import CHUNK, PersistentBuffer
 from repro.nvm.device import NVMDevice
 from repro.sim.kernel import Environment
 from tests.mem.test_buffer_reference import (
-    RefBuffer, assert_same_state, ranges, script_ops, scripts, step,
+    RefBuffer, assert_same_state, line_ranges, ranges, script_ops, scripts, step,
 )
 
 
@@ -92,6 +92,64 @@ def test_fingerprints_are_equal_iff_the_dense_digests_are(pair):
         assert b.same_image(a.snapshot(*rs)) == dense_equal
         assert a.same_image(b.snapshot(*rs)) == dense_equal
     assert_same_state(a, ref_a)  # fingerprinting is not a modelled access
+
+
+@st.composite
+def capture_scripts(draw):
+    """A script to capture after, a second script for the buffer the
+    capture is restored into, and one crash's coins."""
+    size, seed, ops = draw(scripts())
+    noise = draw(script_ops(size, min_ops=0, max_ops=5))
+    return size, seed, ops, noise, draw(st.floats(0.0, 1.0)), draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(capture_scripts())
+def test_a_restored_capture_crashes_like_its_original(script):
+    size, seed, ops, noise, evict, tear = script
+    buf, ref = _run(size, seed, ops)
+    cap = buf.capture()
+    twin, _ = _run(size, seed ^ 1, noise)  # a history of its own, overwritten
+    twin.restore(cap)
+    assert twin.visible == ref.visible and twin.durable == ref.durable
+    assert [bool(twin.dirty_lines_in(a, n)) for a, n in line_ranges(size)] == ref.dirty
+    # the same coins resolve the same lines to the same bytes
+    summaries = [
+        b.crash(np.random.default_rng(seed), evict, tear_words=tear)
+        for b in (buf, twin)
+    ]
+    assert summaries[0] == summaries[1]
+    assert twin.same_image(buf.snapshot()) and twin.fingerprint() == buf.fingerprint()
+
+
+def test_a_series_of_captures_holds_each_chunk_version_once():
+    buf = PersistentBuffer(3 * CHUNK)
+    buf.write(0, b"a" * 100)
+    buf.write(CHUNK, b"b" * 100)
+    buf.flush(0, 3 * CHUNK)
+    first = buf.capture()
+    (_, d0, v0, _), (_, d1, v1, _) = first.chunks
+    assert v0 is d0 and v1 is d1  # clean: visible is the durable chunk
+    buf.write(CHUNK + 10, b"c")
+    second = buf.capture(like=first)
+    (_, e0, w0, _), (_, e1, w1, _) = second.chunks
+    assert e0 is d0 and w0 is d0  # untouched since: lent by the first
+    assert e1 is d1 and w1 is not v1 and w1[10:11] == b"c"  # dirty line only
+    assert second == buf.capture()  # lending changes no byte
+
+
+def test_a_capture_restores_only_into_its_size():
+    buf = PersistentBuffer(8192)
+    buf.write(5000, b"x")
+    cap = buf.capture()
+    with pytest.raises(MemoryAccessError, match="8192-byte buffer restored into 4096"):
+        PersistentBuffer(4096).restore(cap)
+    device = NVMDevice(Environment(), 8192)
+    device.restore(cap)
+    assert device.capture() == cap and device.buffer.dirty_line_count() == 1
+    device.release()
+    with pytest.raises(MemoryAccessError, match="released"):
+        device.restore(cap)
 
 
 def flip_one_image(buf, image, addr):

@@ -115,6 +115,35 @@ class TestCrashTearing:
         env.run()
         assert server.device.read(0, 4096) == b"\x00" * 4096
 
+    def test_inflight_writes_handed_to_another_fabric_tear_alike(self, env):
+        """A node's in-flight WRITEs, put in flight on a second fabric at
+        the same instant, tear into the same bytes under the same coins;
+        writes to other nodes stay behind."""
+        fabric, server, ep, mr = self._setup(env)
+        other = fabric.create_node("o", device=NVMDevice(env, 1 << 20))
+        for i in range(3):
+            fabric.register_inflight(server, i * 4096, bytes([i + 1]) * 4096,
+                                     apply_at=900.0 + i, t_start=100.0 * i)
+            fabric.register_inflight(other, 0, b"\xee" * 64, 900.0, 0.0)
+        writes = fabric.inflight_to(server)
+        assert [w[0] for w in writes] == [0, 4096, 8192]
+
+        twin_env = Environment()
+        twin = Fabric(twin_env, jitter_ns=0.0)
+        twin_server = twin.create_node("s", device=NVMDevice(twin_env, 1 << 20))
+        twin.adopt_inflight(twin_server, writes)
+        assert twin.inflight_count(twin_server) == 3
+
+        env.run(until=450.0)
+        twin_env.run(until=450.0)
+        summaries = [
+            f.crash_node(node, np.random.default_rng(5), 0.5, tear_words=True)
+            for f, node in ((fabric, server), (twin, twin_server))
+        ]
+        assert summaries[0] == summaries[1] and summaries[0]["torn_writes"] == 3
+        assert twin_server.device.same_image(server.device.snapshot())
+        assert fabric.inflight_count(other) == 3
+
     def test_double_crash_rejected(self, env):
         fabric, server, ep, mr = self._setup(env)
         fabric.crash_node(server, np.random.default_rng(0))
