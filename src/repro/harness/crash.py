@@ -119,11 +119,6 @@ def run_crash_experiment(spec: CrashSpec) -> CrashReport:
             (puts, spec.key_len, spec.value_len), headroom=2, floor=8 << 20
         ),
     )
-    # crash_node() consumes the crash RNG per in-flight write it finds;
-    # the analytic fast path registers in-flight payloads on a slightly
-    # different schedule, so keep this experiment on the full event path
-    # to preserve the seed's bit-exact crash outcomes.
-    setup.fabric.fastpath = False
     server = setup.server
 
     keys = [make_key(k, spec.key_len) for k in range(spec.key_count)]

@@ -14,7 +14,7 @@ not *cover* it. This module enumerates the crash space systematically:
    with every selected crash rule armed, the double-crash primary (5)
    included. Its crash hook does not crash: at each firing it takes a
    *crash capsule* — the server device's touched chunks of both images
-   and their dirty lines, the fabric's WRITEs in flight to the server,
+   and their dirty lines, the fabric's WRITEs on the wire to the server,
    a copy of the oracle's ledger, the instant — and lets the run go on
    (a returned ``crash`` action is inert at every site). Its per-site
    counts must equal the counting pass's; if they do not, the pass did
@@ -235,6 +235,8 @@ class _Capsule(NamedTuple):
 
     time: float
     device: ImageCapture
+    #: The WRITEs on the wire to the server. One still in its sender's
+    #: TX engine is left alone by the crash and withdrawn by its verb.
     inflight: tuple[tuple[int, bytes, float, float], ...]
     ledger: KeyLedger
     #: How long a from-scratch run drains after this crash before its
@@ -275,11 +277,6 @@ class _Instance:
             ),
         )
         self.server = self.setup.server
-        # The injector is armed only after the preload, but the matrix
-        # must be bit-identical to the seed end to end — keep the whole
-        # instance (preload, workload, recovery, replay) on the full
-        # event path.
-        self.setup.fabric.fastpath = False
         self.keys = [make_key(k, spec.key_len) for k in range(spec.key_count)]
         self.ledger = KeyLedger(spec.key_count)
         self.state = {"completed": 0, "crashed": False, "clients_done": False}
@@ -428,10 +425,12 @@ class _Instance:
         assert self.injector is not None
         point = (site, self.injector.events[-1].op_index)
         last = next(reversed(capsules.values()), None)
+        now = self.env.now
+        flying = self.setup.fabric.inflight_to(self.server.node)
         capsules[point] = _Capsule(
-            self.env.now,
+            now,
             self.server.device.capture(like=last and last.device),
-            self.setup.fabric.inflight_to(self.server.node),
+            tuple(w for w in flying if w[2] <= now),
             self.ledger.copy(),
             1_000.0 if self.state["clients_done"] else 0.0,
         )

@@ -112,8 +112,8 @@ def post_write(
     cq.outstanding += 1
     # Uncontended WRs complete analytically via scheduled callbacks
     # (same nanoseconds, no driver process); anything else — armed
-    # injector, busy engine, QP error, validation failure — runs the
-    # full event path below.
+    # injector, busy engine, QP error, validation failure — runs
+    # Endpoint.write in a driver process below.
     if ep.write_async(cq, rkey, offset, data, wr_id):
         return wr_id
     ep.local.env.process(

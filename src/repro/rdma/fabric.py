@@ -60,12 +60,12 @@ class Node:
         #: paper's §7 discusses).
         self.ddio = ddio
         #: NIC transmit engine: serialization occupancy bounds bandwidth.
+        #: Held only by the walk (``fabric.fastpath = False``).
         self.tx = Resource(env, capacity=1)
         #: Analytic fast-path reservation on the TX engine: the engine is
         #: busy (without a simulated occupancy event) until this time.
-        #: The event path honours it by waiting out the remainder after
-        #: acquiring ``tx``, and queued turns by their wake instants, so
-        #: mixed executions keep exact FIFO engine semantics.
+        #: Queued turns honour it by their wake instants, and the walk by
+        #: waiting out the remainder after acquiring ``tx``.
         self.tx_reserved_until = 0.0
         #: Claims queued on the fast path for the busy TX engine: a FIFO
         #: of the events their claimants yield (see :mod:`repro.rdma.qp`),
@@ -149,14 +149,14 @@ class Fabric:
         #: hooks check this one attribute, so an unarmed fabric costs
         #: nothing (the :mod:`repro.sim.trace` pattern).
         self.injector = None
-        #: Allow the analytic fast path for uncontended verbs. Cleared by
-        #: the crash harnesses (``harness/crash.py``, ``crashmatrix.py``)
-        #: so their crash-RNG draws stay on the event path's schedule;
-        #: chaos runs leave it set and rely on the armed injector, which
-        #: :meth:`fastpath_ok` also honours.
+        #: Take TX legs in closed form: idle claims and queued turns
+        #: (:mod:`repro.rdma.qp`). Every experiment, fault harness
+        #: included, runs with it set; clearing it selects the walk, the
+        #: event-by-event reference the closed forms are held to. Change
+        #: it only while every TX engine is idle.
         self.fastpath = True
-        #: Verbs completed via the analytic fast path / forced onto the
-        #: full event path while the fast path was enabled.
+        #: Verbs completed with every TX leg claimed idle / idle claims
+        #: that found their engine busy and queued a turn instead.
         self.fastpath_ops = 0
         self.fallback_ops = 0
         #: Cross-client completion batcher
@@ -179,11 +179,6 @@ class Fabric:
             i = 0
         self._jitter_idx = i + 1
         return float(buf[i]) * self.jitter_ns
-
-    def fastpath_ok(self) -> bool:
-        """True when verbs may attempt the analytic fast path at all
-        (per-verb engine-idleness checks still apply)."""
-        return self.fastpath and self.injector is None
 
     def enable_completion_batching(self, bucket_ns: float = 128.0):
         """Arm cross-client completion batching (idempotent); returns the
@@ -250,9 +245,16 @@ class Fabric:
         fl.state = "applied"
         return True
 
+    def withdraw_unsent(self, *flights: InflightWrite) -> None:
+        """Their verb was interrupted: a payload not on the wire yet is
+        never sent (nor is an interrupted walk's); a sent one flies on."""
+        for fl in flights:
+            if fl.t_start > self.env.now:
+                self._inflight.pop(fl.uid, None)
+
     def inflight_to(self, target: Node) -> tuple[tuple[int, bytes, float, float], ...]:
         """The WRITEs flying to ``target``, in the order :meth:`crash_node`
-        tears them, as ``(addr, data, t_start, t_apply)`` — what
+        meets them, as ``(addr, data, t_start, t_apply)`` — what
         :meth:`adopt_inflight` puts in flight on another fabric."""
         return tuple(
             (fl.addr, bytes(fl.data), fl.t_start, fl.t_apply)
@@ -291,6 +293,9 @@ class Fabric:
         device's own dirty lines are then resolved by natural-eviction
         coin flips (:meth:`repro.mem.buffer.PersistentBuffer.crash`);
         ``tear_words`` selects the word-granular crash model there.
+        A write not on the wire yet (a closed-form TX leg registers it
+        with ``t_start`` ahead) has no byte to leave: it keeps flying and
+        costs no draw, as a walked leg would not have registered it.
         """
         if not node.alive:
             raise SimulationError(f"{node.name} already crashed")
@@ -298,7 +303,7 @@ class Fabric:
         torn = 0
         now = self.env.now
         for fl in list(self._inflight.values()):
-            if fl.target is not node or fl.state != "flying":
+            if fl.target is not node or fl.state != "flying" or fl.t_start > now:
                 continue
             frac = fl.progress(now)
             n = len(fl.data)

@@ -9,8 +9,8 @@ simulated processes::
     rid  = yield from ep.send({"op": "put"}, wire_bytes=64)
     msg  = yield from ep.recv_response(rid)
 
-One description per verb, three ways to take a leg (see DESIGN.md §11)
------------------------------------------------------------------------
+One description per verb, two ways to take a leg (see DESIGN.md §11)
+---------------------------------------------------------------------
 Every verb is one straight-line generator that states, once: its
 prologue (QP usable → fault injection → target and MR validation →
 stats), its TX leg, the delay to its remote-side instant with the side
@@ -32,37 +32,29 @@ effect that happens there, and its ACK leg (terms: :mod:`repro.rdma.latency`):
 
 How a leg is simulated is decided in the leg primitives, not in the
 verbs. The TX leg passes a WR through a TX engine and yields the instant
-it enters the wire, in one of three modes:
+it enters the wire, in closed form — fault harnesses and armed
+injectors included — in one of two modes:
 
-* **idle claim** (:meth:`Endpoint._claim_tx`) — when
-  :meth:`Fabric.fastpath_ok` and the engine is idle, the leg is taken in
-  closed form (:meth:`Endpoint._reserve_tx`: the engine reserved via
-  ``Node.tx_reserved_until``, same terms, same ``jitter()`` draw). No
-  event; the leg is *analytic*.
-* **queued turn** (:meth:`Endpoint._tx_leg`) — when the fast path is
-  allowed but the engine is busy (a reservation outstanding or turns
-  queued), the claim joins the node's FIFO of turns
-  (``Node.tx_turns``). It is woken once, when the walk would start
-  serving it, takes the leg in the same closed form there and hands the
-  engine on to the next turn when its own occupancy ends: one event,
-  where the walk costs three or four plus one per doorbell-chained WR.
-* **walk** (:meth:`Endpoint._tx_walk`) — when ``fastpath_ok()`` is False
-  (crash harnesses, armed injector) or a walker already holds the
-  engine: grant, reservation wait, occupancy and pipelined latency as
-  events while holding ``Node.tx``. A walker that finds turns queued
-  waits for them to drain and a fast claim that finds walkers walks
-  behind them, so the engine stays one FIFO.
+* **idle claim** (:meth:`Endpoint._claim_tx`) — on an idle engine the
+  leg is taken at once (:meth:`Endpoint._reserve_tx`: the engine
+  reserved via ``Node.tx_reserved_until``, same terms, same ``jitter()``
+  draw). No event; the leg is *analytic*.
+* **queued turn** (:meth:`Endpoint._tx_leg`) — a claim on a busy engine
+  joins the node's FIFO of turns (``Node.tx_turns``). It is woken once,
+  when the walk would start serving it, takes the leg in the same closed
+  form and hands the engine on when its occupancy ends: one event, where
+  the walk costs three or four plus one per doorbell-chained WR.
 
-READ decides again for its response leg, at arrival time.
-:meth:`Endpoint._wait` turns an absolute instant into the event the verb
-yields. Every instant accumulates in the walk's float association order
-and every jitter draw happens at the instant the walk makes it, so a
-verb completes at bit-identical times whichever mode took its legs — an
-analytic verb costs two or three wake-ups instead of five to nine
-events. ``fabric.fastpath = False`` forces the walk everywhere: it is the
-one mode in which every step of a leg is an event (what the crash
-harnesses and the fault injector observe), and the reference both
-closed forms are checked against.
+The **walk** (:meth:`Endpoint._tx_walk`, every step an event while
+holding ``Node.tx``) is only the reference the closed forms are held
+to: ``fabric.fastpath = False`` selects it, while every engine is idle.
+READ decides again for its response leg, at arrival time. Every instant
+accumulates in the walk's float association order and every jitter draw
+happens at the instant the walk makes it, so a verb completes at
+bit-identical times whichever mode took its legs. A closed-form leg
+registers a WRITE in flight before it reaches the wire: a crash leaves
+it alone (:meth:`Fabric.crash_node`) and an interrupted verb withdraws
+it (:meth:`Fabric.withdraw_unsent`), as the walk has not sent it yet.
 
 **Grid rule.** With a completion batcher armed, the waits of an analytic
 READ, WRITE, CAS, FAA or SEND ride its grid (one kernel event per tick
@@ -82,7 +74,7 @@ from typing import Any, Optional
 from repro.errors import MemoryAccessError, QPError
 from repro.rdma.fabric import Fabric, InflightWrite, Node
 from repro.rdma.verbs import Message, Opcode, WorkCompletion, next_wr_id
-from repro.sim.kernel import Event
+from repro.sim.kernel import Event, Interrupt
 
 __all__ = ["Endpoint"]
 
@@ -316,12 +308,10 @@ class Endpoint:
     def _tx_leg(
         self, node: Node, nbytes: int, chain: Sequence[int] = ()
     ) -> Generator[Event, Any, float]:
-        """A TX leg that was not claimed idle. While the fast path is
-        allowed and no walker holds the engine it is a queued turn — or,
-        on an idle engine (READ's response after a queued request leg),
-        the closed form at once; otherwise the walk."""
-        tx = node.tx
-        if tx._users or tx._waiting or not self.fabric.fastpath_ok():
+        """A TX leg that was not claimed idle: a queued turn — or, on an
+        idle engine (READ's response after a queued request leg), the
+        closed form at once. With ``fabric.fastpath`` off, the walk."""
+        if not self.fabric.fastpath:
             return (yield from self._tx_walk(node, nbytes, chain))
         if node.tx_turns or node.tx_reserved_until > node.env.now:
             turn = _join_turns(node)
@@ -341,23 +331,12 @@ class Endpoint:
         env = node.env
         req = yield from node.tx.acquire()
         try:
-            if node.tx_turns:
-                # Turns queued before this walker go first (holding the
-                # grant keeps new ones out); the last one hands the engine
-                # on at the instant the walk would have been granted it.
-                turn = _join_turns(node)
-                yield turn
-                _pass_turn(node, turn)
-            else:
-                # Wait out any analytic reservation first: the closed
-                # form claimed the engine without holding the Resource,
-                # so the grant can arrive while the engine is still
-                # (logically) busy. Jitter is sampled after the wait, at
-                # the time the engine actually starts serving this WR —
-                # exactly when a pure event-path run would have sampled it.
-                reserved = node.tx_reserved_until - env.now
-                if reserved > 0:
-                    yield env.timeout(reserved)
+            # Wait out a closed-form reservation (it does not hold the
+            # Resource); jitter is drawn after it, when the engine starts
+            # serving this WR.
+            reserved = node.tx_reserved_until - env.now
+            if reserved > 0:
+                yield env.timeout(reserved)
             yield env.timeout(
                 t.nic_tx_occupancy_ns + t.serialize_ns(nbytes) + fabric.jitter()
             )
@@ -421,12 +400,16 @@ class Endpoint:
         wr_id = next_wr_id()
         self._bump(_OP_WRITE)
 
-        t_wire = self._claim_tx(self.local, len(data), fabric.fastpath_ok())
+        t_wire = self._claim_tx(self.local, len(data), fabric.fastpath)
         analytic = t_wire is not None
         if not analytic:
             t_wire = yield from self._tx_leg(self.local, len(data))
         fl = self._fly(addr, data, t_wire)
-        yield self._wait(t_wire + (t.propagation_ns + t.dma_ns), analytic)
+        try:
+            yield self._wait(t_wire + (t.propagation_ns + t.dma_ns), analytic)
+        except Interrupt:
+            fabric.withdraw_unsent(fl)
+            raise
         self._land(fl, "WRITE")
         yield self._wait(env.now + (t.propagation_ns + t.nic_rx_ns), analytic)
         if analytic:
@@ -438,14 +421,16 @@ class Endpoint:
         :meth:`write` as two scheduled callbacks, completing on ``cq``.
 
         Returns False (with no side effects) when the TX leg cannot be
-        analytic or validation would raise; the caller then drives
-        :meth:`write` itself from a process, which reproduces the walk
-        (including the exception captured in an ``ok=False`` CQE).
+        analytic, an injector is armed (its rule indices count visits to
+        ``qp.write``) or validation would raise; the caller then drives
+        :meth:`write` itself from a process (an exception is captured in
+        an ``ok=False`` CQE).
         """
         fabric = self.fabric
         if (
             self._error
-            or not fabric.fastpath_ok()
+            or not fabric.fastpath
+            or fabric.injector is not None
             or not self._tx_idle(self.local)
             or not self.remote.alive
         ):
@@ -523,12 +508,16 @@ class Endpoint:
         self._bump("doorbell_batches")
 
         first, *chain = [len(data) for _addr, data in pinned]
-        t_wire = self._claim_tx(self.local, first, fabric.fastpath_ok(), chain)
+        t_wire = self._claim_tx(self.local, first, fabric.fastpath, chain)
         analytic = t_wire is not None
         if not analytic:
             t_wire = yield from self._tx_leg(self.local, first, chain)
         inflight = [self._fly(addr, data, t_wire) for addr, data in pinned]
-        yield env.timeout_at(t_wire + (t.propagation_ns + t.dma_ns))
+        try:
+            yield env.timeout_at(t_wire + (t.propagation_ns + t.dma_ns))
+        except Interrupt:
+            fabric.withdraw_unsent(*inflight)
+            raise
         for fl in inflight:
             self._land(fl, "doorbell WRITE")
         # Selective signaling: one ACK/CQE for the whole chain.
@@ -552,7 +541,7 @@ class Endpoint:
         self._bump(_OP_READ)
 
         # Request leg: header-only WR through the local engine.
-        t_wire = self._claim_tx(self.local, 0, fabric.fastpath_ok())
+        t_wire = self._claim_tx(self.local, 0, fabric.fastpath)
         analytic = t_wire is not None
         if not analytic:
             t_wire = yield from self._tx_leg(self.local, 0)
@@ -589,7 +578,7 @@ class Endpoint:
         addr = mr.check(offset, 8, write=True)
         self._bump(_OP_CAS)
 
-        t_wire = self._claim_tx(self.local, 16, fabric.fastpath_ok())
+        t_wire = self._claim_tx(self.local, 16, fabric.fastpath)
         analytic = t_wire is not None
         if not analytic:
             t_wire = yield from self._tx_leg(self.local, 16)
@@ -620,7 +609,7 @@ class Endpoint:
         addr = mr.check(offset, 8, write=True)
         self._bump(_OP_FAA)
 
-        t_wire = self._claim_tx(self.local, 16, fabric.fastpath_ok())
+        t_wire = self._claim_tx(self.local, 16, fabric.fastpath)
         analytic = t_wire is not None
         if not analytic:
             t_wire = yield from self._tx_leg(self.local, 16)
@@ -656,7 +645,7 @@ class Endpoint:
         fabric.check_target(self.remote)
         self._bump(_OP_SEND)
 
-        t_wire = self._claim_tx(self.local, wire_bytes, fabric.fastpath_ok())
+        t_wire = self._claim_tx(self.local, wire_bytes, fabric.fastpath)
         analytic = t_wire is not None
         if not analytic:
             t_wire = yield from self._tx_leg(self.local, wire_bytes)
@@ -703,15 +692,19 @@ class Endpoint:
         wr_id = next_wr_id()
         self._bump(_OP_WRITE_IMM)
 
-        t_wire = self._claim_tx(self.local, len(data), fabric.fastpath_ok())
+        t_wire = self._claim_tx(self.local, len(data), fabric.fastpath)
         analytic = t_wire is not None
         if not analytic:
             t_wire = yield from self._tx_leg(self.local, len(data))
         fl = self._fly(addr, data, t_wire)
         # imm notification only; data went one-sided
-        yield env.timeout_at(
-            t_wire + (t.propagation_ns + t.dma_ns + t.two_sided_rx_ns)
-        )
+        try:
+            yield env.timeout_at(
+                t_wire + (t.propagation_ns + t.dma_ns + t.two_sided_rx_ns)
+            )
+        except Interrupt:
+            fabric.withdraw_unsent(fl)
+            raise
         self._land(fl, "WRITE_WITH_IMM")
         msg = Message(
             Opcode.WRITE_WITH_IMM,

@@ -6,13 +6,13 @@ import pytest
 
 from repro.errors import QPError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.harness.chaos import ChaosSpec, run_chaos_experiment
 from repro.harness.runner import RunSpec, run_experiment
 from repro.nvm.device import NVMDevice
 from repro.rdma.cq import CompletionQueue, post_write
 from repro.rdma.fabric import Fabric
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, Interrupt
 from repro.sim.rng import RngRegistry
 from repro.workloads.ycsb import update_only, ycsb_c
 from tests.sim.heapkernel import HeapEnvironment
@@ -52,6 +52,20 @@ def _deploy(fastpath, clients):
     mr = server.register_memory(0, 1 << 20)
     eps = [fab.connect(fab.create_node(f"c{i}"), server) for i in range(clients)]
     return e, fab, server, eps, mr
+
+
+#: Fault plans the two paths must serve alike: an empty one, and one
+#: whose rules fire at fixed verb visits.
+INJECTOR_PLANS = {
+    "noop": (),
+    "indexed": (
+        FaultRule(
+            "completion_delay", site="qp.write", after_op=2, before_op=4,
+            delay_ns=700.0,
+        ),
+        FaultRule("qp_error", site="qp.read", after_op=1, before_op=2),
+    ),
+}
 
 
 def _posted_write(ep, mr, off, size):
@@ -102,20 +116,20 @@ class TestFallbackMatrix:
         run(env, proc())
         assert fabric.fastpath_ops == 0
 
-    def test_armed_injector_forces_event_path(self, env, net):
+    def test_armed_injector_keeps_posted_writes_on_a_verb_visit(self, env, net):
+        """``write_async`` declines while an injector is armed, so a posted
+        WRITE still runs :meth:`Endpoint.write` and visits ``qp.write``:
+        rule indices count every verb. The write it drives is claimed
+        idle like any other."""
         fabric, _server, _client, ep, mr = net
-        # Even an *empty* plan must force the event path: injectors make
-        # timing observable (rule indices count verb visits).
-        fabric.injector = FaultInjector(env, FaultPlan("noop"), RngRegistry(1))
+        inj = fabric.injector = FaultInjector(env, FaultPlan("noop"), RngRegistry(1))
+        assert not ep.write_async(CompletionQueue(env), mr.rkey, 0, b"x", 1)
+        assert ep.stats == {}
 
-        def proc():
-            yield from ep.write(mr.rkey, 0, b"x" * 64)
-            _ = yield from ep.read(mr.rkey, 0, 64)
-            yield from ep.cas(mr.rkey, 0, b"\0" * 8, b"\1" * 8)
-
-        run(env, proc())
-        assert fabric.fastpath_ops == 0
-        assert not fabric.fastpath_ok()
+        wc = run(env, _posted_write(ep, mr, 0, 64))
+        assert wc.ok
+        assert inj.site_op_counts() == {"qp.write": 1}
+        assert fabric.fastpath_ops == 1
 
     def test_qp_error_state_fails_without_fast_path(self, env, net):
         fabric, _server, _client, ep, mr = net
@@ -233,6 +247,42 @@ class TestFallbackMatrix:
         if verb != "send":  # SEND completes at delivery: it has no ACK leg
             assert drive(True, t_done - 1.0) == drive(False, t_done - 1.0) == ("ok", t_done)
 
+    @pytest.mark.parametrize("plan", sorted(INJECTOR_PLANS))
+    def test_armed_injector_fires_alike_on_both_paths(self, plan):
+        """An armed plan sees the same verb visits on the closed-form
+        legs as on the walk: every rule fires at the same visit and
+        instant, and every verb ends the same way at the same instant."""
+
+        def drive(fastpath):
+            e, fab, _server, eps, mr = _deploy(fastpath, clients=2)
+            inj = fab.injector = FaultInjector(
+                e, FaultPlan(plan, INJECTOR_PLANS[plan]), RngRegistry(1)
+            )
+            done = []
+
+            def issuer(k):
+                ep = eps[k % 2]
+                yield e.timeout(97.0 * k)
+                for verb in ("write", "read", "cas", "write_many", "send", "post_write"):
+                    try:
+                        yield from VERBS[verb](ep, mr, k * 8192, 512 + 256 * k)
+                        done.append((k, verb, "ok", e.now))
+                    except QPError as exc:
+                        done.append((k, verb, exc.code, e.now))
+                        ep.reset()
+
+            for k in range(4):
+                e.process(issuer(k))
+            e.run()
+            return (done, inj.schedule(), inj.site_op_counts()), fab.fastpath_ops
+
+        fast, fast_ops = drive(True)
+        walked, walked_ops = drive(False)
+        assert fast == walked
+        assert fast_ops > 0 and walked_ops == 0
+        fired = {kind for _t, _site, kind, *_ in fast[1]}
+        assert fired == {rule.kind for rule in INJECTOR_PLANS[plan]}
+
     def test_posted_write_async_fallback_on_bad_rkey(self, env, net):
         _fabric, _server, _client, ep, mr = net
         cq = CompletionQueue(env)
@@ -244,6 +294,93 @@ class TestFallbackMatrix:
 
         wc = run(env, proc())
         assert not wc.ok
+
+
+class TestCrashBeforeTheWire:
+    """A closed-form TX leg registers its WRITE in flight when it is
+    claimed, with ``t_start`` still ahead; the walk registers it only
+    once the payload enters the wire. A crash in between must not tell
+    the two apart: it draws no coin for that WRITE and leaves none of
+    its bytes, and an interrupted verb takes the WRITE back with it."""
+
+    #: The verbs that put a WRITE in flight, each moving 48 KiB.
+    BIG_WRITES = {
+        "write": lambda ep, mr: ep.write(mr.rkey, 8192, b"b" * 48_000),
+        "write_many": lambda ep, mr: ep.write_many(
+            [(mr.rkey, 8192, b"b" * 24_000), (mr.rkey, 65536, b"c" * 24_000)]
+        ),
+        "write_with_imm": lambda ep, mr: ep.write_with_imm(
+            mr.rkey, 8192, b"b" * 48_000, imm=7
+        ),
+    }
+
+    @classmethod
+    def _crash_during_leg(cls, verb, fastpath, interrupt):
+        """A 4 KiB WRITE lands and stays dirty; a 48 KiB WRITE's leg is
+        claimed at 10 µs, and the server crashes 300 ns later, long before
+        its payload enters the wire. With ``interrupt`` the writer is
+        interrupted at the crash; the server restarts 1 µs later and
+        crashes again after the big WRITE would have landed."""
+        e, fab, server, (ep,), mr = _deploy(fastpath, clients=1)
+        rng = np.random.default_rng(5)
+        out = []
+
+        def writer():
+            yield from ep.write(mr.rkey, 0, b"a" * 4096)
+            yield e.timeout_at(10_000.0)
+            try:
+                yield from cls.BIG_WRITES[verb](ep, mr)
+                out.append(("ok", e.now))
+            except QPError as exc:
+                out.append((exc.code, e.now))
+            except Interrupt:
+                out.append(("interrupted", e.now))
+
+        proc = e.process(writer())
+
+        def crasher():
+            yield e.timeout_at(10_300.0)
+            out.append(fab.crash_node(server, rng, tear_words=True))
+            if interrupt:
+                proc.interrupt("crash")
+            yield e.timeout(1_000.0)
+            fab.restart_node(server)
+            yield e.timeout(20_000.0)
+            out.append(fab.crash_node(server, rng, tear_words=True))
+
+        e.process(crasher())
+        e.run()
+        return (
+            out,
+            server.device.fingerprint(),
+            rng.bit_generator.state,
+            fab.inflight_count(),
+            fab.fastpath_ops,
+        )
+
+    @pytest.mark.parametrize("interrupt", [False, True], ids=["kept", "interrupted"])
+    @pytest.mark.parametrize("verb", sorted(BIG_WRITES))
+    def test_crash_before_the_wire_same_on_both_paths(self, verb, interrupt):
+        out, image, rng_state, inflight, fast_ops = self._crash_during_leg(
+            verb, True, interrupt
+        )
+        w_out, w_image, w_rng_state, w_inflight, walk_ops = self._crash_during_leg(
+            verb, False, interrupt
+        )
+        assert walk_ops == 0 < fast_ops
+        assert out == w_out
+        assert rng_state == w_rng_state
+        assert image == w_image
+        assert inflight == w_inflight == 0
+        first, outcome, second = out
+        assert first["torn_writes"] == 0
+        if interrupt:
+            # Never sent: the second crash finds nothing of it either.
+            assert outcome == ("interrupted", 10_300.0)
+            assert second["torn_writes"] == 0
+        else:
+            # Sent after the crash, it lands on the restarted node.
+            assert outcome[0] == "ok"
 
 
 def _bench_verbs(make_env, n, fastpath):

@@ -218,9 +218,9 @@ def test_interrupted_claimant_does_not_wedge_the_engine(early_read, stop_at, lin
 
 def test_injector_armed_while_turns_are_queued_keeps_fifo_order():
     """Three READ responses queue turns behind a 256 KiB one; an (empty)
-    fault plan is armed, so the next READ walks — after the queued turns
-    — and once it is disarmed a fast claim that finds the walker holding
-    the engine walks behind it."""
+    fault plan is armed while they wait and disarmed later. An armed
+    injector changes no leg's mode: the READs issued meanwhile and after
+    queue behind the others in FIFO order, at the walk's instants."""
 
     def drive(walk):
         env, fabric, _server, eps, mr = _rig(3)
