@@ -290,8 +290,9 @@ class BackgroundVerifier:
             yield self.env.timeout(cfg.nvm_timing.store_ns)
             return
         self.requeued += 1
+        # No yield: a requeue is bookkeeping, not a timed step. The
+        # verifier's next step (the next peek) is already timed.
         self.retry.append((self.env.now + cfg.bg_retry_delay_ns, loc))
-        yield self.env.timeout(0)
 
     def stats(self) -> dict[str, int]:
         return {

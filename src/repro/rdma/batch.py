@@ -94,7 +94,6 @@ class CompletionBatcher:
             waiter = ev._waiter
             if waiter is not None:
                 ev._waiter = None
-                waiter._started = True
                 waiter._target = None
                 waiter._step(None, throw=False)
             for callback in callbacks:

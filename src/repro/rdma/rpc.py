@@ -6,6 +6,13 @@ SENDs a response. :class:`RpcClient` packages the request/response
 matching; :class:`RpcServer` provides the dispatch loop used by every
 store server in this library (handlers contend for the node's CPU
 resource, which is what saturates RPC-bound designs in Fig 10).
+
+Handler lifecycle: the loop starts each handler with
+:meth:`Environment.spawn`, so its first step runs inside the loop's own
+step, with no ``Initialize`` event. A handler takes a free core with
+:meth:`Resource.try_acquire` and no grant event; only a contended CPU
+queues FIFO on a ``Request``. A handler that returns is marked processed
+without a completion event. Every event left is a step the model times.
 """
 
 from __future__ import annotations
@@ -155,6 +162,13 @@ def _is_request(msg: Message) -> bool:
 class RpcServer:
     """Polling dispatch loop for a server node.
 
+    One request thread: it takes each request off the node's SRQ and, with
+    ``concurrent_handlers > 1``, spawns its handler, which runs until its
+    first wait before the loop polls again. The handler takes a core (a
+    free one at once, else in FIFO order), spends ``dispatch_ns`` on it,
+    runs, releases the core and sends the response. It ends without a
+    completion event; a failed handler still escalates its exception.
+
     Parameters
     ----------
     env, node:
@@ -248,7 +262,7 @@ class RpcServer:
                 if self.concurrent_handlers == 1:
                     yield from self._run_handler(handler, msg)
                 else:
-                    proc = self.env.process(
+                    proc = self.env.spawn(
                         self._run_handler(handler, msg),
                         name=f"rpc-h:{self.node.name}",
                     )
@@ -270,12 +284,15 @@ class RpcServer:
     def _run_handler(
         self, handler: Handler, msg: Message
     ) -> Generator[Event, Any, None]:
-        req = yield from self.node.cpu.acquire()
+        cpu = self.node.cpu
+        req = cpu.try_acquire()
+        if req is None:
+            req = yield from cpu.acquire()
         try:
             yield self.env.timeout(self.dispatch_ns)
             result = yield from handler(msg)
         finally:
-            self.node.cpu.release(req)
+            cpu.release(req)
         self.requests_served += 1
         if isinstance(msg.payload, dict):
             op = msg.payload.get("op")

@@ -114,6 +114,20 @@ class Resource:
             self._users.add(nxt)
             nxt.succeed()
 
+    def try_acquire(self) -> Optional[Request]:
+        """Take a free unit at once, with no grant event; ``None`` when
+        every unit is held (the caller then waits in line with
+        :meth:`acquire`). A request is only queued while every unit is
+        held, so this never jumps the line. The returned request is
+        already processed and is released like any other grant."""
+        if len(self._users) >= self.capacity:
+            return None
+        req = Request(self)
+        req._value = None
+        req.callbacks = None
+        self._users.add(req)
+        return req
+
     def acquire(self) -> Generator[Event, Any, Request]:
         """``yield from``-style helper: wait for and return a grant.
 

@@ -16,11 +16,16 @@ of release, by wrapping ``PersistentBuffer.release`` the same way.
 
 ``run_characterisation.json`` was generated at the commit *before* the
 drivers were moved onto the shared scaffold and oracle
-(``harness/scaffold.py``, ``harness/oracle.py``) and regenerated twice
-since, each time with event counts only moving: when queued turns took
-the busy verb legs off the walk, and when the crash experiment, the
+(``harness/scaffold.py``, ``harness/oracle.py``) and regenerated three
+times since, each time with event counts only moving: when queued turns
+took the busy verb legs off the walk; when the crash experiment, the
 crash matrix and chaos left the walk for the closed-form legs (24 cells,
-``events_processed`` 89,111 → 62,163 in total). Regenerate it only for an intended, explained change of
+``events_processed`` 89,111 → 62,163 in total); and when the RPC server
+stopped paying bookkeeping events (a handler is spawned inside the
+loop's step, takes a free core without a grant event and ends without a
+completion event; the verifier requeues without a zero-delay yield:
+83 paths, all event counters, the deployments' ``events_processed``
+127,350 → 110,708 in total). Regenerate it only for an intended, explained change of
 simulated behaviour, and list what moved first — every ``(cell, JSON
 path)`` that differs from the recording::
 
