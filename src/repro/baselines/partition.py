@@ -141,8 +141,9 @@ class Partition:
         In order: a ``write`` request is refused with ``ERR_FENCED``
         while :attr:`fenced`; a request that begins an operation is shed
         with retryable ``ERR_BUSY`` while the watermark's worth are in
-        flight (DESIGN.md §15); the dispatch budget is taken; ``body``
-        runs; budget and admission are given back. The completion step
+        flight (DESIGN.md §15); the dispatch budget is taken (a free
+        unit at once, with no grant event, as ``RpcServer`` takes a free
+        core; otherwise in FIFO line); ``body`` runs; budget and admission are given back. The completion step
         of an operation admitted at its alloc (SAW ``persist``, IMM's
         WRITE_WITH_IMM) passes ``admit=False`` and takes the budget only.
 
@@ -168,7 +169,11 @@ class Partition:
                 RESPONSE_BYTES,
             )
         cpu = self.cpu
-        req = (yield from cpu.acquire()) if cpu is not None else None
+        req = None
+        if cpu is not None:
+            req = cpu.try_acquire()
+            if req is None:
+                req = yield from cpu.acquire()
         try:
             return (yield from body)
         finally:

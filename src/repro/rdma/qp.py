@@ -103,32 +103,27 @@ def _call_at(env, when: float, callback: Callable[[Event], None]) -> None:
 
 def _join_turns(node: Node) -> Event:
     """Queue a claim for ``node``'s busy engine; returns the event the
-    claimant yields. The first in line is woken when the walk's
-    reservation timeout would fire, ``now + (tx_reserved_until - now)``;
-    the rest when their predecessor hands the engine on."""
+    claimant yields. The first in line is woken when the engine frees, at
+    exactly ``tx_reserved_until``; the rest when their predecessor hands
+    the engine on."""
     turns = node.tx_turns
     if turns is None:
         turns = node.tx_turns = deque()
     ev = Event(node.env)
     turns.append(ev)
     if len(turns) == 1:
-        now = node.env.now
-        _wake_turn(node, ev, now + (node.tx_reserved_until - now), None)
+        _wake_turn(node, ev, node.tx_reserved_until)
     else:
         ev.on_abandon = partial(turns.remove, ev)
     return ev
 
 
-def _wake_turn(
-    node: Node, ev: Event, when: float, handed_at: Optional[float]
-) -> None:
-    """Make ``ev`` the head of the line, woken at ``when``: ``handed_at``
-    is ``when`` when a served turn handed the engine on, None when the
-    head took the engine at once and waits out a reservation (the two
-    differ in what the walk's release would re-grant: :func:`_leave_line`)."""
+def _wake_turn(node: Node, ev: Event, when: float) -> None:
+    """Make ``ev`` the head of the line, woken at ``when``, the instant the
+    engine frees."""
     ev._value = None
     node.env.schedule_at(ev, when)
-    ev.on_abandon = partial(_leave_line, node, handed_at)
+    ev.on_abandon = partial(_leave_line, node, when)
 
 
 def _pass_turn(node: Node, ev: Event) -> None:
@@ -139,26 +134,17 @@ def _pass_turn(node: Node, ev: Event) -> None:
     turns = node.tx_turns
     turns.popleft()
     if turns:
-        when = node.tx_reserved_until
-        _wake_turn(node, turns[0], when, when)
+        _wake_turn(node, turns[0], node.tx_reserved_until)
 
 
-def _leave_line(node: Node, handed_at: Optional[float]) -> None:
-    """The head's claimant was interrupted before its wake: it leaves the
-    line, and the next turn is woken where the walk's release would have
-    granted it the engine — at the hand-off instant itself, or, after a
-    head that held the engine waiting out a reservation, now plus what is
-    left of it."""
+def _leave_line(node: Node, when: float) -> None:
+    """The head's claimant was interrupted before its wake at ``when``: it
+    leaves the line, and the next turn is woken in its place, at ``when``,
+    as the walk grants the engine at the instant it frees."""
     turns = node.tx_turns
     turns.popleft()
-    if not turns:
-        return
-    if handed_at is not None:
-        _wake_turn(node, turns[0], handed_at, handed_at)
-        return
-    now = node.env.now
-    reserved = node.tx_reserved_until - now
-    _wake_turn(node, turns[0], now + reserved if reserved > 0 else now, None)
+    if turns:
+        _wake_turn(node, turns[0], when)
 
 
 class Endpoint:
@@ -332,11 +318,10 @@ class Endpoint:
         req = yield from node.tx.acquire()
         try:
             # Wait out a closed-form reservation (it does not hold the
-            # Resource); jitter is drawn after it, when the engine starts
-            # serving this WR.
-            reserved = node.tx_reserved_until - env.now
-            if reserved > 0:
-                yield env.timeout(reserved)
+            # Resource) to the instant it ends; jitter is drawn then, when
+            # the engine starts serving this WR.
+            if node.tx_reserved_until > env.now:
+                yield env.timeout_at(node.tx_reserved_until)
             yield env.timeout(
                 t.nic_tx_occupancy_ns + t.serialize_ns(nbytes) + fabric.jitter()
             )

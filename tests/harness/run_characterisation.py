@@ -16,17 +16,21 @@ of release, by wrapping ``PersistentBuffer.release`` the same way.
 
 ``run_characterisation.json`` was generated at the commit *before* the
 drivers were moved onto the shared scaffold and oracle
-(``harness/scaffold.py``, ``harness/oracle.py``) and regenerated three
+(``harness/scaffold.py``, ``harness/oracle.py``) and regenerated four
 times since, each time with event counts only moving: when queued turns
 took the busy verb legs off the walk; when the crash experiment, the
 crash matrix and chaos left the walk for the closed-form legs (24 cells,
-``events_processed`` 89,111 → 62,163 in total); and when the RPC server
+``events_processed`` 89,111 → 62,163 in total); when the RPC server
 stopped paying bookkeeping events (a handler is spawned inside the
 loop's step, takes a free core without a grant event and ends without a
 completion event; the verifier requeues without a zero-delay yield:
 83 paths, all event counters, the deployments' ``events_processed``
-127,350 → 110,708 in total). Regenerate it only for an intended, explained change of
-simulated behaviour, and list what moved first — every ``(cell, JSON
+127,350 → 110,708 in total); and when a partition's free dispatch-budget
+unit stopped costing a grant event (11 paths, all event counters, in the
+partitioned and clustered cells: ``bench/cluster``, ``bench/get_cached-p4``
+and the ``kill-backup``, ``kill-during-migration`` and ``node-kill`` chaos
+cells; 110,708 → 110,448 in total). Regenerate it only for an intended,
+explained change of simulated behaviour, and list what moved first — every ``(cell, JSON
 path)`` that differs from the recording::
 
     PYTHONPATH=src python -m tests.harness.run_characterisation --diff
@@ -43,8 +47,11 @@ import hashlib
 from contextlib import contextmanager
 from pathlib import Path
 
+import pytest
+
 from repro.cluster.node import ClusterSetup
 from repro.faults.plans import NODE_KILL_PLANS, shipped_plan_names
+from repro.harness import crashmatrix
 from repro.harness.chaos import ChaosSpec, run_chaos_experiment
 from repro.harness.crash import CrashSpec, run_crash_experiment
 from repro.harness.crashmatrix import CrashMatrixSpec, run_crash_matrix
@@ -175,9 +182,12 @@ def _chaos(store: str, plan: str, parity: bool = False) -> dict:
 
 
 def _matrix() -> dict:
-    return run_crash_matrix(
-        CrashMatrixSpec(max_per_site=2, recovery_points=2, replay=False)
-    ).as_dict()
+    # Every point in this process, where the deployments are observed.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crashmatrix, "_processes", lambda jobs: 1)
+        return run_crash_matrix(
+            CrashMatrixSpec(max_per_site=2, recovery_points=2, replay=False)
+        ).as_dict()
 
 
 def _load_single() -> dict:

@@ -29,6 +29,12 @@ def _spec(**kw):
     return CrashMatrixSpec(**defaults)
 
 
+def _one_process(monkeypatch):
+    """Judge every point in this process: the spies below watch instances
+    and buffers, which a forked child would keep to itself."""
+    monkeypatch.setattr(crashmatrix, "_processes", lambda jobs: 1)
+
+
 def test_matrix_passes_and_covers_every_boundary_class():
     rep = run_crash_matrix(_spec(replay=True))
     assert rep.ok, (rep.violations, rep.non_idempotent, rep.replay_mismatches)
@@ -164,6 +170,7 @@ def test_a_replay_that_lands_on_other_bytes_is_reported(monkeypatch, image):
 
 
 def test_a_replay_that_never_reaches_its_crash_is_reported(monkeypatch):
+    _one_process(monkeypatch)
     armed = []
 
     class _DeafReplay(crashmatrix._Instance):
@@ -255,6 +262,7 @@ def test_two_points_share_a_digest_iff_they_share_a_dense_hash(monkeypatch):
     """The published fingerprint hashes touched, non-zero chunks only; its
     equality classes must be those of a SHA-256 over every byte of
     ``durable ‖ visible`` at the same instant."""
+    _one_process(monkeypatch)
     dense_of: dict[str, set[str]] = {}
     real = PersistentBuffer.fingerprint
 
@@ -357,6 +365,7 @@ def test_a_point_costs_its_touched_chunks_and_every_image_is_freed(monkeypatch):
     setup, replay — keeps its image past the end of its point. If this
     fails, a whole-image judgement went back to paying per device byte,
     or an instance is being left to the garbage collector."""
+    _one_process(monkeypatch)
     expected = run_crash_matrix(_spec(replay=True))
     rep, fed, gathered, touched, captured, instances = _image_costs(
         monkeypatch, _spec(replay=True)

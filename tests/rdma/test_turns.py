@@ -11,7 +11,7 @@ import hashlib
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -124,6 +124,16 @@ _PROGRAMS = st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(_PROGRAMS, st.sampled_from((0.0, 256.0)))
+@example(  # a head joining behind a served turn woke 1 ulp after the walk's grant
+    program=[(1, 150.0, [("read", 8)]), (0, 0.0, [("write", 8), ("read", 8)]),
+             (0, 0.0, [("write", 48000)]), (1, 0.0, [("read", 8)])],
+    bucket_ns=0.0,
+)
+@example(  # the walk, behind an idle claim's reservation, woke 1 ulp off the turn
+    program=[(1, 0.0, [("write", 8), ("read", 8)]), (0, 0.0, [("read", 8)]),
+             (1, 150.0, [("write", 48000)])],
+    bucket_ns=0.0,
+)
 def test_turns_reproduce_the_walk(program, bucket_ns):
     turns, turn_events = _execute(program, bucket_ns, walk=False)
     walked, walk_events = _execute(program, bucket_ns, walk=True)
