@@ -7,16 +7,12 @@ from repro.baselines.base import (
     Partition,
     StoreConfig,
 )
-from repro.baselines.ca import CAClient, CAServer, ca_config
-from repro.baselines.erda import ErdaClient, ErdaServer, erda_config
-from repro.baselines.forca import ForcaClient, ForcaServer, forca_config
-from repro.baselines.imm import IMMClient, IMMServer, imm_config
-from repro.baselines.rpc_store import (
-    RpcStoreClient,
-    RpcStoreServer,
-    rpc_store_config,
-)
-from repro.baselines.saw import SAWClient, SAWServer, saw_config
+from repro.baselines.ca import CAClient, CAServer
+from repro.baselines.erda import ErdaClient, ErdaServer
+from repro.baselines.forca import ForcaClient, ForcaServer
+from repro.baselines.imm import IMMClient, IMMServer
+from repro.baselines.rpc_store import RpcStoreClient, RpcStoreServer
+from repro.baselines.saw import SAWClient, SAWServer
 
 __all__ = [
     "BaseClient",
@@ -36,10 +32,4 @@ __all__ = [
     "SAWClient",
     "SAWServer",
     "StoreConfig",
-    "ca_config",
-    "erda_config",
-    "forca_config",
-    "imm_config",
-    "rpc_store_config",
-    "saw_config",
 ]

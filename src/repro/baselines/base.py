@@ -4,12 +4,14 @@ The paper implements SAW, IMM, Erda, Forca, and eFactory "on the same
 code base" (§5.3) for an apples-to-apples comparison; this module is
 that code base. It provides:
 
-* :class:`StoreConfig` — capacity, geometry, and the per-scheme cost
-  knobs (what work happens on which CPU, and whether metadata is
-  persisted synchronously);
+* :class:`StoreConfig` — capacity, geometry, and the shared cost knobs
+  (what work happens on which CPU);
 * :class:`BaseServer` — node + NVM carve-up (hash table region, one or
   two log pools per partition), the SEND-based-RPC dispatch loop, and
-  session management.  The server is a composition of
+  session management. A scheme's own facts (whether it persists
+  metadata before the alloc ack, how many pools a partition has, the
+  extra metadata indirection it pays) are class attributes its server
+  overrides, not config knobs.  The server is a composition of
   :class:`~repro.baselines.partition.Partition` objects behind a
   deterministic key→partition router, and ``server.partitions`` is the
   only way into table, pool and object state; the default
@@ -102,7 +104,6 @@ class StoreConfig:
 
     # capacity / geometry
     pool_size: int = 32 << 20
-    dual_pools: bool = False
     table_buckets: int = 8192
     slots_per_bucket: int = 4
     probe_limit: int = 4
@@ -121,22 +122,18 @@ class StoreConfig:
     index_ns: float = 60.0
     header_write_ns: float = 60.0
     entry_update_ns: float = 20.0
-    meta_indirection_ns: float = 0.0  # Forca's extra metadata layer
     #: CPU cost of peeking an object's header/flags before deciding
     #: (shared by the GET handler's version walk and the background
     #: verifier).
     peek_ns: float = 80.0
 
-    # scheme switches
-    persist_meta: bool = False  # flush header+entry inside the alloc handler
-
     # eFactory background verification
     verify_timeout_ns: float = 50_000.0
     bg_idle_poll_ns: float = 2_000.0
     bg_retry_delay_ns: float = 3_000.0
-    #: Objects the background verifier drains per wakeup. 1 keeps the
-    #: seed's one-object-per-wakeup poll loop bit-for-bit; > 1 switches
-    #: the verifier to event-driven wakeups with coalesced flushes.
+    #: Objects the background verifier drains per pass. At 1 an empty
+    #: pass polls again after ``bg_idle_poll_ns`` (the paper's thread);
+    #: > 1 sleeps until new work arrives and coalesces adjacent flushes.
     bg_batch: int = 1
 
     # batched PUT pipeline (put_many)
@@ -255,6 +252,16 @@ class BaseServer:
     #: Whether this scheme's index can be sharded (Erda's hopscotch
     #: table displaces entries across the whole array and cannot).
     supports_partitions = True
+    #: Whether the alloc handler flushes header and hash entry before it
+    #: acks (eFactory, §4.3.1); the other schemes persist nothing there.
+    persist_meta = False
+    #: Log pools per partition (eFactory's cleaner copies into a second).
+    pools_per_partition = 1
+    #: Extra handler CPU (ns) per alloc and read lookup for a metadata
+    #: layer between index and object (Forca, §6.1).
+    meta_indirection_ns = 0.0
+    #: The config type this scheme is built from.
+    config_cls: type[StoreConfig] = StoreConfig
 
     def __init__(
         self,
@@ -265,7 +272,7 @@ class BaseServer:
     ) -> None:
         self.env = env
         self.fabric = fabric
-        self.config = config or StoreConfig()
+        self.config = config or self.config_cls()
         cfg = self.config
         n_parts = cfg.num_partitions
         if n_parts > 1 and not self.supports_partitions:
@@ -274,7 +281,7 @@ class BaseServer:
             )
 
         table_bytes = self._table_bytes()
-        n_pools = 2 if cfg.dual_pools else 1
+        n_pools = self.pools_per_partition
         device_size = _align(table_bytes, 4096) + n_parts * n_pools * _align(
             cfg.pool_size, 4096
         )

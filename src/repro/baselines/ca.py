@@ -14,17 +14,11 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import Any, Optional
 
-from repro.baselines.base import BaseClient, BaseServer, StoreConfig
+from repro.baselines.base import BaseClient, BaseServer
 from repro.errors import KeyNotFoundError
 from repro.sim.kernel import Event
 
-__all__ = ["CAServer", "CAClient", "ca_config"]
-
-
-def ca_config(**overrides: Any) -> StoreConfig:
-    """Defaults for CA: no metadata persistence, no CRC anywhere."""
-    cfg = StoreConfig(persist_meta=False)
-    return cfg.with_(**overrides) if overrides else cfg
+__all__ = ["CAServer", "CAClient"]
 
 
 class CAServer(BaseServer):

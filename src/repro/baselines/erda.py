@@ -22,7 +22,6 @@ from repro.baselines.base import (
     BaseServer,
     Partition,
     RESPONSE_BYTES,
-    StoreConfig,
 )
 from repro.crc.crc32 import crc32_fast
 from repro.errors import CorruptObjectError, KeyNotFoundError, StoreError
@@ -44,14 +43,7 @@ from repro.rdma.rpc import rpc_error_for
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Event
 
-__all__ = ["ErdaServer", "ErdaClient", "erda_config"]
-
-
-def erda_config(**overrides: Any) -> StoreConfig:
-    """Erda defaults: no flushing anywhere; hopscotch insert pays more
-    index CPU than a simple bucket probe (displacement scans)."""
-    cfg = StoreConfig(persist_meta=False, index_ns=100.0)
-    return cfg.with_(**overrides) if overrides else cfg
+__all__ = ["ErdaServer", "ErdaClient"]
 
 
 class ErdaServer(BaseServer):

@@ -24,23 +24,20 @@ from repro.baselines.base import (
     GET_REQUEST_OVERHEAD,
     Partition,
     RESPONSE_BYTES,
-    StoreConfig,
 )
 from repro.kv.hashtable import Slot
 from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Event
 
-__all__ = ["ForcaServer", "ForcaClient", "forca_config"]
-
-
-def forca_config(**overrides: Any) -> StoreConfig:
-    cfg = StoreConfig(persist_meta=False, meta_indirection_ns=120.0)
-    return cfg.with_(**overrides) if overrides else cfg
+__all__ = ["ForcaServer", "ForcaClient"]
 
 
 class ForcaServer(BaseServer):
     store_name = "forca"
+    #: The "extra intermediate layer of object metadata" (§6.1), paid on
+    #: every alloc and every ``get_loc`` lookup.
+    meta_indirection_ns = 120.0
 
     def _register_handlers(self) -> None:
         super()._register_handlers()
@@ -51,7 +48,7 @@ class ForcaServer(BaseServer):
     ) -> Generator[Event, Any, tuple[Any, int]]:
         cfg = self.config
         key: bytes = msg.payload["key"]
-        yield self.env.timeout(cfg.index_ns + cfg.meta_indirection_ns)
+        yield self.env.timeout(cfg.index_ns + self.meta_indirection_ns)
         found = part.lookup_slot(key)
         if found is None:
             return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES

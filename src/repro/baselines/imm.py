@@ -19,18 +19,12 @@ from repro.baselines.base import (
     BaseClient,
     BaseServer,
     RESPONSE_BYTES,
-    StoreConfig,
 )
 from repro.errors import KeyNotFoundError, StoreError
 from repro.rdma.verbs import Message, Opcode
 from repro.sim.kernel import Event
 
-__all__ = ["IMMServer", "IMMClient", "imm_config"]
-
-
-def imm_config(**overrides: Any) -> StoreConfig:
-    cfg = StoreConfig(persist_meta=False)
-    return cfg.with_(**overrides) if overrides else cfg
+__all__ = ["IMMServer", "IMMClient"]
 
 
 class IMMServer(BaseServer):

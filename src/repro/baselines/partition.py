@@ -257,7 +257,7 @@ class Partition:
             pre_ptr=pre_ptr,
             ts=int(env.now),
         )
-        yield env.timeout(cfg.header_write_ns + cfg.meta_indirection_ns)
+        yield env.timeout(cfg.header_write_ns + self.server.meta_indirection_ns)
         pool.write(offset, header + key)
 
         # Forward link (§4.2.2 NextPTR): lets the log cleaner find "the
@@ -289,11 +289,11 @@ class Partition:
         # durable *before* the hash entry can point at it — otherwise a
         # crash could naturally evict the entry update while losing the
         # header, severing the version list below an intact version.
-        if cfg.persist_meta:
+        if self.server.persist_meta:
             yield from self.persist_header(loc, len(key))
         if publish:
             yield from self.publish_object(entry_off, loc)
-        if cfg.persist_meta:
+        if self.server.persist_meta:
             yield from self.persist_entry_timed(entry_off)
         self.server.on_allocated(self, loc, entry_off)
         return loc, entry_off
@@ -380,8 +380,8 @@ class Partition:
         self, loc: Slot, img: ObjectImage
     ) -> Generator[Event, Any, None]:
         """Persist one CRC-verified object and set its durability flag
-        (the verifier's one-object step and the GET path's inline
-        settle). With the integrity tier on, the verified pre-persist
+        (the GET path's inline settle; the verifier settles through its
+        batch step). With the integrity tier on, the verified pre-persist
         bytes are snapshotted first — if the settling persist itself
         corrupts the media, they are what parity must cover so the
         scrubber can reconstruct the good image — and folded into

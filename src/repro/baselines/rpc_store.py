@@ -23,7 +23,6 @@ from repro.baselines.base import (
     Partition,
     PUT_REQUEST_OVERHEAD,
     RESPONSE_BYTES,
-    StoreConfig,
 )
 from repro.errors import StoreError
 from repro.kv.objects import FLAG_DURABLE, FLAG_VALID, HEADER_SIZE
@@ -31,12 +30,7 @@ from repro.rdma.rpc import ERR_NOT_FOUND, rpc_error, rpc_error_for
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Event
 
-__all__ = ["RpcStoreServer", "RpcStoreClient", "rpc_store_config"]
-
-
-def rpc_store_config(**overrides: Any) -> StoreConfig:
-    cfg = StoreConfig(persist_meta=False)
-    return cfg.with_(**overrides) if overrides else cfg
+__all__ = ["RpcStoreServer", "RpcStoreClient"]
 
 
 class RpcStoreServer(BaseServer):

@@ -18,19 +18,13 @@ from repro.baselines.base import (
     BaseClient,
     BaseServer,
     RESPONSE_BYTES,
-    StoreConfig,
 )
 from repro.errors import KeyNotFoundError
 from repro.rdma.rpc import ERR_UNKNOWN_ALLOC, rpc_error
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Event
 
-__all__ = ["SAWServer", "SAWClient", "saw_config"]
-
-
-def saw_config(**overrides: Any) -> StoreConfig:
-    cfg = StoreConfig(persist_meta=False)
-    return cfg.with_(**overrides) if overrides else cfg
+__all__ = ["SAWServer", "SAWClient"]
 
 
 class SAWServer(BaseServer):

@@ -28,7 +28,7 @@ from repro.baselines.base import RESPONSE_BYTES
 from repro.cluster.config import ClusterConfig
 from repro.cluster.replicator import PING_BYTES, LogShipper, repl_wait_loop
 from repro.cluster.router import ClusterRouter
-from repro.core import EFactoryServer, efactory_config
+from repro.core import EFactoryConfig, EFactoryServer
 from repro.errors import ConfigError
 from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import parse_object
@@ -579,7 +579,7 @@ def build_cluster(
         replication_factor=replication,
         **(cluster_overrides or {}),
     )
-    store_config = efactory_config(**overrides)
+    store_config = EFactoryConfig(**overrides)
     fabric = fabric or Fabric(env, timing=fabric_timing)
     cluster = Cluster(env, fabric, cluster_cfg, store_config)
     from repro.cluster.client import ClusterClient  # import cycle

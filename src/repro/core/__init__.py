@@ -6,8 +6,8 @@ recovery.
 """
 
 from repro.core.background import BackgroundVerifier
-from repro.core.client import EFactoryClient
-from repro.core.config import EFactoryConfig, efactory_config
+from repro.core.client import EFactoryClient, EFactoryNoHrClient
+from repro.core.config import EFactoryConfig
 from repro.core.log_cleaning import CleaningStats, LogCleaner
 from repro.core.recovery import (
     RecoveryReport,
@@ -22,10 +22,10 @@ __all__ = [
     "CleaningStats",
     "EFactoryClient",
     "EFactoryConfig",
+    "EFactoryNoHrClient",
     "EFactoryServer",
     "LogCleaner",
     "RecoveryReport",
-    "efactory_config",
     "recover_bucketized",
     "recover_erda",
     "scan_pool",

@@ -49,8 +49,8 @@ class BackgroundVerifier:
         #: Objects whose WRITE had not landed yet: (due_time, loc).
         self.retry: deque[tuple[float, Slot]] = deque()
         self._proc: Process | None = None
-        #: Armed while the batched loop sleeps; ``enqueue`` fires it so
-        #: the thread wakes on arrival instead of on the next poll tick.
+        #: Armed while an idle pass sleeps (``bg_batch > 1``); ``enqueue``
+        #: fires it so the thread wakes on arrival, not on a poll tick.
         self._wakeup: Event | None = None
         # statistics
         self.verified = 0
@@ -93,32 +93,13 @@ class BackgroundVerifier:
 
     # -- the thread ------------------------------------------------------------
     def _loop(self) -> Generator[Event, Any, None]:
+        """Drain up to ``bg_batch`` due objects per pass. An empty pass
+        polls again after ``bg_idle_poll_ns`` at ``bg_batch == 1`` (the
+        paper's thread); above that it sleeps until work arrives, then
+        lingers one poll period before draining."""
         cfg = self.server.config
-        if cfg.bg_batch > 1:
-            yield from self._loop_batched(cfg)
-            return
-        # Legacy single-object poll loop (bg_batch == 1): kept verbatim
-        # so the default configuration's event sequence is bit-for-bit
-        # the seed's.
-        try:
-            while True:
-                inj = self.server.fabric.injector
-                if inj is not None:
-                    act = inj.fire("bg.verifier", partition=self.part.part_id)
-                    if act is not None and act.kind == "pause":
-                        yield self.env.timeout(act.delay_ns)
-                loc = self._next_due()
-                if loc is None:
-                    yield self.env.timeout(cfg.bg_idle_poll_ns)
-                    continue
-                yield from self._process_one(loc)
-        except Interrupt:
-            return
-
-    def _loop_batched(self, cfg) -> Generator[Event, Any, None]:
-        """Amortized thread (``bg_batch > 1``): event-driven wakeup,
-        then drain up to ``bg_batch`` due objects per pass — back-to-back
-        CRCs and one coalesced flush per run of adjacent objects."""
+        bg_batch = cfg.bg_batch
+        next_due = self._next_due
         try:
             while True:
                 inj = self.server.fabric.injector
@@ -127,19 +108,20 @@ class BackgroundVerifier:
                     if act is not None and act.kind == "pause":
                         yield self.env.timeout(act.delay_ns)
                 batch: list[Slot] = []
-                while len(batch) < cfg.bg_batch:
-                    loc = self._next_due()
+                while len(batch) < bg_batch:
+                    loc = next_due()
                     if loc is None:
                         break
                     batch.append(loc)
                 if not batch:
-                    yield from self._idle_wait(cfg)
-                    # Linger one poll period before draining: lets the
-                    # in-flight doorbell WRITEs land (the alloc is
-                    # enqueued before the value arrives), lets a
-                    # pipelined burst accumulate into one batch, and
-                    # gathers near-simultaneous retries into one pass
-                    # with adjacent flush runs.
+                    if bg_batch > 1:
+                        # The linger below lets the in-flight doorbell
+                        # WRITEs land (the alloc is enqueued before the
+                        # value arrives), lets a pipelined burst
+                        # accumulate into one batch, and gathers
+                        # near-simultaneous retries into one pass with
+                        # adjacent flush runs.
+                        yield from self._idle_wait(cfg)
                     yield self.env.timeout(cfg.bg_idle_poll_ns)
                     continue
                 self.batches += 1
@@ -210,16 +192,13 @@ class BackgroundVerifier:
         for pool_id, members in by_pool.items():
             pool = part.pools[pool_id]
             mask = pool.align - 1
-
-            def alloc_end(loc: Slot) -> int:
-                # The bump allocator rounds every object to the pool's
-                # alignment; the next adjacent object starts there.
-                return loc.offset + ((loc.size + mask) & ~mask)
-
             members.sort(key=lambda m: m[0].offset)
             runs: list[list[tuple[Slot, Any]]] = [[members[0]]]
             for m in members[1:]:
-                if m[0].offset == alloc_end(runs[-1][-1][0]):
+                last = runs[-1][-1][0]
+                # The bump allocator rounds every object to the pool's
+                # alignment; the next adjacent object starts there.
+                if m[0].offset == last.offset + ((last.size + mask) & ~mask):
                     runs[-1].append(m)
                 else:
                     runs.append([m])
@@ -247,31 +226,6 @@ class BackgroundVerifier:
         if self.retry and self.retry[0][0] <= self.env.now:
             return self.retry.popleft()[1]
         return None
-
-    def _process_one(self, loc: Slot) -> Generator[Event, Any, None]:
-        part = self.part
-        cfg = self.server.config
-        yield self.env.timeout(cfg.peek_ns)
-        img = part.read_object(loc)
-
-        if not img.well_formed:
-            # Header unreadable (should not happen: metadata was persisted
-            # at allocation) — treat as pending until timeout.
-            yield from self._retry_or_invalidate(loc, None)
-            return
-        if img.durable or not img.valid:
-            # The GET handler beat us to it, or a timeout invalidated it.
-            self.skipped += 1
-            return
-
-        # Integrity verification: CRC over the value.
-        yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-        self.verified += 1
-        if part.object_value_ok(img):
-            yield from part.settle_verified(loc, img)
-            self.persisted += 1
-            return
-        yield from self._retry_or_invalidate(loc, img)
 
     def _retry_or_invalidate(
         self, loc: Slot, img

@@ -21,9 +21,9 @@ only the RPC+RDMA path (§4.4) — but only for keys on the *cleaning
 partition*; the other shards stay on the pure path. The location cache
 is flushed per partition on the cleaning-start notice (migration moves
 objects under the cache's feet) and when resilience demotes a
-partition. With ``hybrid_read=False`` every read takes the RPC+RDMA
-path (the "eFactory w/o hr" ablation), counted separately from genuine
-fallbacks.
+partition. :class:`EFactoryNoHrClient` takes the RPC+RDMA path on
+every read (the "eFactory w/o hr" ablation of §6.1), counted separately
+from genuine fallbacks.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.kv.objects import NULL_PTR, ObjectImage
 from repro.sim.kernel import Event
 from repro.util import LruMap
 
-__all__ = ["EFactoryClient"]
+__all__ = ["EFactoryClient", "EFactoryNoHrClient"]
 
 #: Bound on the adaptive-read skip map (entries, LRU-evicted), so it
 #: cannot grow without bound under churn.
@@ -47,6 +47,9 @@ ADAPTIVE_SKIP_CAP = 4096
 
 
 class EFactoryClient(BaseClient):
+    #: The §4.3.3 hybrid read: try the pure-RDMA path first.
+    hybrid_read = True
+
     def __init__(self, env, server, name: str) -> None:
         super().__init__(env, server, name)
         cfg: EFactoryConfig = self.config  # type: ignore[assignment]
@@ -101,7 +104,7 @@ class EFactoryClient(BaseClient):
         self, key: bytes, size_hint: Optional[int] = None
     ) -> Generator[Event, Any, bytes]:
         cfg: EFactoryConfig = self.config  # type: ignore[assignment]
-        if not cfg.hybrid_read:
+        if not self.hybrid_read:
             # The ablation never attempts the pure path: not a fallback.
             self.rpc_only_reads += 1
             return (yield from self._rpc_read(key))
@@ -288,3 +291,10 @@ class EFactoryClient(BaseClient):
             "cache_misses": self.cache_misses,
             "tree_rejects": self.tree_rejects,
         }
+
+
+class EFactoryNoHrClient(EFactoryClient):
+    """The "eFactory w/o hr" ablation (§6.1): every GET goes RPC+RDMA
+    with the selective durability guarantee; the server is eFactory's."""
+
+    hybrid_read = False

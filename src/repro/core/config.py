@@ -1,18 +1,16 @@
 """eFactory configuration.
 
 Extends the shared :class:`~repro.baselines.base.StoreConfig` with the
-knobs specific to the paper's design and its ablations:
+knobs specific to the paper's design and its extensions, chiefly
+``recv_batching``: §6.1 attributes eFactory's PUT edge over Erda to
+"multiple receiving regions to optimize the simultaneous processing of
+a batch of packets"; modelled as a multiplier (<1) on the per-message
+dispatch cost.
 
-* ``hybrid_read`` — the §4.3.3 hybrid read scheme; ``False`` gives the
-  "eFactory w/o hr" variant of the §6.1 factor analysis (every GET goes
-  RPC+RDMA with the selective durability guarantee).
-* ``recv_batching`` — §6.1 attributes eFactory's PUT edge over Erda to
-  "multiple receiving regions to optimize the simultaneous processing of
-  a batch of packets"; modelled as a multiplier (<1) on the per-message
-  dispatch cost.
-* ``persist_meta`` defaults True: §4.3.1 persists object metadata and
-  the hash entry before acking the allocation.
-* ``dual_pools`` defaults True: log cleaning needs the second pool.
+The scheme itself is not configured here: persisting metadata before
+the alloc ack (§4.3.1) and the second pool log cleaning needs (§4.4)
+are :class:`~repro.core.server.EFactoryServer` class attributes, and
+"eFactory w/o hr" (§6.1) is :class:`~repro.core.client.EFactoryNoHrClient`.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Any
 from repro.baselines.base import StoreConfig
 from repro.errors import ConfigError
 
-__all__ = ["EFactoryConfig", "efactory_config", "integrity_overrides"]
+__all__ = ["EFactoryConfig", "integrity_overrides"]
 
 #: Default stripe size (KiB) the harnesses use when turning the parity
 #: tier on (``repro chaos --parity``, the integrity bench suite).
@@ -41,7 +39,6 @@ def integrity_overrides(
 
 @dataclass(frozen=True)
 class EFactoryConfig(StoreConfig):
-    hybrid_read: bool = True
     recv_batching: float = 0.5
     #: Automatically run log cleaning when the reserve threshold trips.
     auto_clean: bool = True
@@ -72,14 +69,3 @@ class EFactoryConfig(StoreConfig):
     @property
     def effective_dispatch_ns(self) -> float:
         return self.dispatch_ns * self.recv_batching
-
-
-def efactory_config(**overrides: Any) -> EFactoryConfig:
-    """The paper's defaults: client-active + async durability, hybrid
-    reads, metadata persisted at allocation, dual pools for cleaning."""
-    base = dict(
-        persist_meta=True,
-        dual_pools=True,
-    )
-    base.update(overrides)
-    return EFactoryConfig(**base)

@@ -23,7 +23,7 @@ from typing import Any, Optional
 from repro.baselines.base import BaseServer, Partition, RESPONSE_BYTES
 from repro.core.background import BackgroundVerifier
 from repro.core.scrub import Scrubber
-from repro.core.config import EFactoryConfig, efactory_config
+from repro.core.config import EFactoryConfig
 from repro.kv.hashtable import Slot
 from repro.rdma.fabric import Fabric
 from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error
@@ -37,6 +37,11 @@ __all__ = ["EFactoryServer"]
 class EFactoryServer(BaseServer):
     store_name = "efactory"
     publish_on_alloc = True  # Figure 5 step 3: index updated at alloc
+    #: §4.3.1: header and hash entry are persisted before the alloc ack.
+    persist_meta = True
+    #: §4.4: log cleaning copies live objects into the second pool.
+    pools_per_partition = 2
+    config_cls = EFactoryConfig
 
     def __init__(
         self,
@@ -45,7 +50,7 @@ class EFactoryServer(BaseServer):
         config: Optional[EFactoryConfig] = None,
         name: str = "server",
     ) -> None:
-        super().__init__(env, fabric, config or efactory_config(), name=name)
+        super().__init__(env, fabric, config, name=name)
         cfg: EFactoryConfig = self.config  # type: ignore[assignment]
         # Multiple receive regions -> cheaper per-message dispatch (§6.1).
         self.rpc.dispatch_ns = cfg.effective_dispatch_ns

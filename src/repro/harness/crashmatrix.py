@@ -726,7 +726,7 @@ def run_crash_matrix(spec: CrashMatrixSpec) -> CrashMatrixReport:
         for k in _sample(counts.get(site, 0), spec.max_per_site)
     ]
     primary = None
-    if spec.recovery_points > 0 and spec.store != "ca":
+    if spec.recovery_points > 0 and STORES[spec.store].recover is not None:
         primary = _pick_primary(spec, counts)
 
     # 2. armed pass, with replay: a capsule for each crash, and each

@@ -122,7 +122,7 @@ def fig2_get_breakdown(
             )
             result = run_experiment(spec)
             total = result.latency.mean("get")
-            config = STORES[store].config_factory()
+            config = STORES[store].config()
             crc = config.crc_cost.cost_ns(size)
             out[store][size] = {
                 "total_ns": total,

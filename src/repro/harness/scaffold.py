@@ -13,10 +13,8 @@ from __future__ import annotations
 from collections.abc import Generator, Iterable, Sequence
 from typing import Any, Optional
 
-from repro.baselines import CAServer
 from repro.core import EFactoryServer
-from repro.core.recovery import RecoveryReport, recover_bucketized, recover_erda
-from repro.kv.hopscotch import HopscotchTable
+from repro.core.recovery import RecoveryReport
 from repro.sim.kernel import Environment, Event
 from repro.stores import STORES, StoreSetup, build_store
 from repro.workloads.keyspace import make_value
@@ -124,13 +122,13 @@ def settle(
 
 
 def recover(setup: StoreSetup) -> Optional[RecoveryReport]:
-    """One full pass of the store's recovery (restarting the node if it
-    is down); ``None`` for CA, which persists nothing to recover from."""
-    server = setup.server
-    if isinstance(server, CAServer):
+    """One full pass of the store's recovery (its ``StoreSpec.recover``,
+    restarting the node if it is down); ``None`` for a store with none
+    (CA, which persists nothing to recover from)."""
+    procedure = setup.spec.recover
+    if procedure is None:
         return None
+    server = setup.server
     if not server.node.alive:
         setup.fabric.restart_node(server.node)
-    hopscotch = isinstance(server.partitions[0].table, HopscotchTable)
-    procedure = recover_erda if hopscotch else recover_bucketized
     return setup.env.run(setup.env.process(procedure(server), name="recover"))

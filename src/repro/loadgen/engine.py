@@ -78,8 +78,8 @@ class LoadSpec:
     settle_ns: float = 20_000_000.0
     config_overrides: dict = field(default_factory=dict)
     #: Chaos plan armed for the whole run (``loadgen.arrival`` /
-    #: ``admission.*`` and every pre-existing site). Arming an injector
-    #: disables the fabric's analytic fast path, as everywhere else.
+    #: ``admission.*`` and every pre-existing site). TX legs stay in
+    #: closed form with the injector armed, as in every fault harness.
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:

@@ -1,8 +1,8 @@
 """Discrete-event simulation substrate.
 
 The kernel (:mod:`repro.sim.kernel`) provides SimPy-style processes and
-events; :mod:`repro.sim.resources` adds counted resources, FIFO stores
-and semaphores; :mod:`repro.sim.rng` supplies deterministic named random
+events; :mod:`repro.sim.resources` adds counted resources and FIFO
+stores; :mod:`repro.sim.rng` supplies deterministic named random
 streams; :mod:`repro.sim.trace` provides opt-in event tracing.
 
 Simulated time is measured in **nanoseconds** by convention everywhere
@@ -22,7 +22,7 @@ from repro.sim.kernel import (
     Process,
     Timeout,
 )
-from repro.sim.resources import FilterStore, Request, Resource, Semaphore, Store
+from repro.sim.resources import FilterStore, Request, Resource, Store
 from repro.sim.rng import RngRegistry, fnv1a_64
 from repro.sim.trace import Tracer
 
@@ -41,7 +41,6 @@ __all__ = [
     "Request",
     "Resource",
     "RngRegistry",
-    "Semaphore",
     "Store",
     "Timeout",
     "Tracer",

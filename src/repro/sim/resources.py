@@ -7,8 +7,8 @@ Three primitives cover everything the RDMA/NVM models need:
   ``resource.release(req)``; requests queue FIFO.
 * :class:`Store` — an unbounded (or bounded) FIFO of Python objects with
   blocking ``get``/``put``; used for receive queues and mailboxes.
-* :class:`Semaphore` — a counting semaphore built on the same machinery,
-  convenient for notification-style signalling.
+* :class:`FilterStore` — a store whose getters wait for the oldest item
+  matching a predicate (an RPC response among notifications).
 
 All wait queues are strictly FIFO, preserving the kernel's determinism.
 A queued waiter's ``on_abandon`` hook (which closes over its own event)
@@ -25,7 +25,7 @@ from typing import Any, Optional
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment, Event
 
-__all__ = ["Request", "Resource", "Store", "FilterStore", "Semaphore"]
+__all__ = ["Request", "Resource", "Store", "FilterStore"]
 
 
 def _discard(queue, entry) -> None:
@@ -281,38 +281,3 @@ class FilterStore:
                 return True, item
         return False, None
 
-
-class Semaphore:
-    """Counting semaphore: ``acquire()`` events grant in FIFO order."""
-
-    __slots__ = ("env", "_count", "_waiting")
-
-    def __init__(self, env: Environment, initial: int = 0) -> None:
-        if initial < 0:
-            raise SimulationError(f"semaphore initial count must be >= 0")
-        self.env = env
-        self._count = initial
-        self._waiting: deque[Event] = deque()
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def acquire(self) -> Event:
-        ev = Event(self.env)
-        if self._count > 0:
-            self._count -= 1
-            ev.succeed()
-        else:
-            self._waiting.append(ev)
-            ev.on_abandon = lambda: _discard(self._waiting, ev)
-        return ev
-
-    def release(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self._waiting:
-                ev = self._waiting.popleft()
-                ev.on_abandon = None
-                ev.succeed()
-            else:
-                self._count += 1

@@ -13,8 +13,9 @@ timing, same geometry; only the scheme differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from collections.abc import Callable, Generator, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 from repro.baselines import (
     BaseClient,
@@ -32,31 +33,34 @@ from repro.baselines import (
     SAWClient,
     SAWServer,
     StoreConfig,
-    ca_config,
-    erda_config,
-    forca_config,
-    imm_config,
-    rpc_store_config,
-    saw_config,
 )
-from repro.core import EFactoryClient, EFactoryServer, efactory_config
+from repro.core import (
+    EFactoryClient,
+    EFactoryNoHrClient,
+    EFactoryServer,
+    RecoveryReport,
+    recover_bucketized,
+    recover_erda,
+)
 from repro.errors import ConfigError
 from repro.rdma.fabric import Fabric
 from repro.rdma.latency import FabricTiming
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, Event
 
 __all__ = ["StoreSpec", "StoreSetup", "STORES", "build_store", "store_names"]
+
+Recovery = Callable[[BaseServer], Generator[Event, Any, RecoveryReport]]
 
 
 @dataclass(frozen=True)
 class StoreSpec:
-    """How to construct one store flavour."""
+    """How to construct one store flavour: its scheme is its server and
+    client classes; only its cost defaults are config."""
 
     name: str
     label: str  # display name used in reports (matches the paper)
-    server_cls: type
-    client_cls: type
-    config_factory: Callable[..., StoreConfig]
+    server_cls: type[BaseServer]
+    client_cls: type[BaseClient]
     #: Whether PUT acknowledgement implies durability.
     durable_put: bool
     #: Whether GET guarantees an intact (untorn) value.
@@ -64,46 +68,61 @@ class StoreSpec:
     #: Whether a version a GET returned is never lost again, even across
     #: a crash (§5.3: eFactory "refrains from non-monotonic reads").
     monotonic_reads: bool
+    #: The full recovery pass after a crash; None where nothing is
+    #: persisted to recover from (CA).
+    recover: Optional[Recovery]
+    #: Config fields this flavour sets away from the shared defaults.
+    defaults: Mapping[str, Any] = field(default_factory=dict)
 
-
-def _efactory_nohr_config(**overrides: Any):
-    overrides.setdefault("hybrid_read", False)
-    return efactory_config(**overrides)
+    def config(self, **overrides: Any) -> StoreConfig:
+        """The server's config type over this flavour's defaults;
+        ``overrides`` win."""
+        return self.server_cls.config_cls(**{**self.defaults, **overrides})
 
 
 STORES: dict[str, StoreSpec] = {
     "efactory": StoreSpec(
-        "efactory", "eFactory", EFactoryServer, EFactoryClient, efactory_config,
+        "efactory", "eFactory", EFactoryServer, EFactoryClient,
         durable_put=False, consistent_get=True, monotonic_reads=True,
+        recover=recover_bucketized,
     ),
     "efactory_nohr": StoreSpec(
-        "efactory_nohr", "eFactory w/o hr", EFactoryServer, EFactoryClient,
-        _efactory_nohr_config,
+        "efactory_nohr", "eFactory w/o hr", EFactoryServer, EFactoryNoHrClient,
         durable_put=False, consistent_get=True, monotonic_reads=True,
+        recover=recover_bucketized,
     ),
     "ca": StoreSpec(
-        "ca", "CA w/o persistence", CAServer, CAClient, ca_config,
+        "ca", "CA w/o persistence", CAServer, CAClient,
         durable_put=False, consistent_get=False, monotonic_reads=False,
+        recover=None,
     ),
     "rpc": StoreSpec(
-        "rpc", "RPC", RpcStoreServer, RpcStoreClient, rpc_store_config,
+        "rpc", "RPC", RpcStoreServer, RpcStoreClient,
         durable_put=True, consistent_get=True, monotonic_reads=False,
+        recover=recover_bucketized,
     ),
     "saw": StoreSpec(
-        "saw", "SAW", SAWServer, SAWClient, saw_config,
+        "saw", "SAW", SAWServer, SAWClient,
         durable_put=True, consistent_get=True, monotonic_reads=False,
+        recover=recover_bucketized,
     ),
     "imm": StoreSpec(
-        "imm", "IMM", IMMServer, IMMClient, imm_config,
+        "imm", "IMM", IMMServer, IMMClient,
         durable_put=True, consistent_get=True, monotonic_reads=False,
+        recover=recover_bucketized,
     ),
     "erda": StoreSpec(
-        "erda", "Erda", ErdaServer, ErdaClient, erda_config,
+        "erda", "Erda", ErdaServer, ErdaClient,
         durable_put=False, consistent_get=True, monotonic_reads=False,
+        recover=recover_erda,
+        # A hopscotch insert pays more index CPU than a bucket probe
+        # (displacement scans).
+        defaults={"index_ns": 100.0},
     ),
     "forca": StoreSpec(
-        "forca", "Forca", ForcaServer, ForcaClient, forca_config,
+        "forca", "Forca", ForcaServer, ForcaClient,
         durable_put=False, consistent_get=True, monotonic_reads=False,
+        recover=recover_bucketized,
     ),
 }
 
@@ -146,7 +165,7 @@ def build_store(
     if n_clients < 0:
         raise ConfigError("n_clients must be >= 0")
     fabric = fabric or Fabric(env, timing=fabric_timing)
-    config = spec.config_factory(**(config_overrides or {}))
+    config = spec.config(**(config_overrides or {}))
     server = spec.server_cls(env, fabric, config, name=f"{name}-server")
     clients = [
         spec.client_cls(env, server, name=f"{name}-client{i}")

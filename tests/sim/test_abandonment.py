@@ -2,8 +2,8 @@
 
 Regression tests for the crash-fidelity bugs these hooks fixed: a server
 stopped mid-crash leaves processes interrupted while queued on the NIC
-engine (Resource), the SRQ (FilterStore), a mailbox (Store), or a
-semaphore — none of which may strand later traffic.
+engine (Resource), the SRQ (FilterStore) or a mailbox (Store) — none of
+which may strand later traffic.
 """
 
 import gc
@@ -11,7 +11,7 @@ import weakref
 
 from repro.rdma.verbs import Message, Opcode
 from repro.sim.kernel import Environment, Interrupt
-from repro.sim.resources import FilterStore, Resource, Semaphore, Store
+from repro.sim.resources import FilterStore, Resource, Store
 
 
 class _TrackedMessage(Message):
@@ -112,49 +112,20 @@ def test_interrupted_filterstore_getter_pruned(env):
     assert len(fs._getters) == 0
 
 
-def test_interrupted_semaphore_waiter_skipped(env):
-    sem = Semaphore(env)
-    got = []
-
-    def victim():
-        try:
-            yield sem.acquire()
-        except Interrupt:
-            pass
-
-    def survivor():
-        yield env.timeout(10)
-        yield sem.acquire()
-        got.append(env.now)
-
-    v = env.process(victim())
-    env.process(survivor())
-
-    def driver():
-        yield env.timeout(5)
-        v.interrupt()
-        yield env.timeout(10)
-        sem.release()
-
-    env.process(driver())
-    env.run()
-    assert got == [15.0]
-    assert sem.count == 0
-
-
 def test_bare_unyielded_event_still_served(env):
-    """An acquire event not yet yielded (no callbacks) must still be
-    granted — abandonment only triggers via explicit unsubscription."""
-    sem = Semaphore(env)
-    ev = sem.acquire()  # no process attached yet
-    sem.release()
+    """A get event not yet yielded (no callbacks) must still be served —
+    abandonment only triggers via explicit unsubscription."""
+    box = Store(env)
+    ev = box.get()  # no process attached yet
+    box.put("item")
     assert ev.triggered
 
     def late_waiter():
         got = yield ev
-        return env.now
+        return got, env.now
 
-    assert env.run(env.process(late_waiter())) == 0.0
+    assert env.run(env.process(late_waiter())) == ("item", 0.0)
+    assert len(box) == 0
 
 
 def test_interrupt_before_first_step_is_deliverable(env):

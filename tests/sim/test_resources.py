@@ -1,10 +1,10 @@
-"""Resource, Store, FilterStore and Semaphore semantics."""
+"""Resource, Store and FilterStore semantics."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment
-from repro.sim.resources import FilterStore, Resource, Semaphore, Store
+from repro.sim.resources import FilterStore, Resource, Store
 
 
 class TestResource:
@@ -217,23 +217,3 @@ class TestFilterStore:
             return [a, b]
 
         assert env.run(env.process(proc())) == ["first", "second"]
-
-
-class TestSemaphore:
-    def test_initial_count(self, env):
-        sem = Semaphore(env, initial=2)
-        a, b, c = sem.acquire(), sem.acquire(), sem.acquire()
-        assert a.triggered and b.triggered and not c.triggered
-        sem.release()
-        assert c.triggered
-
-    def test_release_accumulates(self, env):
-        sem = Semaphore(env)
-        sem.release(3)
-        assert sem.count == 3
-        assert sem.acquire().triggered
-        assert sem.count == 2
-
-    def test_negative_initial_rejected(self, env):
-        with pytest.raises(SimulationError):
-            Semaphore(env, initial=-1)

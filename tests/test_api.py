@@ -50,10 +50,8 @@ class TestBuildStore:
 
     def test_config_overrides_applied(self):
         env = Environment()
-        setup = build_store(
-            "efactory", env, config_overrides={"hybrid_read": False}
-        )
-        assert setup.server.config.hybrid_read is False
+        setup = build_store("efactory", env, config_overrides={"bg_batch": 8})
+        assert setup.server.config.bg_batch == 8
 
     def test_shared_fabric_possible(self):
         from repro.rdma.fabric import Fabric
