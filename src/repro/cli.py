@@ -24,6 +24,7 @@ from typing import Any, Optional, Sequence
 from repro._version import __version__
 from repro.analysis.stats import fmt_ns
 from repro.analysis.tables import Table, banner
+from repro.errors import ConfigError
 from repro.faults.plans import NODE_KILL_PLANS, shipped_plan_names
 from repro.harness import experiments as exp
 from repro.harness.chaos import ChaosSpec, run_chaos_experiment
@@ -698,25 +699,29 @@ def _jsonable(obj: Any) -> Any:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     status = 0
-    if args.command == "list":
-        text, payload = _cmd_list()
-    elif args.command == "run":
-        text, payload = _cmd_run(args)
-    elif args.command == "fig":
-        text, payload = _cmd_fig(args)
-    elif args.command == "crash":
-        text, payload = _cmd_crash(args)
-    elif args.command == "chaos":
-        text, payload, status = _cmd_chaos(args)
-    elif args.command == "crashmatrix":
-        text, payload, status = _cmd_crashmatrix(args)
-    elif args.command == "partitions":
-        text, payload = _cmd_partitions(args)
-    elif args.command == "loadgen":
-        text, payload = _cmd_loadgen(args)
-    elif args.command == "staticcheck":
-        text, payload, status = _cmd_staticcheck(args)
-    else:  # pragma: no cover - argparse enforces choices
+    try:
+        if args.command == "list":
+            text, payload = _cmd_list()
+        elif args.command == "run":
+            text, payload = _cmd_run(args)
+        elif args.command == "fig":
+            text, payload = _cmd_fig(args)
+        elif args.command == "crash":
+            text, payload = _cmd_crash(args)
+        elif args.command == "chaos":
+            text, payload, status = _cmd_chaos(args)
+        elif args.command == "crashmatrix":
+            text, payload, status = _cmd_crashmatrix(args)
+        elif args.command == "partitions":
+            text, payload = _cmd_partitions(args)
+        elif args.command == "loadgen":
+            text, payload = _cmd_loadgen(args)
+        elif args.command == "staticcheck":
+            text, payload, status = _cmd_staticcheck(args)
+        else:  # pragma: no cover - argparse enforces choices
+            return 2
+    except ConfigError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
     print(text)
     json_path = getattr(args, "json", None)

@@ -19,24 +19,24 @@ verdict — is a pure function of ``(store, plan, seed, workload shape)``;
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.errors import OperationTimeout, RDMAError, StoreError
+from repro.errors import RDMAError, StoreError
 from repro.faults.injector import arm_store, disarm_store
 from repro.faults.plan import FaultPlan
 from repro.faults.plans import shipped_plan
 from repro.faults.policy import RetryPolicy
-from repro.harness.oracle import KeyLedger
-from repro.harness.scaffold import deploy, pool_bytes, preload, settle, version0
+from repro.harness.scaffold import (
+    ClosedLoop, Draw, check_shape, deploy, pool_bytes, preload, settle, version0,
+)
 from repro.rdma.rpc import ERR_NOT_FOUND, RpcFault
 from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 from repro.stores import STORES
 from repro.util import sum_counters
-from repro.workloads.keyspace import make_key, make_value
 
 __all__ = ["ChaosSpec", "ChaosReport", "run_chaos_experiment"]
 
@@ -158,6 +158,7 @@ def run_chaos_experiment(
     spec: ChaosSpec, plan: Optional[FaultPlan] = None
 ) -> ChaosReport:
     """Execute one chaos run in a fresh simulation environment."""
+    check_shape(spec.n_clients, spec.key_count)
     env = Environment()
     rngs = RngRegistry(spec.seed)
     tracer = Tracer(env) if spec.trace else None
@@ -198,49 +199,27 @@ def run_chaos_experiment(
             spec.policy, rngs.stream(f"resilience.{client.name}"), tracer=tracer
         )
 
-    keys = [make_key(k, spec.key_len) for k in range(spec.key_count)]
-    # Single writer per key: key k belongs to client k % n_clients, so
-    # "last acked version" is well-defined without cross-client ordering.
-    ledger = KeyLedger(spec.key_count)
-
+    loop = ClosedLoop(env, setup, spec.key_count, spec.key_len, spec.value_len)
     # Faults are not armed yet: the baseline state is healthy.
-    preload(env, setup, version0(keys, spec.value_len), settle_ns=spec.settle_ns)
+    preload(env, setup, version0(loop.keys, spec.value_len), settle_ns=spec.settle_ns)
 
     # -- the faulted window --------------------------------------------------
     injector = arm_store(setup, plan, rngs=rngs, tracer=tracer)
-    stats = {"attempted": 0, "completed": 0, "failed": 0}
     t_armed = env.now
 
-    def client_proc(i: int) -> Generator[Event, Any, None]:
-        client = setup.client(i)
+    def ops(i: int) -> Iterator[Draw]:
+        # Single writer per key: key k belongs to client k % n_clients, so
+        # "last acked version" is well-defined without cross-client
+        # ordering. A client that owns no key only reads.
         rng = rngs.stream(f"chaos.client{i}")
-        my_keys = [k for k in range(spec.key_count) if k % spec.n_clients == i]
+        mine = [k for k in range(spec.key_count) if k % spec.n_clients == i]
         for _ in range(spec.ops_per_client):
-            do_put = bool(my_keys) and rng.random() < spec.put_fraction
-            stats["attempted"] += 1
-            try:
-                if do_put:
-                    kid = int(my_keys[int(rng.integers(len(my_keys)))])
-                    ver = ledger.next_version(kid)
-                    yield from client.put(
-                        keys[kid], make_value(kid, ver, spec.value_len)
-                    )
-                    ledger.ack(kid, ver)
-                else:
-                    kid = int(rng.integers(spec.key_count))
-                    value = yield from client.get(
-                        keys[kid], size_hint=spec.value_len
-                    )
-                    ledger.observe(kid, value)
-            except (StoreError, RDMAError, OperationTimeout):
-                stats["failed"] += 1
-                continue
-            stats["completed"] += 1
+            if mine and rng.random() < spec.put_fraction:
+                yield "put", mine[int(rng.integers(len(mine)))]
+            else:
+                yield "get", int(rng.integers(spec.key_count))
 
-    procs = [
-        env.process(client_proc(i), name=f"chaos-client{i}")
-        for i in range(spec.n_clients)
-    ]
+    procs = loop.run((ops(i) for i in range(spec.n_clients)), name="chaos-client")
     migration_stats: dict[str, Any] = {}
     if spec.migration is not None and cluster_mode:
         mig_part, mig_dst, mig_at = spec.migration
@@ -250,7 +229,7 @@ def run_chaos_experiment(
             stats = yield from setup.cluster.migrate(int(mig_part), int(mig_dst))
             migration_stats.update(stats)
 
-        procs.append(env.process(migration_proc(), name="chaos-migration"))
+        procs = [*procs, env.process(migration_proc(), name="chaos-migration")]
     env.run(env.all_of(procs))
     wall_ns = env.now - t_armed
 
@@ -277,7 +256,10 @@ def run_chaos_experiment(
     # Raw slot reads would misreport legitimately-invalidated versions
     # (publish-on-alloc indexes not-yet-durable objects); the advertised
     # guarantee is about what GET *returns*, so that is what we check.
-    scrubbers = [p.scrubber for p in setup.server.partitions if p.scrubber is not None]
+    all_servers = list(getattr(setup, "servers", None) or [setup.server])
+    scrubbers = [
+        p.scrubber for s in all_servers for p in s.partitions if p.scrubber is not None
+    ]
     scrub_active = any(sc.active for sc in scrubbers)
     violations: list[str] = []
     weaknesses: list[str] = []
@@ -287,13 +269,13 @@ def run_chaos_experiment(
         for kid in range(spec.key_count):
             value, unreadable = None, ""
             try:
-                value = yield from client.get(keys[kid], size_hint=spec.value_len)
+                value = yield from client.get(loop.keys[kid], size_hint=spec.value_len)
             except (RpcFault, StoreError, RDMAError) as exc:
                 code = getattr(exc, "code", "")
                 unreadable = f"GET failed after faults cleared ({code or exc})"
                 if isinstance(exc, RpcFault) and code == ERR_NOT_FOUND:
                     unreadable = "lost (not found after faults cleared)"
-            verdict = ledger.judge(
+            verdict = loop.ledger.judge(
                 kid, value, STORES[spec.store], crashed=False, media=media_plan,
                 scrub_active=scrub_active, unreadable=unreadable,
             )
@@ -308,30 +290,21 @@ def run_chaos_experiment(
     else:
         setup.server.stop()
 
-    resilience: dict[str, int] = {}
-    for client in setup.clients:
-        for name, count in client.resilience.snapshot().items():
-            resilience[name] = resilience.get(name, 0) + count
+    resilience = sum_counters(c.resilience.snapshot() for c in setup.clients)
     degraded = sum(getattr(c, "degraded_reads", 0) for c in setup.clients)
 
     # -- repair-outcome accounting (every node's scrubber + device) -----------
-    all_servers = list(getattr(setup, "servers", None) or [setup.server])
+    scrub = sum_counters(sc.stats() for sc in scrubbers)
     repair: dict[str, int] = {}
     if media_plan:
-        totals = sum_counters(
-            part.scrubber.stats()
-            for srv in all_servers
-            for part in srv.partitions
-            if part.scrubber is not None
-        )
         repair = {
             "media_faults": sum(s.device.media_faults for s in all_servers),
-            "detected": totals.get("corrupt_found", 0),
-            "reconstructed": totals.get("reconstructed", 0),
-            "replica_fetched": totals.get("replica_fetched", 0),
-            "rolled_back": totals.get("repaired", 0),
-            "cleared": totals.get("unrepairable", 0),
-            "parity_stale": totals.get("parity_stale", 0),
+            "detected": scrub.get("corrupt_found", 0),
+            "reconstructed": scrub.get("reconstructed", 0),
+            "replica_fetched": scrub.get("replica_fetched", 0),
+            "rolled_back": scrub.get("repaired", 0),
+            "cleared": scrub.get("unrepairable", 0),
+            "parity_stale": scrub.get("parity_stale", 0),
             "tree_rejects": sum(
                 getattr(c, "tree_rejects", 0) for c in setup.clients
             ),
@@ -346,9 +319,9 @@ def run_chaos_experiment(
     return ChaosReport(
         spec=spec,
         plan_name=plan.name,
-        attempted_ops=stats["attempted"],
-        completed_ops=stats["completed"],
-        failed_ops=stats["failed"],
+        attempted_ops=loop.attempted,
+        completed_ops=loop.completed,
+        failed_ops=loop.failed,
         fault_schedule=injector.schedule(),
         fault_counts=injector.counts(),
         resilience=resilience,
@@ -358,7 +331,7 @@ def run_chaos_experiment(
         degraded_reads=degraded,
         wall_ns=wall_ns,
         trace_counts=tracer.counts() if tracer is not None else {},
-        scrub=sum_counters(sc.stats() for sc in scrubbers),
+        scrub=scrub,
         repair=repair,
         integrity=integrity,
         cluster=cluster_metrics,

@@ -17,19 +17,18 @@ expected *weakness* is the oracle's call.
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.recovery import RecoveryReport
-from repro.errors import QPError, RDMAError, StoreError
-from repro.harness.oracle import KeyAudit, KeyLedger, read_value_state
-from repro.harness.scaffold import deploy, pool_bytes, preload, recover, version0
-from repro.rdma.rpc import RpcFault
+from repro.harness.oracle import KeyAudit, read_value_state
+from repro.harness.scaffold import (
+    ClosedLoop, Draw, check_shape, deploy, pool_bytes, preload, recover, version0,
+)
 from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
 from repro.stores import STORES
-from repro.workloads.keyspace import make_key, make_value
 
 __all__ = [
     "CrashSpec",
@@ -110,6 +109,7 @@ class CrashReport:
 
 
 def run_crash_experiment(spec: CrashSpec) -> CrashReport:
+    check_shape(spec.n_clients, spec.key_count, spec.evict_probability)
     env = Environment()
     rngs = RngRegistry(spec.seed)
     puts = spec.key_count + spec.ops_before_crash * 2
@@ -119,59 +119,24 @@ def run_crash_experiment(spec: CrashSpec) -> CrashReport:
             (puts, spec.key_len, spec.value_len), headroom=2, floor=8 << 20
         ),
     )
-    server = setup.server
-
-    keys = [make_key(k, spec.key_len) for k in range(spec.key_count)]
-    ledger = KeyLedger(spec.key_count)
-    state = {"completed": 0, "torn_reads": 0, "crashed": False}
-
-    preload(env, setup, version0(keys, spec.value_len), settle_ns=2_000_000.0)
+    loop = ClosedLoop(env, setup, spec.key_count, spec.key_len, spec.value_len)
+    preload(env, setup, version0(loop.keys, spec.value_len), settle_ns=2_000_000.0)
 
     # -- concurrent clients until the crash ---------------------------------------
-    def client_proc(i: int) -> Generator[Event, Any, None]:
-        client = setup.client(i)
+    def ops(i: int) -> Iterator[Draw]:
         rng = rngs.stream(f"crash-client{i}")
-        while not state["crashed"]:
+        while True:
             kid = int(rng.integers(0, spec.key_count))
-            is_read = rng.random() < spec.read_fraction
-            try:
-                if is_read:
-                    value = yield from client.get(
-                        keys[kid], size_hint=spec.value_len
-                    )
-                    if not ledger.observe(kid, value):
-                        state["torn_reads"] += 1
-                else:
-                    ver = ledger.next_version(kid)
-                    yield from client.put(
-                        keys[kid], make_value(kid, ver, spec.value_len)
-                    )
-                    ledger.ack(kid, ver)
-            except (StoreError, RpcFault, QPError, RDMAError):
-                if state["crashed"]:
-                    return
-                continue
-            state["completed"] += 1
+            yield ("get" if rng.random() < spec.read_fraction else "put"), kid
 
-    procs = [
-        env.process(client_proc(i), name=f"crash-client{i}")
-        for i in range(spec.n_clients)
-    ]
+    loop.run((ops(i) for i in range(spec.n_clients)), name="crash-client")
 
     def controller() -> Generator[Event, Any, None]:
-        while state["completed"] < spec.ops_before_crash:
-            yield env.timeout(5_000.0)
-        state["crashed"] = True
-        server.stop()
-        setup.fabric.crash_node(
-            server.node,
-            rngs.stream("crash"),
-            spec.evict_probability,
-            tear_words=spec.tear_words,
+        yield from loop.until(spec.ops_before_crash)
+        loop.power_fail(
+            rngs.stream("crash"), spec.evict_probability, tear_words=spec.tear_words
         )
-        for p in procs:
-            if p.is_alive:
-                p.interrupt("crash")
+        loop.interrupt()
 
     env.run(env.process(controller(), name="crash-controller"))
     env.run(until=env.now + 1.0)  # drain interrupt deliveries
@@ -180,7 +145,9 @@ def run_crash_experiment(spec: CrashSpec) -> CrashReport:
     return CrashReport(
         spec=spec,
         recovery=recovery,
-        audits=ledger.audit_recovered(server, keys, STORES[spec.store]),
-        pre_crash_torn_reads=state["torn_reads"],
-        completed_ops=state["completed"],
+        audits=loop.ledger.audit_recovered(
+            setup.server, loop.keys, STORES[spec.store]
+        ),
+        pre_crash_torn_reads=loop.torn_reads,
+        completed_ops=loop.completed,
     )

@@ -102,26 +102,19 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, NamedTuple, Optional
 
-from repro.errors import (
-    OperationTimeout,
-    PowerFailure,
-    QPError,
-    RDMAError,
-    StoreError,
-)
+from repro.errors import PowerFailure
 from repro.faults.injector import FaultInjector, arm_store, disarm_store
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.sites import crash_matrix_sites
 from repro.harness.oracle import KeyLedger
 from repro.harness.scaffold import (
-    deploy, pool_bytes, preload, recover, settle, version0,
+    ClosedLoop, Draw, check_shape, deploy, pool_bytes, preload, recover, settle,
+    version0,
 )
 from repro.mem.buffer import ImageCapture, ImageSnapshot
-from repro.rdma.rpc import RpcFault
-from repro.sim.kernel import Environment, Event, Interrupt
+from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
 from repro.stores import STORES
-from repro.workloads.keyspace import make_key, make_value
 
 __all__ = [
     "CrashMatrixSpec",
@@ -306,9 +299,10 @@ class _Instance:
             ),
         )
         self.server = self.setup.server
-        self.keys = [make_key(k, spec.key_len) for k in range(spec.key_count)]
-        self.ledger = KeyLedger(spec.key_count)
-        self.state = {"completed": 0, "crashed": False, "clients_done": False}
+        self.loop = ClosedLoop(
+            self.env, self.setup, spec.key_count, spec.key_len, spec.value_len
+        )
+        self.clients_done = False
         self.crash_info: dict[str, Any] = {}
         self.rules = rules
         self.injector: Optional[FaultInjector] = None
@@ -324,7 +318,7 @@ class _Instance:
         inst = cls(spec, now=capsule.time)
         inst.server.device.restore(capsule.device)
         inst.setup.fabric.adopt_inflight(inst.server.node, capsule.inflight)
-        inst.ledger = capsule.ledger.copy()
+        inst.loop.ledger = capsule.ledger.copy()
         inst._power_fail()
         inst._drain(capsule.drain_ns)
         return inst
@@ -344,7 +338,7 @@ class _Instance:
         spec, env = self.spec, self.env
 
         preload(
-            env, self.setup, version0(self.keys, spec.value_len),
+            env, self.setup, version0(self.loop.keys, spec.value_len),
             settle_ns=spec.settle_ns,
         )
 
@@ -357,90 +351,56 @@ class _Instance:
             else partial(self._take_capsule, capsules)
         )
 
-        procs = [
-            env.process(self._client_proc(i), name=f"matrix-client{i}")
-            for i in range(spec.n_clients)
-        ]
-        cleaner = env.process(self._cleaning_controller(), name="matrix-cleaner")
+        procs = self.loop.run(
+            (self._ops(i) for i in range(spec.n_clients)), name="matrix-client"
+        )
+        cleaner = env.process(self._cleaner(), name="matrix-cleaner")
 
         # The whole armed window can crash: the clients' ops, the
         # settle (background verify/flush still runs), even stop().
         try:
             env.run(env.all_of(procs))
-            self.state["clients_done"] = True
-            if not self.state["crashed"]:
+            self.clients_done = True
+            if not self.loop.stopped:
                 if cleaner.is_alive:
                     cleaner.interrupt("done")
                 settle(env, self.setup, spec.settle_ns)
                 self.server.stop()
         except PowerFailure:
             pass
-        for proc in procs + [cleaner]:
-            if proc.is_alive:
-                proc.interrupt("crash")
+        self.loop.interrupt()
+        if cleaner.is_alive:
+            cleaner.interrupt("crash")
         self._drain(1_000.0)
         disarm_store(self.setup)
-        return self.state["crashed"]
+        return self.loop.stopped
 
-    def _client_proc(self, i: int) -> Generator[Event, Any, None]:
+    def _ops(self, i: int) -> Iterator[Draw]:
+        """Client ``i``'s ops: its own keys, PUT or GET; a client that
+        owns no key (more clients than keys) only reads, so every key
+        keeps a single writer."""
         spec = self.spec
-        client = self.setup.client(i)
         rng = self.rngs.stream(f"matrix.client{i}")
         mine = [k for k in range(spec.key_count) if k % spec.n_clients == i]
         for _ in range(spec.ops_per_client):
-            if self.state["crashed"]:
-                return
-            kid = int(mine[int(rng.integers(len(mine)))]) if mine else 0
-            is_read = rng.random() < spec.read_fraction
-            try:
-                if is_read:
-                    value = yield from client.get(
-                        self.keys[kid], size_hint=spec.value_len
-                    )
-                    self.ledger.observe(kid, value)
-                else:
-                    ver = self.ledger.next_version(kid)
-                    yield from client.put(
-                        self.keys[kid], make_value(kid, ver, spec.value_len)
-                    )
-                    self.ledger.ack(kid, ver)
-            except Interrupt:
-                # Exit cleanly so the run's all_of condition completes
-                # instead of re-raising during the post-crash drain.
-                return
-            except (StoreError, RpcFault, QPError, RDMAError, OperationTimeout):
-                if self.state["crashed"]:
-                    return
+            if not mine:
+                yield "get", int(rng.integers(spec.key_count))
                 continue
-            self.state["completed"] += 1
+            kid = mine[int(rng.integers(len(mine)))]
+            yield ("get" if rng.random() < spec.read_fraction else "put"), kid
 
-    def _cleaning_controller(self) -> Generator[Event, Any, None]:
+    def _cleaner(self) -> Generator[Event, Any, None]:
         """Deterministically trigger one log-cleaning cycle mid-run."""
-        spec, env = self.spec, self.env
         trigger = getattr(self.server, "trigger_cleaning", None)
-        if trigger is None:
-            return
-        try:
-            while (
-                not self.state["crashed"]
-                and self.state["completed"] < spec.clean_after_ops
-            ):
-                yield env.timeout(5_000.0)
-        except Interrupt:
-            return
-        if not self.state["crashed"]:
+        if trigger is not None and (
+            yield from self.loop.until(self.spec.clean_after_ops)
+        ):
             trigger()
 
     def _power_fail(self) -> None:
         """Stop the server machinery and power-fail its node."""
-        self.state["crashed"] = True
-        # Active-process-safe: stop() skips the process we are inside of
-        # (the crash hook's, which dies by its PowerFailure).
-        self.server.stop()
-        self.crash_info["summary"] = self.setup.fabric.crash_node(
-            self.server.node,
-            self.rngs.stream("matrix.crash"),
-            self.spec.evict_probability,
+        self.crash_info["summary"] = self.loop.power_fail(
+            self.rngs.stream("matrix.crash"), self.spec.evict_probability,
             tear_words=True,
         )
 
@@ -460,8 +420,8 @@ class _Instance:
             now,
             self.server.device.capture(like=last and last.device),
             tuple(w for w in flying if w[2] <= now),
-            self.ledger.copy(),
-            1_000.0 if self.state["clients_done"] else 0.0,
+            self.loop.ledger.copy(),
+            1_000.0 if self.clients_done else 0.0,
         )
 
     # -- crashing recovery itself -----------------------------------------------
@@ -528,8 +488,8 @@ class _Instance:
                 and second.keys_rolled_back == 0
                 and second.keys_lost == 0
             )
-        for audit in self.ledger.audit_recovered(
-            self.server, self.keys, STORES[self.spec.store]
+        for audit in self.loop.ledger.audit_recovered(
+            self.server, self.loop.keys, STORES[self.spec.store]
         ):
             result.violations += audit.violations
             result.weaknesses += audit.weaknesses
@@ -714,6 +674,7 @@ def _armed_pass(
 
 def run_crash_matrix(spec: CrashMatrixSpec) -> CrashMatrixReport:
     """Enumerate and execute the full crash-point matrix for ``spec``."""
+    check_shape(spec.n_clients, spec.key_count, spec.evict_probability)
     # 1. counting pass: the universe of crash points
     with _Instance(spec) as counting:
         counting.run_workload()

@@ -5,8 +5,9 @@ reads that never travel backwards (§4.3–4.5, §5.3) — written down once,
 in the durable-linearizability vocabulary: a per-key history with
 *issued*, *acked* and *observed* marks (:class:`KeyLedger`) and one
 judgement of what a key holds afterwards (:meth:`KeyLedger.judge`). The
-crash experiment, the crash-point matrix and the chaos run keep their own
-op loops and feed the same ledger. Values are self-describing
+crash experiment, the crash-point matrix and the chaos run feed the
+ledger only through the one closed-loop driver,
+:class:`repro.harness.scaffold.ClosedLoop`. Values are self-describing
 (:mod:`repro.workloads.keyspace`), so the bytes a store serves say which
 write they came from. Four checks, applied everywhere:
 

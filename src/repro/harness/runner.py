@@ -11,17 +11,14 @@ measured ops over the measurement wall-span.
 
 from __future__ import annotations
 
-from collections.abc import Generator
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.errors import StoreError
 from repro.harness.metrics import LatencyRecorder
-from repro.harness.scaffold import deploy, pool_bytes, preload, version0
-from repro.rdma.rpc import RpcFault
-from repro.sim.kernel import Environment, Event
+from repro.harness.scaffold import (
+    ClosedLoop, check_shape, deploy, pool_bytes, preload, version0,
+)
+from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
-from repro.workloads.keyspace import make_key, make_value
 from repro.workloads.ycsb import WorkloadSpec
 
 __all__ = ["RunSpec", "RunResult", "run_experiment", "size_pool_for"]
@@ -88,6 +85,7 @@ def run_experiment(spec: RunSpec, post_setup=None) -> RunResult:
     before measurement — e.g. Fig 11 uses it to keep log cleaning
     running throughout the measured window.
     """
+    check_shape(spec.n_clients, spec.workload.key_count)
     env = Environment()
     rngs = RngRegistry(spec.seed)
     setup = deploy(
@@ -96,64 +94,34 @@ def run_experiment(spec: RunSpec, post_setup=None) -> RunResult:
     )
 
     w = spec.workload
-    keys = [make_key(k, w.key_len) for k in range(w.key_count)]
-    versions = [0] * w.key_count  # shared monotone version counter per key
-
-    preload(env, setup, version0(keys, w.value_len), settle_ns=spec.settle_ns)
+    recorder = LatencyRecorder()
+    loop = ClosedLoop(
+        env, setup, w.key_count, w.key_len, w.value_len,
+        warmup=spec.warmup_ops, recorder=recorder,
+    )
+    preload(env, setup, version0(loop.keys, w.value_len), settle_ns=spec.settle_ns)
     if post_setup is not None:
         post_setup(env, setup)
 
     # -- measured phase ----------------------------------------------------------
-    recorder = LatencyRecorder()
-    state = {"errors": 0, "start": [float("inf")], "end": [0.0]}
-
-    def client_proc(i: int) -> Generator[Event, Any, None]:
-        client = setup.client(i)
-        rng = rngs.stream(f"client{i}")
-        ops = w.client_stream(rng, spec.warmup_ops + spec.ops_per_client)
-        for j, op in enumerate(ops):
-            measured = j >= spec.warmup_ops
-            if measured:
-                state["start"][0] = min(state["start"][0], env.now)
-            t0 = env.now
-            try:
-                if op.kind == "put":
-                    versions[op.key_id] += 1
-                    value = make_value(op.key_id, versions[op.key_id], w.value_len)
-                    yield from client.put(keys[op.key_id], value)
-                elif op.kind == "rmw":
-                    # YCSB-F: dependent read-then-write of the same key
-                    yield from client.get(keys[op.key_id], size_hint=w.value_len)
-                    versions[op.key_id] += 1
-                    value = make_value(op.key_id, versions[op.key_id], w.value_len)
-                    yield from client.put(keys[op.key_id], value)
-                else:
-                    yield from client.get(keys[op.key_id], size_hint=w.value_len)
-            except (StoreError, RpcFault):
-                state["errors"] += 1
-                continue
-            if measured:
-                recorder.record(op.kind, env.now - t0)
-        state["end"][0] = max(state["end"][0], env.now)
-
-    procs = [
-        env.process(client_proc(i), name=f"client{i}")
-        for i in range(spec.n_clients)
-    ]
+    n_ops = spec.warmup_ops + spec.ops_per_client
+    procs = loop.run(
+        (w.client_stream(rngs.stream(f"client{i}"), n_ops)
+         for i in range(spec.n_clients)),
+        name="client",
+    )
     env.run(env.all_of(procs))
     setup.server.stop()
 
-    pure = sum(getattr(c, "pure_reads", 0) for c in setup.clients)
-    fallback = sum(getattr(c, "fallback_reads", 0) for c in setup.clients)
-    rpc_only = sum(getattr(c, "rpc_only_reads", 0) for c in setup.clients)
-    window = max(0.0, state["end"][0] - state["start"][0])
+    reads = {
+        name: sum(getattr(c, name, 0) for c in setup.clients)
+        for name in ("pure_reads", "fallback_reads", "rpc_only_reads")
+    }
     return RunResult(
         spec=spec,
         latency=recorder,
         measured_ops=recorder.count(),
-        window_ns=window,
-        errors=state["errors"],
-        pure_reads=pure,
-        fallback_reads=fallback,
-        rpc_only_reads=rpc_only,
+        window_ns=max(0.0, env.now - loop.start),
+        errors=loop.failed,
+        **reads,
     )

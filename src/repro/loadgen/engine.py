@@ -40,9 +40,8 @@ from repro.faults.injector import arm_store
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.harness.metrics import LatencyRecorder, summarize
-from repro.harness.scaffold import deploy, pool_bytes, preload
+from repro.harness.scaffold import deploy, issue, pool_bytes, preload
 from repro.loadgen.tenants import TenantSpec
-from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
 from repro.workloads.keyspace import make_key, make_value
@@ -192,20 +191,6 @@ class LoadReport:
         }
 
 
-def _issue(client, kind: str, key: bytes, value, size_hint: int):
-    """One application op as a fresh generator (retry re-invokes it)."""
-    if kind == "put":
-        return client.put(key, value)
-    if kind == "rmw":
-
-        def gen() -> Generator[Event, Any, None]:
-            yield from client.get(key, size_hint=size_hint)
-            yield from client.put(key, value)
-
-        return gen()
-    return client.get(key, size_hint=size_hint)
-
-
 def run_load(spec: LoadSpec) -> LoadReport:
     """Execute one open-loop load run in a fresh simulation."""
     env = Environment()
@@ -291,7 +276,7 @@ def run_load(spec: LoadSpec) -> LoadReport:
                         make_key(base + op.key_id, w.key_len),
                         size_hint=w.value_len,
                     )
-                except (StoreError, RpcFault):
+                except StoreError:
                     continue
 
         warm_procs = []
@@ -353,12 +338,12 @@ def run_load(spec: LoadSpec) -> LoadReport:
                 value = make_value(gid, versions[gid], w.value_len)
             try:
                 yield from client.call_resilient(
-                    lambda k=op.kind, ky=key, v=value: _issue(
+                    lambda k=op.kind, ky=key, v=value: issue(
                         client, k, ky, v, w.value_len
                     ),
                     label=op.kind,
                 )
-            except (StoreError, RpcFault):
+            except StoreError:
                 errors[ti] += 1
                 continue
             # Open-loop latency: from when the op was *due*, so queueing

@@ -135,6 +135,17 @@ def test_media_plans_auto_engage_the_scrubber(plan):
     assert report.scrub["scrubbed"] > 0  # the scrubber really ran
 
 
+def test_a_cluster_scrub_report_counts_every_node():
+    """The report's scrub section and its repair accounting read the
+    same scrubbers: every node's, not node 0's."""
+    r = run_chaos_experiment(ChaosSpec(
+        store="efactory", plan="bitrot-heavy", parity=True, nodes=3,
+        replication=2, seed=7, n_clients=2, ops_per_client=20,
+    ))
+    assert r.repair["detected"] > 0
+    assert r.scrub["corrupt_found"] == r.repair["detected"]
+
+
 def test_rot_pointing_outside_the_pool_still_ends_in_a_report():
     """``python -m repro chaos --plan bitrot-heavy --seeds 13`` (the CLI's
     default shape): a flipped slot-word bit sends the head outside its

@@ -2,7 +2,7 @@
 boundary class, and clean verdicts on the reference store."""
 
 import hashlib
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -12,6 +12,8 @@ from repro.core.config import integrity_overrides
 from repro.harness import crashmatrix
 from repro.harness.crashmatrix import CrashMatrixSpec, run_crash_matrix
 from repro.mem.buffer import CHUNK, PersistentBuffer
+from repro.stores import StoreSetup
+from repro.workloads.keyspace import parse_value
 from tests.mem.test_image_snapshot import flip_one_image
 
 
@@ -47,6 +49,35 @@ def test_matrix_passes_and_covers_every_boundary_class():
     # though we only crashed at two of them
     for site in ("nvm.store64", "nvm.flush", "nvm.persist", "rpc.dispatch"):
         assert rep.site_op_counts.get(site, 0) > 0, site
+
+
+def test_a_client_that_owns_no_key_writes_none(monkeypatch):
+    """Four clients over three keys: the fourth owns no key and only
+    reads, so every key keeps the single writer the oracle's acked and
+    max-read marks rely on."""
+    writers = defaultdict(set)
+    start = StoreSetup.start
+
+    def recording(put, i):
+        def put_and_record(key, value):
+            if parse_value(value)[1] > 0:  # version 0 is the preload
+                writers[key].add(i)
+            return put(key, value)
+
+        return put_and_record
+
+    def start_recording(setup):
+        for i, client in enumerate(setup.clients):
+            client.put = recording(client.put, i)
+        return start(setup)
+
+    monkeypatch.setattr(StoreSetup, "start", start_recording)
+    spec = _spec(n_clients=4, key_count=3, read_fraction=0.0)
+    with crashmatrix._Instance(spec) as inst:
+        inst.run_workload()
+    assert len(writers) == 3
+    assert all(len(ids) == 1 for ids in writers.values()), dict(writers)
+    assert max(inst.loop.ledger.max_read) >= 0  # the keyless client read
 
 
 def test_every_crashed_point_recovers_idempotently():

@@ -140,3 +140,20 @@ def test_crashmatrix(capsys, tmp_path):
     assert payload["violations"] == []
     assert payload["non_idempotent"] == []
     assert payload["total_points"] >= 1
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["chaos", "--keys", "0"], "key_count"),
+        (["chaos", "--clients", "0"], "n_clients"),
+        (["run", "--store", "efactory", "--clients", "0"], "n_clients"),
+        (["crash", "--store", "efactory", "--evict", "1.5"], "evict_probability"),
+    ],
+)
+def test_a_bad_shape_is_a_one_line_error(capsys, argv, field):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro {argv[0]}: error: {field} ")
+    assert captured.err.count("\n") == 1
