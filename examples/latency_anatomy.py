@@ -10,7 +10,7 @@ Run:  python examples/latency_anatomy.py
 
 from repro.analysis.stats import fmt_ns
 from repro.analysis.tables import Table, banner
-from repro.baselines.base import StoreConfig
+from repro.baselines.base import BaseServer
 from repro.crc.cost import CrcCostModel
 from repro.harness.runner import RunSpec, run_experiment
 from repro.nvm.device import NVMTiming
@@ -24,7 +24,6 @@ def analytic() -> None:
     t = FabricTiming()
     n = NVMTiming()
     crc = CrcCostModel()
-    cfg = StoreConfig()
 
     one_sided_small = t.one_sided_rtt_ns(64)
     one_sided_data = t.one_sided_rtt_ns(SIZE)
@@ -39,7 +38,7 @@ def analytic() -> None:
     table.add("one-sided verb (small)", fmt_ns(one_sided_small))
     table.add(f"one-sided verb ({SIZE}B payload)", fmt_ns(one_sided_data))
     table.add("SEND-based RPC round trip (wire only)", fmt_ns(rpc_rtt))
-    table.add("server handler dispatch", fmt_ns(cfg.dispatch_ns))
+    table.add("server handler dispatch", fmt_ns(BaseServer.dispatch_ns))
     table.add(f"CRC over {SIZE}B (the Fig 2 villain)", fmt_ns(crc.cost_ns(SIZE)))
     table.add(f"NVM flush of {SIZE}B (CLWB sweep + fence)", fmt_ns(n.flush_cost(SIZE)))
     table.add(f"NVM memcpy of {SIZE}B (RPC's extra pass)", fmt_ns(n.copy_cost(SIZE)))

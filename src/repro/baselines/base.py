@@ -95,11 +95,13 @@ BATCH_RESPONSE_ITEM_BYTES = 24
 
 @dataclass(frozen=True)
 class StoreConfig:
-    """Capacity and cost model of a store deployment.
+    """Capacity, resources and modelled hardware of a store deployment.
 
-    CPU-cost knobs (ns) name where each scheme spends server cycles;
-    they are shared so that differences between stores come from *which*
-    costs sit on which path, not from tuning each store separately.
+    The server's handler CPU costs are not configured here: they are
+    :class:`BaseServer` class attributes, shared so that differences
+    between stores come from *which* costs sit on which path, not from
+    tuning each store separately. The CRC and NVM cost models stay
+    config: they are the hardware.
     """
 
     # capacity / geometry
@@ -113,19 +115,8 @@ class StoreConfig:
 
     # server resources
     server_cores: int = 4
-    dispatch_ns: float = 400.0
     #: Intel DDIO on the server NIC (True = inbound DMA is volatile).
     ddio: bool = True
-
-    # handler work items
-    alloc_ns: float = 80.0
-    index_ns: float = 60.0
-    header_write_ns: float = 60.0
-    entry_update_ns: float = 20.0
-    #: CPU cost of peeking an object's header/flags before deciding
-    #: (shared by the GET handler's version walk and the background
-    #: verifier).
-    peek_ns: float = 80.0
 
     # eFactory background verification
     verify_timeout_ns: float = 50_000.0
@@ -159,12 +150,11 @@ class StoreConfig:
     admission_watermark: int = 0
 
     # self-healing integrity tier (see repro.integrity)
-    #: XOR-parity stripe size in KiB over each log pool; 0 disables the
-    #: parity/ledger tier entirely (bit-identical legacy layout).
+    #: XOR-parity stripe size in KiB over each log pool, with a
+    #: checksum ledger and a Merkle-over-ledger root the cache-warm
+    #: one-READ GET verifies against; 0 disables the tier entirely
+    #: (bit-identical legacy layout).
     parity_stripe_kb: int = 0
-    #: Maintain a Merkle-over-ledger root with each verifier batch and
-    #: verify cache-warm one-READ GETs against the checksum ledger.
-    integrity_tree: bool = False
 
     # log cleaning
     reserve_fraction: float = 0.1
@@ -190,8 +180,6 @@ class StoreConfig:
             raise ConfigError("bg_batch must be >= 1")
         if self.parity_stripe_kb < 0:
             raise ConfigError("parity_stripe_kb must be >= 0")
-        if self.integrity_tree and self.parity_stripe_kb == 0:
-            raise ConfigError("integrity_tree requires parity_stripe_kb > 0")
         if self.put_batch < 1:
             raise ConfigError("put_batch must be >= 1")
         if self.put_window < 1:
@@ -262,6 +250,21 @@ class BaseServer:
     meta_indirection_ns = 0.0
     #: The config type this scheme is built from.
     config_cls: type[StoreConfig] = StoreConfig
+
+    # handler CPU costs (ns)
+    #: Per-message RPC dispatch.
+    dispatch_ns = 400.0
+    #: Log-head bump of one allocation.
+    alloc_ns = 80.0
+    #: One index probe or insert.
+    index_ns = 60.0
+    #: Writing an object's header and key.
+    header_write_ns = 60.0
+    #: One atomic hash-entry store.
+    entry_update_ns = 20.0
+    #: Peeking an object's header/flags before deciding (the GET
+    #: handler's version walk and the background verifier).
+    peek_ns = 80.0
 
     def __init__(
         self,
@@ -345,19 +348,14 @@ class BaseServer:
         if cfg.parity_stripe_kb > 0:
             for part in self.partitions:
                 part.integrity = PartitionIntegrity(
-                    self.device,
-                    env,
-                    cfg,
-                    part.pools,
-                    base,
-                    tree=cfg.integrity_tree,
+                    self.device, env, cfg, part.pools, base
                 )
                 base = _align(part.integrity.region_end, 4096)
 
         self.rpc = RpcServer(
             env,
             self.node,
-            dispatch_ns=cfg.dispatch_ns,
+            dispatch_ns=self.dispatch_ns,
             concurrent_handlers=cfg.server_cores * n_parts,
         )
         self.sessions: list[ClientSession] = []
@@ -639,12 +637,21 @@ class BaseClient:
                 raise fault
             attempt += 1
             if self.ep.in_error or isinstance(fault, OperationTimeout):
-                yield self.env.timeout(p.reconnect_ns)
-                self.ep.reset()
-                res.note_reconnect()
-                self._reconnected()
+                yield from self._reconnect(res)
             res.note_retry(label, attempt, type(fault).__name__)
             yield self.env.timeout(res.backoff_ns(attempt))
+
+    def _reconnect(self, res) -> Generator[Event, Any, None]:
+        """Re-establish the QP after a fault: wait the policy's
+        ``reconnect_ns``, reset the endpoint, count it, run the hook."""
+        yield self.env.timeout(res.policy.reconnect_ns)
+        self.ep.reset()
+        res.note_reconnect()
+        self._reconnected()
+
+    def reset_endpoints(self) -> None:
+        """Heal the client's QP (the chaos harness's end-of-run heal)."""
+        self.ep.reset()
 
     def _reconnected(self) -> None:
         """Hook: the QP was just re-established after a fault. Subclasses

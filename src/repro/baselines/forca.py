@@ -26,6 +26,7 @@ from repro.baselines.base import (
     RESPONSE_BYTES,
 )
 from repro.kv.hashtable import Slot
+from repro.kv.objects import value_intact
 from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Event
@@ -48,7 +49,7 @@ class ForcaServer(BaseServer):
     ) -> Generator[Event, Any, tuple[Any, int]]:
         cfg = self.config
         key: bytes = msg.payload["key"]
-        yield self.env.timeout(cfg.index_ns + self.meta_indirection_ns)
+        yield self.env.timeout(self.index_ns + self.meta_indirection_ns)
         found = part.lookup_slot(key)
         if found is None:
             return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
@@ -60,7 +61,7 @@ class ForcaServer(BaseServer):
             img = part.read_object(loc)
             # Forca verifies by CRC on *every* read (no durability flag).
             yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-            if img.well_formed and img.key == key and part.object_value_ok(img):
+            if img.key == key and value_intact(img):
                 # ... and persists on the read path before returning.
                 # (No durability flag — Forca re-verifies every read;
                 # that absence is the design gap eFactory closes.)

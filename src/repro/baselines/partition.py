@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections.abc import Generator, Iterator
 from typing import Any, Optional, TYPE_CHECKING
 
-from repro.crc.crc32 import crc32_fast
 from repro.errors import CorruptObjectError, MemoryAccessError, PoolExhaustedError
 from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import (
@@ -47,6 +46,7 @@ from repro.kv.objects import (
     parse_header,
     parse_object,
     unpack_ptr,
+    value_intact,
 )
 from repro.rdma.rpc import ERR_BUSY, ERR_FENCED, rpc_error
 from repro.sim.kernel import Event
@@ -233,18 +233,18 @@ class Partition:
         ``alloc_batch`` handler carves one slab per partition group, so
         only the group's first object pays the log-head bump.
         """
-        cfg = self.config
+        server = self.server
         env = self.env
         pool = self.pools[self.write_pool_id]
         size = object_size(len(key), vlen)
         if charge_alloc:
-            yield env.timeout(cfg.alloc_ns)
+            yield env.timeout(server.alloc_ns)
         offset = pool.allocate(size)
         loc = Slot(pool=pool.pool_id, offset=offset, size=size)
 
         # previous-version link (the version list, §4.2.2)
         fp = key_fingerprint(key)
-        yield env.timeout(cfg.index_ns)
+        yield env.timeout(server.index_ns)
         entry_off = self.table.find_or_create(fp)
         prev = self.table.read_cur(entry_off)
         pre_ptr = pack_ptr(prev.pool, prev.offset) if prev is not None else NULL_PTR
@@ -257,7 +257,7 @@ class Partition:
             pre_ptr=pre_ptr,
             ts=int(env.now),
         )
-        yield env.timeout(cfg.header_write_ns + self.server.meta_indirection_ns)
+        yield env.timeout(server.header_write_ns + server.meta_indirection_ns)
         pool.write(offset, header + key)
 
         # Forward link (§4.2.2 NextPTR): lets the log cleaner find "the
@@ -289,20 +289,20 @@ class Partition:
         # durable *before* the hash entry can point at it — otherwise a
         # crash could naturally evict the entry update while losing the
         # header, severing the version list below an intact version.
-        if self.server.persist_meta:
+        if server.persist_meta:
             yield from self.persist_header(loc, len(key))
         if publish:
             yield from self.publish_object(entry_off, loc)
-        if self.server.persist_meta:
+        if server.persist_meta:
             yield from self.persist_entry_timed(entry_off)
-        self.server.on_allocated(self, loc, entry_off)
+        server.on_allocated(self, loc, entry_off)
         return loc, entry_off
 
     def publish_object(
         self, entry_off: int, loc: Slot
     ) -> Generator[Event, Any, None]:
         """Make the hash entry point at the object (one atomic store)."""
-        yield self.env.timeout(self.config.entry_update_ns)
+        yield self.env.timeout(self.server.entry_update_ns)
         self.table.set_cur(entry_off, loc)
 
     def persist_header(
@@ -346,15 +346,6 @@ class Partition:
     def read_object(self, loc: Slot) -> ObjectImage:
         """Instant state read of an object (timing charged by caller)."""
         return parse_object(self.pools[loc.pool].read(loc.offset, loc.size))
-
-    def object_value_ok(self, img: ObjectImage) -> bool:
-        """Functional CRC verification (the *time* is charged by caller
-        via ``config.crc_cost``)."""
-        return (
-            img.well_formed
-            and img.vlen == len(img.value)
-            and crc32_fast(img.value) == img.crc
-        )
 
     def persist_object(self, loc: Slot) -> Generator[Event, Any, None]:
         """Timed flush of a whole object."""
@@ -410,14 +401,13 @@ class Partition:
         """Unindex ``key`` and invalidate its current version (a DELETE
         request's work, and a migration's deletion delta). False, after
         the index probe, when the key has no current version."""
-        cfg = self.config
-        yield self.env.timeout(cfg.index_ns)
+        yield self.env.timeout(self.server.index_ns)
         found = self.lookup_slot(key)
         if found is None or found[1] is None:
             return False
         entry_off, loc, _alt = found
         img = self.read_object(loc)
-        yield self.env.timeout(cfg.entry_update_ns)
+        yield self.env.timeout(self.server.entry_update_ns)
         self.table.clear_cur(entry_off)
         self.table.clear_alt(entry_off)
         self.table.persist_entry(entry_off)
@@ -428,7 +418,7 @@ class Partition:
             # the index (same store+flush pairing as mark_durable;
             # the flush_cost timeout below already charges the time).
             self.device.flush(self.pools[loc.pool].abs_addr(loc.offset), 8)
-        yield self.env.timeout(cfg.nvm_timing.flush_cost(32))
+        yield self.env.timeout(self.config.nvm_timing.flush_cost(32))
         return True
 
     # -- the version list (§4.2.2) --------------------------------------------
@@ -486,4 +476,4 @@ class Partition:
         if img.durable:
             return img
         yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-        return img if self.object_value_ok(img) else None
+        return img if value_intact(img) else None

@@ -67,7 +67,7 @@ class RpcStoreServer(BaseServer):
         self, part: Partition, msg: Message
     ) -> Generator[Event, Any, tuple[Any, int]]:
         key: bytes = msg.payload["key"]
-        yield self.env.timeout(self.config.index_ns)
+        yield self.env.timeout(self.index_ns)
         found = part.lookup_slot(key)
         if found is None or found[1] is None:
             return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES

@@ -218,8 +218,7 @@ class ClusterNode:
         part = self.server.partitions[p["part"]]
         pool_id = part.write_pool_id
         pool = part.pools[pool_id]
-        cfg = self.server.config
-        yield self.env.timeout(cfg.alloc_ns)
+        yield self.env.timeout(self.server.alloc_ns)
         offs: list[int] = []
         for size in p["sizes"]:
             if not pool.can_fit(size):
@@ -247,8 +246,7 @@ class ClusterNode:
         p = msg.payload
         part = self.server.partitions[p["part"]]
         pool = part.pools[p["pool"]]
-        cfg = self.server.config
-        t = cfg.nvm_timing
+        t = self.server.config.nvm_timing
         done = 0
         for off, size in p["items"]:
             yield from self.server.device.persist(pool.abs_addr(off), size)
@@ -257,7 +255,7 @@ class ClusterNode:
                 continue  # torn in flight; source will see no ack for it
             loc = Slot(pool=p["pool"], offset=off, size=size)
             part.mark_durable(loc, img)
-            yield self.env.timeout(cfg.index_ns)
+            yield self.env.timeout(self.server.index_ns)
             entry_off = part.table.find_or_create(key_fingerprint(img.key))
             part.table.set_cur(entry_off, loc)
             yield from part.persist_entry_timed(entry_off)

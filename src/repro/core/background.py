@@ -28,7 +28,7 @@ from typing import Any, TYPE_CHECKING
 
 from repro.baselines.base import Partition
 from repro.kv.hashtable import Slot
-from repro.kv.objects import FLAG_VALID
+from repro.kv.objects import FLAG_VALID, value_intact
 from repro.sim.kernel import Event, Interrupt, Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -160,7 +160,7 @@ class BackgroundVerifier:
         ok: list[tuple[Slot, Any]] = []
         raws: dict[Slot, bytes] = {}
         for loc in batch:
-            yield self.env.timeout(cfg.peek_ns)
+            yield self.env.timeout(self.server.peek_ns)
             img = part.read_object(loc)
             if not img.well_formed:
                 yield from self._retry_or_invalidate(loc, None)
@@ -170,7 +170,7 @@ class BackgroundVerifier:
                 continue
             yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
             self.verified += 1
-            if part.object_value_ok(img):
+            if value_intact(img):
                 if part.integrity is not None:
                     # Snapshot the verified pre-persist bytes: if the
                     # settling persist itself corrupts the media, these

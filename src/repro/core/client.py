@@ -34,6 +34,7 @@ from typing import Any, Optional
 from repro.baselines.base import BaseClient, GET_REQUEST_OVERHEAD
 from repro.core.config import EFactoryConfig
 from repro.errors import OperationTimeout, QPError
+from repro.integrity import PartitionIntegrity
 from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import NULL_PTR, ObjectImage
 from repro.sim.kernel import Event
@@ -125,10 +126,7 @@ class EFactoryClient(BaseClient):
                     raise
                 res.note_pure_fault(part, self.env.now)
                 if self.ep.in_error:
-                    yield self.env.timeout(res.policy.reconnect_ns)
-                    self.ep.reset()
-                    res.note_reconnect()
-                    self._reconnected()
+                    yield from self._reconnect(res)
                 value = None
             else:
                 if res is not None:
@@ -194,12 +192,11 @@ class EFactoryClient(BaseClient):
         single READ when the location cache still has the key."""
         cached = self._loc_cache.get(key)
         if cached is not None and cached[0] == part:
-            cfg: EFactoryConfig = self.config  # type: ignore[assignment]
-            if cfg.integrity_tree:
+            integ = self.server.partitions[part].integrity
+            if integ is not None:
                 img, raw = yield from self.read_object_with_raw(cached[1], part)
             else:
                 img = yield from self.read_object_at(cached[1], part)
-                raw = None
             if self._img_current(img, key):
                 self.cache_hits += 1
                 if not img.durable:
@@ -207,8 +204,8 @@ class EFactoryClient(BaseClient):
                     # at this same slot, so skip the re-probe and fall
                     # back.
                     return None
-                if raw is not None and not (
-                    yield from self._tree_verify(cached[1], part, raw)
+                if integ is not None and not (
+                    yield from self._tree_verify(integ, cached[1], raw)
                 ):
                     # The image parsed as current but its bytes disagree
                     # with the checksum ledger under the pushed root —
@@ -238,7 +235,7 @@ class EFactoryClient(BaseClient):
         return None  # incomplete / not yet durable: re-read via RPC
 
     def _tree_verify(
-        self, slot: Slot, part: int, raw: bytes
+        self, integ: PartitionIntegrity, slot: Slot, raw: bytes
     ) -> Generator[Event, Any, bool]:
         """End-to-end check of a 1-READ image against the integrity
         tree. In the real system the client holds the signed Merkle root
@@ -246,9 +243,6 @@ class EFactoryClient(BaseClient):
         its cached slots and verifies locally; the sim shortcut consults
         the server-side ledger directly and charges the client-side CRC
         cost, which is the same number of hashed bytes."""
-        integ = self.server.partitions[part].integrity
-        if integ is None:
-            return True
         yield self.env.timeout(self.config.crc_cost.cost_ns(len(raw)))
         return integ.verify_image(slot.pool, slot.offset, raw)
 

@@ -4,37 +4,28 @@ Extends the shared :class:`~repro.baselines.base.StoreConfig` with the
 knobs specific to the paper's design and its extensions, chiefly
 ``recv_batching``: §6.1 attributes eFactory's PUT edge over Erda to
 "multiple receiving regions to optimize the simultaneous processing of
-a batch of packets"; modelled as a multiplier (<1) on the per-message
-dispatch cost.
+a batch of packets"; modelled as a multiplier (<1) on the server's
+per-message ``dispatch_ns``.
 
 The scheme itself is not configured here: persisting metadata before
-the alloc ack (§4.3.1) and the second pool log cleaning needs (§4.4)
-are :class:`~repro.core.server.EFactoryServer` class attributes, and
-"eFactory w/o hr" (§6.1) is :class:`~repro.core.client.EFactoryNoHrClient`.
+the alloc ack (§4.3.1), the second pool log cleaning needs (§4.4) and
+the handler CPU costs are :class:`~repro.core.server.EFactoryServer`
+class attributes, and "eFactory w/o hr" (§6.1) is
+:class:`~repro.core.client.EFactoryNoHrClient`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.baselines.base import StoreConfig
 from repro.errors import ConfigError
 
-__all__ = ["EFactoryConfig", "integrity_overrides"]
+__all__ = ["DEFAULT_PARITY_STRIPE_KB", "EFactoryConfig"]
 
 #: Default stripe size (KiB) the harnesses use when turning the parity
 #: tier on (``repro chaos --parity``, the integrity bench suite).
 DEFAULT_PARITY_STRIPE_KB = 4
-
-
-def integrity_overrides(
-    *, stripe_kb: int = DEFAULT_PARITY_STRIPE_KB, tree: bool = True
-) -> dict[str, Any]:
-    """Config overrides that enable the self-healing integrity tier:
-    XOR parity + checksum ledger, and (by default) the Merkle-over-
-    ledger tree checked on cache-warm one-READ GETs."""
-    return {"parity_stripe_kb": stripe_kb, "integrity_tree": tree}
 
 
 @dataclass(frozen=True)
@@ -65,7 +56,3 @@ class EFactoryConfig(StoreConfig):
             raise ConfigError("recv_batching must be in (0, 1]")
         if self.loc_cache_size < 0:
             raise ConfigError("loc_cache_size must be >= 0")
-
-    @property
-    def effective_dispatch_ns(self) -> float:
-        return self.dispatch_ns * self.recv_batching

@@ -60,6 +60,7 @@ from repro.kv.objects import (
     build_header,
     pack_ptr,
     parse_header,
+    value_intact,
 )
 from repro.sim.kernel import Event, Interrupt, Process
 
@@ -96,33 +97,23 @@ class CleaningStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def _enter_interference(server: "EFactoryServer") -> None:
-    """One more cleaner running: bump the dispatch cost.
+def _interfere(server: "EFactoryServer", delta: int) -> None:
+    """A cleaner starts (+1) or ends (-1): set the dispatch cost for the
+    cleaners now running.
 
-    The base dispatch cost is captured when the first cleaner starts and
-    restored when the last one finishes, so concurrent per-partition
-    cycles compose instead of clobbering each other's save/restore.
+    The cost is always derived from ``server.dispatch_base``, so
+    concurrent per-partition cycles compose, and it returns exactly to
+    the base when the last one ends.
     """
-    if getattr(server, "_active_cleaners", 0) == 0:
-        server._dispatch_base = server.rpc.dispatch_ns
-    server._active_cleaners = getattr(server, "_active_cleaners", 0) + 1
-    _apply_interference(server)
-
-
-def _exit_interference(server: "EFactoryServer") -> None:
-    server._active_cleaners = max(0, server._active_cleaners - 1)
-    _apply_interference(server)
-
-
-def _apply_interference(server: "EFactoryServer") -> None:
-    active = server._active_cleaners
+    server.active_cleaners += delta
+    active = server.active_cleaners
     n = len(server.partitions)
     if active == 0:
-        server.rpc.dispatch_ns = server._dispatch_base
+        server.rpc.dispatch_ns = server.dispatch_base
     elif n == 1:
-        server.rpc.dispatch_ns = server._dispatch_base * _INTERFERENCE
+        server.rpc.dispatch_ns = server.dispatch_base * _INTERFERENCE
     else:
-        server.rpc.dispatch_ns = server._dispatch_base * (
+        server.rpc.dispatch_ns = server.dispatch_base * (
             1.0 + (_INTERFERENCE - 1.0) * active / n
         )
 
@@ -189,7 +180,7 @@ class LogCleaner:
             new.reset()
             if part.integrity is not None:
                 part.integrity.reset_pool(new.pool_id)
-            _enter_interference(self.server)
+            _interfere(self.server, +1)
             try:
                 yield from self._notify("start", await_acks=True)
                 stage1_mark = len(old.allocations)
@@ -202,7 +193,7 @@ class LogCleaner:
                 yield from self._finish(old, new, touched)
                 yield from self._notify("finish", await_acks=False)
             finally:
-                _exit_interference(self.server)
+                _interfere(self.server, -1)
             old.reset()
             if part.integrity is not None:
                 part.integrity.reset_pool(old.pool_id)
@@ -333,7 +324,7 @@ class LogCleaner:
             img = part.read_object(loc)
             while img.well_formed and img.valid and not img.durable:
                 yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-                if part.object_value_ok(img):
+                if value_intact(img):
                     yield from part.persist_object(loc)
                     part.mark_durable(loc, img)
                 elif self.env.now - img.ts <= cfg.verify_timeout_ns:
@@ -375,7 +366,7 @@ class LogCleaner:
                 yield from part.integrity.flush()
 
             # Publish as the cleaning copy; mark the original migrated.
-            yield self.env.timeout(cfg.entry_update_ns)
+            yield self.env.timeout(self.server.entry_update_ns)
             part.table.set_alt(entry_off, new_slot)
             part.table.persist_entry(entry_off)
             if loc.pool == old.pool_id:

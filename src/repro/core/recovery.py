@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.baselines.base import BaseServer, Partition
-from repro.crc.crc32 import crc32_fast
 from repro.errors import RecoveryError
 from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.hopscotch import HopscotchTable, TwoVersions
@@ -46,6 +45,7 @@ from repro.kv.objects import (
     object_size,
     parse_header,
     parse_object,
+    value_intact,
 )
 from repro.sim.kernel import Event
 
@@ -237,8 +237,7 @@ def seed_index_from_pools(
     Returns the number of entries seeded.
     """
     env = server.env
-    cfg = server.config
-    t = cfg.nvm_timing
+    t = server.config.nvm_timing
     best: dict[int, tuple[tuple[int, int], Slot]] = {}
     seq = 0
     for pool_id, pool in enumerate(part.pools):
@@ -259,7 +258,7 @@ def seed_index_from_pools(
             if prev is None or rank > prev[0]:
                 best[fp] = (rank, loc)
     for fp, (_rank, loc) in best.items():
-        yield env.timeout(cfg.index_ns)
+        yield env.timeout(server.index_ns)
         entry_off = part.table.find_or_create(fp)
         part.table.set_cur(entry_off, loc)
     return len(best)
@@ -349,11 +348,7 @@ def recover_erda(server) -> Generator[Event, Any, RecoveryReport]:
                 t.read_cost(size) + server.config.crc_cost.cost_ns(hdr.vlen)
             )
             img = parse_object(pool.read(off, size))
-            if (
-                img.well_formed
-                and img.vlen == len(img.value)
-                and crc32_fast(img.value) == img.crc
-            ):
+            if value_intact(img):
                 winner = off
                 rolled = rolled or attempt > 0
                 break

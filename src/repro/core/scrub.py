@@ -49,7 +49,6 @@ from itertools import islice
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.baselines.partition import Partition, ROTTEN_LOCATION
-from repro.crc.crc32 import crc32_fast
 from repro.errors import RDMAError, StoreError
 from repro.kv.hashtable import ENTRY_SIZE, Slot, key_fingerprint
 from repro.kv.objects import (
@@ -59,6 +58,7 @@ from repro.kv.objects import (
     object_size,
     parse_header,
     parse_object,
+    value_intact,
 )
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Event, Interrupt, Process
@@ -202,7 +202,7 @@ class Scrubber:
                 return  # in-flight write: the verifier's job, not rot
             self.scrubbed += 1
             yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-            if key_fingerprint(img.key) == fp and part.object_value_ok(img):
+            if key_fingerprint(img.key) == fp and value_intact(img):
                 return  # intact
         else:
             # A *published, durable-marked* head whose header no longer
@@ -243,7 +243,7 @@ class Scrubber:
                 break
             if img.well_formed and img.valid and key_fingerprint(img.key) == fp:
                 yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-                if part.object_value_ok(img):
+                if value_intact(img):
                     yield from self._promote(entry_off, loc, img, bad_loc, bad_img)
                     return
 
@@ -263,7 +263,7 @@ class Scrubber:
                 and key_fingerprint(img.key) == fp
             ):
                 yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-                if part.object_value_ok(img):
+                if value_intact(img):
                     yield from self._promote(entry_off, loc, img, bad_loc, bad_img)
                     return
 
@@ -364,12 +364,10 @@ class Scrubber:
             return False
         img = parse_object(raw)
         return (
-            img.well_formed
-            and img.valid
+            img.valid
             and img.durable
             and (fp is None or key_fingerprint(img.key) == fp)
-            and img.vlen == len(img.value)
-            and crc32_fast(img.value) == img.crc
+            and value_intact(img)
         )
 
     def _promote(
@@ -469,7 +467,7 @@ class Scrubber:
         self.scrubbed += 1
         if img is not None and img.well_formed:
             yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-            if part.object_value_ok(img):
+            if value_intact(img):
                 return  # intact
         self.corrupt_found += 1
         if part.integrity is not None and part.integrity.covered(loc):

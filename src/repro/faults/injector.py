@@ -171,41 +171,33 @@ def arm_store(
     rngs: RngRegistry,
     tracer: Optional[Tracer] = None,
 ) -> FaultInjector:
-    """Arm ``plan`` against a deployed :class:`~repro.stores.StoreSetup`.
+    """Arm ``plan`` against a deployed :class:`~repro.stores.StoreSetup`
+    or :class:`~repro.cluster.node.ClusterSetup`.
 
-    Installs one shared injector on the fabric (QP verbs), the server's
-    NVM device (flush spikes), and its RPC dispatch loop (stalls); the
-    background threads reach it through ``server.fabric``.
+    Installs one shared injector on the fabric (QP verbs), each server's
+    NVM device (flush spikes) and RPC dispatch loop (stalls), and the
+    cluster's kill-tick if there is one; the background threads reach it
+    through ``server.fabric``.
     """
     injector = FaultInjector(setup.env, plan, rngs, tracer=tracer)
     setup.fabric.injector = injector
-    cluster = getattr(setup, "cluster", None)
-    if cluster is not None:
-        # Every node's RPC loop and NVM device shares the one injector,
-        # and the cluster's kill-tick polls the ``cluster.*`` sites.
-        for server in cluster.servers:
-            server.rpc.injector = injector
-            if server.device is not None:
-                server.device.injector = injector
-        cluster.arm(injector)
-        return injector
-    setup.server.rpc.injector = injector
-    if setup.server.device is not None:
-        setup.server.device.injector = injector
+    # Every server's RPC loop and NVM device shares the one injector,
+    # and a cluster's kill-tick polls the ``cluster.*`` sites.
+    for server in setup.servers:
+        server.rpc.injector = injector
+        if server.device is not None:
+            server.device.injector = injector
+    if setup.cluster is not None:
+        setup.cluster.arm(injector)
     return injector
 
 
 def disarm_store(setup: Any) -> None:
     """Remove an armed injector; every hook reverts to zero cost."""
     setup.fabric.injector = None
-    cluster = getattr(setup, "cluster", None)
-    if cluster is not None:
-        for server in cluster.servers:
-            server.rpc.injector = None
-            if server.device is not None:
-                server.device.injector = None
-        cluster.disarm()
-        return
-    setup.server.rpc.injector = None
-    if setup.server.device is not None:
-        setup.server.device.injector = None
+    for server in setup.servers:
+        server.rpc.injector = None
+        if server.device is not None:
+            server.device.injector = None
+    if setup.cluster is not None:
+        setup.cluster.disarm()

@@ -175,9 +175,9 @@ def run_chaos_experiment(
         # durability-flag shortcut would serve rot forever.
         overrides["scrub_interval_ns"] = 2_000.0
     if spec.parity:
-        from repro.core.config import integrity_overrides
+        from repro.core.config import DEFAULT_PARITY_STRIPE_KB
 
-        overrides.update(integrity_overrides())
+        overrides["parity_stripe_kb"] = DEFAULT_PARITY_STRIPE_KB
     overrides.update(spec.config_overrides)
     puts = spec.key_count + spec.n_clients * spec.ops_per_client
     setup = deploy(
@@ -236,10 +236,7 @@ def run_chaos_experiment(
     # -- disarm, heal, settle -------------------------------------------------
     disarm_store(setup)
     for client in setup.clients:
-        if hasattr(client, "reset_endpoints"):
-            client.reset_endpoints()  # every per-node QP
-        else:
-            client.ep.reset()  # clear any residual QP error state
+        client.reset_endpoints()  # clear any residual QP error state
     if cluster_mode:
         # Let in-flight promotions/migrations resolve before auditing.
         env.run(
@@ -256,7 +253,7 @@ def run_chaos_experiment(
     # Raw slot reads would misreport legitimately-invalidated versions
     # (publish-on-alloc indexes not-yet-durable objects); the advertised
     # guarantee is about what GET *returns*, so that is what we check.
-    all_servers = list(getattr(setup, "servers", None) or [setup.server])
+    all_servers = setup.servers
     scrubbers = [
         p.scrubber for s in all_servers for p in s.partitions if p.scrubber is not None
     ]
@@ -283,12 +280,8 @@ def run_chaos_experiment(
             weaknesses.extend(verdict.weaknesses)
 
     env.run(env.process(audit(), name="chaos-audit"))
-    cluster_metrics: dict[str, Any] = {}
-    if cluster_mode:
-        cluster_metrics = setup.cluster.metrics()
-        setup.stop()
-    else:
-        setup.server.stop()
+    cluster_metrics = setup.cluster.metrics() if cluster_mode else {}
+    setup.stop()
 
     resilience = sum_counters(c.resilience.snapshot() for c in setup.clients)
     degraded = sum(getattr(c, "degraded_reads", 0) for c in setup.clients)

@@ -102,10 +102,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, NamedTuple, Optional
 
-from repro.errors import PowerFailure
+from repro.errors import ConfigError, PowerFailure
 from repro.faults.injector import FaultInjector, arm_store, disarm_store
 from repro.faults.plan import FaultPlan, FaultRule
-from repro.faults.sites import crash_matrix_sites
+from repro.faults.sites import crash_matrix_sites, is_known_site
 from repro.harness.oracle import KeyLedger
 from repro.harness.scaffold import (
     ClosedLoop, Draw, check_shape, deploy, pool_bytes, preload, recover, settle,
@@ -675,6 +675,15 @@ def _armed_pass(
 def run_crash_matrix(spec: CrashMatrixSpec) -> CrashMatrixReport:
     """Enumerate and execute the full crash-point matrix for ``spec``."""
     check_shape(spec.n_clients, spec.key_count, spec.evict_probability)
+    if spec.max_per_site < 1:
+        raise ConfigError(f"max_per_site must be >= 1, got {spec.max_per_site}")
+    if spec.recovery_points < 0:
+        raise ConfigError(
+            f"recovery_points must be >= 0, got {spec.recovery_points}"
+        )
+    unknown = [site for site in spec.sites if not is_known_site(site)]
+    if unknown:
+        raise ConfigError(f"sites must be registered fault sites, got {unknown}")
     # 1. counting pass: the universe of crash points
     with _Instance(spec) as counting:
         counting.run_workload()

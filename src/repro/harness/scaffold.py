@@ -235,9 +235,7 @@ def settle(
     ``scrub_laps`` further passes over its table, or after ``budget_ns``."""
     deadline = env.now + budget_ns
     # A killed cluster node's backlog can never drain: wait for the live.
-    servers = [
-        s for s in getattr(setup, "servers", None) or [setup.server] if s.node.alive
-    ]
+    servers = [s for s in setup.servers if s.node.alive]
     efactory = [s for s in servers if isinstance(s, EFactoryServer)]
     # Per server: it has made a lap once its slowest partition has, and
     # it is scrubbing if any of its partitions is.

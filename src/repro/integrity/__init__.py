@@ -2,8 +2,8 @@
 
 Per-partition XOR parity over log-pool stripes plus a per-object
 checksum ledger, maintained incrementally by the background verifier,
-with an optional coalesced Merkle-over-ledger mode for end-to-end
-verification on the GET fast path. See :mod:`repro.integrity.tier`.
+with a coalesced Merkle-over-ledger root for end-to-end verification on
+the GET fast path. See :mod:`repro.integrity.tier`.
 """
 
 from repro.integrity.tier import (

@@ -10,8 +10,9 @@ Layout (per partition, per pool, carved after the log pools when
   column is stable across the stripe).
 * **checksum ledger** — one 8-byte slot per ``pool.align`` granule:
   ``(size, crc32)`` of the *covered* object starting at that granule.
-* **root line** — in integrity-tree mode, a CRC over the sorted ledger
-  (a one-level Merkle collapse), persisted with each verifier batch.
+* **root line** — a CRC over the sorted ledger (a one-level Merkle
+  collapse), persisted with each verifier batch; the cache-warm
+  one-READ GET is verified against the ledger under it.
 
 The DRAM copies are authoritative: parity pages and ledger entries are
 kept in memory and written through to NVM so that every update creates
@@ -46,7 +47,7 @@ from collections.abc import Generator
 from typing import Any, Callable, Iterable, Optional
 
 from repro.crc.crc32 import crc32_fast
-from repro.kv.objects import FLAG_DURABLE, OBJECT_HEADER, parse_object
+from repro.kv.objects import FLAG_DURABLE, OBJECT_HEADER, parse_object, value_intact
 from repro.sim.kernel import Event
 
 __all__ = [
@@ -274,10 +275,10 @@ class PoolIntegrity:
     def root_line(self) -> bytes:
         return _ROOT.pack(self.root_value(), len(self.entries)).ljust(ROOT_LINE, b"\x00")
 
-    def drain_dirty(self, tree: bool) -> list[tuple[int, int]]:
-        """Write dirty parity pages / ledger slots (and, in tree mode,
-        the root line) through to NVM; return the (addr, length) ranges
-        that now need a persist."""
+    def drain_dirty(self) -> list[tuple[int, int]]:
+        """Write dirty parity pages / ledger slots / the root line
+        through to NVM; return the (addr, length) ranges that now need a
+        persist."""
         ranges: list[tuple[int, int]] = []
         for stripe in sorted(self.dirty_stripes):
             addr = self.parity_base + stripe * PARITY_PAGE
@@ -291,7 +292,7 @@ class PoolIntegrity:
             self.device.write(addr, blob)
             ranges.append((addr, LEDGER_SLOT))
         self.dirty_slots.clear()
-        if tree and self.root_dirty:
+        if self.root_dirty:
             self.device.write(self.root_base, self.root_line())
             ranges.append((self.root_base, ROOT_LINE))
             self.root_dirty = False
@@ -348,14 +349,11 @@ class PartitionIntegrity:
         config: Any,
         pools: Iterable[Any],
         region_base: int,
-        *,
-        tree: bool = False,
     ) -> None:
         self.device = device
         self.env = env
         self.timing = config.nvm_timing
         self.crc_cost = config.crc_cost
-        self.tree = tree
         self.stripe_bytes = int(config.parity_stripe_kb) * 1024
         self.by_pool: list[PoolIntegrity] = []
         base = region_base
@@ -404,12 +402,7 @@ class PartitionIntegrity:
         pi = self.by_pool[loc.pool]
         media = bytes(pi.pool.read(loc.offset, loc.size))
         img = parse_object(media)
-        if (
-            img is not None
-            and img.well_formed
-            and img.vlen == len(img.value)
-            and crc32_fast(img.value) == img.crc
-        ):
+        if value_intact(img):
             pi.cover(loc.offset, media)
         elif raw is not None and len(raw) == loc.size:
             fixed = bytearray(raw)
@@ -458,7 +451,7 @@ class PartitionIntegrity:
         and persist them as one coalesced run of ranges."""
         ranges: list[tuple[int, int]] = []
         for pi in self.by_pool:
-            ranges.extend(pi.drain_dirty(self.tree))
+            ranges.extend(pi.drain_dirty())
         yield from self._persist_ranges(ranges)
 
     def _persist_ranges(
@@ -499,13 +492,7 @@ class PartitionIntegrity:
                 raw = bytes(pi.pool.read(alloc.offset, alloc.size))
                 total += alloc.size
                 img = parse_object(raw)
-                if (
-                    img is not None
-                    and img.well_formed
-                    and img.durable
-                    and img.vlen == len(img.value)
-                    and crc32_fast(img.value) == img.crc
-                ):
+                if img.durable and value_intact(img):
                     pi.cover(alloc.offset, raw)
             ranges.extend(pi.full_ranges())
         self.rebuilds += 1

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.crc.crc32 import crc32_fast
 from repro.errors import CorruptObjectError
 from repro.mem.layout import StructLayout
 
@@ -51,6 +52,7 @@ __all__ = [
     "parse_header",
     "parse_object",
     "build_header",
+    "value_intact",
 ]
 
 OBJ_MAGIC = 0xEF0B
@@ -191,3 +193,15 @@ def parse_object(raw: bytes | bytearray | memoryview) -> ObjectImage:
             value = bytes(value)
         return ObjectImage(flags, klen, vlen, crc, pre_ptr, nxt_ptr, ts, key, value)
     return ObjectImage(flags, klen, vlen, crc, pre_ptr, nxt_ptr, ts, b"", b"", False)
+
+
+def value_intact(img: ObjectImage) -> bool:
+    """The one intact-value rule: the image parsed, its value has the
+    length its header declares, and the value's CRC matches the header's.
+    Pure: a caller charges the CRC time and adds its own conditions
+    (key, flags, fingerprint)."""
+    return (
+        img.well_formed
+        and img.vlen == len(img.value)
+        and crc32_fast(img.value) == img.crc
+    )

@@ -13,8 +13,8 @@ timing, same geometry; only the scheme differs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Generator
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.baselines import (
@@ -54,8 +54,8 @@ Recovery = Callable[[BaseServer], Generator[Event, Any, RecoveryReport]]
 
 @dataclass(frozen=True)
 class StoreSpec:
-    """How to construct one store flavour: its scheme is its server and
-    client classes; only its cost defaults are config."""
+    """How to construct one store flavour: its scheme, costs included,
+    is its server and client classes."""
 
     name: str
     label: str  # display name used in reports (matches the paper)
@@ -71,13 +71,10 @@ class StoreSpec:
     #: The full recovery pass after a crash; None where nothing is
     #: persisted to recover from (CA).
     recover: Optional[Recovery]
-    #: Config fields this flavour sets away from the shared defaults.
-    defaults: Mapping[str, Any] = field(default_factory=dict)
 
     def config(self, **overrides: Any) -> StoreConfig:
-        """The server's config type over this flavour's defaults;
-        ``overrides`` win."""
-        return self.server_cls.config_cls(**{**self.defaults, **overrides})
+        """The server's config type with ``overrides`` applied."""
+        return self.server_cls.config_cls(**overrides)
 
 
 STORES: dict[str, StoreSpec] = {
@@ -115,9 +112,6 @@ STORES: dict[str, StoreSpec] = {
         "erda", "Erda", ErdaServer, ErdaClient,
         durable_put=False, consistent_get=True, monotonic_reads=False,
         recover=recover_erda,
-        # A hopscotch insert pays more index CPU than a bucket probe
-        # (displacement scans).
-        defaults={"index_ns": 100.0},
     ),
     "forca": StoreSpec(
         "forca", "Forca", ForcaServer, ForcaClient,
@@ -133,13 +127,23 @@ def store_names() -> list[str]:
 
 @dataclass
 class StoreSetup:
-    """A deployed store: one server plus its connected clients."""
+    """A deployed store: one server plus its connected clients.
+
+    ``servers``, ``cluster`` and ``stop`` give it the shape of a
+    :class:`~repro.cluster.node.ClusterSetup`, so a harness drives both
+    through one surface."""
 
     spec: StoreSpec
     env: Environment
     fabric: Fabric
     server: BaseServer
     clients: list[BaseClient]
+    #: A standalone store is no cluster.
+    cluster = None
+
+    @property
+    def servers(self) -> list[BaseServer]:
+        return [self.server]
 
     def client(self, i: int = 0) -> BaseClient:
         return self.clients[i]
@@ -147,6 +151,9 @@ class StoreSetup:
     def start(self) -> "StoreSetup":
         self.server.start()
         return self
+
+    def stop(self) -> None:
+        self.server.stop()
 
 
 def build_store(

@@ -14,7 +14,6 @@ from tests.cluster.conftest import run1, small_cluster
 PARITY = {
     "scrub_interval_ns": 2_000.0,
     "parity_stripe_kb": 4,
-    "integrity_tree": True,
 }
 
 #: 16-byte keys + 160-byte values -> 216-byte objects -> 256-byte log

@@ -110,8 +110,7 @@ def _hash(buf: PersistentBuffer) -> str:
 
 
 def _final_state(setup, released: dict) -> list:
-    servers = getattr(setup, "servers", None) or [setup.server]
-    buffers = [s.device.buffer for s in servers]
+    buffers = [s.device.buffer for s in setup.servers]
     return [
         setup.env.now.hex(),
         setup.env.events_processed,

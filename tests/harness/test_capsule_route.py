@@ -11,7 +11,7 @@ field of every point's verdict to come out equal on both routes.
 
 import pytest
 
-from repro.core.config import integrity_overrides
+from repro.core.config import DEFAULT_PARITY_STRIPE_KB
 from repro.harness import crashmatrix
 from repro.harness.crashmatrix import (
     CrashMatrixSpec,
@@ -65,7 +65,7 @@ SPECS = {
     ),
     "efactory-integrity": CrashMatrixSpec(
         seed=7, ops_per_client=20, max_per_site=1, recovery_points=0,
-        config_overrides=integrity_overrides(),
+        config_overrides={"parity_stripe_kb": DEFAULT_PARITY_STRIPE_KB},
     ),
     # Erda's rpc.dispatch #24 exposes torn values after recovery: the
     # violations must be the same ones on both routes.

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro.mem.buffer as buffer_module
-from repro.core.config import integrity_overrides
+from repro.core.config import DEFAULT_PARITY_STRIPE_KB
 from repro.harness import crashmatrix
 from repro.harness.crashmatrix import CrashMatrixSpec, run_crash_matrix
 from repro.mem.buffer import CHUNK, PersistentBuffer
@@ -94,7 +94,7 @@ def test_matrix_with_parity_recovers_idempotently():
     NVM region rebuild on recovery, so arming it must not cost the
     matrix its idempotence or replay identity."""
     rep = run_crash_matrix(
-        _spec(replay=True, config_overrides=integrity_overrides())
+        _spec(replay=True, config_overrides={"parity_stripe_kb": DEFAULT_PARITY_STRIPE_KB})
     )
     assert rep.ok, (rep.violations, rep.non_idempotent, rep.replay_mismatches)
     assert rep.non_idempotent == []

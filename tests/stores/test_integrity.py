@@ -1,13 +1,10 @@
 """The self-healing integrity tier (PR 8): per-stripe parity + checksum
 ledger let the scrubber rebuild a rotten durable head *in place* —
 keeping the newest acked version — instead of rolling back or clearing.
-The integrity-tree mode adds end-to-end detection on the cache-warm
-1-READ GET path."""
+Its integrity tree adds end-to-end detection on the cache-warm 1-READ
+GET path."""
 
-import pytest
-
-from repro.core.config import integrity_overrides
-from repro.errors import ConfigError
+from repro.core.config import DEFAULT_PARITY_STRIPE_KB
 from repro.integrity import PARITY_PAGE, PoolIntegrity
 from repro.kv.hashtable import key_fingerprint
 from repro.kv.objects import HEADER_SIZE
@@ -18,7 +15,6 @@ from tests.harness.cells import BenchSpec, bench_cell
 PARITY = {
     "scrub_interval_ns": 2_000.0,
     "parity_stripe_kb": 4,
-    "integrity_tree": True,
 }
 
 
@@ -62,10 +58,6 @@ class TestConfig:
         setup = small_store("efactory", env)
         assert setup.server.config.parity_stripe_kb == 0
         assert all(p.integrity is None for p in setup.server.partitions)
-
-    def test_tree_requires_parity(self, env):
-        with pytest.raises(ConfigError):
-            small_store("efactory", env, integrity_tree=True)
 
     def test_parity_on_attaches_the_tier(self, env):
         setup = small_store("efactory", env, parity_stripe_kb=4)
@@ -245,12 +237,12 @@ class TestReconstructingRepair:
 
 class TestIntegrityTree:
     def test_warm_cache_get_detects_rot_end_to_end(self, env):
-        """With the tree on, a cache-warm 1-READ GET re-validates the
+        """With the tier on, a cache-warm 1-READ GET re-validates the
         image against the ledger: rotten bytes are rejected client-side
         instead of being returned."""
         setup = small_store(
             "efactory", env, loc_cache_size=64,
-            parity_stripe_kb=4, integrity_tree=True,
+            parity_stripe_kb=4,
         )
         c = setup.client()
         run1(env, c.put(_key(70), b"E" * 64))
@@ -265,7 +257,7 @@ class TestIntegrityTree:
     def test_intact_warm_gets_pass_the_tree(self, env):
         setup = small_store(
             "efactory", env, loc_cache_size=64,
-            parity_stripe_kb=4, integrity_tree=True,
+            parity_stripe_kb=4,
         )
         c = setup.client()
         run1(env, c.put(_key(71), b"F" * 64))
@@ -274,6 +266,17 @@ class TestIntegrityTree:
             assert run1(env, c.get(_key(71), size_hint=64)) == b"F" * 64
         assert c.tree_rejects == 0
         assert c.cache_hits >= 4
+
+    def test_the_stripe_size_alone_turns_the_tree_on(self, env):
+        """``parity_stripe_kb > 0`` is the whole switch: no second knob
+        is needed for warm GETs to be checked against the ledger."""
+        setup = small_store("efactory", env, loc_cache_size=64, parity_stripe_kb=4)
+        c = setup.client()
+        run1(env, c.put(_key(72), b"G" * 64))
+        _settle(env)
+        for _ in range(3):
+            assert run1(env, c.get(_key(72), size_hint=64)) == b"G" * 64
+        assert setup.server.metrics()["integrity"]["tree_checks"] > 0
 
 
 class TestGarbageAccounting:
@@ -388,7 +391,7 @@ class TestPutOverhead:
         on = bench_cell(
             BenchSpec(
                 bench="put", ops=192, value_len=64,
-                config_overrides=dict(integrity_overrides()),
+                config_overrides={"parity_stripe_kb": DEFAULT_PARITY_STRIPE_KB},
             )
         )
         assert on["ops_per_sec"] >= 0.85 * off["ops_per_sec"], (off, on)

@@ -52,7 +52,7 @@ SECTION_KEYS = {
     "admission": ["watermark", "admitted", "shed", "peak_inflight", "inflight"],
 }
 
-PARITY = {"parity_stripe_kb": 4, "integrity_tree": True}
+PARITY = {"parity_stripe_kb": 4}
 
 
 def _keys(n_parts: int, per_part: int = 10) -> list[bytes]:

@@ -206,6 +206,36 @@ class TestPartitionLocalCleaning:
         assert all(run1(env, check()))
 
 
+    def test_concurrent_cycles_compose_dispatch_interference(self, env):
+        """Each running cycle raises the dispatch cost one step; it falls
+        back step by step and ends exactly at ``dispatch_base``."""
+        setup = small_store("efactory", env, num_partitions=2)
+        server = setup.server
+        self._fill(env, setup)
+        seen: list[tuple[float, int]] = []
+
+        def watch():
+            while True:
+                step = (server.rpc.dispatch_ns, server.active_cleaners)
+                if not seen or seen[-1] != step:
+                    seen.append(step)
+                yield env.timeout(100)
+
+        env.process(watch())
+        first = server.trigger_cleaning(part_id=0)
+        env.run(until=env.now + 2_000)
+        second = server.trigger_cleaning(part_id=1)
+        env.run(env.all_of([first, second]))
+        env.run(until=env.now + 1_000)
+
+        base = server.dispatch_base
+        assert [active for _, active in seen] == [0, 1, 2, 1, 0]
+        costs = [cost for cost, _ in seen]
+        assert costs[0] == base < costs[1] < costs[2]
+        assert costs[3] == costs[1]
+        assert costs[4] == base == server.rpc.dispatch_ns
+
+
 class TestPartitionedRecovery:
     def test_recovery_merges_all_shards(self, env):
         from repro.core.recovery import recover_bucketized

@@ -7,6 +7,7 @@ import pytest
 from repro.core.recovery import recover_bucketized
 from repro.errors import QPError, StoreError
 from repro.kv.hashtable import Slot
+from repro.kv.objects import value_intact
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment
 from tests.conftest import run1, small_store
@@ -209,7 +210,7 @@ class TestCrashSpotCheck:
                     )
                     img = part.read_object(loc)
                     if img.well_formed and img.valid and img.durable:
-                        assert part.object_value_ok(img), (
+                        assert value_intact(img), (
                             f"torn-but-durable object at {crash_after_ns}ns "
                             f"(pool {pool.pool_id} off {alloc.offset})"
                         )

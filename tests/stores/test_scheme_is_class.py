@@ -2,10 +2,11 @@
 
 eFactory's metadata persist before the alloc ack (§4.3.1) and its second
 pool for log cleaning (§4.4), Forca's metadata indirection (§6.1) and
-the "w/o hr" read (§6.1) live on the server and client classes, so a
-server built directly, without the registry, is already its paper
-scheme. ``StoreSpec`` adds only cost defaults (Erda's ``index_ns``) and
-the recovery pass.
+the "w/o hr" read (§6.1) live on the server and client classes, and so
+do the handler CPU costs (Erda's costlier hopscotch ``index_ns``
+included). A server built directly, without the registry, is already
+its paper scheme; ``StoreSpec`` adds only the recovery pass and the
+guarantees a report checks.
 """
 
 from dataclasses import fields
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.baselines import CAServer, ForcaServer, StoreConfig
+from repro.baselines import BaseServer, CAServer, ErdaServer, ForcaServer, StoreConfig
 from repro.core import (
     EFactoryClient,
     EFactoryConfig,
@@ -75,7 +76,7 @@ class TestForcaIndirection:
         server = ForcaServer(env, Fabric(env))
         msg = SimpleNamespace(payload={"key": KEY})  # the handler reads only this
         took = _elapsed(env, server._handle_get_loc(server.partitions[0], msg))
-        assert took == server.config.index_ns + 120.0
+        assert took == server.index_ns + 120.0
 
 
 class TestStoreSpec:
@@ -83,10 +84,32 @@ class TestStoreSpec:
         for spec in STORES.values():
             assert type(spec.config()) is spec.server_cls.config_cls
 
-    def test_erda_index_default_and_override(self):
-        assert STORES["erda"].config().index_ns == 100.0
-        assert STORES["erda"].config(index_ns=55.0).index_ns == 55.0
-        assert STORES["forca"].config().index_ns == StoreConfig().index_ns
+    def test_config_is_the_config_type_default(self):
+        for spec in STORES.values():
+            assert spec.config() == spec.server_cls.config_cls()
+
+    def test_erda_index_default_and_override(self, env):
+        """Erda's costlier hopscotch insert is its class's default; a
+        handler cost is no config field, so there is nothing to override."""
+        assert ErdaServer.index_ns == 100.0
+        assert ForcaServer.index_ns == BaseServer.index_ns == 60.0
+        assert ErdaServer(env, Fabric(env)).index_ns == 100.0
+        with pytest.raises(TypeError):
+            STORES["erda"].config(index_ns=55.0)
+
+    def test_config_fields_are_pinned(self):
+        """A new knob shows up here as a test diff."""
+        assert [f.name for f in fields(StoreConfig)] == [
+            "pool_size", "table_buckets", "slots_per_bucket", "probe_limit",
+            "num_partitions", "server_cores", "ddio", "verify_timeout_ns",
+            "bg_idle_poll_ns", "bg_retry_delay_ns", "bg_batch", "put_batch",
+            "put_window", "scrub_interval_ns", "admission_watermark",
+            "parity_stripe_kb", "reserve_fraction", "crc_cost", "nvm_timing",
+        ]
+        assert [f.name for f in fields(EFactoryConfig)][len(fields(StoreConfig)):] == [
+            "recv_batching", "auto_clean", "adaptive_read", "adaptive_ttl_ns",
+            "loc_cache_size",
+        ]
 
     def test_scheme_facts_are_not_config_fields(self):
         names = {f.name for f in fields(EFactoryConfig)}

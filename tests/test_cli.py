@@ -149,6 +149,11 @@ def test_crashmatrix(capsys, tmp_path):
         (["chaos", "--clients", "0"], "n_clients"),
         (["run", "--store", "efactory", "--clients", "0"], "n_clients"),
         (["crash", "--store", "efactory", "--evict", "1.5"], "evict_probability"),
+        (["crashmatrix", "--max-per-site", "0"], "max_per_site"),
+        (["crashmatrix", "--recovery-points", "-1"], "recovery_points"),
+        (["crashmatrix", "--sites", "nope.site", "--strict"], "sites"),
+        (["run", "--store", "efactory", "--value-size", "8"], "value_len"),
+        (["fig", "9", "--sizes", "0"], "value_len"),
     ],
 )
 def test_a_bad_shape_is_a_one_line_error(capsys, argv, field):
