@@ -523,6 +523,17 @@ def _cmd_crashmatrix(args: argparse.Namespace) -> tuple[str, Any, int]:
             row["bad"] += bool(r.violations)
             row["nonidem"] += not r.idempotent
             row["replay"] += not r.replay_identical
+    # A named site the counting pass never visited was not tested at all:
+    # it gets a 0-point row, and fails --strict.
+    unvisited = [
+        site for site in dict.fromkeys(args.sites or ())
+        if not rep.site_op_counts.get(site, 0)
+    ]
+    for site in unvisited:
+        rows.setdefault(
+            ("workload", site),
+            {"points": 0, "crashed": 0, "bad": 0, "nonidem": 0, "replay": 0},
+        )
     table = Table(
         ["phase", "site", "points", "crashed", "violations",
          "non-idempotent", "replay mismatch"]
@@ -544,7 +555,12 @@ def _cmd_crashmatrix(args: argparse.Namespace) -> tuple[str, Any, int]:
         text += f"\n  VIOLATION {v}"
     for p in rep.non_idempotent[:10]:
         text += f"\n  NON-IDEMPOTENT {p}"
-    status = 1 if (args.strict and not rep.ok) else 0
+    if unvisited:
+        text += (
+            f"\nnever visited by the workload, so never crashed at: "
+            f"{', '.join(unvisited)}"
+        )
+    status = 1 if (args.strict and (unvisited or not rep.ok)) else 0
     return text, rep.as_dict(), status
 
 

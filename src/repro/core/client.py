@@ -133,7 +133,8 @@ class EFactoryClient(BaseClient):
                     res.note_pure_ok(part)
             if value is not None:
                 self.pure_reads += 1
-                self._skip_until.pop(key)
+                if cfg.adaptive_read:
+                    self._skip_until.pop(key)
                 return value
             if cfg.adaptive_read:
                 self._skip_until.put(key, self.env.now + cfg.adaptive_ttl_ns)
@@ -190,7 +191,8 @@ class EFactoryClient(BaseClient):
     ) -> Generator[Event, Any, Optional[bytes]]:
         """Steps 1-4: two one-sided READs + durability-flag check — or a
         single READ when the location cache still has the key."""
-        cached = self._loc_cache.get(key)
+        cache = self._loc_cache
+        cached = cache.get(key) if cache.capacity > 0 else None
         if cached is not None and cached[0] == part:
             integ = self.server.partitions[part].integrity
             if integ is not None:

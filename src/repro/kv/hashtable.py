@@ -115,7 +115,11 @@ class Slot(NamedTuple):
         """Decode a packed slot; ``None`` when the valid bit is clear."""
         if not word >> 63:
             return None
-        return Slot((word >> 62) & 1, (word >> _OFF_BITS) & _SIZE_MASK, word & _OFF_MASK)
+        # Built as the tuple it is: Slot(...) adds the namedtuple's
+        # keyword-argument frame.
+        return tuple.__new__(
+            Slot, ((word >> 62) & 1, (word >> _OFF_BITS) & _SIZE_MASK, word & _OFF_MASK)
+        )
 
 
 @dataclass(frozen=True)

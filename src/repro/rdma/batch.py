@@ -5,10 +5,15 @@ wake-ups: every verb's final timer is its own kernel event, so a 1k-client
 fan-in schedules and dispatches a thousand near-simultaneous timeouts.
 The :class:`CompletionBatcher` coalesces them: a completion wait due at
 time ``t`` wakes at ``ceil(t / bucket_ns) * bucket_ns`` — the next edge
-of the batcher's own fixed time grid (the kernel has none) —
-and **all waits sharing a grid tick are resumed by one kernel event**, in
-registration order. This amortizes scheduling across clients the way
-PR 5's doorbell batching amortized work requests.
+of the batcher's own fixed time grid (the kernel has none). Each occupied
+grid tick is **one plain kernel event**, scheduled once at the tick's
+instant, and every wait on that tick *is* that event: its waiters
+subscribe to it directly, so a lone waiter is resumed by
+:meth:`~repro.sim.kernel.Environment.run`'s sole-waiter path and several
+are resumed by the kernel's dispatch in registration order. No wait
+allocates an event of its own. This amortizes scheduling across clients
+the way doorbell batching (``Endpoint.write_many``) amortizes work
+requests.
 
 The price is an upward latency quantization of strictly less than
 ``bucket_ns`` (default 128 ns) per batched wait. That
@@ -24,6 +29,7 @@ registration order are pure functions of simulated execution.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import ceil
 
 from repro.sim.kernel import Environment, Event
@@ -34,13 +40,21 @@ __all__ = ["CompletionBatcher"]
 class CompletionBatcher:
     """Coalesces completion waits onto a shared time grid.
 
-    One pending kernel event exists per occupied grid tick; its dispatch
-    resumes every wait registered for that tick directly (no per-waiter
-    event is ever scheduled), so ``events per op`` drops as concurrency
-    grows.
+    The tick table maps each occupied grid tick to its event: a plain
+    :class:`~repro.sim.kernel.Event` (never a pooled ``Timeout``, whose
+    recycled object could still sit in the table), succeeded and
+    scheduled at the tick's instant when its first wait registers. Later
+    waits for the tick get the same event, so ``events per op`` drops as
+    concurrency grows. A wait for a tick whose event was already
+    dispatched (possible only at that very instant) gets a fresh event
+    there. Ticks dispatch in tick order, so dispatched ones are dropped
+    from the low end of the table whenever a new tick is armed; the
+    table holds only the ticks of the waits still in flight.
     """
 
-    __slots__ = ("env", "bucket_ns", "_inv", "_ticks", "batches", "batched_waits")
+    __slots__ = (
+        "env", "bucket_ns", "_inv", "_ticks", "_order", "_armed", "batched_waits",
+    )
 
     def __init__(self, env: Environment, bucket_ns: float = 128.0) -> None:
         if bucket_ns <= 0:
@@ -48,58 +62,53 @@ class CompletionBatcher:
         self.env = env
         self.bucket_ns = bucket_ns
         self._inv = 1.0 / bucket_ns
-        #: tick number -> waiter events registered for that grid edge.
-        #: A tick's presence implies one armed kernel event for it.
-        self._ticks: dict[int, list[Event]] = {}
-        #: Grid ticks dispatched (each = one kernel event).
-        self.batches = 0
+        #: tick number -> the kernel event of that grid edge.
+        self._ticks: dict[int, Event] = {}
+        #: Min-heap of the tick numbers in ``_ticks`` (one entry each).
+        self._order: list[int] = []
+        #: Tick events ever scheduled.
+        self._armed = 0
         #: Completion waits that went through the batcher.
         self.batched_waits = 0
 
     def wait_until(self, when: float) -> Event:
-        """An event that succeeds at the first grid edge >= ``when``.
+        """The event that succeeds at the first grid edge >= ``when``.
 
         Yield it where a verb would otherwise ``yield env.timeout_at(when)``.
         """
         tick = ceil(when * self._inv)
-        waiters = self._ticks.get(tick)
-        ev = Event(self.env)
-        if waiters is None:
-            self._ticks[tick] = [ev]
-            self._arm(tick)
-        else:
-            waiters.append(ev)
+        ticks = self._ticks
+        ev = ticks.get(tick)
+        if ev is None or ev.callbacks is None:
+            env = self.env
+            fresh = Event(env)
+            fresh._value = None
+            env.schedule_at(fresh, tick * self.bucket_ns)
+            ticks[tick] = fresh
+            self._armed += 1
+            if ev is None:
+                order = self._order
+                heappush(order, tick)
+                while ticks[order[0]].callbacks is None:
+                    del ticks[heappop(order)]
+            ev = fresh
         self.batched_waits += 1
         return ev
 
-    def _arm(self, tick: int) -> None:
-        env = self.env
-        fire = Event(env)
-        fire._ok = True
-        fire._value = tick
-        fire.callbacks.append(self._fire)
-        env.schedule_at(fire, tick * self.bucket_ns)
-
-    def _fire(self, fire_ev: Event) -> None:
-        """Dispatch one grid tick: resume every registered waiter in
-        registration order, without scheduling per-waiter events."""
-        self.batches += 1
-        for ev in self._ticks.pop(fire_ev._value):
-            callbacks = ev.callbacks
-            if callbacks is None:
-                continue  # defensive: already resolved elsewhere
-            ev._ok = True
-            ev._value = None
-            ev.callbacks = None
-            waiter = ev._waiter
-            if waiter is not None:
-                ev._waiter = None
-                waiter._target = None
-                waiter._step(None, throw=False)
-            for callback in callbacks:
-                callback(ev)
+    @property
+    def batches(self) -> int:
+        """Grid ticks dispatched (each = one kernel event). Every tick
+        event not yet dispatched is still in the table."""
+        return self._armed - sum(
+            ev.callbacks is not None for ev in self._ticks.values()
+        )
 
     @property
     def pending(self) -> int:
-        """Waits currently registered and not yet resumed."""
-        return sum(len(w) for w in self._ticks.values())
+        """Waits currently registered and not yet resumed: the
+        subscribers of the tick events not yet dispatched."""
+        return sum(
+            (ev._waiter is not None) + len(ev.callbacks)
+            for ev in self._ticks.values()
+            if ev.callbacks is not None
+        )

@@ -159,6 +159,10 @@ class Fabric:
         #: that found their engine busy and queued a turn instead.
         self.fastpath_ops = 0
         self.fallback_ops = 0
+        #: Payload bytes -> how long one WR of that size occupies a TX
+        #: engine (``nic_tx_occupancy_ns + timing.serialize_ns(nbytes)``),
+        #: filled by the closed-form legs as sizes first occur.
+        self.tx_busy_ns: dict[int, float] = {}
         #: Cross-client completion batcher
         #: (:class:`repro.rdma.batch.CompletionBatcher`), or None. When
         #: armed, fast-path verbs coalesce their completion wake-ups onto

@@ -280,9 +280,12 @@ class Endpoint:
         """
         fabric = self.fabric
         t = fabric.timing
-        t_wire = node.env.now + (
-            t.nic_tx_occupancy_ns + t.serialize_ns(nbytes) + fabric.jitter()
-        )
+        busy = fabric.tx_busy_ns.get(nbytes)
+        if busy is None:
+            busy = fabric.tx_busy_ns[nbytes] = (
+                t.nic_tx_occupancy_ns + t.serialize_ns(nbytes)
+            )
+        t_wire = node.env.now + (busy + fabric.jitter())
         for n in chain:
             t_wire = t_wire + (t.doorbell_wr_ns + t.serialize_ns(n))
         node.tx_reserved_until = t_wire

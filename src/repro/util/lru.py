@@ -10,6 +10,7 @@ operation sequence.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Any, Callable, Iterator, Optional
 
 __all__ = ["LruMap"]
@@ -91,9 +92,10 @@ class LruMap:
         that ``is_expired(key, value)`` says are dead. Called on the hot
         path, so it scans a bounded prefix instead of the whole map —
         repeated inserts sweep the expired tail out incrementally."""
+        data = self._data
         dropped = 0
-        for key in list(self._data)[:scan_limit]:
-            if is_expired(key, self._data[key]):
-                del self._data[key]
+        for key in list(islice(data, scan_limit)):
+            if is_expired(key, data[key]):
+                del data[key]
                 dropped += 1
         return dropped

@@ -142,6 +142,26 @@ def test_crashmatrix(capsys, tmp_path):
     assert payload["total_points"] >= 1
 
 
+@pytest.mark.parametrize("site", ["cluster.node7", "recovery.step"])
+def test_crashmatrix_named_site_never_visited(capsys, site):
+    """A named site the workload never reaches gets a 0-point row and a
+    one-line note naming it (and only it); --strict then fails."""
+    argv = [
+        "crashmatrix", "--store", "efactory", "--max-per-site", "1",
+        "--recovery-points", "1", "--sites", "nvm.persist", site, "--no-replay",
+    ]
+    assert main(argv) == 0
+    lenient = capsys.readouterr().out
+    assert main(argv + ["--strict"]) == 1
+    out = capsys.readouterr().out
+    assert out == lenient
+    rows = [line.split() for line in out.splitlines()]
+    assert ["workload", site, "0", "0", "0", "0", "0"] in rows
+    assert any(r[:2] == ["workload", "nvm.persist"] and r[2] != "0" for r in rows)
+    notes = [line for line in out.splitlines() if "never visited" in line]
+    assert notes == [f"never visited by the workload, so never crashed at: {site}"]
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [

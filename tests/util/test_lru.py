@@ -1,6 +1,19 @@
 """The bounded LRU map shared by the location cache and skip map."""
 
+from collections import OrderedDict
+
 from repro.util import LruMap
+
+
+class _CountingDict(OrderedDict):
+    """Counts the keys handed out by iteration."""
+
+    iterated = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.iterated += 1
+            yield key
 
 
 class TestBasics:
@@ -97,3 +110,20 @@ class TestSweeps:
         m.put("x", "live")
         assert m.evict_expired(lambda _k, v: v == "dead") == 0
         assert "x" in m
+
+    def test_evict_expired_examines_only_the_oldest_scan_limit(self):
+        m = LruMap(4096)
+        m._data = _CountingDict()
+        for i in range(4096):
+            m.put(i, "dead" if i % 2 else "live")
+        m.get(1)  # refreshed: no longer among the oldest
+        seen = []
+
+        def expired(key, value):
+            seen.append(key)
+            return value == "dead"
+
+        assert m.evict_expired(expired, scan_limit=4) == 1
+        assert seen == [0, 2, 3, 4]
+        assert m._data.iterated == 4  # a prefix, not a copy of every key
+        assert list(m)[:3] == [0, 2, 4] and 3 not in m and 1 in m
