@@ -19,10 +19,10 @@ routing map:
   bytes — at-least-once, never lost-ack.
 * **Re-routing** — transport faults (dead primary), write fences
   (draining migration), and retryable server conditions send the op
-  back through the routing map after ``route_retry_ns``, up to a
-  ``route_timeout_ns`` deadline that comfortably covers a detection +
-  promotion cycle. Non-retryable faults (not_found, protocol errors)
-  propagate immediately.
+  back through the routing map after :attr:`ClusterClient.route_retry_ns`,
+  up to a :attr:`ClusterClient.route_timeout_ns` deadline that
+  comfortably covers a detection + promotion cycle. Non-retryable
+  faults (not_found, protocol errors) propagate immediately.
 """
 
 from __future__ import annotations
@@ -63,6 +63,12 @@ class _SubClient(EFactoryClient):
 
 class ClusterClient:
     """Routing front-end over one sub-client per node."""
+
+    #: Pause between route-refresh retries after a routing failure.
+    route_retry_ns = 20_000.0
+    #: Total deadline for one client op across re-routes (covers a full
+    #: detection + promotion cycle with slack).
+    route_timeout_ns = 10_000_000.0
 
     def __init__(self, env: Environment, cluster: "Cluster", name: str) -> None:
         self.env = env
@@ -124,9 +130,8 @@ class ClusterClient:
     ) -> Generator[Event, Any, Any]:
         """Run ``attempt(sub)`` against the partition's primary,
         re-routing on transport faults / fences until the deadline."""
-        cfg = self.cluster.cfg
         env = self.env
-        deadline = env.now + cfg.route_timeout_ns
+        deadline = env.now + self.route_timeout_ns
         last: Optional[Exception] = None
         while True:
             nid = self._route(part)
@@ -149,9 +154,9 @@ class ClusterClient:
                     raise last
                 raise OperationTimeout(
                     f"{self.name} {label}: partition {part} had no routable "
-                    f"primary within {cfg.route_timeout_ns:.0f}ns"
+                    f"primary within {self.route_timeout_ns:.0f}ns"
                 )
-            yield env.timeout(cfg.route_retry_ns)
+            yield env.timeout(self.route_retry_ns)
 
     # -- ops -----------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> Generator[Event, Any, None]:

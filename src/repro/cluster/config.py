@@ -4,8 +4,18 @@ Separate from :class:`~repro.core.config.EFactoryConfig` on purpose: the
 per-node store config describes *one* server's geometry and timing and
 is shared byte-for-byte by every replica (shipped log records land at
 identical offsets only because the pool layout is identical), while this
-dataclass describes the topology and the replication/failover/migration
-protocol knobs layered on top.
+dataclass describes the topology layered on top, plus the two protocol
+settings a deployment chooses.
+
+The protocol's fixed timings live with the code that runs them: the
+shipping batch and poll periods on
+:class:`~repro.cluster.replicator.LogShipper`, the ack gate's wait in
+:mod:`repro.cluster.replicator`, heartbeats on
+:class:`~repro.cluster.failover.FailureDetector`, the promotion grace in
+:mod:`repro.cluster.failover`, the migration batch in
+:mod:`repro.cluster.migration`, re-routing on
+:class:`~repro.cluster.client.ClusterClient` and the node-kill tick on
+:class:`~repro.cluster.node.Cluster`.
 """
 
 from __future__ import annotations
@@ -25,52 +35,13 @@ class ClusterConfig:
     #: Copies per partition, primary included. 1 disables replication:
     #: puts ack exactly as on a standalone server.
     replication_factor: int = 2
-
-    # -- log shipping -------------------------------------------------------
-    #: Max records per doorbell-batched WRITE chain to each backup.
-    ship_batch: int = 8
-    #: Shipper poll period while the log is idle.
-    ship_interval_ns: float = 20_000.0
-    #: Backoff after a failed ship round (dead/unreachable backup).
-    ship_retry_ns: float = 50_000.0
-    #: How long a put's ``repl_wait`` polls the watermark before giving
-    #: up with a retryable ``replication_lag`` error.
-    repl_wait_timeout_ns: float = 500_000.0
-    #: Watermark poll period inside ``repl_wait``.
-    repl_poll_ns: float = 5_000.0
-
-    # -- failure detection / failover --------------------------------------
-    #: Period between ping sweeps.
-    heartbeat_interval_ns: float = 100_000.0
-    #: Per-ping deadline before it counts as a miss.
-    heartbeat_timeout_ns: float = 40_000.0
-    #: Consecutive misses before a node is declared dead.
-    miss_threshold: int = 3
-    #: Settling delay between declaring a node dead and starting the
-    #: promotions (lets in-flight writes to the dead node resolve).
-    failover_grace_ns: float = 10_000.0
     #: Re-run recovery after promoting and assert the second pass is a
     #: no-op on the partition image (byte-identical idempotence). Costs
     #: a full extra pass; chaos tests switch it on.
     verify_promotion: bool = False
-
-    # -- migration ----------------------------------------------------------
-    #: Records per mig_alloc/WRITE-chain/mig_commit round.
-    migrate_batch: int = 16
-    #: Drain window: how long the source stays write-fenced before the
-    #: delta pass (in-flight client WRITEs land within this window).
+    #: Drain window: how long a migration's source stays write-fenced
+    #: before the delta pass (in-flight client WRITEs land within it).
     drain_grace_ns: float = 30_000.0
-
-    # -- cluster client -----------------------------------------------------
-    #: Pause between route-refresh retries after a routing failure.
-    route_retry_ns: float = 20_000.0
-    #: Total deadline for one client op across re-routes (covers a full
-    #: detection + promotion cycle with slack).
-    route_timeout_ns: float = 10_000_000.0
-
-    # -- fault hooks --------------------------------------------------------
-    #: Poll period of the node-kill injection tick (armed chaos only).
-    kill_poll_ns: float = 10_000.0
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -80,9 +51,3 @@ class ClusterConfig:
                 "replication_factor must be in [1, n_nodes] "
                 f"(got {self.replication_factor} with {self.n_nodes} nodes)"
             )
-        if self.ship_batch < 1:
-            raise ConfigError("ship_batch must be >= 1")
-        if self.migrate_batch < 1:
-            raise ConfigError("migrate_batch must be >= 1")
-        if self.miss_threshold < 1:
-            raise ConfigError("miss_threshold must be >= 1")

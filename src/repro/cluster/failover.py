@@ -49,8 +49,20 @@ __all__ = [
 ]
 
 
+#: Settling delay between declaring a node dead and starting the
+#: promotions (lets in-flight writes to the dead node resolve).
+_FAILOVER_GRACE_NS = 10_000.0
+
+
 class FailureDetector:
     """Seeded, deterministic heartbeat monitor."""
+
+    #: Period between ping sweeps.
+    heartbeat_interval_ns = 100_000.0
+    #: Per-ping deadline before it counts as a miss.
+    heartbeat_timeout_ns = 40_000.0
+    #: Consecutive misses before a node is declared dead.
+    miss_threshold = 3
 
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
@@ -89,11 +101,10 @@ class FailureDetector:
         return True
 
     def _run(self) -> Generator[Event, Any, None]:
-        cfg = self.cluster.cfg
         env = self.env
         try:
             while True:
-                yield env.timeout(cfg.heartbeat_interval_ns)
+                yield env.timeout(self.heartbeat_interval_ns)
                 # Probe sequentially in node order: deterministic event
                 # sequence for a given seed/topology.
                 for node in self.cluster.nodes:
@@ -104,7 +115,7 @@ class FailureDetector:
                     proc = env.process(
                         self._ping(nid), name=f"ping:node{nid}"
                     )
-                    timer = env.timeout(cfg.heartbeat_timeout_ns)
+                    timer = env.timeout(self.heartbeat_timeout_ns)
                     outcome = yield (proc | timer)
                     ok = bool(proc in outcome and proc.value)
                     if proc.is_alive:
@@ -113,7 +124,7 @@ class FailureDetector:
                         self.misses[nid] = 0
                         continue
                     self.misses[nid] += 1
-                    if self.misses[nid] >= cfg.miss_threshold:
+                    if self.misses[nid] >= self.miss_threshold:
                         self.deaths_declared += 1
                         self.cluster.on_node_dead(nid)
         except Interrupt:
@@ -150,7 +161,7 @@ def promote_partition(
         return
     # Let straggler in-flight WRITEs aimed at the dead primary resolve
     # (they tear against the dead node, never against us).
-    yield env.timeout(cfg.failover_grace_ns)
+    yield env.timeout(_FAILOVER_GRACE_NS)
     server = node.server
     part = server.partitions[part_id]
     yield from seed_index_from_pools(server, part)

@@ -64,6 +64,8 @@ MIG_ALLOC_ITEM_BYTES = 8
 MIG_COMMIT_OVERHEAD = 24
 MIG_COMMIT_ITEM_BYTES = 12
 MIG_DROP_OVERHEAD = 24
+#: Records per mig_alloc / WRITE-chain / mig_commit round.
+_MIGRATE_BATCH = 16
 
 
 def _latest_intact(
@@ -195,7 +197,7 @@ def migrate_partition(
                 continue
             batch.append(found)
             copied.append(found[1].key)
-            if len(batch) >= cfg.migrate_batch:
+            if len(batch) >= _MIGRATE_BATCH:
                 yield from _copy_batch(
                     cluster, src, dst_id, part_id, batch, stats
                 )
@@ -238,7 +240,7 @@ def migrate_partition(
             if found is None:
                 continue
             batch.append(found)
-            if len(batch) >= cfg.migrate_batch:
+            if len(batch) >= _MIGRATE_BATCH:
                 yield from _copy_batch(
                     cluster, src, dst_id, part_id, batch, stats
                 )

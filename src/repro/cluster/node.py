@@ -33,7 +33,6 @@ from repro.errors import ConfigError
 from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import parse_object
 from repro.rdma.fabric import Fabric
-from repro.rdma.latency import FabricTiming
 from repro.rdma.qp import Endpoint
 from repro.rdma.rpc import (
     ERR_NOT_FOUND,
@@ -327,6 +326,9 @@ class ClusterNode:
 class Cluster:
     """The whole deployment: nodes + router + detector + fault hook."""
 
+    #: Poll period of the node-kill injection tick (armed chaos only).
+    kill_poll_ns = 10_000.0
+
     def __init__(
         self,
         env: Environment,
@@ -483,7 +485,7 @@ class Cluster:
                     )
                     if act is not None and act.kind == "node_kill":
                         self.kill_node(node.node_id)
-                yield self.env.timeout(self.cfg.kill_poll_ns)
+                yield self.env.timeout(self.kill_poll_ns)
         except Interrupt:
             return
 
@@ -547,8 +549,6 @@ def build_cluster(
     *,
     nodes: int = 3,
     replication: int = 2,
-    fabric: Optional[Fabric] = None,
-    fabric_timing: Optional[FabricTiming] = None,
     config_overrides: Optional[dict[str, Any]] = None,
     cluster_overrides: Optional[dict[str, Any]] = None,
     n_clients: int = 1,
@@ -578,7 +578,7 @@ def build_cluster(
         **(cluster_overrides or {}),
     )
     store_config = EFactoryConfig(**overrides)
-    fabric = fabric or Fabric(env, timing=fabric_timing)
+    fabric = Fabric(env)
     cluster = Cluster(env, fabric, cluster_cfg, store_config)
     from repro.cluster.client import ClusterClient  # import cycle
 

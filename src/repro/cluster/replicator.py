@@ -22,10 +22,10 @@ window expired (an abandoned client write; it can never ack, so it is
 shipped as-is rather than letting it dam the watermark forever).
 
 Failure semantics: a ship round that cannot reach a backup retries
-after ``ship_retry_ns`` without advancing the watermark — repl_waits
-behind it observe ``replication_lag`` until the failure detector
-removes the dead backup from the route, at which point the round's
-target set shrinks and acks resume at degraded redundancy. Lost
+after :attr:`LogShipper.ship_retry_ns` without advancing the watermark
+— repl_waits behind it observe ``replication_lag`` until the failure
+detector removes the dead backup from the route, at which point the
+round's target set shrinks and acks resume at degraded redundancy. Lost
 redundancy is *not* re-established by re-replicating to a new backup
 (documented limitation; the route simply carries fewer replicas).
 
@@ -70,8 +70,22 @@ REPL_WAIT_BYTES = 32
 REPAIR_FETCH_BYTES = 28
 
 
+#: How long a put's ``repl_wait`` polls the watermark before giving up
+#: with a retryable ``replication_lag`` error.
+_REPL_WAIT_TIMEOUT_NS = 500_000.0
+#: Watermark poll period inside ``repl_wait``.
+_REPL_POLL_NS = 5_000.0
+
+
 class LogShipper:
     """Ships one partition's log from its primary to the live backups."""
+
+    #: Max records per doorbell-batched WRITE chain to each backup.
+    ship_batch = 8
+    #: Poll period while the log is idle.
+    ship_interval_ns = 20_000.0
+    #: Backoff after a failed ship round (dead/unreachable backup).
+    ship_retry_ns = 50_000.0
 
     def __init__(self, node: "ClusterNode", part_id: int) -> None:
         self.node = node
@@ -149,7 +163,6 @@ class LogShipper:
         ]
 
     def _run(self) -> Generator[Event, Any, None]:
-        cfg = self.cluster.cfg
         env = self.env
         try:
             while True:
@@ -162,16 +175,15 @@ class LogShipper:
                     # the watermark and retry; the failure detector will
                     # shrink the target set if the backup is gone.
                     self.failed_rounds += 1
-                    yield env.timeout(cfg.ship_retry_ns)
+                    yield env.timeout(self.ship_retry_ns)
                     continue
                 if not advanced:
-                    yield env.timeout(cfg.ship_interval_ns)
+                    yield env.timeout(self.ship_interval_ns)
         except Interrupt:
             return
 
     def _ship_round(self) -> Generator[Event, Any, bool]:
         """One scan-and-ship pass. Returns True when records moved."""
-        cfg = self.cluster.cfg
         env = self.env
         part = self.part
         t = part.config.nvm_timing
@@ -200,11 +212,11 @@ class LogShipper:
 
         pool = part.pools[self.pool_id]
         allocs = pool.allocations
-        hold_window = part.config.verify_timeout_ns + cfg.ship_interval_ns
+        hold_window = part.config.verify_timeout_ns + self.ship_interval_ns
         batch = []
         while (
             self.cursor + len(batch) < len(allocs)
-            and len(batch) < cfg.ship_batch
+            and len(batch) < self.ship_batch
         ):
             a = allocs[self.cursor + len(batch)]
             yield env.timeout(t.read_cost(HEADER_SIZE))
@@ -279,13 +291,12 @@ def repl_wait_loop(
     to wait on and the wait succeeds immediately; the client's next op
     will observe the new epoch.
     """
-    cfg = node.cluster.cfg
     env = node.env
-    deadline = env.now + cfg.repl_wait_timeout_ns
+    deadline = env.now + _REPL_WAIT_TIMEOUT_NS
     while True:
         shipper = node.shippers.get(part_id)
         if shipper is None or shipper.covered(pool, end):
             return True
         if env.now >= deadline:
             return False
-        yield env.timeout(cfg.repl_poll_ns)
+        yield env.timeout(_REPL_POLL_NS)

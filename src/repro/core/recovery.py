@@ -318,15 +318,11 @@ def recover_erda(server) -> Generator[Event, Any, RecoveryReport]:
     report.pool_heads.append(pool.head)
     yield env.timeout(t.read_cost(HEADER_SIZE) * max(1, report.objects_scanned))
 
-    inj = server.device.injector
     for idx in range(table.n_buckets):
         entry = table._read(idx)
         if entry.fp == 0:
             continue
-        if inj is not None:
-            act = inj.fire("recovery.step")
-            if act is not None and act.kind == "pause":
-                yield env.timeout(act.delay_ns)
+        yield from _recovery_step(part)
         yield env.timeout(t.read_cost(16))
         region = TwoVersions.unpack(entry.atomic)
         if region.off1 is None and region.off2 is None:

@@ -23,7 +23,7 @@ from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.errors import RDMAError, StoreError
+from repro.errors import ConfigError, RDMAError, StoreError
 from repro.faults.injector import arm_store, disarm_store
 from repro.faults.plan import FaultPlan
 from repro.faults.plans import shipped_plan
@@ -46,6 +46,8 @@ __all__ = ["ChaosSpec", "ChaosReport", "run_chaos_experiment"]
 #: behavior is a loud miss or an intact older version — never
 #: silently-served rot.
 MEDIA_FAULT_KINDS = frozenset({"nvm_bitrot", "nvm_torn_store"})
+#: Share of a key-owning client's ops that are PUTs (the rest are GETs).
+_PUT_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,6 @@ class ChaosSpec:
     key_count: int = 24
     key_len: int = 16
     value_len: int = 128
-    put_fraction: float = 0.5
     settle_ns: float = 30_000_000.0
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     config_overrides: dict = field(default_factory=dict)
@@ -165,6 +166,10 @@ def run_chaos_experiment(
     plan = plan if plan is not None else shipped_plan(spec.plan, **spec.plan_overrides)
     media_plan = any(rule.kind in MEDIA_FAULT_KINDS for rule in plan.rules)
 
+    if spec.nodes < 1:
+        raise ConfigError(f"nodes must be >= 1, got {spec.nodes}")
+    if spec.replication < 1:
+        raise ConfigError(f"replication must be >= 1, got {spec.replication}")
     cluster_mode = spec.nodes > 1 or spec.replication > 1
     if cluster_mode and spec.store != "efactory":
         raise StoreError("cluster chaos runs require the efactory store")
@@ -214,7 +219,7 @@ def run_chaos_experiment(
         rng = rngs.stream(f"chaos.client{i}")
         mine = [k for k in range(spec.key_count) if k % spec.n_clients == i]
         for _ in range(spec.ops_per_client):
-            if mine and rng.random() < spec.put_fraction:
+            if mine and rng.random() < _PUT_FRACTION:
                 yield "put", mine[int(rng.integers(len(mine)))]
             else:
                 yield "get", int(rng.integers(spec.key_count))

@@ -130,6 +130,10 @@ __all__ = [
 #: is handled separately (phase 5 above).
 DEFAULT_SITES = crash_matrix_sites()
 
+#: Completed-op count at which the harness triggers a log-cleaning cycle
+#: (stores without a cleaner ignore it).
+_CLEAN_AFTER_OPS = 24
+
 
 @dataclass(frozen=True)
 class CrashMatrixSpec:
@@ -143,9 +147,6 @@ class CrashMatrixSpec:
     value_len: int = 96
     ops_per_client: int = 30
     read_fraction: float = 0.3
-    #: Completed-op count at which the harness triggers a log-cleaning
-    #: cycle (stores without a cleaner ignore it).
-    clean_after_ops: int = 24
     evict_probability: float = 0.5
     sites: tuple[str, ...] = DEFAULT_SITES
     #: Crash points per site: the site's op counter is stride-sampled
@@ -393,7 +394,7 @@ class _Instance:
         """Deterministically trigger one log-cleaning cycle mid-run."""
         trigger = getattr(self.server, "trigger_cleaning", None)
         if trigger is not None and (
-            yield from self.loop.until(self.spec.clean_after_ops)
+            yield from self.loop.until(_CLEAN_AFTER_OPS)
         ):
             trigger()
 

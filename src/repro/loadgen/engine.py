@@ -64,16 +64,11 @@ class LoadSpec:
     completion_batching: bool = True
     batch_bucket_ns: float = 128.0
     #: Per-partition admission watermark (0 = off, bit-identical paths).
+    #: Armed, it also attaches retry/backoff to every client: shed
+    #: requests must re-offer.
     admission_watermark: int = 0
-    #: Attach retry/backoff to every client. ``None`` = auto: on exactly
-    #: when admission control is armed (shed requests must re-offer).
-    retry: Optional[bool] = None
     #: Re-salt each client's hot set every N draws (0 = no churn).
     churn_rotate_every: int = 0
-    #: Warm each client's location cache (one unmeasured GET per distinct
-    #: key in its stream) before the open-loop window, so the measured
-    #: phase reflects long-lived steady-state clients.
-    warm_caches: bool = True
     settle_ns: float = 20_000_000.0
     config_overrides: dict = field(default_factory=dict)
     #: Chaos plan armed for the whole run (``loadgen.arrival`` /
@@ -97,12 +92,6 @@ class LoadSpec:
     @property
     def total_clients(self) -> int:
         return sum(t.clients for t in self.tenants)
-
-    @property
-    def retry_enabled(self) -> bool:
-        if self.retry is None:
-            return self.admission_watermark > 0
-        return self.retry
 
 
 @dataclass(frozen=True)
@@ -214,7 +203,7 @@ def run_load(spec: LoadSpec) -> LoadReport:
         arm_store(setup, spec.fault_plan, rngs=rngs.fork("faults"))
     if spec.completion_batching:
         setup.fabric.enable_completion_batching(spec.batch_bucket_ns)
-    if spec.retry_enabled:
+    if spec.admission_watermark > 0:
         # timeout racing would add a process + timer per op at 1k-client
         # scale; faults and ERR_BUSY sheds surface as exceptions anyway.
         policy = RetryPolicy(timeout_ns=0.0)
@@ -263,37 +252,38 @@ def run_load(spec: LoadSpec) -> LoadReport:
             streams.append(ops)
             ci += 1
 
-    if spec.warm_caches:
-
-        def warm(client, w, base: int, ops: list[Op]) -> Generator[Event, Any, None]:
-            seen: set[int] = set()
-            for op in ops:
-                if op.key_id in seen:
-                    continue
-                seen.add(op.key_id)
-                try:
-                    yield from client.get(
-                        make_key(base + op.key_id, w.key_len),
-                        size_hint=w.value_len,
-                    )
-                except StoreError:
-                    continue
-
-        warm_procs = []
-        ci = 0
-        for ti, tenant in enumerate(spec.tenants):
-            for _ in range(tenant.clients):
-                warm_procs.append(
-                    env.process(
-                        warm(
-                            setup.client(ci), tenant.workload,
-                            bases[ti], streams[ci],
-                        ),
-                        name=f"warm{ci}",
-                    )
+    # Warm each client's location cache (one unmeasured GET per distinct
+    # key in its stream) before the open-loop window, so the measured
+    # phase reflects long-lived steady-state clients.
+    def warm(client, w, base: int, ops: list[Op]) -> Generator[Event, Any, None]:
+        seen: set[int] = set()
+        for op in ops:
+            if op.key_id in seen:
+                continue
+            seen.add(op.key_id)
+            try:
+                yield from client.get(
+                    make_key(base + op.key_id, w.key_len),
+                    size_hint=w.value_len,
                 )
-                ci += 1
-        env.run(env.all_of(warm_procs))
+            except StoreError:
+                continue
+
+    warm_procs = []
+    ci = 0
+    for ti, tenant in enumerate(spec.tenants):
+        for _ in range(tenant.clients):
+            warm_procs.append(
+                env.process(
+                    warm(
+                        setup.client(ci), tenant.workload,
+                        bases[ti], streams[ci],
+                    ),
+                    name=f"warm{ci}",
+                )
+            )
+            ci += 1
+    env.run(env.all_of(warm_procs))
 
     # -- measured phase -------------------------------------------------------
     ev0_processed = env.events_processed
@@ -404,7 +394,7 @@ def run_load(spec: LoadSpec) -> LoadReport:
         sim["batched_waits"] = bat.batched_waits
     admission = setup.server.admission_metrics()
     res = {
-        "enabled": spec.retry_enabled,
+        "enabled": spec.admission_watermark > 0,
         "retries": sum(
             c.resilience.retries for c in setup.clients if c.resilience
         ),

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = ["fnv1a_64", "RngRegistry"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -68,6 +70,8 @@ class RngRegistry:
     __slots__ = ("seed", "_streams")
 
     def __init__(self, seed: int = 0) -> None:
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         self.seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
 

@@ -4,6 +4,7 @@ import pytest
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.faults.injector import arm_store
 from repro.faults.plan import FaultPlan
 from repro.faults.plans import shipped_plan_names
@@ -186,3 +187,11 @@ class TestParityChaos:
         assert report.ok, report.violations
         assert report.integrity == {}
         assert report.repair["reconstructed"] == 0
+
+
+@pytest.mark.parametrize("shape", [{"nodes": 0}, {"replication": 0}])
+def test_a_non_positive_cluster_shape_is_rejected(shape):
+    """A shape below one node or one copy is an error, not a silent
+    standalone run."""
+    with pytest.raises(ConfigError, match=f"^{next(iter(shape))} must be >= 1"):
+        run_chaos_experiment(ChaosSpec(store="efactory", plan="qp-flap", **shape))

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from repro.core.recovery import recover_bucketized, recover_erda, scan_pool
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.kv.hashtable import key_fingerprint
 from repro.kv.objects import HEADER_SIZE
 from repro.sim.kernel import Environment
+from repro.sim.rng import RngRegistry
 from repro.workloads.keyspace import make_value, parse_value
 from tests.conftest import run1, small_store
 
@@ -212,6 +215,43 @@ class TestErdaRecovery:
         assert report.keys_lost == 1
         found = server.partitions[0].table.lookup(key_fingerprint(_key(4)))
         assert found is None or found[1].off1 is None
+
+    def test_partition_filtered_step_rule_matches(self):
+        """Erda's index is partition 0, so its recovery steps fire
+        ``recovery.step`` for partition 0 and a rule filtered to it
+        matches. ``pause`` validates against ``bg.*``: the ``*`` pattern
+        is how a plan attaches one here, and the partition filter keeps
+        it off every context-free site."""
+        delay = 5_000.0
+
+        def recovery(rule):
+            env = Environment()
+            setup = small_store("erda", env)
+            server = setup.server
+
+            def work():
+                for i in range(4):
+                    yield from setup.client().put(_key(i), make_value(i, 1, 64))
+
+            run1(env, work())
+            server.device.buffer.flush_all()
+            _crash(setup, evict=0.0)
+            injector = None
+            if rule is not None:
+                plan = FaultPlan("step-pause", (rule,))
+                injector = FaultInjector(env, plan, RngRegistry(1))
+                server.device.injector = injector
+            report = env.run(env.process(recover_erda(server)))
+            return report, injector
+
+        base, _ = recovery(None)
+        rule = FaultRule(kind="pause", site="*", partition=0, delay_ns=delay)
+        paused, injector = recovery(rule)
+        assert paused.keys_recovered == base.keys_recovered == 4
+        assert paused.duration_ns == pytest.approx(base.duration_ns + 4 * delay)
+        assert {(ev.site, ev.partition) for ev in injector.events} == {
+            ("recovery.step", 0)
+        }
 
     def test_wrong_table_type_rejected(self, env):
         setup = small_store("efactory", env)

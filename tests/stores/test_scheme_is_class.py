@@ -6,7 +6,9 @@ the "w/o hr" read (§6.1) live on the server and client classes, and so
 do the handler CPU costs (Erda's costlier hopscotch ``index_ns``
 included). A server built directly, without the registry, is already
 its paper scheme; ``StoreSpec`` adds only the recovery pass and the
-guarantees a report checks.
+guarantees a report checks. The same rule holds for the cluster's
+protocol timings and the harness specs: a value no caller sets is a
+constant of the code that reads it, not a field.
 """
 
 from dataclasses import fields
@@ -23,11 +25,18 @@ from repro.core import (
     recover_bucketized,
     recover_erda,
 )
+from repro.cluster import build_cluster
+from repro.cluster.config import ClusterConfig
 from repro.harness import scaffold
+from repro.harness.chaos import ChaosSpec
+from repro.harness.crashmatrix import CrashMatrixSpec
+from repro.loadgen.engine import LoadSpec, run_load
+from repro.loadgen.tenants import TenantSpec
 from repro.kv.hashtable import key_fingerprint
 from repro.kv.objects import HEADER_SIZE
 from repro.rdma.fabric import Fabric
 from repro.stores import STORES
+from repro.workloads.ycsb import ycsb_b
 from tests.conftest import run1, small_store
 
 KEY = b"scheme-key-0"
@@ -135,3 +144,55 @@ class TestStoreSpec:
         setup = small_store("ca", env)
         run1(env, setup.client().put(KEY, b"v" * 16))
         assert scaffold.recover(setup) is None
+
+
+class TestSpecsArePinned:
+    """Every field below is one some caller sets; a new knob shows up
+    here as a test diff."""
+
+    def test_cluster_config_fields(self):
+        assert [f.name for f in fields(ClusterConfig)] == [
+            "n_nodes", "replication_factor", "verify_promotion", "drain_grace_ns",
+        ]
+
+    def test_a_protocol_timing_is_no_cluster_override(self, env):
+        with pytest.raises(TypeError):
+            build_cluster(env, cluster_overrides={"ship_batch": 4})
+
+    def test_load_spec_fields(self):
+        assert [f.name for f in fields(LoadSpec)] == [
+            "tenants", "store", "seed", "completion_batching", "batch_bucket_ns",
+            "admission_watermark", "churn_rotate_every", "settle_ns",
+            "config_overrides", "fault_plan",
+        ]
+
+    def test_chaos_spec_fields(self):
+        assert [f.name for f in fields(ChaosSpec)] == [
+            "store", "plan", "seed", "n_clients", "ops_per_client", "key_count",
+            "key_len", "value_len", "settle_ns", "policy", "config_overrides",
+            "plan_overrides", "trace", "parity", "nodes", "replication",
+            "cluster_overrides", "migration",
+        ]
+
+    def test_crash_matrix_spec_fields(self):
+        assert [f.name for f in fields(CrashMatrixSpec)] == [
+            "store", "seed", "n_clients", "key_count", "key_len", "value_len",
+            "ops_per_client", "read_fraction", "evict_probability", "sites",
+            "max_per_site", "recovery_points", "replay", "settle_ns",
+            "config_overrides",
+        ]
+
+    @pytest.mark.parametrize("watermark", [0, 2])
+    def test_loadgen_resilience_is_admission(self, watermark):
+        """Clients retry exactly when admission control can shed them."""
+        tenant = TenantSpec(
+            name="t0", workload=ycsb_b(key_count=32, value_len=64),
+            clients=2, ops_per_client=5, rate_ops_s=2 * 100_000.0,
+        )
+        spec = LoadSpec(
+            tenants=(tenant,), admission_watermark=watermark, settle_ns=1_000_000.0
+        )
+        report = run_load(spec).as_dict()
+        assert report["resilience"]["enabled"] is (watermark > 0)
+        with pytest.raises(TypeError):
+            LoadSpec(tenants=(tenant,), retry=True)

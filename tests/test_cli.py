@@ -174,6 +174,13 @@ def test_crashmatrix_named_site_never_visited(capsys, site):
         (["crashmatrix", "--sites", "nope.site", "--strict"], "sites"),
         (["run", "--store", "efactory", "--value-size", "8"], "value_len"),
         (["fig", "9", "--sizes", "0"], "value_len"),
+        (["run", "--store", "efactory", "--seeds", "-1"], "seed"),
+        (["crash", "--store", "efactory", "--seeds", "-1"], "seed"),
+        (["chaos", "--seeds", "-1"], "seed"),
+        (["crashmatrix", "--seed", "-1"], "seed"),
+        (["loadgen", "--seed", "-1"], "seed"),
+        (["chaos", "--plan", "qp-flap", "--nodes", "-2", "--strict"], "nodes"),
+        (["chaos", "--plan", "qp-flap", "--replication", "-1"], "replication"),
     ],
 )
 def test_a_bad_shape_is_a_one_line_error(capsys, argv, field):
