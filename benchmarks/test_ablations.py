@@ -14,6 +14,7 @@ import pytest
 
 from benchmarks.conftest import scaled
 from repro.analysis.tables import Table, banner
+from repro.core import EFactoryServer
 from repro.harness.runner import RunSpec, run_experiment
 from repro.rdma.latency import FabricTiming
 from repro.workloads.ycsb import update_only, ycsb_b
@@ -30,16 +31,17 @@ def _spec(store, workload, **cfg):
     )
 
 
-def test_recv_batching_ablation(benchmark, show):
-    """recv_batching < 1 trims per-request dispatch; with batching
-    disabled eFactory's PUT throughput drops toward the others'."""
+def test_recv_batching_ablation(benchmark, show, monkeypatch):
+    """``EFactoryServer.recv_batching`` < 1 trims per-request dispatch;
+    with batching disabled eFactory's PUT throughput drops toward the
+    others'."""
 
     def run():
         workload = update_only(value_len=256, key_count=512)
         batched = run_experiment(_spec("efactory", workload))
-        unbatched = run_experiment(
-            _spec("efactory", workload, recv_batching=1.0)
-        )
+        with monkeypatch.context() as m:
+            m.setattr(EFactoryServer, "recv_batching", 1.0)
+            unbatched = run_experiment(_spec("efactory", workload))
         return batched.throughput_mops, unbatched.throughput_mops
 
     batched, unbatched = benchmark.pedantic(run, rounds=1, iterations=1)

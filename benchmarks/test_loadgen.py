@@ -61,6 +61,9 @@ def test_multitenant_burst_goodput(show):
     from repro.loadgen.tenants import TenantSpec
     from repro.workloads.ycsb import ycsb_a, ycsb_b
 
+    class Burst8(ArrivalCurve):
+        burst_factor = 8.0
+
     gold = TenantSpec(
         name="gold", workload=ycsb_b(key_count=1024, value_len=128),
         clients=100, ops_per_client=scaled(40),
@@ -70,7 +73,7 @@ def test_multitenant_burst_goodput(show):
         name="bulk", workload=ycsb_a(key_count=1024, value_len=128),
         clients=400, ops_per_client=scaled(40),
         rate_ops_s=400 * 2_000.0, slo_ns=15_000.0,
-        curve=ArrivalCurve(kind="burst", burst_factor=8.0),
+        curve=Burst8(kind="burst"),
     )
     report = run_load(
         LoadSpec(

@@ -29,7 +29,7 @@ Concrete stores subclass these and register/override handlers.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.baselines.partition import RESPONSE_BYTES, Partition
@@ -119,22 +119,11 @@ class StoreConfig:
     ddio: bool = True
 
     # eFactory background verification
-    verify_timeout_ns: float = 50_000.0
-    bg_idle_poll_ns: float = 2_000.0
-    bg_retry_delay_ns: float = 3_000.0
     #: Objects the background verifier drains per pass. At 1 an empty
-    #: pass polls again after ``bg_idle_poll_ns`` (the paper's thread);
-    #: > 1 sleeps until new work arrives and coalesces adjacent flushes.
+    #: pass polls again after ``EFactoryServer.bg_idle_poll_ns`` (the
+    #: paper's thread); > 1 sleeps until new work arrives and coalesces
+    #: adjacent flushes.
     bg_batch: int = 1
-
-    # batched PUT pipeline (put_many)
-    #: Alloc requests coalesced into one ``alloc_batch`` SEND and value
-    #: WRITEs chained per doorbell batch.
-    put_batch: int = 16
-    #: Doorbell batches allowed in flight concurrently: while batch i's
-    #: WRITEs are on the wire the client already issues batch i+1's
-    #: alloc RPC, so independent PUTs overlap instead of serializing.
-    put_window: int = 2
 
     # online media scrubbing (0 = disabled; see repro.core.scrub)
     scrub_interval_ns: float = 0.0
@@ -156,9 +145,6 @@ class StoreConfig:
     #: (bit-identical legacy layout).
     parity_stripe_kb: int = 0
 
-    # log cleaning
-    reserve_fraction: float = 0.1
-
     # cost models
     crc_cost: CrcCostModel = field(default_factory=CrcCostModel)
     nvm_timing: NVMTiming = field(default_factory=NVMTiming)
@@ -168,8 +154,6 @@ class StoreConfig:
             raise ConfigError("pool_size must be positive")
         if self.server_cores < 1:
             raise ConfigError("server_cores must be >= 1")
-        if not 0.0 <= self.reserve_fraction < 1.0:
-            raise ConfigError("reserve_fraction must be in [0, 1)")
         if self.num_partitions < 1:
             raise ConfigError("num_partitions must be >= 1")
         if self.scrub_interval_ns < 0:
@@ -180,19 +164,11 @@ class StoreConfig:
             raise ConfigError("bg_batch must be >= 1")
         if self.parity_stripe_kb < 0:
             raise ConfigError("parity_stripe_kb must be >= 0")
-        if self.put_batch < 1:
-            raise ConfigError("put_batch must be >= 1")
-        if self.put_window < 1:
-            raise ConfigError("put_window must be >= 1")
         if self.table_buckets % self.num_partitions != 0:
             raise ConfigError(
                 "table_buckets must be divisible by num_partitions "
                 f"({self.table_buckets} % {self.num_partitions} != 0)"
             )
-
-    def with_(self, **kw: Any) -> "StoreConfig":
-        """A copy with fields replaced (convenience for experiments)."""
-        return replace(self, **kw)
 
     @property
     def geometry(self) -> HashTableGeometry:
@@ -266,6 +242,12 @@ class BaseServer:
     #: handler's version walk and the background verifier).
     peek_ns = 80.0
 
+    #: How long (ns) an allocated object may wait for its value WRITE
+    #: before the background verifier marks it invalid (§4.3.2); log
+    #: cleaning, the replicator and a client cutting ``put_many`` chunks
+    #: honour the same window.
+    verify_timeout_ns = 50_000.0
+
     def __init__(
         self,
         env: Environment,
@@ -316,13 +298,7 @@ class BaseServer:
             pools: list[LogPool] = []
             pool_mrs: list[MemoryRegion] = []
             for pid in range(n_pools):
-                pool = LogPool(
-                    self.device,
-                    base,
-                    cfg.pool_size,
-                    pool_id=pid,
-                    reserve_fraction=cfg.reserve_fraction,
-                )
+                pool = LogPool(self.device, base, cfg.pool_size, pool_id=pid)
                 pools.append(pool)
                 mr_name = (
                     f"{name}.pool{pid}"
@@ -532,6 +508,15 @@ class BaseServer:
 
 class BaseClient:
     """Common client core: session setup, client-active PUT, GET helpers."""
+
+    # batched PUT pipeline (put_many)
+    #: Alloc requests coalesced into one ``alloc_batch`` SEND and value
+    #: WRITEs chained per doorbell batch.
+    put_batch = 16
+    #: Doorbell batches allowed in flight concurrently: while batch i's
+    #: WRITEs are on the wire the client already issues batch i+1's
+    #: alloc RPC, so independent PUTs overlap instead of serializing.
+    put_window = 2
 
     def __init__(self, env: Environment, server: BaseServer, name: str) -> None:
         self.env = env
@@ -750,11 +735,11 @@ class BaseClient:
     ) -> Generator[Event, Any, None]:
         """PUT many key/value pairs through the amortized pipeline.
 
-        Per chunk of ``config.put_batch`` items (fewer for large values,
+        Per chunk of ``put_batch`` items (fewer for large values,
         :meth:`_put_chunks`): one ``alloc_batch``
         SEND replaces N alloc round trips, then the value WRITEs are
         posted as one doorbell batch with selective signaling
-        (:meth:`Endpoint.write_many`). Up to ``config.put_window``
+        (:meth:`Endpoint.write_many`). Up to ``put_window``
         doorbell batches stay in flight while the client issues the next
         chunk's alloc RPC, so independent PUTs overlap instead of
         serializing. Durability semantics per item are identical to
@@ -787,7 +772,7 @@ class BaseClient:
             # Completion window: block only when put_window batches are
             # already on the wire.
             live = [p for p in outstanding if p.is_alive]
-            while len(live) >= self.config.put_window:
+            while len(live) >= self.put_window:
                 yield self.env.any_of(live)
                 live = [p for p in outstanding if p.is_alive]
             outstanding = live
@@ -803,15 +788,15 @@ class BaseClient:
         """Cut ``items`` into ``alloc_batch`` chunks of ``put_batch``
         items — fewer (never none) when the chunk's client CRCs, which run
         between the grant and the WRITEs, would pass half of
-        ``verify_timeout_ns``: a grant the verifier times out first is an
-        acked PUT lost."""
-        cfg = self.config
-        budget = cfg.verify_timeout_ns / 2 if with_crc else float("inf")
+        the server's ``verify_timeout_ns``: a grant the verifier times out
+        first is an acked PUT lost."""
+        crc_cost = self.config.crc_cost
+        budget = self.server.verify_timeout_ns / 2 if with_crc else float("inf")
         chunks: "list[list[tuple[bytes, bytes]]]" = [[]]
         cost = 0.0
         for item in items:
-            item_cost = cfg.crc_cost.cost_ns(len(item[1]))
-            full = len(chunks[-1]) >= cfg.put_batch or cost + item_cost > budget
+            item_cost = crc_cost.cost_ns(len(item[1]))
+            full = len(chunks[-1]) >= self.put_batch or cost + item_cost > budget
             if chunks[-1] and full:
                 chunks.append([])
                 cost = 0.0

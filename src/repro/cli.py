@@ -24,7 +24,7 @@ from typing import Any, Optional, Sequence
 from repro._version import __version__
 from repro.analysis.stats import fmt_ns
 from repro.analysis.tables import Table, banner
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError
 from repro.faults.plans import NODE_KILL_PLANS, shipped_plan_names
 from repro.harness import experiments as exp
 from repro.harness.chaos import ChaosSpec, run_chaos_experiment
@@ -736,7 +736,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text, payload, status = _cmd_staticcheck(args)
         else:  # pragma: no cover - argparse enforces choices
             return 2
-    except (ConfigError, WorkloadError) as exc:
+    except ConfigError as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -212,7 +212,7 @@ class LogShipper:
 
         pool = part.pools[self.pool_id]
         allocs = pool.allocations
-        hold_window = part.config.verify_timeout_ns + self.ship_interval_ns
+        hold_window = part.server.verify_timeout_ns + self.ship_interval_ns
         batch = []
         while (
             self.cursor + len(batch) < len(allocs)

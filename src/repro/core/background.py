@@ -94,11 +94,12 @@ class BackgroundVerifier:
     # -- the thread ------------------------------------------------------------
     def _loop(self) -> Generator[Event, Any, None]:
         """Drain up to ``bg_batch`` due objects per pass. An empty pass
-        polls again after ``bg_idle_poll_ns`` at ``bg_batch == 1`` (the
-        paper's thread); above that it sleeps until work arrives, then
-        lingers one poll period before draining."""
-        cfg = self.server.config
-        bg_batch = cfg.bg_batch
+        polls again after the server's ``bg_idle_poll_ns`` at
+        ``bg_batch == 1`` (the paper's thread); above that it sleeps
+        until work arrives, then lingers one poll period before
+        draining."""
+        bg_batch = self.server.config.bg_batch
+        idle_poll_ns = self.server.bg_idle_poll_ns
         next_due = self._next_due
         try:
             while True:
@@ -121,15 +122,15 @@ class BackgroundVerifier:
                         # accumulate into one batch, and gathers
                         # near-simultaneous retries into one pass with
                         # adjacent flush runs.
-                        yield from self._idle_wait(cfg)
-                    yield self.env.timeout(cfg.bg_idle_poll_ns)
+                        yield from self._idle_wait()
+                    yield self.env.timeout(idle_poll_ns)
                     continue
                 self.batches += 1
                 yield from self._process_batch(batch)
         except Interrupt:
             return
 
-    def _idle_wait(self, cfg) -> Generator[Event, Any, None]:
+    def _idle_wait(self) -> Generator[Event, Any, None]:
         """Sleep until new work arrives (``enqueue`` fires the armed
         event) or the earliest retry comes due — no fixed-period poll."""
         ev = self.env.event()
@@ -232,7 +233,7 @@ class BackgroundVerifier:
     ) -> Generator[Event, Any, None]:
         cfg = self.server.config
         ts = img.ts if img is not None and img.well_formed else 0
-        if self.env.now - ts > cfg.verify_timeout_ns:
+        if self.env.now - ts > self.server.verify_timeout_ns:
             # The write never completed: mark invalid (§4.3.2); log
             # cleaning reclaims the space.
             if img is not None:
@@ -246,7 +247,7 @@ class BackgroundVerifier:
         self.requeued += 1
         # No yield: a requeue is bookkeeping, not a timed step. The
         # verifier's next step (the next peek) is already timed.
-        self.retry.append((self.env.now + cfg.bg_retry_delay_ns, loc))
+        self.retry.append((self.env.now + self.server.bg_retry_delay_ns, loc))
 
     def stats(self) -> dict[str, int]:
         return {

@@ -50,6 +50,9 @@ ADAPTIVE_SKIP_CAP = 4096
 class EFactoryClient(BaseClient):
     #: The §4.3.3 hybrid read: try the pure-RDMA path first.
     hybrid_read = True
+    #: With ``adaptive_read`` on, how long (ns) a key skips the pure
+    #: attempt after a fallback.
+    adaptive_ttl_ns = 30_000.0
 
     def __init__(self, env, server, name: str) -> None:
         super().__init__(env, server, name)
@@ -137,7 +140,7 @@ class EFactoryClient(BaseClient):
                     self._skip_until.pop(key)
                 return value
             if cfg.adaptive_read:
-                self._skip_until.put(key, self.env.now + cfg.adaptive_ttl_ns)
+                self._skip_until.put(key, self.env.now + self.adaptive_ttl_ns)
                 self._skip_until.evict_expired(
                     lambda _k, until: self.env.now >= until
                 )

@@ -327,7 +327,7 @@ class LogCleaner:
                 if value_intact(img):
                     yield from part.persist_object(loc)
                     part.mark_durable(loc, img)
-                elif self.env.now - img.ts <= cfg.verify_timeout_ns:
+                elif self.env.now - img.ts <= self.server.verify_timeout_ns:
                     yield self.env.timeout(_WAIT_NS)  # in-flight write: wait
                 else:
                     break

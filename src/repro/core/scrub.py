@@ -155,7 +155,7 @@ class Scrubber:
                     else:
                         yield from self._scrub_next()
                 yield self.env.timeout(
-                    max(cfg.scrub_interval_ns, cfg.bg_idle_poll_ns)
+                    max(cfg.scrub_interval_ns, self.server.bg_idle_poll_ns)
                 )
         except Interrupt:
             return

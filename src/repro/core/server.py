@@ -43,6 +43,17 @@ class EFactoryServer(BaseServer):
     #: §4.4: log cleaning copies live objects into the second pool.
     pools_per_partition = 2
     config_cls = EFactoryConfig
+    #: §6.1 credits eFactory's PUT edge over Erda to "multiple receiving
+    #: regions to optimize the simultaneous processing of a batch of
+    #: packets": a multiplier (<1) on the per-message ``dispatch_ns``.
+    recv_batching = 0.5
+
+    # background verifier timings (ns)
+    #: An idle verifier pass (``bg_batch == 1``) polls again after this;
+    #: the scrubber never laps faster than it.
+    bg_idle_poll_ns = 2_000.0
+    #: An object whose value WRITE has not landed is revisited after this.
+    bg_retry_delay_ns = 3_000.0
 
     def __init__(
         self,
@@ -52,11 +63,10 @@ class EFactoryServer(BaseServer):
         name: str = "server",
     ) -> None:
         super().__init__(env, fabric, config, name=name)
-        cfg: EFactoryConfig = self.config  # type: ignore[assignment]
         # Multiple receive regions -> cheaper per-message dispatch (§6.1).
         #: Per-message dispatch cost with no cleaner running; each
         #: running cleaning cycle raises ``rpc.dispatch_ns`` above it.
-        self.dispatch_base = self.dispatch_ns * cfg.recv_batching
+        self.dispatch_base = self.dispatch_ns * self.recv_batching
         self.active_cleaners = 0
         self.rpc.dispatch_ns = self.dispatch_base
         from repro.core.log_cleaning import LogCleaner  # import cycle

@@ -109,7 +109,7 @@ class ConfigError(ReproError):
     """Invalid configuration value."""
 
 
-class WorkloadError(ReproError):
+class WorkloadError(ConfigError):
     """Invalid workload specification."""
 
 

@@ -43,10 +43,20 @@ class FaultKind:
     """One injectable fault type and the sites it may attach to."""
 
     name: str
-    site_pattern: str  # sites a rule of this kind may target
+    site_pattern: str  # a rule's default site; sites it may target
     description: str
     uses_delay: bool = False
     uses_factor: bool = False
+    #: Further site patterns a rule of this kind may target.
+    also_sites: tuple[str, ...] = ()
+
+    def accepts(self, site: str) -> bool:
+        """Whether a rule of this kind may attach to ``site`` (a site
+        or a pattern)."""
+        return any(
+            site_matches(pattern, site) or site_matches(site, pattern)
+            for pattern in (self.site_pattern, *self.also_sites)
+        )
 
 
 #: Registry of injectable faults. ``delay_ns``/``factor`` on a rule are
@@ -95,8 +105,10 @@ FAULT_KINDS: dict[str, FaultKind] = {
             "pause",
             "bg.*",
             "the background thread (verifier, scrubber or cleaner) "
-            "sleeps delay_ns before its next step",
+            "sleeps delay_ns before its next step; at recovery.step, "
+            "recovery sleeps before its next index-repair step",
             uses_delay=True,
+            also_sites=("recovery.step",),
         ),
         FaultKind(
             "nvm_bitrot",
@@ -193,12 +205,13 @@ class FaultRule:
             )
         if not self.site:
             object.__setattr__(self, "site", spec.site_pattern)
-        elif not site_matches(spec.site_pattern, self.site) and not site_matches(
-            self.site, spec.site_pattern
-        ):
+        elif not spec.accepts(self.site):
+            expected = " or ".join(
+                repr(p) for p in (spec.site_pattern, *spec.also_sites)
+            )
             raise ConfigError(
                 f"fault kind {self.kind!r} cannot attach to site {self.site!r} "
-                f"(expects {spec.site_pattern!r})"
+                f"(expects {expected})"
             )
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError("probability must be in [0, 1]")

@@ -1,7 +1,9 @@
 """Client-side resilience: retry/backoff policy and partition health.
 
-:class:`RetryPolicy` is pure configuration; :class:`ClientResilience`
-is the per-client state machine the store clients consult:
+:class:`RetryPolicy` is configuration — the per-attempt deadline is its
+one field, the values below are its class constants;
+:class:`ClientResilience` is the per-client state machine the store
+clients consult:
 
 * **timeout + retry** — each operation attempt races a timeout; a
   transport fault (QP error, dropped completion, timeout) or a
@@ -24,7 +26,7 @@ bit-for-bit as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -36,35 +38,23 @@ __all__ = ["RetryPolicy", "PartitionHealth", "ClientResilience"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Knobs of the client resilience machinery (times in ns)."""
+    """The per-attempt deadline, plus the fixed retry, re-connect and
+    degradation constants of the resilience machinery (times in ns)."""
 
     timeout_ns: float = 2_000_000.0  # per-attempt deadline (0 disables)
-    max_retries: int = 6
-    backoff_base_ns: float = 2_000.0
-    backoff_factor: float = 2.0
-    backoff_max_ns: float = 200_000.0
-    jitter: float = 0.2  # +/- fraction of the backoff, seeded
-    reconnect_ns: float = 5_000.0  # QP teardown + re-establish cost
-    degrade_threshold: int = 3  # consecutive pure-read faults to demote
-    degrade_window_ns: float = 500_000.0  # demotion length before probing
+
+    max_retries: ClassVar[int] = 6
+    backoff_base_ns: ClassVar[float] = 2_000.0
+    backoff_factor: ClassVar[float] = 2.0
+    backoff_max_ns: ClassVar[float] = 200_000.0
+    jitter: ClassVar[float] = 0.2  # +/- fraction of the backoff, seeded
+    reconnect_ns: ClassVar[float] = 5_000.0  # QP teardown + re-establish cost
+    degrade_threshold: ClassVar[int] = 3  # consecutive pure-read faults to demote
+    degrade_window_ns: ClassVar[float] = 500_000.0  # demotion length before probing
 
     def __post_init__(self) -> None:
         if self.timeout_ns < 0:
             raise ConfigError("timeout_ns must be >= 0")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.backoff_base_ns < 0 or self.backoff_max_ns < 0:
-            raise ConfigError("backoff bounds must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigError("jitter must be in [0, 1)")
-        if self.reconnect_ns < 0:
-            raise ConfigError("reconnect_ns must be >= 0")
-        if self.degrade_threshold < 1:
-            raise ConfigError("degrade_threshold must be >= 1")
-        if self.degrade_window_ns < 0:
-            raise ConfigError("degrade_window_ns must be >= 0")
 
 
 class PartitionHealth:

@@ -63,7 +63,6 @@ class ChaosSpec:
     key_len: int = 16
     value_len: int = 128
     settle_ns: float = 30_000_000.0
-    policy: RetryPolicy = field(default_factory=RetryPolicy)
     config_overrides: dict = field(default_factory=dict)
     plan_overrides: dict = field(default_factory=dict)
     trace: bool = False
@@ -76,8 +75,9 @@ class ChaosSpec:
     nodes: int = 1
     replication: int = 1
     cluster_overrides: dict = field(default_factory=dict)
-    #: Optional live migration racing the faulted window:
-    #: ``(part_id, dst_node, at_ns)`` with ``at_ns`` relative to arming.
+    #: Optional live migration racing the faulted window (cluster
+    #: shapes only): ``(part_id, dst_node, at_ns)`` with ``at_ns``
+    #: relative to arming.
     migration: Optional[tuple] = None
 
 
@@ -172,7 +172,13 @@ def run_chaos_experiment(
         raise ConfigError(f"replication must be >= 1, got {spec.replication}")
     cluster_mode = spec.nodes > 1 or spec.replication > 1
     if cluster_mode and spec.store != "efactory":
-        raise StoreError("cluster chaos runs require the efactory store")
+        raise ConfigError(
+            f"store must be efactory for a cluster shape, got {spec.store!r}"
+        )
+    if spec.migration is not None and not cluster_mode:
+        raise ConfigError(
+            "migration needs a cluster shape (nodes or replication > 1)"
+        )
 
     overrides: dict[str, Any] = {}
     if media_plan:
@@ -201,7 +207,7 @@ def run_chaos_experiment(
     )
     for client in setup.clients:
         client.enable_resilience(
-            spec.policy, rngs.stream(f"resilience.{client.name}"), tracer=tracer
+            RetryPolicy(), rngs.stream(f"resilience.{client.name}"), tracer=tracer
         )
 
     loop = ClosedLoop(env, setup, spec.key_count, spec.key_len, spec.value_len)
@@ -226,7 +232,7 @@ def run_chaos_experiment(
 
     procs = loop.run((ops(i) for i in range(spec.n_clients)), name="chaos-client")
     migration_stats: dict[str, Any] = {}
-    if spec.migration is not None and cluster_mode:
+    if spec.migration is not None:
         mig_part, mig_dst, mig_at = spec.migration
 
         def migration_proc() -> Generator[Event, Any, None]:

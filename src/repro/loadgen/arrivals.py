@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import ClassVar, Literal
 
 import numpy as np
 
@@ -41,30 +41,22 @@ class ArrivalCurve:
     rate_factor(t)``. ``constant`` is plain Poisson; ``diurnal`` swings
     ``1 ± amplitude`` over ``period_ns``; ``burst`` runs at
     ``burst_factor``× for the first ``burst_len_ns`` of every
-    ``burst_every_ns`` window and at 1× otherwise.
+    ``burst_every_ns`` window and at 1× otherwise. Only ``kind`` is a
+    field; the shape constants are class attributes (a subclass may
+    override them).
     """
 
     kind: CurveKind = "constant"
     #: diurnal swing as a fraction of the mean rate, in [0, 1].
-    amplitude: float = 0.5
-    period_ns: float = 5_000_000.0
-    burst_factor: float = 4.0
-    burst_every_ns: float = 2_000_000.0
-    burst_len_ns: float = 400_000.0
+    amplitude: ClassVar[float] = 0.5
+    period_ns: ClassVar[float] = 5_000_000.0
+    burst_factor: ClassVar[float] = 4.0
+    burst_every_ns: ClassVar[float] = 2_000_000.0
+    burst_len_ns: ClassVar[float] = 400_000.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "diurnal", "burst"):
             raise ConfigError(f"unknown arrival curve kind {self.kind!r}")
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise ConfigError("amplitude must be in [0, 1]")
-        if self.period_ns <= 0:
-            raise ConfigError("period_ns must be positive")
-        if self.burst_factor < 1.0:
-            raise ConfigError("burst_factor must be >= 1")
-        if self.burst_every_ns <= 0 or self.burst_len_ns <= 0:
-            raise ConfigError("burst window parameters must be positive")
-        if self.burst_len_ns > self.burst_every_ns:
-            raise ConfigError("burst_len_ns must fit inside burst_every_ns")
 
     # -- rate shape ----------------------------------------------------------
     def rate_factor(self, t_ns: float) -> float:

@@ -176,7 +176,7 @@ class RpcServer:
     dispatch_ns:
         CPU time to poll the CQ and demultiplex one message (the paper's
         eFactory reduces this with multiple receive regions — see
-        ``recv_batching`` in the store configs).
+        ``EFactoryServer.recv_batching``).
     concurrent_handlers:
         Max handlers in flight (each still holds the node CPU while
         computing). 1 models a single request-processing thread.

@@ -34,6 +34,14 @@ class TestFaultRule:
         rule = FaultRule("qp_error", site="qp.read")
         assert rule.site == "qp.read"
 
+    def test_pause_attaches_to_recovery_step(self):
+        """Recovery honours a ``pause`` between index-repair steps, so a
+        rule may name that site; the kind's default site stays ``bg.*``."""
+        assert FaultRule("pause", site="recovery.step").site == "recovery.step"
+        assert FaultRule("pause").site == "bg.*"
+        with pytest.raises(ConfigError):
+            FaultRule("pause", site="qp.read")
+
     def test_kind_site_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             FaultRule("nvm_spike", site="qp.write")

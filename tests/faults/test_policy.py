@@ -7,8 +7,10 @@ from repro.errors import ConfigError
 from repro.faults.policy import ClientResilience, RetryPolicy
 
 
-def make_res(**policy_kwargs):
-    policy = RetryPolicy(**policy_kwargs)
+def make_res(**constants):
+    """A resilience state machine under a policy whose class constants
+    are ``constants`` (they are no fields: a subclass overrides them)."""
+    policy = type("TestPolicy", (RetryPolicy,), constants)()
     return ClientResilience(policy, np.random.default_rng(0))
 
 
@@ -28,7 +30,10 @@ class TestRetryPolicy:
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        """A bad deadline is a ``ConfigError``; every other knob is a
+        class constant, so passing one at all is a ``TypeError``."""
+        error = ConfigError if "timeout_ns" in kwargs else TypeError
+        with pytest.raises(error):
             RetryPolicy(**kwargs)
 
 

@@ -45,8 +45,6 @@ class BenchSpec:
     ops: int = 256
     value_len: int = 64
     key_len: int = 16
-    put_batch: int = 16
-    put_window: int = 2
     bg_batch: int = 16
     config_overrides: dict = field(default_factory=dict)
 
@@ -56,8 +54,6 @@ def _deploy(spec: BenchSpec) -> tuple[Environment, StoreSetup]:
     overrides: dict[str, Any] = {
         "table_buckets": 2048,
         "num_partitions": spec.partitions,
-        "put_batch": spec.put_batch,
-        "put_window": spec.put_window,
     }
     if spec.bench == "put_many":
         overrides["bg_batch"] = spec.bg_batch
@@ -92,7 +88,7 @@ def bench_cell(spec: BenchSpec) -> dict[str, Any]:
     def measure_put_many() -> Generator[Event, Any, None]:
         # One wave per put_batch chunk: the wave latency amortized over
         # its items is the per-item cost the pipeline achieves.
-        step = spec.put_batch
+        step = client.put_batch
         for i in range(0, len(items), step):
             wave = items[i : i + step]
             t0 = env.now
@@ -150,8 +146,8 @@ def bench_cell(spec: BenchSpec) -> dict[str, Any]:
         row["cache_hits"] = stats.get("cache_hits", 0)
         row["cache_misses"] = stats.get("cache_misses", 0)
     if spec.bench == "put_many":
-        row["put_batch"] = spec.put_batch
-        row["put_window"] = spec.put_window
+        row["put_batch"] = client.put_batch
+        row["put_window"] = client.put_window
         row["doorbell_batches"] = client.ep.stats.get("doorbell_batches", 0)
         row["alloc_batch_rpcs"] = setup.server.rpc.served_by_op.get(
             "alloc_batch", 0

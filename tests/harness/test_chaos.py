@@ -195,3 +195,10 @@ def test_a_non_positive_cluster_shape_is_rejected(shape):
     standalone run."""
     with pytest.raises(ConfigError, match=f"^{next(iter(shape))} must be >= 1"):
         run_chaos_experiment(ChaosSpec(store="efactory", plan="qp-flap", **shape))
+
+
+def test_a_migration_needs_a_cluster():
+    """A migration on the default one-node shape has nowhere to go: an
+    error, not an ``ok`` report with an empty migration section."""
+    with pytest.raises(ConfigError, match="^migration needs a cluster shape"):
+        run_chaos_experiment(ChaosSpec(migration=(0, 1, 1000.0)))

@@ -30,10 +30,12 @@ class TestConstant:
 
 class TestShapes:
     def test_burst_windows_are_denser(self):
-        curve = ArrivalCurve(
-            kind="burst", burst_factor=8.0,
-            burst_every_ns=10_000.0, burst_len_ns=2_000.0,
-        )
+        class Burst(ArrivalCurve):
+            burst_factor = 8.0
+            burst_every_ns = 10_000.0
+            burst_len_ns = 2_000.0
+
+        curve = Burst(kind="burst")
         t = curve.arrivals(np.random.default_rng(2), 1e-3, 30_000)
         in_burst = (t % 10_000.0) < 2_000.0
         # burst windows are 20% of time but at 8x rate they should
@@ -41,7 +43,11 @@ class TestShapes:
         assert in_burst.mean() > 0.55
 
     def test_diurnal_modulates_rate(self):
-        curve = ArrivalCurve(kind="diurnal", amplitude=1.0, period_ns=100_000.0)
+        class Diurnal(ArrivalCurve):
+            amplitude = 1.0
+            period_ns = 100_000.0
+
+        curve = Diurnal(kind="diurnal")
         t = curve.arrivals(np.random.default_rng(4), 1e-3, 50_000)
         phase = (t % 100_000.0) / 100_000.0
         rising = ((phase > 0.05) & (phase < 0.45)).sum()  # sin > 0
@@ -49,7 +55,8 @@ class TestShapes:
         assert rising > 2 * falling
 
     def test_rate_factor_bounds(self):
-        c = ArrivalCurve(kind="diurnal", amplitude=0.5)
+        c = ArrivalCurve(kind="diurnal")
+        assert c.amplitude == 0.5
         for frac in (0.0, 0.25, 0.5, 0.75):
             f = c.rate_factor(frac * c.period_ns)
             assert 0.5 - 1e-9 <= f <= c.peak_factor() + 1e-9
@@ -67,11 +74,12 @@ class TestValidation:
             ArrivalCurve(kind="square")
 
     def test_bad_amplitude(self):
-        with pytest.raises(ConfigError):
+        """The shape is class constants, not input: no keyword takes it."""
+        with pytest.raises(TypeError):
             ArrivalCurve(kind="diurnal", amplitude=1.5)
 
     def test_burst_len_exceeds_window(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
             ArrivalCurve(kind="burst", burst_every_ns=100.0, burst_len_ns=200.0)
 
     def test_bad_rate(self):

@@ -3,21 +3,19 @@ client temporarily routes that key straight to the RPC path."""
 
 import pytest
 
+from repro.core import EFactoryClient, EFactoryServer
 from repro.sim.kernel import Environment
 from tests.conftest import run1, small_store
 
 KEY = b"key-0000adaptive"
 
 
-def test_skip_window_after_fallback(env):
-    setup = small_store(
-        "efactory",
-        env,
-        adaptive_read=True,
-        adaptive_ttl_ns=1e6,
-        bg_retry_delay_ns=1e7,  # keep the object unverified
-        bg_idle_poll_ns=1e7,
-    )
+def test_skip_window_after_fallback(env, monkeypatch):
+    monkeypatch.setattr(EFactoryClient, "adaptive_ttl_ns", 1e6)
+    # keep the object unverified
+    monkeypatch.setattr(EFactoryServer, "bg_retry_delay_ns", 1e7)
+    monkeypatch.setattr(EFactoryServer, "bg_idle_poll_ns", 1e7)
+    setup = small_store("efactory", env, adaptive_read=True)
     c = setup.client()
     reads = {}
 
@@ -35,14 +33,11 @@ def test_skip_window_after_fallback(env):
     assert reads["second_lat"] < 14_000
 
 
-def test_skip_window_expires(env):
-    setup = small_store(
-        "efactory",
-        env,
-        adaptive_read=True,
-        adaptive_ttl_ns=10_000.0,
-        bg_retry_delay_ns=50_000.0,  # object verified well after the race
-    )
+def test_skip_window_expires(env, monkeypatch):
+    monkeypatch.setattr(EFactoryClient, "adaptive_ttl_ns", 10_000.0)
+    # object verified well after the race
+    monkeypatch.setattr(EFactoryServer, "bg_retry_delay_ns", 50_000.0)
+    setup = small_store("efactory", env, adaptive_read=True)
     c = setup.client()
 
     def work():

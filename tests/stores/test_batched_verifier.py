@@ -2,6 +2,7 @@
 outcome as the polling thread (bg_batch == 1), with batch/flush/wakeup
 accounting."""
 
+from repro.core import EFactoryClient, EFactoryServer
 from repro.sim.kernel import Environment
 from tests.conftest import run1, small_store
 
@@ -48,13 +49,12 @@ class TestEquivalence:
             results[bg_batch] = c.read_stats()["pure"]
         assert results[1] == results[8] == 24
 
-    def test_timeout_invalidation_still_works(self):
+    def test_timeout_invalidation_still_works(self, monkeypatch):
         """An allocation whose WRITE never arrives is still invalidated
         by the batched loop (retry bookkeeping is shared)."""
+        monkeypatch.setattr(EFactoryServer, "verify_timeout_ns", 30_000.0)
         env = Environment()
-        setup = small_store(
-            "efactory", env, bg_batch=8, verify_timeout_ns=30_000.0
-        )
+        setup = small_store("efactory", env, bg_batch=8)
         c = setup.client()
 
         def work():
@@ -67,14 +67,13 @@ class TestEquivalence:
 
 
 class TestAccounting:
-    def test_batch_counters_present_and_used(self):
+    def test_batch_counters_present_and_used(self, monkeypatch):
         """A put_many burst lands adjacent allocations close together:
         the batched verifier must gather them into multi-object passes
         with coalesced flush runs."""
+        monkeypatch.setattr(EFactoryClient, "put_batch", 8)
         env = Environment()
-        setup = small_store(
-            "efactory", env, bg_batch=8, put_batch=8, put_window=2
-        )
+        setup = small_store("efactory", env, bg_batch=8)
         c = setup.client()
         items = [(_key(i), bytes([i]) * 64) for i in range(24)]
         run1(env, c.put_many(items))

@@ -3,6 +3,7 @@ timeout invalidation, the version list, delete."""
 
 import pytest
 
+from repro.core import EFactoryServer
 from repro.errors import KeyNotFoundError, StoreError
 from repro.kv.hashtable import Slot
 from repro.kv.objects import FLAG_VALID, HEADER_SIZE
@@ -26,11 +27,12 @@ class TestHybridRead:
         run1(env, work())
         assert c.pure_reads == 1 and c.fallback_reads == 0
 
-    def test_read_write_race_falls_back_to_rpc(self, env):
+    def test_read_write_race_falls_back_to_rpc(self, env, monkeypatch):
         """A GET issued right after PUT sees no durability flag and must
         re-read through the RPC path (Figure 6 steps 5-9). The background
         thread's retry is pushed out so it cannot win the race."""
-        setup = small_store("efactory", env, bg_retry_delay_ns=1e6)
+        monkeypatch.setattr(EFactoryServer, "bg_retry_delay_ns", 1e6)
+        setup = small_store("efactory", env)
         c = setup.client()
 
         def work():
@@ -40,8 +42,9 @@ class TestHybridRead:
         assert run1(env, work()) == b"w" * 4096
         assert c.fallback_reads == 1
 
-    def test_fallback_read_is_slower(self, env):
-        setup = small_store("efactory", env, bg_retry_delay_ns=1e6)
+    def test_fallback_read_is_slower(self, env, monkeypatch):
+        monkeypatch.setattr(EFactoryServer, "bg_retry_delay_ns", 1e6)
+        setup = small_store("efactory", env)
         c = setup.client()
 
         def work():
@@ -116,12 +119,12 @@ class TestBackgroundVerifier:
         assert stats["persisted"] == 5
         assert stats["backlog"] == 0
 
-    def test_request_handler_sets_flag_and_bg_skips(self, env):
+    def test_request_handler_sets_flag_and_bg_skips(self, env, monkeypatch):
         """A racing GET persists the object itself; the background
         thread later skips it via the durability flag (§4.3.2)."""
-        setup = small_store(
-            "efactory", env, bg_idle_poll_ns=1e6, bg_retry_delay_ns=1e6
-        )
+        monkeypatch.setattr(EFactoryServer, "bg_idle_poll_ns", 1e6)
+        monkeypatch.setattr(EFactoryServer, "bg_retry_delay_ns", 1e6)
+        setup = small_store("efactory", env)
         c = setup.client()
 
         def work():
@@ -133,10 +136,11 @@ class TestBackgroundVerifier:
         stats = setup.server.metrics()["verifier"]
         assert stats["skipped"] >= 1
 
-    def test_timeout_invalidates_never_completed_write(self, env):
+    def test_timeout_invalidates_never_completed_write(self, env, monkeypatch):
         """An allocation whose one-sided WRITE never arrives is marked
         invalid after the timeout (§4.3.2)."""
-        setup = small_store("efactory", env, verify_timeout_ns=30_000.0)
+        monkeypatch.setattr(EFactoryServer, "verify_timeout_ns", 30_000.0)
+        setup = small_store("efactory", env)
         server = setup.server
         c = setup.client()
 

@@ -218,13 +218,9 @@ class TestConcurrentOperations:
 
 class TestAutoTrigger:
     def test_cleaning_fires_when_pool_fills(self, env):
-        setup = small_store(
-            "efactory",
-            env,
-            pool_size=64 * 1024,
-            auto_clean=True,
-            reserve_fraction=0.3,
-        )
+        setup = small_store("efactory", env, pool_size=64 * 1024, auto_clean=True)
+        for pool in setup.server.partitions[0].pools:
+            pool.reserve_fraction = 0.3
         c = setup.client()
 
         def work():

@@ -4,6 +4,7 @@ amortization counters, error surfacing, and crash-point spot-checks."""
 import numpy as np
 import pytest
 
+from repro.core import EFactoryClient
 from repro.core.recovery import recover_bucketized
 from repro.errors import QPError, StoreError
 from repro.kv.hashtable import Slot
@@ -21,9 +22,16 @@ def _items(n: int, vlen: int = 64):
     return [(_key(i), bytes([i % 251]) * vlen) for i in range(n)]
 
 
-BATCHED = dict(put_batch=8, put_window=2, bg_batch=8, loc_cache_size=64)
+BATCHED = dict(bg_batch=8, loc_cache_size=64)
 
 
+@pytest.fixture
+def put_batch_8(monkeypatch):
+    """Clients cut chunks of 8 PUTs (``put_window`` stays 2)."""
+    monkeypatch.setattr(EFactoryClient, "put_batch", 8)
+
+
+@pytest.mark.usefixtures("put_batch_8")
 class TestEquivalence:
     def test_roundtrip_matches_sequential(self, env):
         items = _items(30)
@@ -82,6 +90,7 @@ class TestEquivalence:
         assert all(run1(env, work()))
 
 
+@pytest.mark.usefixtures("put_batch_8")
 class TestAmortization:
     def test_counters(self, env):
         setup = small_store("efactory", env, **BATCHED)
@@ -132,7 +141,7 @@ class TestLargeValues:
         setup = small_store("efactory", env, pool_size=4 << 20)
         c = setup.client()
         cfg = setup.server.config
-        assert 16 * cfg.crc_cost.cost_ns(4096) > cfg.verify_timeout_ns
+        assert 16 * cfg.crc_cost.cost_ns(4096) > setup.server.verify_timeout_ns
 
         def work():
             yield from c.put_many(items)
@@ -144,14 +153,16 @@ class TestLargeValues:
 
         assert run1(env, work()) == [value for _, value in items]
         # more, smaller alloc_batch round trips than 64 / put_batch
-        assert setup.server.rpc.served_by_op["alloc_batch"] > 64 // cfg.put_batch
+        assert setup.server.rpc.served_by_op["alloc_batch"] > 64 // c.put_batch
 
+    @pytest.mark.usefixtures("put_batch_8")
     def test_small_values_still_chunk_by_put_batch(self, env):
-        setup = small_store("efactory", env, put_batch=8)
+        setup = small_store("efactory", env)
         run1(env, setup.client().put_many(_items(30)))
         assert setup.server.rpc.served_by_op["alloc_batch"] == 4
 
 
+@pytest.mark.usefixtures("put_batch_8")
 class TestErrors:
     def test_per_item_alloc_error_raises(self, env):
         """A pool too small for the batch surfaces as an RpcFault, not a
@@ -170,6 +181,7 @@ class TestErrors:
         assert run1(env, work()) == "raised"
 
 
+@pytest.mark.usefixtures("put_batch_8")
 class TestCrashSpotCheck:
     """Crash the server at several points inside a put_many and verify
     the recovered media never lies: every object whose durable flag

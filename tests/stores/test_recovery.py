@@ -158,6 +158,42 @@ class TestBucketizedRecovery:
         report = env.run(env.process(recover_bucketized(setup.server)))
         assert report.duration_ns > 0
 
+    def test_a_recovery_step_pause_lengthens_recovery(self):
+        """``pause`` attaches to ``recovery.step`` by name: a rule
+        filtered to partition 0 sleeps before each of its index-repair
+        steps, one per table entry."""
+        delay = 5_000.0
+
+        def recovery(rule):
+            env = Environment()
+            setup = small_store("efactory", env)
+
+            def work():
+                for i in range(4):
+                    yield from setup.client().put(_key(i), make_value(i, 1, 64))
+
+            run1(env, work())
+            env.run(until=env.now + 800_000)  # all durable
+            _crash(setup, evict=0.0)
+            injector = None
+            if rule is not None:
+                plan = FaultPlan("step-pause", (rule,))
+                injector = FaultInjector(env, plan, RngRegistry(1))
+                setup.server.device.injector = injector
+            report = env.run(env.process(recover_bucketized(setup.server)))
+            return report, injector
+
+        base, _ = recovery(None)
+        rule = FaultRule(
+            kind="pause", site="recovery.step", partition=0, delay_ns=delay
+        )
+        paused, injector = recovery(rule)
+        assert paused.keys_recovered == base.keys_recovered == 4
+        assert paused.duration_ns == pytest.approx(base.duration_ns + 4 * delay)
+        assert {(ev.site, ev.partition) for ev in injector.events} == {
+            ("recovery.step", 0)
+        }
+
 
 class TestErdaRecovery:
     def test_intact_entries_survive(self, env):
@@ -219,9 +255,8 @@ class TestErdaRecovery:
     def test_partition_filtered_step_rule_matches(self):
         """Erda's index is partition 0, so its recovery steps fire
         ``recovery.step`` for partition 0 and a rule filtered to it
-        matches. ``pause`` validates against ``bg.*``: the ``*`` pattern
-        is how a plan attaches one here, and the partition filter keeps
-        it off every context-free site."""
+        matches. The ``*`` pattern matches every site; the partition
+        filter keeps it off every context-free one."""
         delay = 5_000.0
 
         def recovery(rule):

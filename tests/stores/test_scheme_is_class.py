@@ -7,8 +7,10 @@ do the handler CPU costs (Erda's costlier hopscotch ``index_ns``
 included). A server built directly, without the registry, is already
 its paper scheme; ``StoreSpec`` adds only the recovery pass and the
 guarantees a report checks. The same rule holds for the cluster's
-protocol timings and the harness specs: a value no caller sets is a
-constant of the code that reads it, not a field.
+protocol timings, the harness specs, the retry policy, the arrival
+curve and the store timings only tests set: such a value is a constant
+of the code that reads it, not a field, and a test that needs another
+value sets it on the class.
 """
 
 from dataclasses import fields
@@ -17,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.baselines import BaseServer, CAServer, ErdaServer, ForcaServer, StoreConfig
+from repro.baselines import BaseClient
 from repro.core import (
     EFactoryClient,
     EFactoryConfig,
@@ -27,9 +30,11 @@ from repro.core import (
 )
 from repro.cluster import build_cluster
 from repro.cluster.config import ClusterConfig
+from repro.faults.policy import RetryPolicy
 from repro.harness import scaffold
 from repro.harness.chaos import ChaosSpec
 from repro.harness.crashmatrix import CrashMatrixSpec
+from repro.loadgen.arrivals import ArrivalCurve
 from repro.loadgen.engine import LoadSpec, run_load
 from repro.loadgen.tenants import TenantSpec
 from repro.kv.hashtable import key_fingerprint
@@ -110,15 +115,38 @@ class TestStoreSpec:
         """A new knob shows up here as a test diff."""
         assert [f.name for f in fields(StoreConfig)] == [
             "pool_size", "table_buckets", "slots_per_bucket", "probe_limit",
-            "num_partitions", "server_cores", "ddio", "verify_timeout_ns",
-            "bg_idle_poll_ns", "bg_retry_delay_ns", "bg_batch", "put_batch",
-            "put_window", "scrub_interval_ns", "admission_watermark",
-            "parity_stripe_kb", "reserve_fraction", "crc_cost", "nvm_timing",
+            "num_partitions", "server_cores", "ddio", "bg_batch",
+            "scrub_interval_ns", "admission_watermark", "parity_stripe_kb",
+            "crc_cost", "nvm_timing",
         ]
         assert [f.name for f in fields(EFactoryConfig)][len(fields(StoreConfig)):] == [
-            "recv_batching", "auto_clean", "adaptive_read", "adaptive_ttl_ns",
-            "loc_cache_size",
+            "auto_clean", "adaptive_read", "loc_cache_size",
         ]
+
+    @pytest.mark.parametrize(
+        "key, home, value",
+        [
+            ("verify_timeout_ns", BaseServer, 50_000.0),
+            ("bg_idle_poll_ns", EFactoryServer, 2_000.0),
+            ("bg_retry_delay_ns", EFactoryServer, 3_000.0),
+            ("put_batch", BaseClient, 16),
+            ("put_window", BaseClient, 2),
+            ("recv_batching", EFactoryServer, 0.5),
+            ("adaptive_ttl_ns", EFactoryClient, 30_000.0),
+        ],
+    )
+    def test_a_timing_is_a_class_attribute(self, key, home, value):
+        """Each value sits, unchanged, on the class that reads it; as a
+        config override it is a ``TypeError``."""
+        assert getattr(home, key) == value
+        with pytest.raises(TypeError):
+            STORES["efactory"].config(**{key: value})
+
+    def test_reserve_fraction_is_the_log_pools(self, env):
+        with pytest.raises(TypeError):
+            STORES["efactory"].config(reserve_fraction=0.1)
+        server = EFactoryServer(env, Fabric(env))
+        assert {p.reserve_fraction for p in server.partitions[0].pools} == {0.1}
 
     def test_scheme_facts_are_not_config_fields(self):
         names = {f.name for f in fields(EFactoryConfig)}
@@ -169,10 +197,28 @@ class TestSpecsArePinned:
     def test_chaos_spec_fields(self):
         assert [f.name for f in fields(ChaosSpec)] == [
             "store", "plan", "seed", "n_clients", "ops_per_client", "key_count",
-            "key_len", "value_len", "settle_ns", "policy", "config_overrides",
+            "key_len", "value_len", "settle_ns", "config_overrides",
             "plan_overrides", "trace", "parity", "nodes", "replication",
             "cluster_overrides", "migration",
         ]
+        with pytest.raises(TypeError):
+            ChaosSpec(policy=RetryPolicy())
+
+    def test_retry_policy_fields(self):
+        """The loadgen engine and the benchmark driver set the deadline;
+        the rest of the policy is class constants."""
+        assert [f.name for f in fields(RetryPolicy)] == ["timeout_ns"]
+        assert RetryPolicy.max_retries == 6
+        with pytest.raises(TypeError):
+            RetryPolicy(max_retries=1)
+
+    def test_arrival_curve_fields(self):
+        """The CLI's ``--curve`` sets the kind; the shape is class
+        constants."""
+        assert [f.name for f in fields(ArrivalCurve)] == ["kind"]
+        assert ArrivalCurve.burst_factor == 4.0
+        with pytest.raises(TypeError):
+            ArrivalCurve(amplitude=0.1)
 
     def test_crash_matrix_spec_fields(self):
         assert [f.name for f in fields(CrashMatrixSpec)] == [

@@ -3,6 +3,7 @@ forward, and the cleaner's treatment of invalidated objects."""
 
 import pytest
 
+from repro.core import EFactoryServer
 from repro.kv.objects import FLAG_VALID, HEADER_SIZE, parse_header, unpack_ptr
 from repro.sim.kernel import Environment
 from tests.conftest import run1, small_store
@@ -58,11 +59,12 @@ def test_latest_version_has_no_forward_link(env):
     assert unpack_ptr(hdr.nxt_ptr) is None
 
 
-def test_cleaner_skips_invalidated_objects(env):
+def test_cleaner_skips_invalidated_objects(env, monkeypatch):
     """An object invalidated by the verify timeout is garbage: the
     cleaner must not move it, and the key resolves to the older intact
     version afterwards."""
-    setup = small_store("efactory", env, verify_timeout_ns=20_000.0)
+    monkeypatch.setattr(EFactoryServer, "verify_timeout_ns", 20_000.0)
+    setup = small_store("efactory", env)
     server = setup.server
     c = setup.client()
 

@@ -8,6 +8,7 @@ plausible.
 
 import pytest
 
+from repro.core import EFactoryServer
 from repro.sim.kernel import Environment
 from tests.conftest import run1, small_store
 
@@ -78,10 +79,11 @@ class TestGetWire:
         delta = _ops_delta(c, lambda: c.get(KEY, size_hint=64))
         assert delta == {"read": 2}
 
-    def test_efactory_fallback_get_adds_rpc_and_reread(self, env):
+    def test_efactory_fallback_get_adds_rpc_and_reread(self, env, monkeypatch):
         """During a read-write race: bucket READ + object READ (flag not
         set) + SEND (RPC) + final READ — Figure 6's full 9-step path."""
-        setup = small_store("efactory", env, bg_retry_delay_ns=1e7)
+        monkeypatch.setattr(EFactoryServer, "bg_retry_delay_ns", 1e7)
+        setup = small_store("efactory", env)
         c = setup.client()
         run1(env, c.put(KEY, b"v" * 4096))  # not yet durable
         delta = _ops_delta(c, lambda: c.get(KEY, size_hint=4096))

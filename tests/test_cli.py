@@ -181,6 +181,7 @@ def test_crashmatrix_named_site_never_visited(capsys, site):
         (["loadgen", "--seed", "-1"], "seed"),
         (["chaos", "--plan", "qp-flap", "--nodes", "-2", "--strict"], "nodes"),
         (["chaos", "--plan", "qp-flap", "--replication", "-1"], "replication"),
+        (["chaos", "--store", "rpc", "--nodes", "2", "--plan", "qp-flap"], "store"),
     ],
 )
 def test_a_bad_shape_is_a_one_line_error(capsys, argv, field):
