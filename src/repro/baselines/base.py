@@ -930,17 +930,6 @@ class BaseClient:
         )
         return parse_object(raw)
 
-    def read_object_with_raw(
-        self, slot: Slot, part: int = 0
-    ) -> Generator[Event, Any, "tuple[ObjectImage, bytes]"]:
-        """Like :meth:`read_object_at` but also returns the wire bytes,
-        for callers that verify the image end-to-end (integrity tree)."""
-        self._note_part(part)
-        raw = yield from self.ep.read(
-            self._pool_rkey(part, slot.pool), slot.offset, slot.size
-        )
-        return parse_object(raw), bytes(raw)
-
     # -- interface -------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> Generator[Event, Any, None]:
         raise NotImplementedError

@@ -32,6 +32,7 @@ from collections.abc import Generator, Iterator
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.errors import CorruptObjectError, MemoryAccessError, PoolExhaustedError
+from repro.integrity import ABSENT_TIER
 from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import (
     FLAG_DURABLE,
@@ -101,9 +102,10 @@ class Partition:
         self.verifier: Any = None
         self.cleaner: Any = None
         self.scrubber: Any = None
-        #: Parity/checksum-ledger tier; attached by BaseServer when
-        #: ``parity_stripe_kb > 0``, else None (legacy paths verbatim).
-        self.integrity: Any = None
+        #: Parity/checksum-ledger tier: BaseServer attaches a
+        #: ``PartitionIntegrity`` when the store has parity; without it
+        #: every call lands on the stateless absent tier.
+        self.integrity: Any = ABSENT_TIER
         #: Per-partition dispatch budget (one core per partition).  None
         #: when the server is unpartitioned: :meth:`serve` then takes no
         #: budget, keeping the monolith's event sequence untouched.
@@ -265,24 +267,16 @@ class Partition:
         # 8-byte store into the previous version's header.
         if prev is not None:
             nxt_field = OBJECT_HEADER.offset_of("nxt_ptr")
-            prev_pool = self.pools[prev.pool]
-            old_nxt = (
-                bytes(prev_pool.read(prev.offset + nxt_field, 8))
-                if self.integrity is not None
-                else None
-            )
+            # The previous head may already be covered by the parity
+            # tier; fold the link rewrite into parity + ledger.
+            old_nxt = self.integrity.snapshot(prev.pool, prev.offset + nxt_field, 8)
             self.device.write_atomic64(
-                prev_pool.abs_addr(prev.offset) + nxt_field,
+                self.pools[prev.pool].abs_addr(prev.offset) + nxt_field,
                 OBJECT_HEADER.pack_field(
                     "nxt_ptr", pack_ptr(pool.pool_id, offset)
                 ),
             )
-            if old_nxt is not None:
-                # The previous head may already be covered by the parity
-                # tier; fold the link rewrite into parity + ledger.
-                self.integrity.note_mutation(
-                    prev.pool, prev.offset, nxt_field, old_nxt
-                )
+            self.integrity.note_mutation(prev.pool, prev.offset, nxt_field, old_nxt)
 
         # Ordering matters for recoverability (§4.3.1: "after all the
         # metadata has been updated and persisted"): the header must be
@@ -354,12 +348,8 @@ class Partition:
 
     def set_object_flags(self, loc: Slot, flags: int) -> None:
         """Instant single-byte flag store (offset 2 in the header)."""
-        pool = self.pools[loc.pool]
-        if self.integrity is None:
-            pool.write(loc.offset + 2, bytes([flags]))
-            return
-        old = bytes(pool.read(loc.offset + 2, 1))
-        pool.write(loc.offset + 2, bytes([flags]))
+        old = self.integrity.snapshot(loc.pool, loc.offset + 2, 1)
+        self.pools[loc.pool].write(loc.offset + 2, bytes([flags]))
         self.integrity.note_mutation(loc.pool, loc.offset, 2, old)
 
     def mark_durable(self, loc: Slot, img: ObjectImage) -> None:
@@ -372,20 +362,15 @@ class Partition:
     ) -> Generator[Event, Any, None]:
         """Persist one CRC-verified object and set its durability flag
         (the GET path's inline settle; the verifier settles through its
-        batch step). With the integrity tier on, the verified pre-persist
-        bytes are snapshotted first — if the settling persist itself
+        batch step). The integrity tier snapshots the verified
+        pre-persist bytes first — if the settling persist itself
         corrupts the media, they are what parity must cover so the
-        scrubber can reconstruct the good image — and folded into
+        scrubber can reconstruct the good image — and folds them into
         parity + ledger after the flag, as a one-object batch."""
-        raw = (
-            bytes(self.pools[loc.pool].read(loc.offset, loc.size))
-            if self.integrity is not None
-            else None
-        )
+        raw = self.integrity.snapshot(loc.pool, loc.offset, loc.size)
         yield from self.persist_object(loc)
         self.mark_durable(loc, img)
-        if self.integrity is not None:
-            yield from self.integrity.settle_batch([(loc, raw)])
+        yield from self.integrity.settle_batch([(loc, raw)])
 
     def lookup_slot(
         self, key: bytes

@@ -118,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--parity",
         action="store_true",
         help="arm the self-healing integrity tier (per-stripe parity, "
-        "checksum ledger, integrity tree) with shipped defaults",
+        "checksum ledger) with shipped defaults; its integrity tree checks "
+        "only location-cache hits, and chaos runs without the cache",
     )
     chaos_p.add_argument(
         "--strict",

@@ -140,15 +140,14 @@ class ClusterNode:
         for off, size in p["ranges"]:
             yield from self.server.device.persist(pool.abs_addr(off), size)
             total += size
-        if part.integrity is not None:
-            # Validate-then-cover: a record the shipping persist itself
-            # corrupted stays uncovered here; this backup's scrubber
-            # re-fetches it from the primary on its next lap.
-            for off, size in p["ranges"]:
-                part.integrity.cover_from_media(
-                    Slot(pool=p["pool"], offset=off, size=size)
-                )
-            yield from part.integrity.flush()
+        # Validate-then-cover: a record the shipping persist itself
+        # corrupted stays uncovered here; this backup's scrubber
+        # re-fetches it from the primary on its next lap.
+        for off, size in p["ranges"]:
+            part.integrity.cover_from_media(
+                Slot(pool=p["pool"], offset=off, size=size)
+            )
+        yield from part.integrity.flush()
         self.replica_state[p["part"]] = (p["pool"], p["gen"], p["end"])
         key = (p["part"], p["pool"])
         self.replica_extent[key] = max(self.replica_extent.get(key, 0), p["end"])
@@ -180,8 +179,7 @@ class ClusterNode:
             pool.write(0, bytes(extent))
             dev.flush(pool.abs_addr(0), extent)
             pool.reset()
-            if part.integrity is not None:
-                part.integrity.reset_pool(pid)
+            part.integrity.reset_pool(pid)
             total += extent
         self.replica_state.pop(p["part"], None)
         if total:
@@ -259,9 +257,8 @@ class ClusterNode:
             part.table.set_cur(entry_off, loc)
             yield from part.persist_entry_timed(entry_off)
             done += 1
-            if part.integrity is not None:
-                part.integrity.cover_from_media(loc)
-        if done and part.integrity is not None:
+            part.integrity.cover_from_media(loc)
+        if done:
             yield from part.integrity.flush()
         return {"ok": done}, RESPONSE_BYTES
 

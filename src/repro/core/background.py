@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Generator
-from typing import Any, TYPE_CHECKING
+from typing import Any, Optional, TYPE_CHECKING
 
 from repro.baselines.base import Partition
 from repro.kv.hashtable import Slot
@@ -158,8 +158,9 @@ class BackgroundVerifier:
         contiguous, so one fence covers the whole run."""
         part = self.part
         cfg = self.server.config
+        integrity = part.integrity
         ok: list[tuple[Slot, Any]] = []
-        raws: dict[Slot, bytes] = {}
+        raws: dict[Slot, Optional[bytes]] = {}
         for loc in batch:
             yield self.env.timeout(self.server.peek_ns)
             img = part.read_object(loc)
@@ -172,14 +173,11 @@ class BackgroundVerifier:
             yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
             self.verified += 1
             if value_intact(img):
-                if part.integrity is not None:
-                    # Snapshot the verified pre-persist bytes: if the
-                    # settling persist itself corrupts the media, these
-                    # are what parity must cover so the scrubber can
-                    # reconstruct the good image.
-                    raws[loc] = bytes(
-                        part.pools[loc.pool].read(loc.offset, loc.size)
-                    )
+                # Snapshot the verified pre-persist bytes: if the
+                # settling persist itself corrupts the media, these are
+                # what parity must cover so the scrubber can reconstruct
+                # the good image.
+                raws[loc] = integrity.snapshot(loc.pool, loc.offset, loc.size)
                 ok.append((loc, img))
             else:
                 yield from self._retry_or_invalidate(loc, img)
@@ -214,12 +212,9 @@ class BackgroundVerifier:
                 for loc, img in run:
                     part.mark_durable(loc, img)
                     self.persisted += 1
-        if part.integrity is not None:
-            # Fold the freshly settled objects into parity + ledger and
-            # flush the integrity metadata with this same batch.
-            yield from part.integrity.settle_batch(
-                [(loc, raws.get(loc)) for loc, _img in ok]
-            )
+        # Fold the freshly settled objects into parity + ledger and
+        # flush the integrity metadata with this same batch.
+        yield from integrity.settle_batch((loc, raws[loc]) for loc, _img in ok)
 
     def _next_due(self) -> Slot | None:
         if self.queue:

@@ -34,9 +34,8 @@ from typing import Any, Optional
 from repro.baselines.base import BaseClient, GET_REQUEST_OVERHEAD
 from repro.core.config import EFactoryConfig
 from repro.errors import OperationTimeout, QPError
-from repro.integrity import PartitionIntegrity
 from repro.kv.hashtable import Slot, key_fingerprint
-from repro.kv.objects import NULL_PTR, ObjectImage
+from repro.kv.objects import NULL_PTR, ObjectImage, parse_object
 from repro.sim.kernel import Event
 from repro.util import LruMap
 
@@ -197,11 +196,12 @@ class EFactoryClient(BaseClient):
         cache = self._loc_cache
         cached = cache.get(key) if cache.capacity > 0 else None
         if cached is not None and cached[0] == part:
-            integ = self.server.partitions[part].integrity
-            if integ is not None:
-                img, raw = yield from self.read_object_with_raw(cached[1], part)
-            else:
-                img = yield from self.read_object_at(cached[1], part)
+            slot = cached[1]
+            self._note_part(part)
+            raw = yield from self.ep.read(
+                self._pool_rkey(part, slot.pool), slot.offset, slot.size
+            )
+            img = parse_object(raw)
             if self._img_current(img, key):
                 self.cache_hits += 1
                 if not img.durable:
@@ -209,9 +209,8 @@ class EFactoryClient(BaseClient):
                     # at this same slot, so skip the re-probe and fall
                     # back.
                     return None
-                if integ is not None and not (
-                    yield from self._tree_verify(integ, cached[1], raw)
-                ):
+                integrity = self.server.partitions[part].integrity
+                if not (yield from integrity.verify_read(slot, raw)):
                     # The image parsed as current but its bytes disagree
                     # with the checksum ledger under the pushed root —
                     # end-to-end detection on the 1-READ path. Let the
@@ -238,18 +237,6 @@ class EFactoryClient(BaseClient):
                 self._loc_cache.put(key, (part, slot))
             return img.value
         return None  # incomplete / not yet durable: re-read via RPC
-
-    def _tree_verify(
-        self, integ: PartitionIntegrity, slot: Slot, raw: bytes
-    ) -> Generator[Event, Any, bool]:
-        """End-to-end check of a 1-READ image against the integrity
-        tree. In the real system the client holds the signed Merkle root
-        (pushed with durability notifications) plus the ledger slice for
-        its cached slots and verifies locally; the sim shortcut consults
-        the server-side ledger directly and charges the client-side CRC
-        cost, which is the same number of hashed bytes."""
-        yield self.env.timeout(self.config.crc_cost.cost_ns(len(raw)))
-        return integ.verify_image(slot.pool, slot.offset, raw)
 
     def _rpc_read(self, key: bytes) -> Generator[Event, Any, bytes]:
         """Steps 5-9 (retried under the resilience policy when attached)."""

@@ -178,8 +178,7 @@ class LogCleaner:
             old = part.pools[part.write_pool_id]
             new = part.pools[1 - part.write_pool_id]
             new.reset()
-            if part.integrity is not None:
-                part.integrity.reset_pool(new.pool_id)
+            part.integrity.reset_pool(new.pool_id)
             _interfere(self.server, +1)
             try:
                 yield from self._notify("start", await_acks=True)
@@ -195,8 +194,7 @@ class LogCleaner:
             finally:
                 _interfere(self.server, -1)
             old.reset()
-            if part.integrity is not None:
-                part.integrity.reset_pool(old.pool_id)
+            part.integrity.reset_pool(old.pool_id)
             self.stats.cycles += 1
         except Interrupt:
             return
@@ -356,14 +354,11 @@ class LogCleaner:
             new.write(new_off, header + img.key + img.value)
             yield from part.device.persist(new.abs_addr(new_off), loc.size)
             new_slot = Slot(pool=new.pool_id, offset=new_off, size=loc.size)
-            if part.integrity is not None:
-                # The copy is settled by construction: cover the intended
-                # bytes (so a corrupting persist is reconstructible) and
-                # flush parity/ledger with the move.
-                part.integrity.note_settled(
-                    new_slot, header + img.key + img.value
-                )
-                yield from part.integrity.flush()
+            # The copy is settled by construction: cover the intended
+            # bytes (so a corrupting persist is reconstructible) and
+            # flush parity/ledger with the move.
+            part.integrity.note_settled(new_slot, header + img.key + img.value)
+            yield from part.integrity.flush()
 
             # Publish as the cleaning copy; mark the original migrated.
             yield self.env.timeout(self.server.entry_update_ns)
@@ -416,12 +411,7 @@ class LogCleaner:
         pool = part.pools[newer.pool]
         pre_off = OBJECT_HEADER.offset_of("pre_ptr")
         addr = pool.abs_addr(newer.offset) + pre_off
-        old_pre = (
-            bytes(pool.read(newer.offset + pre_off, 8))
-            if part.integrity is not None
-            else None
-        )
+        old_pre = part.integrity.snapshot(newer.pool, newer.offset + pre_off, 8)
         part.device.write_atomic64(addr, OBJECT_HEADER.pack_field("pre_ptr", new_ptr))
         part.device.flush(addr, 8)
-        if old_pre is not None:
-            part.integrity.note_mutation(newer.pool, newer.offset, pre_off, old_pre)
+        part.integrity.note_mutation(newer.pool, newer.offset, pre_off, old_pre)

@@ -122,6 +122,18 @@ def _adopt_scan(pool: LogPool, allocations: list[Allocation]) -> None:
         pool.head = 0
 
 
+def _scan_and_adopt(
+    server: BaseServer, pool: LogPool
+) -> Generator[Event, Any, list[Allocation]]:
+    """Pass 1 for one pool: scan it, charge one header read per object
+    plus the read that finds the end of the log, and adopt the scan."""
+    allocations = scan_pool(pool)
+    read_ns = server.config.nvm_timing.read_cost(HEADER_SIZE)
+    yield server.env.timeout(read_ns * max(1, len(allocations) + 1))
+    _adopt_scan(pool, allocations)
+    return allocations
+
+
 def recover_bucketized(
     server: BaseServer,
 ) -> Generator[Event, Any, RecoveryReport]:
@@ -167,11 +179,7 @@ def recover_partition(
 
     # 1. pool scans
     for pool in part.pools:
-        allocations = scan_pool(pool)
-        yield env.timeout(
-            t.read_cost(HEADER_SIZE) * max(1, len(allocations) + 1)
-        )
-        _adopt_scan(pool, allocations)
+        allocations = yield from _scan_and_adopt(server, pool)
         report.pool_heads.append(pool.head)
         report.objects_scanned += len(allocations)
 
@@ -212,8 +220,7 @@ def recover_partition(
     # recovered pool contents and rewrite the full NVM regions. The
     # regions are never *read* during recovery (a crash may have torn
     # them), so this keeps repeated recoveries byte-identical.
-    if part.integrity is not None:
-        yield from part.integrity.rebuild()
+    yield from part.integrity.rebuild()
 
     return report
 
@@ -241,9 +248,7 @@ def seed_index_from_pools(
     best: dict[int, tuple[tuple[int, int], Slot]] = {}
     seq = 0
     for pool_id, pool in enumerate(part.pools):
-        allocations = scan_pool(pool)
-        yield env.timeout(t.read_cost(HEADER_SIZE) * max(1, len(allocations) + 1))
-        _adopt_scan(pool, allocations)
+        allocations = yield from _scan_and_adopt(server, pool)
         for alloc in allocations:
             hdr = parse_header(pool.read(alloc.offset, HEADER_SIZE))
             if hdr is None:

@@ -216,11 +216,10 @@ class Scrubber:
         self, entry_off: int, fp: int, bad_loc: Slot, bad_img
     ) -> Generator[Event, Any, None]:
         part = self.part
-        cfg = self.server.config
         self.corrupt_found += 1
 
         # 0. in-place parity reconstruction: the newest acked value wins
-        if part.integrity is not None and part.integrity.covered(bad_loc):
+        if part.integrity.covered(bad_loc):
             repaired = yield from self._reconstruct(fp, bad_loc)
             if repaired:
                 return
@@ -233,39 +232,29 @@ class Scrubber:
             if restored:
                 return
 
-        # 1. newest intact older version along the pre_ptr chain, CRC
-        # at every version (rot can sit under a set durability flag)
-        for loc in islice(part.versions(bad_loc), 1, None):
-            yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
-            try:
-                img = part.read_object(loc)
-            except ROTTEN_LOCATION:
-                break
-            if img.well_formed and img.valid and key_fingerprint(img.key) == fp:
-                yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-                if value_intact(img):
-                    yield from self._promote(entry_off, loc, img, bad_loc, bad_img)
-                    return
+        # 1. newest intact older version along the pre_ptr chain (a
+        # rotten link ends the walk), CRC at every version (rot can sit
+        # under a set durability flag); 2. then the log-cleaning copy
+        # (durable by construction when present)
+        def cleaning_copy():
+            # Read after the chain walk: the walk's reads take time.
+            alt = part.table.read_alt(entry_off)
+            if alt is not None and alt != bad_loc:
+                yield alt
 
-        # 2. the log-cleaning copy (durable by construction when present)
-        alt = part.table.read_alt(entry_off)
-        if alt is not None and alt != bad_loc:
-            loc = alt
-            yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
-            try:
-                img = part.read_object(loc)
-            except ROTTEN_LOCATION:
-                img = None
-            if (
-                img is not None
-                and img.well_formed
-                and img.valid
-                and key_fingerprint(img.key) == fp
-            ):
-                yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-                if value_intact(img):
-                    yield from self._promote(entry_off, loc, img, bad_loc, bad_img)
-                    return
+        cfg = self.server.config
+        for source in (islice(part.versions(bad_loc), 1, None), cleaning_copy()):
+            for loc in source:
+                yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
+                try:
+                    img = part.read_object(loc)
+                except ROTTEN_LOCATION:
+                    break
+                if img.well_formed and img.valid and key_fingerprint(img.key) == fp:
+                    yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+                    if value_intact(img):
+                        yield from self._promote(entry_off, loc, img, bad_loc, bad_img)
+                        return
 
         # 3. unrepairable: clear the key (loud miss, never torn bytes)
         part.table.clear_cur(entry_off)
@@ -352,8 +341,7 @@ class Scrubber:
             return False
         part.pools[loc.pool].write(loc.offset, bytes(data))
         yield from part.persist_object(loc)
-        if part.integrity is not None:
-            part.integrity.note_settled(loc, bytes(data))
+        part.integrity.note_settled(loc, bytes(data))
         self.replica_fetched += 1
         return True
 
@@ -470,7 +458,7 @@ class Scrubber:
             if value_intact(img):
                 return  # intact
         self.corrupt_found += 1
-        if part.integrity is not None and part.integrity.covered(loc):
+        if part.integrity.covered(loc):
             repaired = yield from self._reconstruct(None, loc)
             if repaired:
                 return

@@ -67,8 +67,8 @@ class ChaosSpec:
     plan_overrides: dict = field(default_factory=dict)
     trace: bool = False
     #: Arm the self-healing integrity tier (per-stripe parity + checksum
-    #: ledger + integrity tree) with the shipped defaults. Explicit
-    #: ``config_overrides`` keys still win.
+    #: ledger; its tree checks only location-cache hits) with the shipped
+    #: defaults. Explicit ``config_overrides`` keys still win.
     parity: bool = False
     #: Cluster shape. ``nodes=1, replication=1`` (the default) runs the
     #: classic single-server harness with bit-identical event order.
@@ -159,7 +159,7 @@ def run_chaos_experiment(
     spec: ChaosSpec, plan: Optional[FaultPlan] = None
 ) -> ChaosReport:
     """Execute one chaos run in a fresh simulation environment."""
-    check_shape(spec.n_clients, spec.key_count)
+    check_shape(spec.n_clients, spec.ops_per_client, spec.key_count)
     env = Environment()
     rngs = RngRegistry(spec.seed)
     tracer = Tracer(env) if spec.trace else None
@@ -314,10 +314,7 @@ def run_chaos_experiment(
             ),
         }
     integrity = sum_counters(
-        part.integrity.stats()
-        for srv in all_servers
-        for part in srv.partitions
-        if part.integrity is not None
+        part.integrity.stats() for srv in all_servers for part in srv.partitions
     )
 
     return ChaosReport(

@@ -109,7 +109,9 @@ class CrashReport:
 
 
 def run_crash_experiment(spec: CrashSpec) -> CrashReport:
-    check_shape(spec.n_clients, spec.key_count, spec.evict_probability)
+    check_shape(
+        spec.n_clients, spec.ops_before_crash, spec.key_count, spec.evict_probability
+    )
     env = Environment()
     rngs = RngRegistry(spec.seed)
     puts = spec.key_count + spec.ops_before_crash * 2

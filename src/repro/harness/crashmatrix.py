@@ -675,7 +675,9 @@ def _armed_pass(
 
 def run_crash_matrix(spec: CrashMatrixSpec) -> CrashMatrixReport:
     """Enumerate and execute the full crash-point matrix for ``spec``."""
-    check_shape(spec.n_clients, spec.key_count, spec.evict_probability)
+    check_shape(
+        spec.n_clients, spec.ops_per_client, spec.key_count, spec.evict_probability
+    )
     if spec.max_per_site < 1:
         raise ConfigError(f"max_per_site must be >= 1, got {spec.max_per_site}")
     if spec.recovery_points < 0:

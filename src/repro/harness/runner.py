@@ -85,7 +85,7 @@ def run_experiment(spec: RunSpec, post_setup=None) -> RunResult:
     before measurement — e.g. Fig 11 uses it to keep log cleaning
     running throughout the measured window.
     """
-    check_shape(spec.n_clients, spec.workload.key_count)
+    check_shape(spec.n_clients, spec.ops_per_client, spec.workload.key_count)
     env = Environment()
     rngs = RngRegistry(spec.seed)
     setup = deploy(

@@ -35,11 +35,15 @@ Draw = tuple[str, int]  # (op kind, key id)
 
 
 def check_shape(
-    n_clients: int, key_count: int, evict_probability: float = 0.0
+    n_clients: int, ops: int, key_count: int, evict_probability: float = 0.0
 ) -> None:
     """Reject a run shape no driver can run, before anything is deployed."""
     if n_clients < 1:
         raise ConfigError(f"n_clients must be >= 1, got {n_clients}")
+    # ops per client (or before the crash): a run of no op measures
+    # nothing.
+    if ops < 1:
+        raise ConfigError(f"ops must be >= 1, got {ops}")
     if key_count < 1:
         raise ConfigError(f"key_count must be >= 1, got {key_count}")
     if not 0.0 <= evict_probability <= 1.0:

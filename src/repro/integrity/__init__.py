@@ -3,10 +3,12 @@
 Per-partition XOR parity over log-pool stripes plus a per-object
 checksum ledger, maintained incrementally by the background verifier,
 with a coalesced Merkle-over-ledger root for end-to-end verification on
-the GET fast path. See :mod:`repro.integrity.tier`.
+the GET fast path. Without parity a partition holds the stateless
+:data:`ABSENT_TIER`. See :mod:`repro.integrity.tier`.
 """
 
 from repro.integrity.tier import (
+    ABSENT_TIER,
     LEDGER_SLOT,
     PARITY_PAGE,
     PartitionIntegrity,
@@ -15,6 +17,7 @@ from repro.integrity.tier import (
 )
 
 __all__ = [
+    "ABSENT_TIER",
     "LEDGER_SLOT",
     "PARITY_PAGE",
     "PartitionIntegrity",

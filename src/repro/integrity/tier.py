@@ -35,6 +35,10 @@ pages in the stripe)`` and hands the candidate to the caller's
 validator (header parse, key fingerprint, value CRC); with at most one
 faulted page per stripe exactly one candidate validates.
 
+Without parity every partition holds :data:`ABSENT_TIER` instead — the
+same interface, no state, events or reads — so no caller asks whether
+the tier is on.
+
 This module deliberately avoids importing the store layers — pools and
 locations are duck-typed — so it can sit below ``baselines`` and
 ``core`` without cycles.
@@ -51,6 +55,8 @@ from repro.kv.objects import FLAG_DURABLE, OBJECT_HEADER, parse_object, value_in
 from repro.sim.kernel import Event
 
 __all__ = [
+    "ABSENT_TIER",
+    "AbsentIntegrity",
     "LEDGER_SLOT",
     "PARITY_PAGE",
     "PartitionIntegrity",
@@ -321,14 +327,18 @@ class PoolIntegrity:
             (self.root_base, ROOT_LINE),
         ]
 
-    def reset(self) -> None:
-        """The pool was reset (log cleaning / repl_reset): drop all
-        coverage and zero the NVM regions."""
+    def clear(self) -> None:
+        """Drop all parity, coverage and pending write-through."""
         self.parity.clear()
         self.entries.clear()
         self.dirty_stripes.clear()
         self.dirty_slots.clear()
         self.stale_stripes.clear()
+
+    def reset(self) -> None:
+        """The pool was reset (log cleaning / repl_reset): drop all
+        coverage and zero the NVM regions."""
+        self.clear()
         self.root_dirty = True
         self.device.write(self.parity_base, bytes(self.n_stripes * PARITY_PAGE))
         self.device.write(
@@ -374,12 +384,14 @@ class PartitionIntegrity:
     def covered(self, loc: Any) -> bool:
         return self.by_pool[loc.pool].covered(loc.offset, loc.size)
 
-    def verify_image(self, pool: int, offset: int, raw: bytes) -> bool:
-        """End-to-end check for the GET fast path: does ``raw`` (the
-        one-READ image) match the checksum ledger? Uncovered objects
-        (not yet settled) pass — the legacy CRC path still guards them."""
+    def verify_read(self, loc: Any, raw: bytes) -> Generator[Event, Any, bool]:
+        """End-to-end check of a cache-warm GET's one-READ image against
+        the ledger under the root, charging the client-side CRC (a real
+        client verifies its ledger slice locally). Uncovered objects
+        (not yet settled) pass — the durability flag still guards them."""
+        yield self.env.timeout(self.crc_cost.cost_ns(len(raw)))
         self.tree_checks += 1
-        entry = self.by_pool[pool].entries.get(offset)
+        entry = self.by_pool[loc.pool].entries.get(loc.offset)
         if entry is None or entry[0] != len(raw):
             return True
         return crc32_fast(raw) == entry[1]
@@ -417,6 +429,10 @@ class PartitionIntegrity:
         """Cover from the media only if it validates (replica commits,
         migration installs — there is no independent good image)."""
         return self.note_settled_checked(loc, None)
+
+    def snapshot(self, pool: int, offset: int, length: int) -> bytes:
+        """Media bytes about to be rewritten in place or settled."""
+        return bytes(self.by_pool[pool].pool.read(offset, length))
 
     def note_mutation(self, pool: int, obj_off: int, field_off: int, old: bytes) -> None:
         """A field of a (possibly covered) object was rewritten in
@@ -483,11 +499,7 @@ class PartitionIntegrity:
         total = 0
         ranges: list[tuple[int, int]] = []
         for pi in self.by_pool:
-            pi.parity.clear()
-            pi.entries.clear()
-            pi.dirty_stripes.clear()
-            pi.dirty_slots.clear()
-            pi.stale_stripes.clear()
+            pi.clear()
             for alloc in pi.pool.allocations:
                 raw = bytes(pi.pool.read(alloc.offset, alloc.size))
                 total += alloc.size
@@ -515,3 +527,40 @@ class PartitionIntegrity:
             "covered": sum(len(pi.entries) for pi in self.by_pool),
             "stale_stripes": sum(len(pi.stale_stripes) for pi in self.by_pool),
         }
+
+
+class AbsentIntegrity:
+    """The tier of a store without parity (``parity_stripe_kb == 0``):
+    nothing is covered, every update is dropped, no generator yields an
+    event and no snapshot reads the media. Stateless, so one instance
+    (:data:`ABSENT_TIER`) serves every partition of every server."""
+
+    __slots__ = ()
+
+    def covered(self, loc: Any) -> bool:
+        return False
+
+    def snapshot(self, pool: int, offset: int, length: int) -> None:
+        return None
+
+    def _drop(self, *_args: Any) -> None:
+        """A coverage update: there is nothing to cover."""
+
+    note_settled = cover_from_media = note_mutation = reset_pool = _drop
+
+    def _no_event(self, *_args: Any) -> Generator[Event, Any, None]:
+        return
+        yield  # pragma: no cover - generator form
+
+    settle_batch = flush = rebuild = _no_event
+
+    def verify_read(self, loc: Any, raw: bytes) -> Generator[Event, Any, bool]:
+        return True
+        yield  # pragma: no cover - generator form
+
+    def stats(self) -> dict[str, Any]:
+        return {}
+
+
+#: The one absent tier every partition without parity holds.
+ABSENT_TIER = AbsentIntegrity()

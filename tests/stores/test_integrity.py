@@ -4,10 +4,13 @@ keeping the newest acked version — instead of rolling back or clearing.
 Its integrity tree adds end-to-end detection on the cache-warm 1-READ
 GET path."""
 
+import pytest
+
 from repro.core.config import DEFAULT_PARITY_STRIPE_KB
-from repro.integrity import PARITY_PAGE, PoolIntegrity
-from repro.kv.hashtable import key_fingerprint
+from repro.integrity import ABSENT_TIER, PARITY_PAGE, PartitionIntegrity, PoolIntegrity
+from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import HEADER_SIZE
+from repro.stores import STORES
 from tests.conftest import run1, small_store
 from tests.harness.cells import BenchSpec, bench_cell
 
@@ -53,16 +56,49 @@ def _wait_for_scrub(env, setup, field, deadline_ns=80_000_000):
     return scrubber.stats()
 
 
+def _end_of_pools(server):
+    """Device bytes the table and every partition's pools take."""
+    last = server.partitions[-1].pools[-1]
+    return -(-(last.base + last.size) // 4096) * 4096
+
+
 class TestConfig:
     def test_defaults_off(self, env):
-        setup = small_store("efactory", env)
-        assert setup.server.config.parity_stripe_kb == 0
-        assert all(p.integrity is None for p in setup.server.partitions)
+        """Off is an absent layer: every partition holds the one
+        stateless absent tier and the device carries no parity region."""
+        setup = small_store("efactory", env, num_partitions=2)
+        server = setup.server
+        assert server.config.parity_stripe_kb == 0
+        assert all(p.integrity is ABSENT_TIER for p in server.partitions)
+        assert server.device.size == _end_of_pools(server)
+        assert "integrity" not in server.metrics()
 
     def test_parity_on_attaches_the_tier(self, env):
-        setup = small_store("efactory", env, parity_stripe_kb=4)
-        assert all(p.integrity is not None for p in setup.server.partitions)
-        assert "integrity" in setup.server.metrics()
+        setup = small_store("efactory", env, num_partitions=2, parity_stripe_kb=4)
+        server = setup.server
+        tiers = [p.integrity for p in server.partitions]
+        assert all(type(t) is PartitionIntegrity for t in tiers)
+        assert tiers[0] is not tiers[1]
+        assert server.device.size > _end_of_pools(server)
+        assert "integrity" in server.metrics()
+
+    @pytest.mark.parametrize("store", sorted(STORES))
+    def test_the_absent_tier_schedules_nothing(self, env, store):
+        """Without parity, settling, flushing and rebuilding the tier
+        are generators that yield no event."""
+        setup = small_store(store, env)
+        part = setup.server.partitions[0]
+        loc = Slot(pool=0, offset=0, size=HEADER_SIZE)
+        before = env.events_scheduled
+        for gen in (
+            part.integrity.settle_batch([(loc, None)]),
+            part.integrity.flush(),
+            part.integrity.rebuild(),
+        ):
+            assert list(gen) == []
+        assert env.events_scheduled == before
+        assert part.integrity.stats() == {}
+        assert not part.integrity.covered(loc)
 
 
 class TestParityMath:

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -182,6 +183,9 @@ def test_crashmatrix_named_site_never_visited(capsys, site):
         (["chaos", "--plan", "qp-flap", "--nodes", "-2", "--strict"], "nodes"),
         (["chaos", "--plan", "qp-flap", "--replication", "-1"], "replication"),
         (["chaos", "--store", "rpc", "--nodes", "2", "--plan", "qp-flap"], "store"),
+        (["run", "--store", "ca", "--ops", "0", "--json", os.devnull], "ops"),
+        (["fig", "1", "--ops", "0"], "ops"),
+        (["chaos", "--ops", "0", "--strict"], "ops"),
     ],
 )
 def test_a_bad_shape_is_a_one_line_error(capsys, argv, field):
