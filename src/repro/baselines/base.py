@@ -30,13 +30,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from repro.baselines.partition import RESPONSE_BYTES, Partition
 from repro.crc.cost import CrcCostModel
 from repro.crc.crc32 import crc32_fast
-from repro.integrity import PartitionIntegrity, integrity_region_bytes
-from repro.mem.buffer import CACHELINE
 from repro.errors import (
     ConfigError,
     KeyNotFoundError,
@@ -118,16 +116,6 @@ class StoreConfig:
     #: Intel DDIO on the server NIC (True = inbound DMA is volatile).
     ddio: bool = True
 
-    # eFactory background verification
-    #: Objects the background verifier drains per pass. At 1 an empty
-    #: pass polls again after ``EFactoryServer.bg_idle_poll_ns`` (the
-    #: paper's thread); > 1 sleeps until new work arrives and coalesces
-    #: adjacent flushes.
-    bg_batch: int = 1
-
-    # online media scrubbing (0 = disabled; see repro.core.scrub)
-    scrub_interval_ns: float = 0.0
-
     # admission control (0 = disabled; see DESIGN.md §15)
     #: Per-partition concurrent-request watermark: a request that begins
     #: an operation, arriving while this many admitted requests are
@@ -138,32 +126,21 @@ class StoreConfig:
     #: loop. 0 keeps every request path bit-identical to the seed.
     admission_watermark: int = 0
 
-    # self-healing integrity tier (see repro.integrity)
-    #: XOR-parity stripe size in KiB over each log pool, with a
-    #: checksum ledger and a Merkle-over-ledger root the cache-warm
-    #: one-READ GET verifies against; 0 disables the tier entirely
-    #: (bit-identical legacy layout).
-    parity_stripe_kb: int = 0
-
     # cost models
     crc_cost: CrcCostModel = field(default_factory=CrcCostModel)
     nvm_timing: NVMTiming = field(default_factory=NVMTiming)
 
+    #: Each bounded field's least value (a scheme's config extends this).
+    _minimums: ClassVar[tuple[tuple[str, int], ...]] = (
+        ("server_cores", 1), ("num_partitions", 1), ("admission_watermark", 0),
+    )
+
     def __post_init__(self) -> None:
         if self.pool_size <= 0:
             raise ConfigError("pool_size must be positive")
-        if self.server_cores < 1:
-            raise ConfigError("server_cores must be >= 1")
-        if self.num_partitions < 1:
-            raise ConfigError("num_partitions must be >= 1")
-        if self.scrub_interval_ns < 0:
-            raise ConfigError("scrub_interval_ns must be >= 0")
-        if self.admission_watermark < 0:
-            raise ConfigError("admission_watermark must be >= 0")
-        if self.bg_batch < 1:
-            raise ConfigError("bg_batch must be >= 1")
-        if self.parity_stripe_kb < 0:
-            raise ConfigError("parity_stripe_kb must be >= 0")
+        for name, least in self._minimums:
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if self.table_buckets % self.num_partitions != 0:
             raise ConfigError(
                 "table_buckets must be divisible by num_partitions "
@@ -267,19 +244,9 @@ class BaseServer:
 
         table_bytes = self._table_bytes()
         n_pools = self.pools_per_partition
-        device_size = _align(table_bytes, 4096) + n_parts * n_pools * _align(
-            cfg.pool_size, 4096
+        device_size = _align(table_bytes, 4096) + n_parts * (
+            n_pools * _align(cfg.pool_size, 4096) + self._tier_bytes()
         )
-        if cfg.parity_stripe_kb > 0:
-            # Parity/ledger/root regions live after every pool, so pool
-            # and table addresses are unchanged when the tier is off.
-            device_size += n_parts * _align(
-                n_pools
-                * integrity_region_bytes(
-                    cfg.pool_size, cfg.parity_stripe_kb * 1024, CACHELINE
-                ),
-                4096,
-            )
         self.device = NVMDevice(env, device_size, timing=cfg.nvm_timing, name=f"{name}.nvm")
         self.node: Node = fabric.create_node(
             name, device=self.device, cores=cfg.server_cores * n_parts, ddio=cfg.ddio
@@ -321,12 +288,6 @@ class BaseServer:
                     cpu_budget=budget,
                 )
             )
-        if cfg.parity_stripe_kb > 0:
-            for part in self.partitions:
-                part.integrity = PartitionIntegrity(
-                    self.device, env, cfg, part.pools, base
-                )
-                base = _align(part.integrity.region_end, 4096)
 
         self.rpc = RpcServer(
             env,
@@ -345,6 +306,11 @@ class BaseServer:
     # -- index construction (Erda overrides with hopscotch) -----------------
     def _table_bytes(self) -> int:
         return self.config.geometry.table_bytes
+
+    def _tier_bytes(self) -> int:
+        """Device bytes one partition's integrity tier takes after every
+        pool (eFactory carves it; no other scheme has one)."""
+        return 0
 
     def _make_table(self, part: int = 0) -> Any:
         geom = self.config.partition_geometry
@@ -929,6 +895,28 @@ class BaseClient:
             self._pool_rkey(part, slot.pool), slot.offset, slot.size
         )
         return parse_object(raw)
+
+    def _rpc_read(self, key: bytes) -> Generator[Event, Any, bytes]:
+        """A server-resolved GET (eFactory's steps 5-9, Forca's every
+        read), retried under the resilience policy when attached."""
+        return (
+            yield from self.call_resilient(
+                lambda: self._rpc_read_once(key), label="get.rpc"
+            )
+        )
+
+    def _rpc_read_once(self, key: bytes) -> Generator[Event, Any, bytes]:
+        """A ``get_loc`` RPC answers with a verified location, then one
+        READ fetches the object."""
+        resp = yield from self.rpc.call(
+            {"op": "get_loc", "key": key}, GET_REQUEST_OVERHEAD + len(key)
+        )
+        img = yield from self.read_object_at(
+            Slot(pool=resp["pool"], offset=resp["offset"], size=resp["size"]),
+            resp.get("part", 0),
+        )
+        self._check_found(img, key)
+        return img.value
 
     # -- interface -------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> Generator[Event, Any, None]:

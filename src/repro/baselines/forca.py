@@ -21,11 +21,9 @@ from typing import Any, Optional
 from repro.baselines.base import (
     BaseClient,
     BaseServer,
-    GET_REQUEST_OVERHEAD,
     Partition,
     RESPONSE_BYTES,
 )
-from repro.kv.hashtable import Slot
 from repro.kv.objects import value_intact
 from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error
 from repro.rdma.verbs import Message
@@ -77,12 +75,4 @@ class ForcaClient(BaseClient):
     def get(
         self, key: bytes, size_hint: Optional[int] = None
     ) -> Generator[Event, Any, bytes]:
-        resp = yield from self.rpc.call(
-            {"op": "get_loc", "key": key}, GET_REQUEST_OVERHEAD + len(key)
-        )
-        img = yield from self.read_object_at(
-            Slot(pool=resp["pool"], offset=resp["offset"], size=resp["size"]),
-            resp.get("part", 0),
-        )
-        self._check_found(img, key)
-        return img.value
+        return (yield from self._rpc_read(key))

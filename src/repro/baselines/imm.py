@@ -53,6 +53,10 @@ class IMMServer(BaseServer):
 
 class IMMClient(BaseClient):
     def put(self, key: bytes, value: bytes) -> Generator[Event, Any, None]:
+        # Each try allocates afresh; a reply lost on an errored QP times out.
+        yield from self.call_resilient(lambda: self._put_once(key, value), label="put")
+
+    def _put_once(self, key: bytes, value: bytes) -> Generator[Event, Any, None]:
         resp = yield from self.alloc_rpc(key, len(value), 0)
         alloc_id = resp["alloc_id"]
         if alloc_id > 0xFFFFFFFF:

@@ -24,9 +24,10 @@ from repro.baselines.base import (
     PUT_REQUEST_OVERHEAD,
     RESPONSE_BYTES,
 )
+from repro.baselines.partition import ROTTEN_LOCATION
 from repro.errors import StoreError
 from repro.kv.objects import FLAG_DURABLE, FLAG_VALID, HEADER_SIZE
-from repro.rdma.rpc import ERR_NOT_FOUND, rpc_error, rpc_error_for
+from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error, rpc_error_for
 from repro.rdma.verbs import Message
 from repro.sim.kernel import Event
 
@@ -72,8 +73,12 @@ class RpcStoreServer(BaseServer):
         if found is None or found[1] is None:
             return rpc_error(f"key {key!r} not found", ERR_NOT_FOUND), RESPONSE_BYTES
         _entry_off, cur, _alt = found
-        # metadata published only after durability => object intact
-        img = part.read_object(cur)
+        # metadata published only after durability => object intact,
+        # unless the media rotted the entry's location since
+        try:
+            img = part.read_object(cur)
+        except ROTTEN_LOCATION:
+            return rpc_error(f"key {key!r}: rotten location", ERR_NO_INTACT), RESPONSE_BYTES
         # server-side read of the value before shipping it back
         yield self.env.timeout(self.config.nvm_timing.read_cost(img.vlen))
         return {"value": img.value}, RESPONSE_BYTES + img.vlen

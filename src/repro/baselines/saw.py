@@ -46,6 +46,10 @@ class SAWServer(BaseServer):
 
 class SAWClient(BaseClient):
     def put(self, key: bytes, value: bytes) -> Generator[Event, Any, None]:
+        # Each try allocates afresh; a reply lost on an errored QP times out.
+        yield from self.call_resilient(lambda: self._put_once(key, value), label="put")
+
+    def _put_once(self, key: bytes, value: bytes) -> Generator[Event, Any, None]:
         resp = yield from self.alloc_rpc(key, len(value), 0)
         yield from self.write_value(resp, value)
         # The durability point: tell the server to flush (extra round trip).

@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument(
         "--parity",
         action="store_true",
-        help="arm the self-healing integrity tier (per-stripe parity, "
+        help="arm eFactory's self-healing integrity tier (per-stripe parity, "
         "checksum ledger) with shipped defaults; its integrity tree checks "
         "only location-cache hits, and chaos runs without the cache",
     )

@@ -238,28 +238,6 @@ class EFactoryClient(BaseClient):
             return img.value
         return None  # incomplete / not yet durable: re-read via RPC
 
-    def _rpc_read(self, key: bytes) -> Generator[Event, Any, bytes]:
-        """Steps 5-9 (retried under the resilience policy when attached)."""
-        if self.resilience is not None:
-            return (
-                yield from self.call_resilient(
-                    lambda: self._rpc_read_once(key), label="get.rpc"
-                )
-            )
-        return (yield from self._rpc_read_once(key))
-
-    def _rpc_read_once(self, key: bytes) -> Generator[Event, Any, bytes]:
-        """Steps 5-9: RPC resolves a durable location, then one READ."""
-        resp = yield from self.rpc.call(
-            {"op": "get_loc", "key": key}, GET_REQUEST_OVERHEAD + len(key)
-        )
-        img = yield from self.read_object_at(
-            Slot(pool=resp["pool"], offset=resp["offset"], size=resp["size"]),
-            resp.get("part", 0),
-        )
-        self._check_found(img, key)
-        return img.value
-
     # -- extensions -----------------------------------------------------------------
     def delete(self, key: bytes) -> Generator[Event, Any, None]:
         self._loc_cache.pop(key)

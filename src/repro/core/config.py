@@ -2,7 +2,8 @@
 
 Extends the shared :class:`~repro.baselines.base.StoreConfig` with the
 switches of the paper's design and its extensions that a caller turns
-on: automatic log cleaning, the adaptive read and the location cache.
+on: automatic log cleaning, the adaptive read, the location cache, the
+verifier's batch, the online scrubber and the integrity tier.
 
 The scheme itself is not configured here: persisting metadata before
 the alloc ack (§4.3.1), the second pool log cleaning needs (§4.4), the
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.base import StoreConfig
-from repro.errors import ConfigError
 
 __all__ = ["DEFAULT_PARITY_STRIPE_KB", "EFactoryConfig"]
 
@@ -47,8 +47,20 @@ class EFactoryConfig(StoreConfig):
     #: two-READ path and drops the entry).  0 (default) disables the
     #: cache, preserving the seed's event sequence bit-for-bit.
     loc_cache_size: int = 0
+    #: Objects the background verifier drains per pass. At 1 an empty
+    #: pass polls again after ``EFactoryServer.bg_idle_poll_ns`` (the
+    #: paper's thread); > 1 sleeps until new work arrives and coalesces
+    #: adjacent flushes.
+    bg_batch: int = 1
+    #: Online media scrubber pacing (0 = disabled; see repro.core.scrub).
+    scrub_interval_ns: float = 0.0
+    #: XOR-parity stripe size in KiB over each log pool, with a
+    #: checksum ledger and a Merkle-over-ledger root the cache-warm
+    #: one-READ GET verifies against; 0 leaves the tier absent (see
+    #: repro.integrity).
+    parity_stripe_kb: int = 0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.loc_cache_size < 0:
-            raise ConfigError("loc_cache_size must be >= 0")
+    _minimums = StoreConfig._minimums + (
+        ("loc_cache_size", 0), ("bg_batch", 1), ("scrub_interval_ns", 0),
+        ("parity_stripe_kb", 0),
+    )

@@ -38,8 +38,8 @@ from the partition's primary — symmetric replica-assisted repair.
 
 One scrubber per partition (the same sharding as the verifier), reached
 as ``server.partitions[i].scrubber``; ``server.metrics()["scrubber"]``
-is their per-key sum. Paced by ``StoreConfig.scrub_interval_ns`` (0 = disabled,
-the default — the paper's system has no scrubber).
+is their per-key sum. Paced by ``EFactoryConfig.scrub_interval_ns`` (0 =
+disabled, the default — the paper's system has no scrubber).
 """
 
 from __future__ import annotations

@@ -20,12 +20,14 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import Any, Optional
 
-from repro.baselines.base import BaseServer, Partition, RESPONSE_BYTES
+from repro.baselines.base import BaseServer, Partition, RESPONSE_BYTES, _align
 from repro.core.background import BackgroundVerifier
 from repro.core.scrub import Scrubber
 from repro.core.config import EFactoryConfig
+from repro.integrity import PartitionIntegrity, integrity_region_bytes
 from repro.kv.hashtable import Slot
 from repro.kv.objects import value_intact
+from repro.mem.buffer import CACHELINE
 from repro.rdma.fabric import Fabric
 from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error
 from repro.rdma.verbs import Message
@@ -63,6 +65,12 @@ class EFactoryServer(BaseServer):
         name: str = "server",
     ) -> None:
         super().__init__(env, fabric, config, name=name)
+        stride = self._tier_bytes()
+        if stride:  # the device's last bytes: no table or pool address moves
+            base = self.device.size - stride * len(self.partitions)
+            for part in self.partitions:
+                part.integrity = PartitionIntegrity(self.device, env, self.config, part.pools, base)
+                base += stride
         # Multiple receive regions -> cheaper per-message dispatch (§6.1).
         #: Per-message dispatch cost with no cleaner running; each
         #: running cleaning cycle raises ``rpc.dispatch_ns`` above it.
@@ -79,6 +87,14 @@ class EFactoryServer(BaseServer):
         #: this server is a member of a replicated cluster; None on
         #: standalone servers.
         self.cluster_node = None
+
+    def _tier_bytes(self) -> int:
+        """One partition's parity, ledger and root regions."""
+        stripe = self.config.parity_stripe_kb * 1024
+        if stripe == 0:
+            return 0
+        one_pool = integrity_region_bytes(self.config.pool_size, stripe, CACHELINE)
+        return _align(self.pools_per_partition * one_pool, 4096)
 
     @property
     def cleaning_active(self) -> bool:

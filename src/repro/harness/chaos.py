@@ -23,7 +23,8 @@ from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.errors import ConfigError, RDMAError, StoreError
+from repro.core.config import DEFAULT_PARITY_STRIPE_KB
+from repro.errors import ConfigError, MemoryAccessError, RDMAError, StoreError
 from repro.faults.injector import arm_store, disarm_store
 from repro.faults.plan import FaultPlan
 from repro.faults.plans import shipped_plan
@@ -66,9 +67,9 @@ class ChaosSpec:
     config_overrides: dict = field(default_factory=dict)
     plan_overrides: dict = field(default_factory=dict)
     trace: bool = False
-    #: Arm the self-healing integrity tier (per-stripe parity + checksum
-    #: ledger; its tree checks only location-cache hits) with the shipped
-    #: defaults. Explicit ``config_overrides`` keys still win.
+    #: Arm eFactory's self-healing integrity tier (per-stripe parity +
+    #: checksum ledger; its tree checks only location-cache hits) with the
+    #: shipped defaults. Explicit ``config_overrides`` keys still win.
     parity: bool = False
     #: Cluster shape. ``nodes=1, replication=1`` (the default) runs the
     #: classic single-server harness with bit-identical event order.
@@ -179,15 +180,17 @@ def run_chaos_experiment(
         raise ConfigError(
             "migration needs a cluster shape (nodes or replication > 1)"
         )
+    # Only eFactory has a scrubber and an integrity tier to arm.
+    efactory = spec.store in ("efactory", "efactory_nohr")
+    if spec.parity and not efactory:
+        raise ConfigError(f"parity needs store efactory or efactory_nohr, got {spec.store!r}")
 
     overrides: dict[str, Any] = {}
-    if media_plan:
+    if media_plan and efactory:
         # Media faults need the online scrubber: without it the
         # durability-flag shortcut would serve rot forever.
         overrides["scrub_interval_ns"] = 2_000.0
     if spec.parity:
-        from repro.core.config import DEFAULT_PARITY_STRIPE_KB
-
         overrides["parity_stripe_kb"] = DEFAULT_PARITY_STRIPE_KB
     overrides.update(spec.config_overrides)
     puts = spec.key_count + spec.n_clients * spec.ops_per_client
@@ -278,7 +281,7 @@ def run_chaos_experiment(
             value, unreadable = None, ""
             try:
                 value = yield from client.get(loop.keys[kid], size_hint=spec.value_len)
-            except (RpcFault, StoreError, RDMAError) as exc:
+            except (StoreError, RDMAError, MemoryAccessError) as exc:
                 code = getattr(exc, "code", "")
                 unreadable = f"GET failed after faults cleared ({code or exc})"
                 if isinstance(exc, RpcFault) and code == ERR_NOT_FOUND:

@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from repro.core import EFactoryServer
 from repro.core.recovery import RecoveryReport
-from repro.errors import ConfigError, RDMAError, StoreError
+from repro.errors import ConfigError, MemoryAccessError, RDMAError, StoreError
 from repro.harness.metrics import LatencyRecorder
 from repro.harness.oracle import KeyLedger
 from repro.sim.kernel import Environment, Event, Interrupt, Process
@@ -192,7 +192,9 @@ class ClosedLoop:
                 # End cleanly: a crash harness's all_of over the clients
                 # must complete, not re-raise in the post-crash drain.
                 return
-            except (StoreError, RDMAError):  # RpcFault, QPError, OperationTimeout
+            except (StoreError, RDMAError, MemoryAccessError):
+                # RpcFault, QPError, OperationTimeout, or a READ through
+                # a rotten location outside its region (ProtectionError)
                 self.failed += 1
                 continue
             if version is not None:

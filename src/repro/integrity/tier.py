@@ -1,7 +1,7 @@
 """Parity + checksum-ledger integrity tier for the log pools.
 
-Layout (per partition, per pool, carved after the log pools when
-``StoreConfig.parity_stripe_kb > 0``):
+Layout (per partition, per pool, carved after the log pools by
+``EFactoryServer`` when ``EFactoryConfig.parity_stripe_kb > 0``):
 
 * **parity region** — one :data:`PARITY_PAGE`-byte XOR parity page per
   ``parity_stripe_kb``-KiB stripe of the pool. A pool byte at offset

@@ -16,6 +16,8 @@ from repro.workloads.ycsb import WorkloadSpec
 #: Small but fault-exposed: boosted probabilities so short CI runs
 #: actually exercise the retry/reconnect machinery.
 SMALL = dict(n_clients=2, ops_per_client=30, key_count=12, seed=7)
+#: ``repro chaos --clients 2 --ops 60``, the CLI's default shape.
+CLI_SHAPE = dict(n_clients=2, ops_per_client=60, key_count=24, value_len=128)
 
 
 class TestReproducibility:
@@ -158,6 +160,35 @@ def test_rot_pointing_outside_the_pool_still_ends_in_a_report():
     )
     assert report.ok, report.violations
     assert report.scrub["corrupt_found"] > 0
+
+
+@pytest.mark.parametrize(
+    "store, seed", [("saw", 7), ("imm", 13), ("forca", 7), ("forca", 13)]
+)
+def test_a_reply_lost_on_an_errored_qp_is_retried(store, seed):
+    """SAW's persist RPC, IMM's durability ack and Forca's ``get_loc``
+    RPC run under the retry policy: a reply the server drops on an
+    errored QP costs a timeout and a fresh attempt, not a client that
+    waits forever."""
+    report = run_chaos_experiment(
+        ChaosSpec(store=store, plan="qp-flap", seed=seed, **CLI_SHAPE)
+    )
+    assert report.ok, report.violations
+    assert report.resilience["timeouts"] > 0
+
+
+@pytest.mark.parametrize("store", ["rpc", "saw", "imm"])
+def test_media_faults_on_a_baseline_end_in_a_report(store):
+    """A rotten index entry on a store without a scrubber fails the GET
+    that reads through it (RPC: an error reply; SAW and IMM: a READ
+    outside the pool's region) instead of ending the run. These stores
+    promise nothing under rot, so the audit only records it."""
+    report = run_chaos_experiment(
+        ChaosSpec(store=store, plan="bitrot-heavy", seed=7, **CLI_SHAPE)
+    )
+    assert report.repair["media_faults"] > 0
+    assert report.scrub == {}
+    assert any("GET failed after faults cleared" in w for w in report.weaknesses)
 
 
 class TestParityChaos:

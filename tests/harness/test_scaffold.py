@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.errors import OperationTimeout, QPError, StoreError
+from repro.errors import OperationTimeout, ProtectionError, QPError, StoreError
 from repro.harness import scaffold
 from repro.harness.runner import RunSpec, run_experiment
 from repro.harness.scaffold import ClosedLoop, issue
@@ -90,6 +90,24 @@ def test_a_failed_put_counts_failed_and_acks_nothing(error):
     assert (loop.attempted, loop.completed, loop.failed) == (2, 0, 2)
     assert loop.ledger.issued[1] == 2  # both were issued ...
     assert loop.ledger.acked[1] == 0  # ... neither acked
+
+
+def test_a_read_outside_its_region_is_a_failed_op():
+    """A GET through a rotten location READs outside the pool's region:
+    the verb's ``ProtectionError`` fails that op and the loop goes on."""
+    env = Environment()
+    client = _Client(env)
+
+    def rotten_get(key, size_hint=0):
+        yield env.timeout(1_000.0)
+        raise ProtectionError("pool0: access outside region")
+
+    client.get = rotten_get
+    loop = _loop(env, client)
+    loop.run([[("get", 2), ("put", 2)]], name="c")
+    env.run()
+    assert (loop.attempted, loop.completed, loop.failed) == (2, 1, 1)
+    assert loop.ledger.max_read[2] == -1
 
 
 def test_a_torn_get_counts_torn_and_moves_no_mark():

@@ -115,13 +115,26 @@ class TestStoreSpec:
         """A new knob shows up here as a test diff."""
         assert [f.name for f in fields(StoreConfig)] == [
             "pool_size", "table_buckets", "slots_per_bucket", "probe_limit",
-            "num_partitions", "server_cores", "ddio", "bg_batch",
-            "scrub_interval_ns", "admission_watermark", "parity_stripe_kb",
+            "num_partitions", "server_cores", "ddio", "admission_watermark",
             "crc_cost", "nvm_timing",
         ]
         assert [f.name for f in fields(EFactoryConfig)][len(fields(StoreConfig)):] == [
-            "auto_clean", "adaptive_read", "loc_cache_size",
+            "auto_clean", "adaptive_read", "loc_cache_size", "bg_batch",
+            "scrub_interval_ns", "parity_stripe_kb",
         ]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("bg_batch", 8), ("scrub_interval_ns", 2_000.0), ("parity_stripe_kb", 4)],
+    )
+    @pytest.mark.parametrize("store", ["ca", "rpc", "saw", "imm", "erda", "forca"])
+    def test_a_baseline_takes_no_efactory_option(self, store, key, value):
+        """The verifier's batch, the scrubber and the parity tier are
+        eFactory's: a baseline has none to configure."""
+        assert STORES[store].server_cls.config_cls is StoreConfig
+        with pytest.raises(TypeError):
+            STORES[store].config(**{key: value})
+        assert getattr(STORES["efactory"].config(**{key: value}), key) == value
 
     @pytest.mark.parametrize(
         "key, home, value",

@@ -186,6 +186,7 @@ def test_crashmatrix_named_site_never_visited(capsys, site):
         (["run", "--store", "ca", "--ops", "0", "--json", os.devnull], "ops"),
         (["fig", "1", "--ops", "0"], "ops"),
         (["chaos", "--ops", "0", "--strict"], "ops"),
+        (["chaos", "--store", "saw", "--plan", "slow-nvm", "--parity"], "parity"),
     ],
 )
 def test_a_bad_shape_is_a_one_line_error(capsys, argv, field):
