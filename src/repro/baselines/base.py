@@ -4,8 +4,7 @@ The paper implements SAW, IMM, Erda, Forca, and eFactory "on the same
 code base" (§5.3) for an apples-to-apples comparison; this module is
 that code base. It provides:
 
-* :class:`StoreConfig` — capacity, geometry, and the shared cost knobs
-  (what work happens on which CPU);
+* :class:`StoreConfig` — capacity, geometry, partitioning and admission;
 * :class:`BaseServer` — node + NVM carve-up (hash table region, one or
   two log pools per partition), the SEND-based-RPC dispatch loop, and
   session management. A scheme's own facts (whether it persists
@@ -29,11 +28,11 @@ Concrete stores subclass these and register/override handlers.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, ClassVar, Optional
 
 from repro.baselines.partition import RESPONSE_BYTES, Partition
-from repro.crc.cost import CrcCostModel
+from repro.crc.cost import CRC_COST
 from repro.crc.crc32 import crc32_fast
 from repro.errors import (
     ConfigError,
@@ -52,7 +51,7 @@ from repro.kv.hashtable import (
 )
 from repro.kv.logpool import LogPool
 from repro.kv.objects import HEADER_SIZE, ObjectImage, parse_object
-from repro.nvm.device import NVMDevice, NVMTiming
+from repro.nvm.device import NVMDevice
 from repro.rdma.fabric import Fabric, Node
 from repro.rdma.mr import MemoryRegion
 from repro.rdma.qp import Endpoint
@@ -93,13 +92,15 @@ BATCH_RESPONSE_ITEM_BYTES = 24
 
 @dataclass(frozen=True)
 class StoreConfig:
-    """Capacity, resources and modelled hardware of a store deployment.
+    """Capacity, geometry, partitioning and admission of a store deployment.
 
-    The server's handler CPU costs are not configured here: they are
-    :class:`BaseServer` class attributes, shared so that differences
-    between stores come from *which* costs sit on which path, not from
-    tuning each store separately. The CRC and NVM cost models stay
-    config: they are the hardware.
+    The modelled hardware is not configured here. The server's handler
+    CPU costs and its NIC's DDIO setting are :class:`BaseServer` class
+    attributes, shared so that differences between stores come from
+    *which* costs sit on which path, not from tuning each store
+    separately; NVM timing is the server device's
+    (:attr:`repro.nvm.device.NVMDevice.timing`) and CRC time is
+    :data:`repro.crc.cost.CRC_COST`.
     """
 
     # capacity / geometry
@@ -113,8 +114,6 @@ class StoreConfig:
 
     # server resources
     server_cores: int = 4
-    #: Intel DDIO on the server NIC (True = inbound DMA is volatile).
-    ddio: bool = True
 
     # admission control (0 = disabled; see DESIGN.md §15)
     #: Per-partition concurrent-request watermark: a request that begins
@@ -125,10 +124,6 @@ class StoreConfig:
     #: client's retry backoff (PR 2 machinery) is the congestion-control
     #: loop. 0 keeps every request path bit-identical to the seed.
     admission_watermark: int = 0
-
-    # cost models
-    crc_cost: CrcCostModel = field(default_factory=CrcCostModel)
-    nvm_timing: NVMTiming = field(default_factory=NVMTiming)
 
     #: Each bounded field's least value (a scheme's config extends this).
     _minimums: ClassVar[tuple[tuple[str, int], ...]] = (
@@ -204,6 +199,9 @@ class BaseServer:
     #: The config type this scheme is built from.
     config_cls: type[StoreConfig] = StoreConfig
 
+    #: Intel DDIO on the server NIC (True = inbound DMA is volatile).
+    ddio = True
+
     # handler CPU costs (ns)
     #: Per-message RPC dispatch.
     dispatch_ns = 400.0
@@ -247,9 +245,9 @@ class BaseServer:
         device_size = _align(table_bytes, 4096) + n_parts * (
             n_pools * _align(cfg.pool_size, 4096) + self._tier_bytes()
         )
-        self.device = NVMDevice(env, device_size, timing=cfg.nvm_timing, name=f"{name}.nvm")
+        self.device = NVMDevice(env, device_size, name=f"{name}.nvm")
         self.node: Node = fabric.create_node(
-            name, device=self.device, cores=cfg.server_cores * n_parts, ddio=cfg.ddio
+            name, device=self.device, cores=cfg.server_cores * n_parts, ddio=self.ddio
         )
 
         # -- memory carve-up ------------------------------------------------
@@ -665,18 +663,15 @@ class BaseClient:
         serially, which no competent implementation does.
         """
         crc = crc32_fast(value) if with_crc else 0
-        if self.resilience is not None:
-            # Retry at whole-PUT granularity: after a transport fault the
-            # first allocation's slot may already have been invalidated by
-            # the server's verify timeout (§4.3.2 treats a write that
-            # missed its window as never-completed), so re-WRITing it
-            # would ack into a dead slot. A fresh alloc gets a fresh slot
-            # and a fresh verification window.
-            yield from self.call_resilient(
-                lambda: self._put_attempt(key, value, crc, with_crc), label="put"
-            )
-        else:
-            yield from self._put_attempt(key, value, crc, with_crc)
+        # Retry at whole-PUT granularity: after a transport fault the
+        # first allocation's slot may already have been invalidated by
+        # the server's verify timeout (§4.3.2 treats a write that missed
+        # its window as never-completed), so re-WRITing it would ack into
+        # a dead slot. A fresh alloc gets a fresh slot and a fresh
+        # verification window.
+        yield from self.call_resilient(
+            lambda: self._put_attempt(key, value, crc, with_crc), label="put"
+        )
 
     def _put_attempt(
         self, key: bytes, value: bytes, crc: int, with_crc: bool
@@ -684,7 +679,7 @@ class BaseClient:
         t0 = self.env.now
         resp = yield from self.alloc_rpc(key, len(value), crc)
         if with_crc:
-            crc_ns = self.config.crc_cost.cost_ns(len(value))
+            crc_ns = CRC_COST.cost_ns(len(value))
             overlap = self.env.now - t0
             if crc_ns > overlap:
                 yield self.env.timeout(crc_ns - overlap)
@@ -756,12 +751,11 @@ class BaseClient:
         between the grant and the WRITEs, would pass half of
         the server's ``verify_timeout_ns``: a grant the verifier times out
         first is an acked PUT lost."""
-        crc_cost = self.config.crc_cost
         budget = self.server.verify_timeout_ns / 2 if with_crc else float("inf")
         chunks: "list[list[tuple[bytes, bytes]]]" = [[]]
         cost = 0.0
         for item in items:
-            item_cost = crc_cost.cost_ns(len(item[1]))
+            item_cost = CRC_COST.cost_ns(len(item[1]))
             full = len(chunks[-1]) >= self.put_batch or cost + item_cost > budget
             if chunks[-1] and full:
                 chunks.append([])
@@ -788,7 +782,7 @@ class BaseClient:
         t0 = self.env.now
         resps = yield from self.alloc_batch_rpc(chunk, crcs)
         if with_crc:
-            crc_ns = sum(self.config.crc_cost.cost_ns(len(v)) for _, v in chunk)
+            crc_ns = sum(CRC_COST.cost_ns(len(v)) for _, v in chunk)
             overlap = self.env.now - t0
             if crc_ns > overlap:
                 yield self.env.timeout(crc_ns - overlap)

@@ -23,6 +23,7 @@ from repro.baselines.base import (
     Partition,
     RESPONSE_BYTES,
 )
+from repro.crc.cost import CRC_COST
 from repro.errors import CorruptObjectError, KeyNotFoundError, StoreError
 from repro.kv.hashtable import Slot
 from repro.kv.hopscotch import (
@@ -148,7 +149,7 @@ class ErdaClient(BaseClient):
                 continue
             img = yield from self.read_object_at(Slot(pool=0, offset=off, size=obj_size))
             # Client-side CRC — the Fig 2 read-path overhead.
-            yield self.env.timeout(self.config.crc_cost.cost_ns(size_hint))
+            yield self.env.timeout(CRC_COST.cost_ns(size_hint))
             if img.key == key and value_intact(img):
                 return img.value
         raise CorruptObjectError(

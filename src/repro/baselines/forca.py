@@ -24,6 +24,7 @@ from repro.baselines.base import (
     Partition,
     RESPONSE_BYTES,
 )
+from repro.crc.cost import CRC_COST
 from repro.kv.objects import value_intact
 from repro.rdma.rpc import ERR_NO_INTACT, ERR_NOT_FOUND, rpc_error
 from repro.rdma.verbs import Message
@@ -45,7 +46,6 @@ class ForcaServer(BaseServer):
     def _handle_get_loc(
         self, part: Partition, msg: Message
     ) -> Generator[Event, Any, tuple[Any, int]]:
-        cfg = self.config
         key: bytes = msg.payload["key"]
         yield self.env.timeout(self.index_ns + self.meta_indirection_ns)
         found = part.lookup_slot(key)
@@ -58,7 +58,7 @@ class ForcaServer(BaseServer):
         for loc in part.versions(cur):
             img = part.read_object(loc)
             # Forca verifies by CRC on *every* read (no durability flag).
-            yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+            yield self.env.timeout(CRC_COST.cost_ns(img.vlen))
             if img.key == key and value_intact(img):
                 # ... and persists on the read path before returning.
                 # (No durability flag — Forca re-verifies every read;

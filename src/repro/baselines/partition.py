@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Generator, Iterator
 from typing import Any, Optional, TYPE_CHECKING
 
+from repro.crc.cost import CRC_COST
 from repro.errors import CorruptObjectError, MemoryAccessError, PoolExhaustedError
 from repro.integrity import ABSENT_TIER
 from repro.kv.hashtable import Slot, key_fingerprint
@@ -303,14 +304,14 @@ class Partition:
         self, loc: Slot, klen: int
     ) -> Generator[Event, Any, None]:
         """Flush the object header + key (before any entry exposes it)."""
-        t = self.config.nvm_timing
+        t = self.device.timing
         meta_len = HEADER_SIZE + klen
         yield self.env.timeout(t.flush_cost(meta_len))
         self.device.flush(self.pools[loc.pool].abs_addr(loc.offset), meta_len)
 
     def persist_entry_timed(self, entry_off: int) -> Generator[Event, Any, None]:
         """Flush the hash entry's line (one CLWB + fence)."""
-        t = self.config.nvm_timing
+        t = self.device.timing
         yield self.env.timeout(t.flush_line_ns + t.fence_ns)
         self.table.persist_entry(entry_off)
 
@@ -403,7 +404,7 @@ class Partition:
             # the index (same store+flush pairing as mark_durable;
             # the flush_cost timeout below already charges the time).
             self.device.flush(self.pools[loc.pool].abs_addr(loc.offset), 8)
-        yield self.env.timeout(self.config.nvm_timing.flush_cost(32))
+        yield self.env.timeout(self.device.timing.flush_cost(32))
         return True
 
     # -- the version list (§4.2.2) --------------------------------------------
@@ -450,8 +451,7 @@ class Partition:
         (flushed only after the value, so trustworthy) or, failing that,
         a CRC that verifies. Charges the object read, and the CRC only
         when the flag is clear (recovery's and migration's rule)."""
-        cfg = self.config
-        yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
+        yield self.env.timeout(self.device.timing.read_cost(loc.size))
         try:
             img = self.read_object(loc)
         except ROTTEN_LOCATION:
@@ -460,5 +460,5 @@ class Partition:
             return None
         if img.durable:
             return img
-        yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+        yield self.env.timeout(CRC_COST.cost_ns(img.vlen))
         return img if value_intact(img) else None

@@ -80,7 +80,7 @@ class RpcStoreServer(BaseServer):
         except ROTTEN_LOCATION:
             return rpc_error(f"key {key!r}: rotten location", ERR_NO_INTACT), RESPONSE_BYTES
         # server-side read of the value before shipping it back
-        yield self.env.timeout(self.config.nvm_timing.read_cost(img.vlen))
+        yield self.env.timeout(self.device.timing.read_cost(img.vlen))
         return {"value": img.value}, RESPONSE_BYTES + img.vlen
 
 

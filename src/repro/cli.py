@@ -489,6 +489,13 @@ def _cmd_chaos(args: argparse.Namespace) -> tuple[str, Any, int]:
                 rep["tree_rejects"],
             )
         text += "\n" + banner("repair outcomes") + "\n" + rtable.render()
+        for r in repaired:
+            if r.repair["media_faults"] == 0:
+                text += (
+                    f"\nno media fault landed in {r.plan_name} seed {r.spec.seed}: "
+                    "media faults strike NVM writebacks, and the store wrote "
+                    "nothing back (or no writeback drew one)"
+                )
     if bad:
         text += f"\n{bad} run(s) violated advertised guarantees"
     status = 1 if (bad and args.strict) else 0

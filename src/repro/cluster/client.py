@@ -176,14 +176,9 @@ class ClusterClient:
     ) -> Generator[Event, Any, None]:
         _part, pool, end = alloc
         payload = {"op": "repl_wait", "part": part, "pool": pool, "end": end}
-
-        def op():
-            return sub.rpc.call(payload, REPL_WAIT_BYTES)
-
-        if sub.resilience is not None:
-            yield from sub.call_resilient(op, label="repl_wait")
-        else:
-            yield from op()
+        yield from sub.call_resilient(
+            lambda: sub.rpc.call(payload, REPL_WAIT_BYTES), label="repl_wait"
+        )
 
     def get(
         self, key: bytes, size_hint: Optional[int] = None

@@ -142,9 +142,9 @@ def partition_ranges(server, part) -> tuple[tuple[int, int], ...]:
 def partition_digest(server, part) -> str:
     """Printable fingerprint of one partition's image (pools + table
     segment, durable and visible). For a report or a log line; to
-    *compare* two instants use ``device.snapshot(...)`` / ``same_image``
+    *compare* two instants use ``buffer.snapshot(...)`` / ``same_image``
     as :func:`promote_partition` does — no hash needed."""
-    return server.device.fingerprint(*partition_ranges(server, part))
+    return server.device.buffer.fingerprint(*partition_ranges(server, part))
 
 
 def promote_partition(
@@ -169,9 +169,9 @@ def promote_partition(
     if cfg.verify_promotion:
         # Other partitions on this node keep serving while the second
         # pass runs, so the judgement covers this partition's bytes only.
-        before = server.device.snapshot(*partition_ranges(server, part))
+        before = server.device.buffer.snapshot(*partition_ranges(server, part))
         yield from recover_partition(server, part)
-        cluster.promotion_idempotent.append(server.device.same_image(before))
+        cluster.promotion_idempotent.append(server.device.buffer.same_image(before))
     cluster.router.mark_ready(part_id)
     # Resume shipping to whatever backups the route still lists.
     node.start_shipper(part_id)

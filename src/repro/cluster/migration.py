@@ -164,7 +164,7 @@ def migrate_partition(
         return stats
     src = cluster.nodes[src_id]
     src_part = src.server.partitions[part_id]
-    t = src.server.config.nvm_timing
+    t = src.server.device.timing
 
     def check_live() -> None:
         if (

@@ -166,7 +166,7 @@ class ClusterNode:
         """
         p = msg.payload
         part = self.server.partitions[p["part"]]
-        t = self.server.config.nvm_timing
+        t = self.server.device.timing
         dev = self.server.device
         total = 0
         for pid, pool in enumerate(part.pools):
@@ -243,7 +243,6 @@ class ClusterNode:
         p = msg.payload
         part = self.server.partitions[p["part"]]
         pool = part.pools[p["pool"]]
-        t = self.server.config.nvm_timing
         done = 0
         for off, size in p["items"]:
             yield from self.server.device.persist(pool.abs_addr(off), size)
@@ -293,7 +292,7 @@ class ClusterNode:
                 rpc_error("repair_fetch: range outside pool", ERR_NOT_FOUND),
                 RESPONSE_BYTES,
             )
-        yield self.env.timeout(self.server.config.nvm_timing.read_cost(size))
+        yield self.env.timeout(self.server.device.timing.read_cost(size))
         return {"data": bytes(pool.read(off, size))}, RESPONSE_BYTES + size
 
     # -- metrics -------------------------------------------------------------

@@ -186,7 +186,7 @@ class LogShipper:
         """One scan-and-ship pass. Returns True when records moved."""
         env = self.env
         part = self.part
-        t = part.config.nvm_timing
+        t = part.device.timing
 
         wp = part.write_pool_id
         if wp != self.pool_id:

@@ -27,6 +27,7 @@ from collections.abc import Generator
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.baselines.base import Partition
+from repro.crc.cost import CRC_COST
 from repro.kv.hashtable import Slot
 from repro.kv.objects import FLAG_VALID, value_intact
 from repro.sim.kernel import Event, Interrupt, Process
@@ -157,7 +158,6 @@ class BackgroundVerifier:
         verified are then flushed in runs: adjacent log allocations are
         contiguous, so one fence covers the whole run."""
         part = self.part
-        cfg = self.server.config
         integrity = part.integrity
         ok: list[tuple[Slot, Any]] = []
         raws: dict[Slot, Optional[bytes]] = {}
@@ -170,7 +170,7 @@ class BackgroundVerifier:
             if img.durable or not img.valid:
                 self.skipped += 1
                 continue
-            yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+            yield self.env.timeout(CRC_COST.cost_ns(img.vlen))
             self.verified += 1
             if value_intact(img):
                 # Snapshot the verified pre-persist bytes: if the
@@ -226,7 +226,6 @@ class BackgroundVerifier:
     def _retry_or_invalidate(
         self, loc: Slot, img
     ) -> Generator[Event, Any, None]:
-        cfg = self.server.config
         ts = img.ts if img is not None and img.well_formed else 0
         if self.env.now - ts > self.server.verify_timeout_ns:
             # The write never completed: mark invalid (§4.3.2); log
@@ -237,7 +236,7 @@ class BackgroundVerifier:
                     self.part.pools[loc.pool].abs_addr(loc.offset), 8
                 )
             self.invalidated += 1
-            yield self.env.timeout(cfg.nvm_timing.store_ns)
+            yield self.env.timeout(self.server.device.timing.store_ns)
             return
         self.requeued += 1
         # No yield: a requeue is bookkeeping, not a timed step. The

@@ -48,6 +48,7 @@ from collections.abc import Generator
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.baselines.base import Partition
+from repro.crc.cost import CRC_COST
 from repro.errors import StoreError
 from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.objects import (
@@ -315,13 +316,12 @@ class LogCleaner:
         ``start``, default the working slot) and copy it into the new
         pool with the durability flag set."""
         part = self.part
-        cfg = part.config
         if start is None:
             start = part.table.read_cur(entry_off)
         for loc in part.versions(start):
             img = part.read_object(loc)
             while img.well_formed and img.valid and not img.durable:
-                yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+                yield self.env.timeout(CRC_COST.cost_ns(img.vlen))
                 if value_intact(img):
                     yield from part.persist_object(loc)
                     part.mark_durable(loc, img)
@@ -350,7 +350,7 @@ class LogCleaner:
                 pre_ptr=NULL_PTR,
                 ts=img.ts,
             )
-            yield self.env.timeout(cfg.nvm_timing.copy_cost(loc.size))
+            yield self.env.timeout(part.device.timing.copy_cost(loc.size))
             new.write(new_off, header + img.key + img.value)
             yield from part.device.persist(new.abs_addr(new_off), loc.size)
             new_slot = Slot(pool=new.pool_id, offset=new_off, size=loc.size)
@@ -376,7 +376,7 @@ class LogCleaner:
     def _finish(self, old, new, touched: set[int]) -> Generator[Event, Any, None]:
         """Flip every touched entry over to the new pool (Figure 7 end)."""
         part = self.part
-        t = part.config.nvm_timing
+        t = part.device.timing
         yield from self._maybe_pause("finish")  # stage entry
         for entry_off in touched:
             yield from self._maybe_pause("finish")

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.baselines.base import BaseServer, Partition
+from repro.crc.cost import CRC_COST
 from repro.errors import RecoveryError
 from repro.kv.hashtable import Slot, key_fingerprint
 from repro.kv.hopscotch import HopscotchTable, TwoVersions
@@ -128,7 +129,7 @@ def _scan_and_adopt(
     """Pass 1 for one pool: scan it, charge one header read per object
     plus the read that finds the end of the log, and adopt the scan."""
     allocations = scan_pool(pool)
-    read_ns = server.config.nvm_timing.read_cost(HEADER_SIZE)
+    read_ns = server.device.timing.read_cost(HEADER_SIZE)
     yield server.env.timeout(read_ns * max(1, len(allocations) + 1))
     _adopt_scan(pool, allocations)
     return allocations
@@ -174,7 +175,7 @@ def recover_partition(
     what cluster failover runs to promote one orphaned partition on an
     otherwise live node without replaying its other shards."""
     env = server.env
-    t = server.config.nvm_timing
+    t = server.device.timing
     report = RecoveryReport()
 
     # 1. pool scans
@@ -244,7 +245,7 @@ def seed_index_from_pools(
     Returns the number of entries seeded.
     """
     env = server.env
-    t = server.config.nvm_timing
+    t = server.device.timing
     best: dict[int, tuple[tuple[int, int], Slot]] = {}
     seq = 0
     for pool_id, pool in enumerate(part.pools):
@@ -295,7 +296,7 @@ def _resolve_chain(
     pointing back into the chain — has no provably-intact tail and
     resolves to "no winner".
     """
-    hop_ns = 2 * part.config.nvm_timing.read_cost(HEADER_SIZE)
+    hop_ns = 2 * part.device.timing.read_cost(HEADER_SIZE)
     torn = 0
     for loc in part.versions(cur):
         if (yield from part.provably_intact(loc, fp)) is not None:
@@ -309,7 +310,7 @@ def recover_erda(server) -> Generator[Event, Any, RecoveryReport]:
     """Erda recovery: check off1 then off2 of whatever entry state
     survived natural eviction."""
     env = server.env
-    t = server.config.nvm_timing
+    t = server.device.timing
     part = server.partitions[0]  # a hopscotch index is never sharded
     table: HopscotchTable = part.table
     if not isinstance(table, HopscotchTable):
@@ -346,7 +347,7 @@ def recover_erda(server) -> Generator[Event, Any, RecoveryReport]:
                 continue
             size = object_size(hdr.klen, hdr.vlen)
             yield env.timeout(
-                t.read_cost(size) + server.config.crc_cost.cost_ns(hdr.vlen)
+                t.read_cost(size) + CRC_COST.cost_ns(hdr.vlen)
             )
             img = parse_object(pool.read(off, size))
             if value_intact(img):

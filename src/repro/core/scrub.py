@@ -49,6 +49,7 @@ from itertools import islice
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.baselines.partition import Partition, ROTTEN_LOCATION
+from repro.crc.cost import CRC_COST
 from repro.errors import RDMAError, StoreError
 from repro.kv.hashtable import ENTRY_SIZE, Slot, key_fingerprint
 from repro.kv.objects import (
@@ -165,8 +166,7 @@ class Scrubber:
         table = self.part.table
         geom = table.geom
         total = geom.n_buckets * geom.slots_per_bucket
-        cfg = self.server.config
-        yield self.env.timeout(cfg.nvm_timing.read_cost(ENTRY_SIZE))
+        yield self.env.timeout(self.server.device.timing.read_cost(ENTRY_SIZE))
         walked = 0
         while walked < total:
             start = self._cursor % total
@@ -189,8 +189,7 @@ class Scrubber:
         self, entry_off: int, fp: int, cur
     ) -> Generator[Event, Any, None]:
         part = self.part
-        cfg = self.server.config
-        yield self.env.timeout(cfg.nvm_timing.read_cost(cur.size))
+        yield self.env.timeout(self.server.device.timing.read_cost(cur.size))
         try:
             img = part.read_object(cur)
         except ROTTEN_LOCATION:
@@ -201,7 +200,7 @@ class Scrubber:
             if not img.durable:
                 return  # in-flight write: the verifier's job, not rot
             self.scrubbed += 1
-            yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+            yield self.env.timeout(CRC_COST.cost_ns(img.vlen))
             if key_fingerprint(img.key) == fp and value_intact(img):
                 return  # intact
         else:
@@ -242,16 +241,15 @@ class Scrubber:
             if alt is not None and alt != bad_loc:
                 yield alt
 
-        cfg = self.server.config
         for source in (islice(part.versions(bad_loc), 1, None), cleaning_copy()):
             for loc in source:
-                yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
+                yield self.env.timeout(self.server.device.timing.read_cost(loc.size))
                 try:
                     img = part.read_object(loc)
                 except ROTTEN_LOCATION:
                     break
                 if img.well_formed and img.valid and key_fingerprint(img.key) == fp:
-                    yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+                    yield self.env.timeout(CRC_COST.cost_ns(img.vlen))
                     if value_intact(img):
                         yield from self._promote(entry_off, loc, img, bad_loc, bad_img)
                         return
@@ -269,12 +267,11 @@ class Scrubber:
         """Stage-0 repair: rebuild the covered object from stripe ⊕
         parity, validate the candidate end-to-end, reinstall in place."""
         part = self.part
-        cfg = self.server.config
         integ = part.integrity
         # One pass over the object's stripes plus the candidate CRC.
         yield self.env.timeout(
-            cfg.nvm_timing.read_cost(integ.reconstruct_cost_bytes(loc))
-            + cfg.crc_cost.cost_ns(loc.size)
+            self.server.device.timing.read_cost(integ.reconstruct_cost_bytes(loc))
+            + CRC_COST.cost_ns(loc.size)
         )
         cand = integ.reconstruct(loc, lambda raw: self._image_ok(raw, fp))
         if cand is None:
@@ -318,7 +315,6 @@ class Scrubber:
         from repro.cluster.replicator import REPAIR_FETCH_BYTES
 
         part = self.part
-        cfg = self.server.config
         try:
             resp = yield from node.call(
                 source,
@@ -336,7 +332,7 @@ class Scrubber:
         data = resp.get("data") if isinstance(resp, dict) else None
         if not isinstance(data, (bytes, bytearray)) or len(data) != loc.size:
             return False
-        yield self.env.timeout(cfg.crc_cost.cost_ns(loc.size))
+        yield self.env.timeout(CRC_COST.cost_ns(loc.size))
         if not self._image_ok(bytes(data), fp):
             return False
         part.pools[loc.pool].write(loc.offset, bytes(data))
@@ -406,8 +402,7 @@ class Scrubber:
         """Advance the replica cursor to the next settled shipped record
         and scrub it; a full pass over every shipped extent is one lap."""
         part = self.part
-        cfg = self.server.config
-        yield self.env.timeout(cfg.nvm_timing.read_cost(HEADER_SIZE))
+        yield self.env.timeout(self.server.device.timing.read_cost(HEADER_SIZE))
         for pool in part.pools:
             pid = pool.pool_id
             extent = min(
@@ -446,15 +441,14 @@ class Scrubber:
         """CRC one shipped record; repair rot from local parity, else by
         re-fetching the bytes from the partition's primary."""
         part = self.part
-        cfg = self.server.config
-        yield self.env.timeout(cfg.nvm_timing.read_cost(loc.size))
+        yield self.env.timeout(self.server.device.timing.read_cost(loc.size))
         try:
             img = part.read_object(loc)
         except ROTTEN_LOCATION:
             img = None
         self.scrubbed += 1
         if img is not None and img.well_formed:
-            yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+            yield self.env.timeout(CRC_COST.cost_ns(img.vlen))
             if value_intact(img):
                 return  # intact
         self.corrupt_found += 1

@@ -24,6 +24,7 @@ from repro.baselines.base import BaseServer, Partition, RESPONSE_BYTES, _align
 from repro.core.background import BackgroundVerifier
 from repro.core.scrub import Scrubber
 from repro.core.config import EFactoryConfig
+from repro.crc.cost import CRC_COST
 from repro.integrity import PartitionIntegrity, integrity_region_bytes
 from repro.kv.hashtable import Slot
 from repro.kv.objects import value_intact
@@ -67,7 +68,7 @@ class EFactoryServer(BaseServer):
         super().__init__(env, fabric, config, name=name)
         stride = self._tier_bytes()
         if stride:  # the device's last bytes: no table or pool address moves
-            base = self.device.size - stride * len(self.partitions)
+            base = self.device.buffer.size - stride * len(self.partitions)
             for part in self.partitions:
                 part.integrity = PartitionIntegrity(self.device, env, self.config, part.pools, base)
                 base += stride
@@ -216,7 +217,6 @@ class EFactoryServer(BaseServer):
         background thread has not gotten there yet — the difference from
         Forca, which CRCs every read.
         """
-        cfg = self.config
         yield self.env.timeout(self.peek_ns)  # header peek
         img = part.read_object(loc)
         if not img.well_formed or img.key != key or not img.valid:
@@ -225,7 +225,7 @@ class EFactoryServer(BaseServer):
             return True
         # Not yet durable: verify + persist on the request path so the
         # reader is never blocked behind the background thread's cursor.
-        yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
+        yield self.env.timeout(CRC_COST.cost_ns(img.vlen))
         if value_intact(img):
             yield from part.settle_verified(loc, img)
             return True

@@ -317,7 +317,7 @@ class _Instance:
         :meth:`run_workload` drains a crash: the state a from-scratch run
         stands in when its crash rule has fired."""
         inst = cls(spec, now=capsule.time)
-        inst.server.device.restore(capsule.device)
+        inst.server.device.buffer.restore(capsule.device)
         inst.setup.fabric.adopt_inflight(inst.server.node, capsule.inflight)
         inst.loop.ledger = capsule.ledger.copy()
         inst._power_fail()
@@ -328,7 +328,7 @@ class _Instance:
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self.server.device.release()
+        self.server.device.buffer.release()
 
     # -- the scripted workload ------------------------------------------------
     def run_workload(self, capsules: Optional[dict[Point, _Capsule]] = None) -> bool:
@@ -419,7 +419,7 @@ class _Instance:
         flying = self.setup.fabric.inflight_to(self.server.node)
         capsules[point] = _Capsule(
             now,
-            self.server.device.capture(like=last and last.device),
+            self.server.device.buffer.capture(like=last and last.device),
             tuple(w for w in flying if w[2] <= now),
             self.loop.ledger.copy(),
             1_000.0 if self.clients_done else 0.0,
@@ -479,13 +479,13 @@ class _Instance:
         result.crash_summary = dict(self.crash_info.get(summary, {}))
         report = recover(self.setup)
         result.recovery = report.as_dict() if report is not None else None
-        device = self.server.device
-        result.digest = device.fingerprint()
-        image = device.snapshot()
+        buf = self.server.device.buffer
+        result.digest = buf.fingerprint()
+        image = buf.snapshot()
         if report is not None:
             second = recover(self.setup)
             result.idempotent = (
-                device.same_image(image)
+                buf.same_image(image)
                 and second.keys_rolled_back == 0
                 and second.keys_lost == 0
             )
@@ -501,7 +501,7 @@ class _Instance:
         for byte, with the original's image at that same instant."""
         report = recover(self.setup)
         self.recovery = report.as_dict() if report is not None else None
-        return self.server.device.same_image(image)
+        return self.server.device.buffer.same_image(image)
 
     def judged_like(self, result: CrashPointResult, summary: str) -> bool:
         """After :meth:`recovers_to`: the crash resolved and the first

@@ -15,6 +15,7 @@ from typing import Any, Sequence
 
 from repro.analysis.stats import fmt_mops, fmt_ns, improvement
 from repro.analysis.tables import Table, banner
+from repro.crc.cost import CRC_COST
 from repro.harness.crash import CrashReport, CrashSpec, run_crash_experiment
 from repro.harness.runner import RunSpec, run_experiment
 from repro.stores import STORES
@@ -122,8 +123,7 @@ def fig2_get_breakdown(
             )
             result = run_experiment(spec)
             total = result.latency.mean("get")
-            config = STORES[store].config()
-            crc = config.crc_cost.cost_ns(size)
+            crc = CRC_COST.cost_ns(size)
             out[store][size] = {
                 "total_ns": total,
                 "crc_ns": crc,

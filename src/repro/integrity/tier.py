@@ -50,6 +50,7 @@ import struct
 from collections.abc import Generator
 from typing import Any, Callable, Iterable, Optional
 
+from repro.crc.cost import CRC_COST
 from repro.crc.crc32 import crc32_fast
 from repro.kv.objects import FLAG_DURABLE, OBJECT_HEADER, parse_object, value_intact
 from repro.sim.kernel import Event
@@ -288,18 +289,18 @@ class PoolIntegrity:
         ranges: list[tuple[int, int]] = []
         for stripe in sorted(self.dirty_stripes):
             addr = self.parity_base + stripe * PARITY_PAGE
-            self.device.write(addr, bytes(self._page(stripe)))
+            self.device.buffer.write(addr, bytes(self._page(stripe)))
             ranges.append((addr, PARITY_PAGE))
         self.dirty_stripes.clear()
         for off in sorted(self.dirty_slots):
             addr = self.ledger_base + (off // self.pool.align) * LEDGER_SLOT
             entry = self.entries.get(off)
             blob = _LEDGER.pack(*entry) if entry is not None else bytes(LEDGER_SLOT)
-            self.device.write(addr, blob)
+            self.device.buffer.write(addr, blob)
             ranges.append((addr, LEDGER_SLOT))
         self.dirty_slots.clear()
         if self.root_dirty:
-            self.device.write(self.root_base, self.root_line())
+            self.device.buffer.write(self.root_base, self.root_line())
             ranges.append((self.root_base, ROOT_LINE))
             self.root_dirty = False
         return ranges
@@ -311,13 +312,13 @@ class PoolIntegrity:
         parity = bytearray(self.n_stripes * PARITY_PAGE)
         for stripe, page in self.parity.items():
             parity[stripe * PARITY_PAGE : (stripe + 1) * PARITY_PAGE] = page
-        self.device.write(self.parity_base, bytes(parity))
+        self.device.buffer.write(self.parity_base, bytes(parity))
         ledger = bytearray((self.pool.size // self.pool.align) * LEDGER_SLOT)
         for off, entry in self.entries.items():
             i = (off // self.pool.align) * LEDGER_SLOT
             ledger[i : i + LEDGER_SLOT] = _LEDGER.pack(*entry)
-        self.device.write(self.ledger_base, bytes(ledger))
-        self.device.write(self.root_base, self.root_line())
+        self.device.buffer.write(self.ledger_base, bytes(ledger))
+        self.device.buffer.write(self.root_base, self.root_line())
         self.dirty_stripes.clear()
         self.dirty_slots.clear()
         self.root_dirty = False
@@ -340,11 +341,11 @@ class PoolIntegrity:
         coverage and zero the NVM regions."""
         self.clear()
         self.root_dirty = True
-        self.device.write(self.parity_base, bytes(self.n_stripes * PARITY_PAGE))
-        self.device.write(
+        self.device.buffer.write(self.parity_base, bytes(self.n_stripes * PARITY_PAGE))
+        self.device.buffer.write(
             self.ledger_base, bytes((self.pool.size // self.pool.align) * LEDGER_SLOT)
         )
-        self.device.write(self.root_base, bytes(ROOT_LINE))
+        self.device.buffer.write(self.root_base, bytes(ROOT_LINE))
         self.device.flush(self.parity_base, self.root_base + ROOT_LINE - self.parity_base)
 
 
@@ -362,8 +363,6 @@ class PartitionIntegrity:
     ) -> None:
         self.device = device
         self.env = env
-        self.timing = config.nvm_timing
-        self.crc_cost = config.crc_cost
         self.stripe_bytes = int(config.parity_stripe_kb) * 1024
         self.by_pool: list[PoolIntegrity] = []
         base = region_base
@@ -389,7 +388,7 @@ class PartitionIntegrity:
         the ledger under the root, charging the client-side CRC (a real
         client verifies its ledger slice locally). Uncovered objects
         (not yet settled) pass — the durability flag still guards them."""
-        yield self.env.timeout(self.crc_cost.cost_ns(len(raw)))
+        yield self.env.timeout(CRC_COST.cost_ns(len(raw)))
         self.tree_checks += 1
         entry = self.by_pool[loc.pool].entries.get(loc.offset)
         if entry is None or entry[0] != len(raw):
@@ -458,7 +457,7 @@ class PartitionIntegrity:
         if total:
             # XOR + CRC work to fold the batch into parity and ledger.
             yield self.env.timeout(
-                self.timing.copy_cost(total) + self.crc_cost.cost_ns(total)
+                self.device.timing.copy_cost(total) + CRC_COST.cost_ns(total)
             )
         yield from self.flush()
 
@@ -510,7 +509,7 @@ class PartitionIntegrity:
         self.rebuilds += 1
         if total:
             yield self.env.timeout(
-                self.timing.read_cost(total) + self.crc_cost.cost_ns(total)
+                self.device.timing.read_cost(total) + CRC_COST.cost_ns(total)
             )
         yield from self._persist_ranges(ranges)
 

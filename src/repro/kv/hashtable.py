@@ -193,7 +193,9 @@ class NvmHashTable:
 
     # -- entry access -------------------------------------------------------
     def read_entry(self, entry_off: int):
-        return ENTRY_LAYOUT.unpack(self.device.read(self.base + entry_off, ENTRY_SIZE))
+        return ENTRY_LAYOUT.unpack(
+            self.device.buffer.read(self.base + entry_off, ENTRY_SIZE)
+        )
 
     def _count_read(self, n_entries: int) -> None:
         """Account for entries examined through a view as loads."""
@@ -218,7 +220,9 @@ class NvmHashTable:
             run = min(left, g.n_buckets - bucket)
             off = bucket * bucket_bytes
             n = run * per_bucket
-            fps = _fp_words(n).unpack(self.device.view(self.base + off, n * ENTRY_SIZE))
+            fps = _fp_words(n).unpack(
+                self.device.buffer.view(self.base + off, n * ENTRY_SIZE)
+            )
             if fp in fps:
                 k = fps.index(fp)
                 self._count_read(examined + k + 1)
@@ -313,7 +317,7 @@ class NvmHashTable:
         while skipped < limit:
             idx = (start + skipped) % total
             n = min(window, limit - skipped, total - idx)
-            raw = self.device.view(self.base + idx * ENTRY_SIZE, n * ENTRY_SIZE)
+            raw = self.device.buffer.view(self.base + idx * ENTRY_SIZE, n * ENTRY_SIZE)
             fps = np.frombuffer(raw, dtype="<u8")[::_WORDS_PER_ENTRY]
             hits = fps.nonzero()[0]
             if hits.size:

@@ -122,7 +122,7 @@ class HopscotchTable:
 
     # -- entry io ----------------------------------------------------------------
     def _read(self, idx: int):
-        raw = self.device.read(self.base + self.entry_offset(idx), ERDA_ENTRY_SIZE)
+        raw = self.device.buffer.read(self.base + self.entry_offset(idx), ERDA_ENTRY_SIZE)
         return ERDA_ENTRY.unpack(raw)
 
     def _write_fp(self, idx: int, fp: int) -> None:

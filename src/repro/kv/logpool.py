@@ -141,10 +141,10 @@ class LogPool:
 
     # -- raw access (timing charged by callers) --------------------------------------
     def read(self, offset: int, length: int) -> bytes:
-        return self.device.read(self.abs_addr(offset), length)
+        return self.device.buffer.read(self.abs_addr(offset), length)
 
     def write(self, offset: int, data: bytes) -> None:
-        self.device.write(self.abs_addr(offset), data)
+        self.device.buffer.write(self.abs_addr(offset), data)
 
     def reset(self) -> None:
         """Recycle the pool (log cleaning retires and reuses it)."""

@@ -1,26 +1,27 @@
-"""Non-volatile main-memory device: state + timing.
+"""Non-volatile main-memory device: timing and fault sites over a buffer.
 
 :class:`NVMDevice` binds a :class:`~repro.mem.buffer.PersistentBuffer`
 (state, crash semantics) to an :class:`NVMTiming` cost model and a
-simulation environment, and exposes *timed* operations as generators to
-``yield from`` inside simulated processes:
+simulation environment, and adds only what the buffer lacks: *timed*
+operations as generators to ``yield from`` inside simulated processes,
 
 * :meth:`copy_in` — CPU memcpy into NVM (the RPC server's staging copy);
 * :meth:`persist` — CLWB over a range + SFENCE drain;
-* :meth:`store`  — small CPU store (metadata field update).
 
-Instant (zero-time) state access is available through :attr:`buffer`
-and the convenience :meth:`read` / :meth:`write` passthroughs — those
-model reads/writes whose *timing* is charged elsewhere (e.g. inbound
-RDMA DMA, whose time lives in the fabric model).
+and the fault injection sites. Every other access — reads, writes,
+crashes, corruption, whole-image snapshots and captures — goes to
+:attr:`buffer` directly; its timing, where there is one, is charged by
+the caller (e.g. inbound RDMA DMA, whose time lives in the fabric model).
 
-Every persist boundary and atomic metadata store is also a fault
-*injection site*: :meth:`persist` fires ``nvm.persist``, :meth:`flush`
-fires ``nvm.flush`` (the state-level writeback used where timing is
-charged by the caller), and :meth:`write_atomic64` fires
-``nvm.store64``. These sites carry the media-fault kinds
-(``nvm_bitrot``, ``nvm_torn_store``) and double as the crash points the
-crash-point matrix (:mod:`repro.harness.crashmatrix`) enumerates.
+Every persist boundary and atomic metadata store is a fault *injection
+site*: :meth:`persist` fires ``nvm.persist``, :meth:`flush` fires
+``nvm.flush`` (the state-level writeback used where timing is charged
+by the caller), and :meth:`write_atomic64` fires ``nvm.store64``. These
+sites carry the media-fault kinds (``nvm_bitrot``, ``nvm_torn_store``)
+and double as the crash points the crash-point matrix
+(:mod:`repro.harness.crashmatrix`) enumerates. Writebacks that are not
+persist boundaries (the fabric's DDIO-off DMA landing, a crash's torn
+DMA chunks) call ``buffer.flush`` and visit no site.
 
 Default constants approximate Optane DC PMM behind a DDR bus and are
 recorded (with their calibration rationale) in DESIGN.md §6.
@@ -31,10 +32,8 @@ from __future__ import annotations
 from collections.abc import Generator
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.mem.buffer import CACHELINE, ImageCapture, ImageSnapshot, PersistentBuffer
+from repro.mem.buffer import CACHELINE, PersistentBuffer
 from repro.sim.kernel import Environment, Event
 
 __all__ = ["NVMTiming", "NVMDevice"]
@@ -117,30 +116,10 @@ class NVMDevice:
         #: chaos harness's repair-outcome accounting.
         self.media_faults = 0
 
-    @property
-    def size(self) -> int:
-        return self.buffer.size
-
-    # -- instant state access (timing charged by the caller) -----------------
-    def read(self, addr: int, length: int) -> bytes:
-        return self.buffer.read(addr, length)
-
-    def view(self, addr: int, length: int) -> memoryview:
-        """Read-only zero-copy window (see
-        :meth:`repro.mem.buffer.PersistentBuffer.view`); never hold it
-        across a ``yield``."""
-        return self.buffer.view(addr, length)
-
-    def write(self, addr: int, data: bytes | bytearray | memoryview) -> None:
-        self.buffer.write(addr, data)
-
     def write_atomic64(self, addr: int, data: bytes) -> None:
         if self.injector is not None:
             self.injector.fire("nvm.store64")
         self.buffer.write_atomic64(addr, data)
-
-    def is_persistent(self, addr: int, length: int) -> bool:
-        return self.buffer.is_persistent(addr, length)
 
     def flush(self, addr: int, length: int) -> int:
         """State-level writeback through the ``nvm.flush`` injection site.
@@ -157,25 +136,10 @@ class NVMDevice:
         return self.buffer.flush(addr, length)
 
     # -- timed operations -----------------------------------------------------
-    def store(
-        self, addr: int, data: bytes, *, atomic: bool = False
-    ) -> Generator[Event, None, None]:
-        """Timed small CPU store (metadata updates)."""
-        yield self.env.timeout(self.timing.store_ns)
-        if atomic:
-            self.buffer.write_atomic64(addr, data)
-        else:
-            self.buffer.write(addr, data)
-
     def copy_in(self, addr: int, data: bytes) -> Generator[Event, None, None]:
         """Timed CPU memcpy of ``data`` into NVM at ``addr``."""
         yield self.env.timeout(self.timing.copy_cost(len(data)))
         self.buffer.write(addr, data)
-
-    def load(self, addr: int, length: int) -> Generator[Event, None, bytes]:
-        """Timed CPU read from NVM (recovery scans)."""
-        yield self.env.timeout(self.timing.read_cost(length))
-        return self.buffer.read(addr, length)
 
     def persist(self, addr: int, length: int) -> Generator[Event, None, int]:
         """Timed CLWB sweep + SFENCE; returns lines actually written back.
@@ -209,58 +173,5 @@ class NVMDevice:
             self.buffer.corrupt(addr + off, "bitflip", rng=rng)
         return n
 
-    # -- crash -----------------------------------------------------------------
-    def crash(
-        self,
-        rng: np.random.Generator,
-        evict_probability: float = 0.5,
-        *,
-        tear_words: bool = False,
-    ) -> dict:
-        """Power-fail the device (state only; orchestration is in
-        :mod:`repro.harness.crash`)."""
-        return self.buffer.crash(rng, evict_probability, tear_words=tear_words)
-
-    def corrupt(
-        self,
-        addr: int,
-        kind: str = "bitflip",
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> dict:
-        """Seeded latent media corruption (see
-        :meth:`repro.mem.buffer.PersistentBuffer.corrupt`)."""
-        return self.buffer.corrupt(addr, kind, rng=rng)
-
-    # -- whole-image judgements (harness side, zero simulated time) ------------
-    def snapshot(self, *ranges: tuple[int, int]) -> ImageSnapshot:
-        """Copy of both images, whole or over ``ranges`` (see
-        :meth:`repro.mem.buffer.PersistentBuffer.snapshot`)."""
-        return self.buffer.snapshot(*ranges)
-
-    def same_image(self, snap: ImageSnapshot) -> bool:
-        """Byte-equality of the live images with ``snap`` (memcmp, no hash)."""
-        return self.buffer.same_image(snap)
-
-    def capture(self, like: ImageCapture | None = None) -> ImageCapture:
-        """What a crash of the device would read (see
-        :meth:`repro.mem.buffer.PersistentBuffer.capture`)."""
-        return self.buffer.capture(like)
-
-    def restore(self, cap: ImageCapture) -> None:
-        """Load a :meth:`capture` of a device of this size (see
-        :meth:`repro.mem.buffer.PersistentBuffer.restore`)."""
-        self.buffer.restore(cap)
-
-    def fingerprint(self, *ranges: tuple[int, int]) -> str:
-        """Printable fingerprint of both images (see
-        :meth:`repro.mem.buffer.PersistentBuffer.fingerprint`)."""
-        return self.buffer.fingerprint(*ranges)
-
-    def release(self) -> None:
-        """Free the images of a device whose run is over (see
-        :meth:`repro.mem.buffer.PersistentBuffer.release`)."""
-        self.buffer.release()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<NVMDevice {self.name} size={self.size}>"
+        return f"<NVMDevice {self.name} size={self.buffer.size}>"

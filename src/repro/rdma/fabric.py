@@ -241,7 +241,7 @@ class Fabric:
             fl.state = "torn"
             return False
         assert fl.target.device is not None
-        fl.target.device.write(fl.addr, fl.data)
+        fl.target.device.buffer.write(fl.addr, fl.data)
         if not fl.target.ddio:
             # DDIO off: the DMA went through the memory controller into
             # the ADR domain — durable the moment it lands.
@@ -317,7 +317,7 @@ class Fabric:
             for chunk in landed:
                 start = int(chunk) * CACHELINE
                 end = min(start + CACHELINE, n)
-                node.device.write(fl.addr + start, fl.data[start:end])
+                node.device.buffer.write(fl.addr + start, fl.data[start:end])
                 if not node.ddio:
                     node.device.buffer.flush(fl.addr + start, end - start)
             fl.state = "torn"
@@ -326,7 +326,7 @@ class Fabric:
         summary = {"torn_writes": torn}
         if node.device is not None:
             summary.update(
-                node.device.crash(rng, evict_probability, tear_words=tear_words)
+                node.device.buffer.crash(rng, evict_probability, tear_words=tear_words)
             )
         return summary
 

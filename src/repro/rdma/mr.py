@@ -36,9 +36,10 @@ class MemoryRegion:
         writable: bool = True,
         name: str = "",
     ) -> None:
-        if base < 0 or size <= 0 or base + size > device.size:
+        end = device.buffer.size
+        if base < 0 or size <= 0 or base + size > end:
             raise ProtectionError(
-                f"region [{base}, {base + size}) outside device of size {device.size}"
+                f"region [{base}, {base + size}) outside device of size {end}"
             )
         self.rkey = next(_rkey_counter)
         self.device = device

@@ -536,7 +536,7 @@ class Endpoint:
         yield self._wait(t_wire + (t.propagation_ns + t.dma_ns), analytic)
         fabric.check_target(self.remote)
         # Target NIC snapshots memory now, then streams the response.
-        data = mr.device.read(addr, length)
+        data = mr.device.buffer.read(addr, length)
         # Response leg: claimed at arrival time (never in advance, so
         # FIFO order on the remote engine is preserved); a busy engine
         # takes the rest of the verb off the analytic path.
@@ -574,7 +574,7 @@ class Endpoint:
             t_wire + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns), analytic
         )
         fabric.check_target(self.remote)
-        old = mr.device.read(addr, 8)
+        old = mr.device.buffer.read(addr, 8)
         if old == expected:
             mr.device.write_atomic64(addr, desired)
         yield self._wait(env.now + (t.propagation_ns + t.nic_rx_ns), analytic)
@@ -605,7 +605,7 @@ class Endpoint:
             t_wire + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns), analytic
         )
         fabric.check_target(self.remote)
-        old = int.from_bytes(mr.device.read(addr, 8), "little")
+        old = int.from_bytes(mr.device.buffer.read(addr, 8), "little")
         new = (old + delta) & 0xFFFFFFFFFFFFFFFF
         mr.device.write_atomic64(addr, new.to_bytes(8, "little"))
         yield self._wait(env.now + (t.propagation_ns + t.nic_rx_ns), analytic)

@@ -24,8 +24,8 @@ path persists it; loop bodies are walked once).
   matchable token clears everything (conservative against noise, not
   against bugs: the no-persist-at-all case is what PO001 targets).
 * A *publish op* (``write_atomic64``, ``set_cur``/``set_alt``/
-  ``promote_alt``, ``publish_object``, ``store(..., atomic=True)``)
-  while any fact is dirty raises **PO001**.
+  ``promote_alt``, ``publish_object``) while any fact is dirty raises
+  **PO001**.
 * A ``return`` from an RPC handler (``_handle_*`` generator) with dirty
   facts raises **PO002** — acking a client while bytes are volatile —
   unless the return is an ``rpc_error(...)`` (a nack promises nothing).
@@ -155,16 +155,6 @@ def _receiver_token(call: ast.Call) -> str | None:
     return None
 
 
-def _is_atomic_store_call(call: ast.Call) -> bool:
-    """``store(..., atomic=True)`` — a timed publish."""
-    if call_tail(call) != "store":
-        return False
-    for kw in call.keywords:
-        if kw.arg == "atomic" and isinstance(kw.value, ast.Constant):
-            return bool(kw.value.value)
-    return False
-
-
 def _is_error_return(node: ast.Return) -> bool:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call) and call_tail(sub) == "rpc_error":
@@ -268,7 +258,7 @@ class _FunctionChecker:
         if tail in PERSIST_TAILS:
             self.apply_persist(call, state)
             return
-        if tail in PUBLISH_TAILS or _is_atomic_store_call(call):
+        if tail in PUBLISH_TAILS:
             self.apply_publish(call, tail, state)
             return
         if tail in WRITE_TAILS:
@@ -370,11 +360,7 @@ def check_persist_ordering(
     known = set(index.by_name)
     for info in index.functions:
         has_boundary = any(
-            isinstance(n, ast.Call)
-            and (
-                (call_tail(n) in PUBLISH_TAILS)
-                or _is_atomic_store_call(n)
-            )
+            isinstance(n, ast.Call) and call_tail(n) in PUBLISH_TAILS
             for n in ast.walk(info.node)
         )
         if not (has_boundary or info.name.startswith("_handle_")):

@@ -113,9 +113,9 @@ def test_promotion_recovery_is_idempotent_digest(env):
     # recovery pass moves no byte of it, and so not its fingerprint.
     server = cluster.nodes[1].server
     part = server.partitions[0]
-    image = server.device.snapshot(*partition_ranges(server, part))
+    image = server.device.buffer.snapshot(*partition_ranges(server, part))
     fingerprint = partition_digest(server, part)
     run1(env, recover_partition(server, part))
-    assert server.device.same_image(image)
+    assert server.device.buffer.same_image(image)
     assert partition_digest(server, part) == fingerprint
     setup.stop()

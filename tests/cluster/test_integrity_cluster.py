@@ -61,7 +61,7 @@ def _corrupt_value(setup, node_id: int, part_id: int, cur, byte: int = 0):
     node = setup.cluster.nodes[node_id]
     pool = node.server.partitions[part_id].pools[cur.pool]
     addr = pool.abs_addr(cur.offset) + HEADER_SIZE + KLEN + byte
-    node.server.device.corrupt(addr, "bitflip")
+    node.server.device.buffer.corrupt(addr, "bitflip")
 
 
 def _record_bytes(setup, node_id: int, part_id: int, cur) -> bytes:

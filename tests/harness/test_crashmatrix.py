@@ -192,7 +192,7 @@ def test_a_replay_that_lands_on_other_bytes_is_reported(monkeypatch, image):
         def recovers_to(self, snap):
             assert real(self, snap)
             _plant(self.server.device.buffer, image, touched)
-            return self.server.device.same_image(snap)
+            return self.server.device.buffer.same_image(snap)
 
         monkeypatch.setattr(crashmatrix._Instance, "recovers_to", recovers_to)
         rep = run_crash_matrix(_spec(replay=True))
@@ -381,7 +381,7 @@ def _image_costs(monkeypatch, spec):
                 for inst, _ in instances:
                     assert inst.server.device.buffer.visible is None
                 super().__init__(spec, rules, **kw)
-                instances.append((self, self.server.device.size))
+                instances.append((self, self.server.device.buffer.size))
 
         m.setattr(crashmatrix, "_Instance", _Tracked)
         rep = run_crash_matrix(spec)

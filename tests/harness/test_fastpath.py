@@ -352,7 +352,7 @@ class TestCrashBeforeTheWire:
         e.run()
         return (
             out,
-            server.device.fingerprint(),
+            server.device.buffer.fingerprint(),
             rng.bit_generator.state,
             fab.inflight_count(),
             fab.fastpath_ops,

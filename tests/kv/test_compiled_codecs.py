@@ -242,7 +242,7 @@ class TestHashEntry:
         return NvmHashTable(NVMDevice(Environment(), self.GEOM.table_bytes), 0, self.GEOM)
 
     def raw_entry(self, table: NvmHashTable, off: int) -> bytes:
-        return bytes(table.device.view(table.base + off, ENTRY_SIZE))
+        return bytes(table.device.buffer.view(table.base + off, ENTRY_SIZE))
 
     @settings(max_examples=60)
     @given(fp=st.integers(1, (1 << 64) - 1), cur=slots, alt=slots)

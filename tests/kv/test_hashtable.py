@@ -131,7 +131,7 @@ class TestTableOps:
         off = table.find_or_create(fp)
         table.set_cur(off, Slot(pool=0, size=8, offset=0))
         table.persist_entry(off)
-        assert table.device.is_persistent(table.base + off, ENTRY_SIZE)
+        assert table.device.buffer.is_persistent(table.base + off, ENTRY_SIZE)
 
 
 class TestClientLookup:
@@ -142,7 +142,7 @@ class TestClientLookup:
         table.set_cur(off, slot)
         geom = table.geom
         bucket = geom.bucket_of(fp)
-        raw = table.device.read(
+        raw = table.device.buffer.read(
             table.base + geom.bucket_offset(bucket), geom.bucket_bytes
         )
         found = client_lookup_bucket(raw, fp, geom)

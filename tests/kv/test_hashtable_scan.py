@@ -18,7 +18,7 @@ from repro.kv.hashtable import (
     NvmHashTable,
     Slot,
 )
-from repro.nvm.device import NVMDevice, NVMTiming
+from repro.nvm.device import NVMDevice
 from repro.sim.kernel import Environment
 
 BASE = 96  # the table need not start at the device origin
@@ -95,7 +95,7 @@ def fill(table, live):
     """``live``: entry index -> has a valid ``cur``."""
     for i, valid in live.items():
         cur = Slot(pool=0, size=64, offset=64 * i).pack() if valid else 0
-        table.device.write(
+        table.device.buffer.write(
             table.base + i * ENTRY_SIZE,
             ENTRY_LAYOUT.pack(fp=i + 1, cur=cur, alt=0, rsv=0),
         )
@@ -113,7 +113,7 @@ def recording_scrubber(table, cursor):
         env=env,
         partitions=[part],
         num_partitions=1,
-        config=SimpleNamespace(nvm_timing=NVMTiming()),
+        device=table.device,
     )
     scrubber = Scrubber(server, part)
     scrubber._cursor = cursor
@@ -233,7 +233,8 @@ def test_probe_window_matches_the_per_entry_probe(case):
         else:
             assert new.find_or_create(fp) == want
         assert new.find(fp) == ref_find(ref, fp) == want
-        assert new.device.read(0, new.device.size) == ref.device.read(0, ref.device.size)
+        new_img, ref_img = new.device.buffer, ref.device.buffer
+        assert new_img.read(0, new_img.size) == ref_img.read(0, ref_img.size)
         assert bytes_read(new) == bytes_read(ref)
 
 

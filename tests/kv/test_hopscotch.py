@@ -121,7 +121,7 @@ class TestClientScan:
     def test_finds_entry_in_raw_bytes(self, table):
         table.insert_or_update(42, 480)
         off, length = table.neighborhood_offset(42)
-        raw = table.device.read(table.base + off, length)
+        raw = table.device.buffer.read(table.base + off, length)
         region = client_scan_neighborhood(raw, 42)
         assert region is not None and region.off1 == 480
 

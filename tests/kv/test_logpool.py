@@ -80,7 +80,7 @@ class TestAddressing:
         dev = NVMDevice(env, 1 << 16)
         pool = LogPool(dev, base=1024, size=4096)
         pool.write(0, b"at base")
-        assert dev.read(1024, 7) == b"at base"
+        assert dev.buffer.read(1024, 7) == b"at base"
         assert pool.read(0, 7) == b"at base"
 
     def test_bad_align_rejected(self, env):

@@ -144,12 +144,12 @@ def test_a_capture_restores_only_into_its_size():
     cap = buf.capture()
     with pytest.raises(MemoryAccessError, match="8192-byte buffer restored into 4096"):
         PersistentBuffer(4096).restore(cap)
-    device = NVMDevice(Environment(), 8192)
-    device.restore(cap)
-    assert device.capture() == cap and device.buffer.dirty_line_count() == 1
-    device.release()
+    image = NVMDevice(Environment(), 8192).buffer
+    image.restore(cap)
+    assert image.capture() == cap and image.dirty_line_count() == 1
+    image.release()
     with pytest.raises(MemoryAccessError, match="released"):
-        device.restore(cap)
+        image.restore(cap)
 
 
 def flip_one_image(buf, image, addr):
@@ -282,13 +282,18 @@ def test_release_with_a_window_still_alive():
 
 
 def test_device_passthroughs():
+    """A device passes nothing through: its images are its buffer's."""
     device = NVMDevice(Environment(), 4096)
-    device.write(64, b"image")
-    snap, fingerprint = device.snapshot((64, 5)), device.fingerprint((64, 5))
-    assert device.same_image(snap) and device.same_image(device.snapshot())
-    assert fingerprint == device.buffer.fingerprint((64, 5)) != device.fingerprint()
-    device.write(64, b"IMAGE")
-    assert not device.same_image(snap) and device.fingerprint((64, 5)) != fingerprint
-    device.release()
+    for name in ("read", "write", "snapshot", "same_image", "capture", "restore",
+                 "fingerprint", "release", "crash", "corrupt", "is_persistent"):
+        assert not hasattr(device, name), name
+    buf = device.buffer
+    buf.write(64, b"image")
+    snap, fingerprint = buf.snapshot((64, 5)), buf.fingerprint((64, 5))
+    assert buf.same_image(snap) and buf.same_image(buf.snapshot())
+    assert fingerprint == buf.fingerprint((64, 5)) != buf.fingerprint()
+    buf.write(64, b"IMAGE")
+    assert not buf.same_image(snap) and buf.fingerprint((64, 5)) != fingerprint
+    buf.release()
     with pytest.raises(MemoryAccessError, match="released"):
-        device.read(64, 5)
+        buf.read(64, 5)

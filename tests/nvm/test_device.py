@@ -36,12 +36,12 @@ class TestDevice:
 
         elapsed = env.run(env.process(proc()))
         assert elapsed == pytest.approx(dev.timing.copy_cost(7))
-        assert dev.read(100, 7) == b"payload"
-        assert not dev.is_persistent(100, 7)
+        assert dev.buffer.read(100, 7) == b"payload"
+        assert not dev.buffer.is_persistent(100, 7)
 
     def test_persist_charges_and_flushes(self, env):
         dev = NVMDevice(env, 4096)
-        dev.write(0, b"x" * 100)
+        dev.buffer.write(0, b"x" * 100)
 
         def proc():
             lines = yield from dev.persist(0, 100)
@@ -50,7 +50,7 @@ class TestDevice:
         lines, elapsed = env.run(env.process(proc()))
         assert lines == 2
         assert elapsed == pytest.approx(dev.timing.flush_cost(100))
-        assert dev.is_persistent(0, 100)
+        assert dev.buffer.is_persistent(0, 100)
 
     def test_persist_clean_range_charges_full_sweep(self, env):
         """Timing covers issuing CLWBs even over clean lines."""
@@ -64,27 +64,8 @@ class TestDevice:
         assert lines == 0
         assert elapsed == pytest.approx(dev.timing.flush_cost(128))
 
-    def test_load_returns_data(self, env):
-        dev = NVMDevice(env, 4096)
-        dev.write(5, b"abc")
-
-        def proc():
-            data = yield from dev.load(5, 3)
-            return data
-
-        assert env.run(env.process(proc())) == b"abc"
-
-    def test_store_atomic(self, env):
-        dev = NVMDevice(env, 4096)
-
-        def proc():
-            yield from dev.store(8, b"12345678", atomic=True)
-
-        env.run(env.process(proc()))
-        assert dev.read(8, 8) == b"12345678"
-
     def test_crash_delegates(self, env):
         dev = NVMDevice(env, 4096)
-        dev.write(0, b"gone")
-        dev.crash(np.random.default_rng(0), evict_probability=0.0)
-        assert dev.read(0, 4) == b"\x00" * 4
+        dev.buffer.write(0, b"gone")
+        dev.buffer.crash(np.random.default_rng(0), evict_probability=0.0)
+        assert dev.buffer.read(0, 4) == b"\x00" * 4

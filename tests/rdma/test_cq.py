@@ -31,13 +31,13 @@ def test_write_completion(env, net):
 
     wid, wc = env.run(env.process(proc()))
     assert wc.wr_id == wid == 7 and wc.ok
-    assert server.device.read(0, 6) == b"async!"
+    assert server.device.buffer.read(0, 6) == b"async!"
     assert cq.outstanding == 0 and cq.completed == 1
 
 
 def test_read_completion_carries_data(env, net):
     _f, server, ep, mr = net
-    server.device.write(64, b"payload")
+    server.device.buffer.write(64, b"payload")
     cq = CompletionQueue(env)
 
     def proc():

@@ -73,7 +73,7 @@ class TestCrashTearing:
         landed = sum(
             1
             for i in range(64)
-            if server.device.read(i * CACHELINE, 1) == b"\xab"
+            if server.device.buffer.read(i * CACHELINE, 1) == b"\xab"
         )
         assert 0 < landed < 64  # torn, not all-or-nothing
 
@@ -95,7 +95,7 @@ class TestCrashTearing:
         env.process(writer())
         env.process(killer())
         env.run()
-        assert server.device.read(0, 4096) == b"\x00" * 4096
+        assert server.device.buffer.read(0, 4096) == b"\x00" * 4096
 
     def test_crash_before_transfer_lands_nothing(self, env):
         fabric, server, ep, mr = self._setup(env)
@@ -113,7 +113,7 @@ class TestCrashTearing:
         env.process(writer())
         env.process(killer())
         env.run()
-        assert server.device.read(0, 4096) == b"\x00" * 4096
+        assert server.device.buffer.read(0, 4096) == b"\x00" * 4096
 
     def test_inflight_writes_handed_to_another_fabric_tear_alike(self, env):
         """A node's in-flight WRITEs, put in flight on a second fabric at
@@ -141,7 +141,7 @@ class TestCrashTearing:
             for f, node in ((fabric, server), (twin, twin_server))
         ]
         assert summaries[0] == summaries[1] and summaries[0]["torn_writes"] == 3
-        assert twin_server.device.same_image(server.device.snapshot())
+        assert twin_server.device.buffer.same_image(server.device.buffer.snapshot())
         assert fabric.inflight_count(other) == 3
 
     def test_double_crash_rejected(self, env):
@@ -217,7 +217,7 @@ class TestConnectionLifetime:
             # -> message -> reply_to -> endpoint -> node.
             ok, msg = server.srq.try_get()
             assert ok and msg.reply_to is ep.peer
-            assert device.read(0, 4) == b"xxxx"
+            assert device.buffer.read(0, 4) == b"xxxx"
             return weakref.ref(device.name)
 
         gc.collect()

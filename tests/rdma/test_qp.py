@@ -34,8 +34,8 @@ class TestWrite:
             yield from ep.write(mr.rkey, 64, b"data!")
 
         run(env, proc())
-        assert server.device.read(64, 5) == b"data!"
-        assert not server.device.is_persistent(64, 5)
+        assert server.device.buffer.read(64, 5) == b"data!"
+        assert not server.device.buffer.is_persistent(64, 5)
 
     def test_write_latency_matches_model(self, env, net):
         fabric, server, client, ep, mr = net
@@ -101,7 +101,7 @@ class TestWrite:
 class TestRead:
     def test_read_returns_visible_bytes(self, env, net):
         fabric, server, client, ep, mr = net
-        server.device.write(128, b"remote bytes")
+        server.device.buffer.write(128, b"remote bytes")
 
         def proc():
             return (yield from ep.read(mr.rkey, 128, 12))
@@ -145,7 +145,7 @@ class TestAtomics:
         old, old2 = run(env, proc())
         assert int.from_bytes(old, "little") == 5
         assert int.from_bytes(old2, "little") == 9  # second CAS failed
-        assert server.device.read(0, 8) == (9).to_bytes(8, "little")
+        assert server.device.buffer.read(0, 8) == (9).to_bytes(8, "little")
 
     def test_faa(self, env, net):
         fabric, server, client, ep, mr = net
@@ -210,7 +210,7 @@ class TestTwoSided:
         env.process(cli())
         imm, opcode = env.run(env.process(srv()))
         assert imm == 77 and opcode is Opcode.WRITE_WITH_IMM
-        assert server.device.read(256, 4) == b"bulk"
+        assert server.device.buffer.read(256, 4) == b"bulk"
 
 
 class TestNodeDeath:

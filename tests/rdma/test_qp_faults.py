@@ -76,7 +76,7 @@ class TestQPErrorState:
 
         fabric.injector = None
         run(env, works())
-        assert server.device.read(0, 2) == b"ok"
+        assert server.device.buffer.read(0, 2) == b"ok"
 
     def test_peer_error_does_not_block_this_direction(self, env, net):
         fabric, server, client, ep, mr = net
@@ -107,7 +107,7 @@ class TestCompletionDrop:
         assert env.now == 500.0  # transport retries before giving up
         assert ep.in_error
         # the payload never reached the target
-        assert server.device.read(64, 4) == b"\x00" * 4
+        assert server.device.buffer.read(64, 4) == b"\x00" * 4
 
 
 class TestCompletionDelay:

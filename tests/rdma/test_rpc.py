@@ -219,10 +219,10 @@ def test_crash_interrupts_every_spawned_handler(env):
         i = msg.payload["i"]
         entered.append(i)
         yield env.timeout(20)
-        device.write(64 * i, b"a" * 8)
+        device.buffer.write(64 * i, b"a" * 8)
         writes.append(env.now)
         yield env.timeout(2_000)
-        device.write(64 * i + 8, b"b" * 8)
+        device.buffer.write(64 * i + 8, b"b" * 8)
         writes.append(env.now)
         return {"i": i}, 32
 

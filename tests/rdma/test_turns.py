@@ -101,7 +101,7 @@ def _execute(program, bucket_ns, walk):
         "counters": (fabric.fastpath_ops, fabric.fallback_ops),
         "ep_fastpath_ops": [ep.fastpath_ops for ep in eps],
         "deliveries": [m.arrived_at.hex() for m in server.srq.items],
-        "memory": hashlib.sha256(server.device.read(0, 1 << 20)).hexdigest(),
+        "memory": hashlib.sha256(server.device.buffer.read(0, 1 << 20)).hexdigest(),
         "inflight_left": fabric.inflight_count(),
     }
     return observed, env.events_processed

@@ -137,7 +137,7 @@ def run_cell(verb: str, issuers: int, fastpath: bool, bucket_ns: float, kernel: 
             [m.opcode.value, m.wire_bytes, m.imm, m.arrived_at.hex()]
             for m in server.srq.items
         ],
-        "memory": hashlib.sha256(server.device.read(0, 1 << 20)).hexdigest()[:16],
+        "memory": hashlib.sha256(server.device.buffer.read(0, 1 << 20)).hexdigest()[:16],
     }
 
 

@@ -39,7 +39,7 @@ def _corrupt_value(setup, key, part_id=0):
     part, cur = _head_loc(setup, key, part_id)
     pool = part.pools[cur.pool]
     addr = pool.abs_addr(cur.offset) + HEADER_SIZE + len(key)
-    setup.server.device.corrupt(addr, "bitflip")
+    setup.server.device.buffer.corrupt(addr, "bitflip")
     stripe_bytes = setup.server.config.parity_stripe_kb * 1024
     return (cur.pool, (cur.offset + HEADER_SIZE + len(key)) // stripe_bytes)
 
@@ -70,7 +70,7 @@ class TestConfig:
         server = setup.server
         assert server.config.parity_stripe_kb == 0
         assert all(p.integrity is ABSENT_TIER for p in server.partitions)
-        assert server.device.size == _end_of_pools(server)
+        assert server.device.buffer.size == _end_of_pools(server)
         assert "integrity" not in server.metrics()
 
     def test_parity_on_attaches_the_tier(self, env):
@@ -79,7 +79,7 @@ class TestConfig:
         tiers = [p.integrity for p in server.partitions]
         assert all(type(t) is PartitionIntegrity for t in tiers)
         assert tiers[0] is not tiers[1]
-        assert server.device.size > _end_of_pools(server)
+        assert server.device.buffer.size > _end_of_pools(server)
         assert "integrity" in server.metrics()
 
     @pytest.mark.parametrize("store", sorted(STORES))
@@ -254,7 +254,7 @@ class TestReconstructingRepair:
         assert head1.offset // 4096 == head2.offset // 4096
         pool = part.pools[head1.pool]
         for head in (head1, head2):
-            setup.server.device.corrupt(
+            setup.server.device.buffer.corrupt(
                 pool.abs_addr(head.offset) + HEADER_SIZE + 16 + 10, "bitflip"
             )
 
@@ -328,7 +328,7 @@ class TestGarbageAccounting:
         part, cur = _head_loc(setup, _key(80))
         pool = part.pools[cur.pool]
         assert pool.garbage_bytes == 0
-        setup.server.device.corrupt(
+        setup.server.device.buffer.corrupt(
             pool.abs_addr(cur.offset) + HEADER_SIZE + 16, "bitflip"
         )
         stats = _wait_for_scrub(env, setup, "unrepairable")
@@ -377,7 +377,7 @@ class TestCleaningMigration:
         # Rot the freshly-moved copy at its new home.
         new_pool = part.pools[new_pool_id]
         moved = new_pool.allocations[0]
-        setup.server.device.corrupt(
+        setup.server.device.buffer.corrupt(
             new_pool.abs_addr(moved.offset) + HEADER_SIZE + 16 + 5, "bitflip"
         )
 

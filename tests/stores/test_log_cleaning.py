@@ -94,7 +94,7 @@ class TestCleaningCycle:
             img = part.read_object(cur)
             assert img.durable
             pool = part.pools[cur.pool]
-            assert server.device.is_persistent(pool.abs_addr(cur.offset), cur.size)
+            assert server.device.buffer.is_persistent(pool.abs_addr(cur.offset), cur.size)
 
     def test_second_cycle_works(self, env):
         setup = small_store("efactory", env)

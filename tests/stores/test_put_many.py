@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import EFactoryClient
+from repro.crc.cost import CRC_COST
 from repro.core.recovery import recover_bucketized
 from repro.errors import QPError, StoreError
 from repro.kv.hashtable import Slot
@@ -140,8 +141,7 @@ class TestLargeValues:
         items = _items(64, vlen=4096)
         setup = small_store("efactory", env, pool_size=4 << 20)
         c = setup.client()
-        cfg = setup.server.config
-        assert 16 * cfg.crc_cost.cost_ns(4096) > setup.server.verify_timeout_ns
+        assert 16 * CRC_COST.cost_ns(4096) > setup.server.verify_timeout_ns
 
         def work():
             yield from c.put_many(items)

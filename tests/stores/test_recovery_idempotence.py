@@ -47,10 +47,10 @@ def test_second_recovery_run_is_a_noop(env, partitions):
     _populate_and_crash(env, setup)
 
     first = _recover(env, setup)
-    image = setup.server.device.snapshot()
+    image = setup.server.device.buffer.snapshot()
     second = _recover(env, setup)
 
-    assert setup.server.device.same_image(image)
+    assert setup.server.device.buffer.same_image(image)
     assert second.keys_rolled_back == 0
     assert second.keys_lost == 0
     assert second.torn_objects == 0
@@ -65,11 +65,11 @@ def test_erda_second_recovery_does_not_lose_a_lost_key_again(env):
     _populate_and_crash(env, setup, crash_seed=2)
 
     first = _recover(env, setup, recover_erda)
-    image = setup.server.device.snapshot()
+    image = setup.server.device.buffer.snapshot()
     second = _recover(env, setup, recover_erda)
 
     assert first.keys_lost > 0 and first.keys_recovered > 0
-    assert setup.server.device.same_image(image)
+    assert setup.server.device.buffer.same_image(image)
     assert second.keys_lost == 0 and second.keys_rolled_back == 0
     assert second.keys_recovered == first.keys_recovered + first.keys_rolled_back
 
@@ -101,9 +101,9 @@ def test_crash_mid_recovery_converges(env):
     setup.server.device.injector = None
     setup.fabric.restart_node(setup.server.node)
     _recover(env, setup)
-    image = setup.server.device.snapshot()
+    image = setup.server.device.buffer.snapshot()
     report = _recover(env, setup)
 
-    assert setup.server.device.same_image(image)
+    assert setup.server.device.buffer.same_image(image)
     assert report.keys_rolled_back == 0
     assert report.keys_lost == 0

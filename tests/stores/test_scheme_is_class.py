@@ -8,9 +8,9 @@ included). A server built directly, without the registry, is already
 its paper scheme; ``StoreSpec`` adds only the recovery pass and the
 guarantees a report checks. The same rule holds for the cluster's
 protocol timings, the harness specs, the retry policy, the arrival
-curve and the store timings only tests set: such a value is a constant
-of the code that reads it, not a field, and a test that needs another
-value sets it on the class.
+curve, the store timings only tests set and the modelled hardware (DDIO,
+NVM timing, CRC time): such a value is a constant of the code that reads
+it, not a field, and a test that needs another value sets it on the class.
 """
 
 from dataclasses import fields
@@ -30,6 +30,7 @@ from repro.core import (
 )
 from repro.cluster import build_cluster
 from repro.cluster.config import ClusterConfig
+from repro.crc.cost import CRC_COST, CrcCostModel
 from repro.faults.policy import RetryPolicy
 from repro.harness import scaffold
 from repro.harness.chaos import ChaosSpec
@@ -39,6 +40,7 @@ from repro.loadgen.engine import LoadSpec, run_load
 from repro.loadgen.tenants import TenantSpec
 from repro.kv.hashtable import key_fingerprint
 from repro.kv.objects import HEADER_SIZE
+from repro.nvm.device import NVMTiming
 from repro.rdma.fabric import Fabric
 from repro.stores import STORES
 from repro.workloads.ycsb import ycsb_b
@@ -67,10 +69,10 @@ class TestEFactoryServerIsItsScheme:
         part = server.partitions[resp.get("part", 0)]
         pool = part.pools[resp["pool"]]
         header_addr = pool.abs_addr(resp["obj_off"])
-        assert server.device.is_persistent(header_addr, HEADER_SIZE + len(KEY))
+        assert server.device.buffer.is_persistent(header_addr, HEADER_SIZE + len(KEY))
         entry_off = part.table.find(key_fingerprint(KEY))
         assert entry_off is not None
-        assert server.device.is_persistent(part.table.base + entry_off, 8)
+        assert server.device.buffer.is_persistent(part.table.base + entry_off, 8)
 
     def test_default_config_is_the_class_config(self, env):
         server = EFactoryServer(env, Fabric(env))
@@ -115,13 +117,28 @@ class TestStoreSpec:
         """A new knob shows up here as a test diff."""
         assert [f.name for f in fields(StoreConfig)] == [
             "pool_size", "table_buckets", "slots_per_bucket", "probe_limit",
-            "num_partitions", "server_cores", "ddio", "admission_watermark",
-            "crc_cost", "nvm_timing",
+            "num_partitions", "server_cores", "admission_watermark",
         ]
         assert [f.name for f in fields(EFactoryConfig)][len(fields(StoreConfig)):] == [
             "auto_clean", "adaptive_read", "loc_cache_size", "bg_batch",
             "scrub_interval_ns", "parity_stripe_kb",
         ]
+
+    @pytest.mark.parametrize("key", ["nvm_timing", "crc_cost", "ddio"])
+    def test_a_store_config_takes_no_hardware_model(self, key, env):
+        """The modelled hardware is no deployment option: each model
+        sits, unchanged, beside the code that reads it, and no store's
+        config accepts it."""
+        server = CAServer(env, Fabric(env))
+        homes = {
+            "nvm_timing": server.device.timing, "crc_cost": CRC_COST, "ddio": server.ddio,
+        }
+        assert homes == {
+            "nvm_timing": NVMTiming(), "crc_cost": CrcCostModel(), "ddio": True,
+        }
+        for spec in STORES.values():
+            with pytest.raises(TypeError):
+                spec.config(**{key: homes[key]})
 
     @pytest.mark.parametrize(
         "key, value",

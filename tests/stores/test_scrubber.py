@@ -49,7 +49,7 @@ class TestRepair:
         run1(env, c.put(_key(0), v2))
         _settle(env, setup)  # v2 durable — the trusted head
 
-        setup.server.device.corrupt(_head_value_addr(setup, _key(0)), "bitflip")
+        setup.server.device.buffer.corrupt(_head_value_addr(setup, _key(0)), "bitflip")
         stats = _wait_for_scrub(env, setup, "repaired")
         assert stats["corrupt_found"] >= 1
         assert stats["repaired"] >= 1
@@ -65,7 +65,7 @@ class TestRepair:
         run1(env, c.put(_key(1), b"C" * 64))
         _settle(env, setup)
 
-        setup.server.device.corrupt(_head_value_addr(setup, _key(1)), "bitflip")
+        setup.server.device.buffer.corrupt(_head_value_addr(setup, _key(1)), "bitflip")
         stats = _wait_for_scrub(env, setup, "unrepairable")
         assert stats["unrepairable"] >= 1
         # a cleared key is a loud miss, not silently served rot

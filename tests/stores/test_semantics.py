@@ -30,7 +30,7 @@ def _object_loc(server, key):
 def _is_durable(server, key):
     loc = _object_loc(server, key)
     pool = server.partition_for_key(key).pools[loc.pool]
-    return server.device.is_persistent(pool.abs_addr(loc.offset), loc.size)
+    return server.device.buffer.is_persistent(pool.abs_addr(loc.offset), loc.size)
 
 
 class TestDurabilityPoint:

@@ -107,6 +107,17 @@ def test_chaos(capsys, tmp_path):
     assert payload[0]["violations"] == []
 
 
+@pytest.mark.parametrize("store, landed", [("ca", False), ("rpc", True)])
+def test_chaos_media_plan_says_when_nothing_landed(capsys, store, landed):
+    """CA writes nothing back, so a media plan has nothing to strike: the
+    report says so instead of showing a bare row of zeros."""
+    argv = ["chaos", "--store", store, "--plan", "bitrot-heavy",
+            "--seeds", "7", "--clients", "2", "--ops", "60"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert ("no media fault landed in bitrot-heavy seed 7" in out) is not landed
+
+
 def test_chaos_unknown_plan_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(
