@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks.conftest import scaled
 from repro.analysis.tables import Table, banner
-from repro.core import EFactoryServer
+from repro.core import EFactoryClient, EFactoryServer
 from repro.harness.runner import RunSpec, run_experiment
 from repro.rdma.latency import FabricTiming
 from repro.workloads.ycsb import update_only, ycsb_b
@@ -52,7 +52,7 @@ def test_recv_batching_ablation(benchmark, show, monkeypatch):
     assert batched >= unbatched * 0.999
 
 
-def test_adaptive_read_recovers_hot_write_regime(benchmark, show):
+def test_adaptive_read_recovers_hot_write_regime(benchmark, show, monkeypatch):
     """The Fig 9(c)@4KiB deviation and its fix: under write-heavy
     zipfian load the optimistic read is mostly wasted; the adaptive-read
     extension (skip the pure attempt for recently-raced keys) claws the
@@ -62,9 +62,9 @@ def test_adaptive_read_recovers_hot_write_regime(benchmark, show):
     def run():
         workload = ycsb_a(value_len=4096, key_count=1024)
         plain = run_experiment(_spec("efactory", workload))
-        adaptive = run_experiment(
-            _spec("efactory", workload, adaptive_read=True)
-        )
+        with monkeypatch.context() as m:
+            m.setattr(EFactoryClient, "adaptive_read", True)
+            adaptive = run_experiment(_spec("efactory", workload))
         nohr = run_experiment(_spec("efactory_nohr", workload))
         return {
             "hybrid": plain.throughput_mops,

@@ -31,7 +31,7 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import Any, ClassVar, Optional
 
-from repro.baselines.partition import RESPONSE_BYTES, Partition
+from repro.baselines.partition import RESPONSE_BYTES, Admission, Partition
 from repro.crc.cost import CRC_COST
 from repro.crc.crc32 import crc32_fast
 from repro.errors import (
@@ -287,6 +287,10 @@ class BaseServer:
                 )
             )
 
+        if cfg.admission_watermark > 0:
+            for part in self.partitions:
+                part.admission = Admission(fabric, cfg.admission_watermark)
+
         self.rpc = RpcServer(
             env,
             self.node,
@@ -388,12 +392,12 @@ class BaseServer:
         watermark is off."""
         if self.config.admission_watermark == 0:
             return None
-        out = {
+        admissions = [p.admission for p in self.partitions]
+        return {
             "watermark": self.config.admission_watermark,
-            **sum_counters(p.admission_stats() for p in self.partitions),
+            **sum_counters(a.stats() for a in admissions),
+            "peak_inflight": max(a.peak_inflight for a in admissions),
         }
-        out["peak_inflight"] = max(p.peak_inflight for p in self.partitions)
-        return out
 
     # -- the shared allocation path (client-active PUT, steps 2-4) -------------
     def _handle_alloc(

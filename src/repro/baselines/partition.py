@@ -19,6 +19,8 @@ server core's worth of state:
   partition (one core per partition; ``None`` when ``num_partitions ==
   1`` so the single-partition event sequence is bit-for-bit the
   monolith's).
+* its admission control: an armed :class:`Admission` when the store
+  has a watermark, else the stateless :data:`NO_ADMISSION`.
 
 Every object-path helper (allocate, publish, persist, settle, lookup,
 read) lives here at partition scope, and ``server.partitions`` is the
@@ -59,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kv.logpool import LogPool
     from repro.rdma.mr import MemoryRegion
 
-__all__ = ["Partition", "RESPONSE_BYTES", "ROTTEN_LOCATION"]
+__all__ = ["Admission", "NO_ADMISSION", "Partition", "RESPONSE_BYTES", "ROTTEN_LOCATION"]
 
 #: Wire bytes of a small control response (offset + status).
 RESPONSE_BYTES = 32
@@ -69,6 +71,76 @@ RESPONSE_BYTES = 32
 #: (``LogPool.abs_addr``) when the offset is outside the pool, and
 #: ``parse_object`` on a fragment shorter than a header.
 ROTTEN_LOCATION = (MemoryAccessError, PoolExhaustedError, CorruptObjectError)
+
+
+class Admission:
+    """One partition's armed admission watermark (DESIGN.md §15): a
+    request that begins an operation while ``watermark`` admitted ones
+    are in flight is shed with retryable ``ERR_BUSY``. ``BaseServer``
+    attaches one per partition when ``admission_watermark > 0``."""
+
+    __slots__ = ("fabric", "watermark", "inflight", "peak_inflight", "admitted", "shed")
+
+    def __init__(self, fabric: Any, watermark: int) -> None:
+        self.fabric = fabric
+        self.watermark = watermark
+        #: Requests admitted and not yet served (handler in flight), and
+        #: its high-water mark (load metric).
+        self.inflight = self.peak_inflight = 0
+        #: Requests admitted / shed since server start.
+        self.admitted = self.shed = 0
+
+    def enter(self) -> bool:
+        """The decision (instant, no events): False sheds; True counts
+        the request in flight until :meth:`leave`."""
+        inj = self.fabric.injector
+        if inj is not None:
+            act = inj.fire("admission.enter")
+            if act is not None and act.kind == "admission_shed":
+                # Chaos-forced shed: exercises the client backoff loop
+                # without needing real overload.
+                self.shed += 1
+                return False
+        if self.inflight >= self.watermark:
+            self.shed += 1
+            if inj is not None:
+                inj.fire("admission.shed")
+            return False
+        self.inflight += 1
+        self.admitted += 1
+        if self.inflight > self.peak_inflight:
+            self.peak_inflight = self.inflight
+        return True
+
+    def leave(self) -> None:
+        self.inflight -= 1
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "admitted": self.admitted,
+            "shed": self.shed,
+            "peak_inflight": self.peak_inflight,
+            "inflight": self.inflight,
+        }
+
+
+class NoAdmission:
+    """The admission of a store without a watermark: every request is
+    admitted, no site fires and nothing is counted. Stateless, so one
+    instance (:data:`NO_ADMISSION`) serves every partition of every
+    server, and a completion step that was admitted at its alloc."""
+
+    __slots__ = ()
+
+    def enter(self) -> bool:
+        return True
+
+    def leave(self) -> None:
+        """Nothing was counted in."""
+
+
+#: The one admission every partition without a watermark holds.
+NO_ADMISSION = NoAdmission()
 
 
 class Partition:
@@ -113,18 +185,10 @@ class Partition:
         self.cpu: Optional[Resource] = (
             Resource(server.env, capacity=cpu_budget) if cpu_budget else None
         )
-        # -- admission control (config.admission_watermark > 0) --------
-        #: Requests admitted and not yet served (handler in flight).
-        self.inflight = 0
-        #: High-water mark of :attr:`inflight` (load metric).
-        self.peak_inflight = 0
-        #: Requests admitted / shed with ERR_BUSY since server start.
-        self.admitted_requests = 0
-        self.shed_requests = 0
-
-    @property
-    def config(self):
-        return self.server.config
+        #: Admission control: ``BaseServer`` attaches an armed
+        #: :class:`Admission` when the store has a watermark; without
+        #: one every request lands on the stateless ``NO_ADMISSION``.
+        self.admission: "Admission | NoAdmission" = NO_ADMISSION
 
     @property
     def device(self):
@@ -146,9 +210,10 @@ class Partition:
         with retryable ``ERR_BUSY`` while the watermark's worth are in
         flight (DESIGN.md §15); the dispatch budget is taken (a free
         unit at once, with no grant event, as ``RpcServer`` takes a free
-        core; otherwise in FIFO line); ``body`` runs; budget and admission are given back. The completion step
-        of an operation admitted at its alloc (SAW ``persist``, IMM's
-        WRITE_WITH_IMM) passes ``admit=False`` and takes the budget only.
+        core; otherwise in FIFO line); ``body`` runs; budget and admission
+        are given back. The completion step of an operation admitted at
+        its alloc (SAW ``persist``, IMM's WRITE_WITH_IMM) passes
+        ``admit=False`` and takes the budget only.
 
         Returns what ``body`` returns, or ``(refusal, RESPONSE_BYTES)``
         without running it.
@@ -161,12 +226,12 @@ class Partition:
                 ),
                 RESPONSE_BYTES,
             )
-        admitted = admit and self.config.admission_watermark > 0
-        if admitted and not self._admit():
+        admission = self.admission if admit else NO_ADMISSION
+        if not admission.enter():
             return (
                 rpc_error(
                     f"partition {self.part_id} over admission watermark "
-                    f"({self.inflight} in flight)",
+                    f"({admission.inflight} in flight)",
                     code=ERR_BUSY,
                 ),
                 RESPONSE_BYTES,
@@ -182,39 +247,7 @@ class Partition:
         finally:
             if req is not None:
                 cpu.release(req)
-            if admitted:
-                self.inflight -= 1
-
-    def _admit(self) -> bool:
-        """The armed watermark's decision (instant, no events): False
-        sheds; True counts the request in flight until :meth:`serve`
-        gives it back."""
-        inj = self.server.fabric.injector
-        if inj is not None:
-            act = inj.fire("admission.enter")
-            if act is not None and act.kind == "admission_shed":
-                # Chaos-forced shed: exercises the client backoff loop
-                # without needing real overload.
-                self.shed_requests += 1
-                return False
-        if self.inflight >= self.config.admission_watermark:
-            self.shed_requests += 1
-            if inj is not None:
-                inj.fire("admission.shed")
-            return False
-        self.inflight += 1
-        self.admitted_requests += 1
-        if self.inflight > self.peak_inflight:
-            self.peak_inflight = self.inflight
-        return True
-
-    def admission_stats(self) -> dict[str, int]:
-        return {
-            "admitted": self.admitted_requests,
-            "shed": self.shed_requests,
-            "peak_inflight": self.peak_inflight,
-            "inflight": self.inflight,
-        }
+            admission.leave()
 
     # -- the shared allocation path (client-active PUT, steps 2-4) ------------
     def alloc_object(

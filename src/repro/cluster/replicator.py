@@ -263,20 +263,6 @@ class LogShipper:
         self.ship_rounds += 1
         return True
 
-    # -- metrics ------------------------------------------------------------
-    def stats(self) -> dict[str, Any]:
-        return {
-            "part": self.part_id,
-            "pool": self.pool_id,
-            "gen": self.gen,
-            "shipped_records": self.shipped_records,
-            "shipped_bytes": self.shipped_bytes,
-            "ship_rounds": self.ship_rounds,
-            "failed_rounds": self.failed_rounds,
-            "watermark": self.shipped_end,
-            "lag_bytes": self.lag_bytes,
-        }
-
 
 def repl_wait_loop(
     node: "ClusterNode", part_id: int, pool: int, end: int

@@ -81,9 +81,6 @@ class ClusterRouter:
     def backups(self, part: int) -> list[int]:
         return [n for n in self.routes[part].replicas[1:] if n in self.alive]
 
-    def replicas(self, part: int) -> list[int]:
-        return list(self.routes[part].replicas)
-
     def routable(self, part: int) -> bool:
         """Can a client usefully send ops at this partition right now?"""
         route = self.routes[part]

@@ -98,11 +98,6 @@ class EFactoryServer(BaseServer):
         return _align(self.pools_per_partition * one_pool, 4096)
 
     @property
-    def cleaning_active(self) -> bool:
-        """True while *any* partition runs a cleaning cycle."""
-        return any(p.cleaning_active for p in self.partitions)
-
-    @property
     def backlog(self) -> int:
         """Objects still queued for any partition's verifier."""
         return sum(p.verifier.backlog for p in self.partitions)

@@ -137,8 +137,9 @@ FAULT_KINDS: dict[str, FaultKind] = {
             "admission.*",
             "admission control force-sheds the request (retryable "
             "ERR_BUSY) even below the watermark, exercising the client "
-            "backoff loop without real overload; only fires while "
-            "admission_watermark > 0 arms the site",
+            "backoff loop without real overload; fires only where "
+            "admission_watermark > 0 attached a partition's Admission "
+            "layer (the stateless NO_ADMISSION fires no site)",
         ),
         FaultKind(
             "client_stall",

@@ -85,10 +85,6 @@ class LatencySummary:
     def p50_us(self) -> float:
         return self.p50_ns / 1000.0
 
-    @property
-    def p99_us(self) -> float:
-        return self.p99_ns / 1000.0
-
 
 def summarize(recorder: LatencyRecorder, kind: Optional[str] = None) -> LatencySummary:
     arr = recorder.array(kind)

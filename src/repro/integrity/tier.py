@@ -151,16 +151,9 @@ class PoolIntegrity:
         return range(offset // self.stripe_bytes, (offset + size - 1) // self.stripe_bytes + 1)
 
     # -- coverage -----------------------------------------------------------
-    def covered_at(self, offset: int) -> bool:
-        return offset in self.entries
-
     def covered(self, offset: int, size: int) -> bool:
         entry = self.entries.get(offset)
         return entry is not None and entry[0] == size
-
-    def ledger_crc(self, offset: int) -> Optional[int]:
-        entry = self.entries.get(offset)
-        return None if entry is None else entry[1]
 
     def cover(self, offset: int, raw: bytes) -> None:
         """Record ``raw`` as the settled bytes of the object at ``offset``."""

@@ -53,10 +53,6 @@ class Message:
     #: Simulated arrival time (set by the fabric).
     arrived_at: float = 0.0
 
-    def is_request(self, kind: str) -> bool:
-        """True when the payload is an RPC request dict of ``kind``."""
-        return isinstance(self.payload, dict) and self.payload.get("op") == kind
-
 
 @dataclass(slots=True)
 class WorkCompletion:

@@ -196,3 +196,56 @@ def test_delete_during_migration_stays_deleted(env, delay_us, state):
     found = cluster.nodes[dst].server.partitions[part].lookup_slot(victim)
     assert found is None or found[1] is None
     setup.stop()
+
+
+@pytest.mark.parametrize(
+    "delay_us, state, before_fence",
+    [
+        (10, "migrating", True),
+        (20, "migrating", True),
+        (28, "migrating", True),
+        (34, "migrating", True),
+        (40, "migrating", True),
+        (42, "migrating", False),
+        (46, "draining", False),
+        (56, "draining", False),
+        (66, "draining", False),
+        (72, "draining", False),
+    ],
+)
+def test_put_during_migration_is_served_after_the_flip(env, delay_us, state, before_fence):
+    """The PUT twin of the DELETE test: a value written while the
+    partition moves is what the new primary serves. A PUT the source
+    allocated before the fence is carried over by the delta pass over
+    records past the copy mark; a later one waits out the fence and
+    lands on the destination."""
+    setup = small_cluster(env, nodes=3, replication=2)
+    client = setup.client(0)
+    cluster = setup.cluster
+    part, part_keys, all_keys = _keys_of_partition(cluster)
+    src = cluster.router.primary(part)
+    dst = next(i for i in range(3) if i != src)
+    victim, new = part_keys[0], b"new-value" * 4
+
+    def body():
+        for k in all_keys:
+            yield from client.put(k, k * 4)
+        mig = env.process(cluster.migrate(part, dst))
+        yield env.timeout(delay_us * 1000.0)
+        assert cluster.router.routes[part].state == state
+        yield from client.put(victim, new)
+        stats = yield mig
+        assert not stats["aborted"], stats
+        assert (yield from client.get(victim)) == new
+        for k in part_keys[1:]:
+            assert (yield from client.get(k)) == k * 4
+        return stats
+
+    stats = run1(env, body())
+    assert cluster.router.primary(part) == dst
+    spart = cluster.nodes[src].server.partitions[part]
+    on_source = spart.read_object(spart.lookup_slot(victim)[1]).value == new
+    assert on_source == before_fence
+    if before_fence:
+        assert stats["delta_moved"] >= 1, stats
+    setup.stop()

@@ -26,6 +26,7 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core import EFactoryClient
 from repro.harness.metrics import LatencyRecorder
 from repro.harness.scaffold import deploy, pool_bytes, preload
 from repro.loadgen.engine import LoadSpec
@@ -57,16 +58,21 @@ def _deploy(spec: BenchSpec) -> tuple[Environment, StoreSetup]:
     }
     if spec.bench == "put_many":
         overrides["bg_batch"] = spec.bg_batch
-    if spec.bench == "get_cached":
-        overrides["loc_cache_size"] = spec.ops
     overrides.update(spec.config_overrides)
-    setup = deploy(
-        "efactory", env, n_clients=1, overrides=overrides,
-        # 4x headroom: preload + measured writes never exhaust the pool.
-        pool_size=pool_bytes(
-            (spec.ops, spec.key_len, spec.value_len), headroom=4, floor=32 << 20
-        ),
-    )
+    # The client sizes its location cache when it is built.
+    default_cache = EFactoryClient.loc_cache_size
+    if spec.bench == "get_cached":
+        EFactoryClient.loc_cache_size = spec.ops
+    try:
+        setup = deploy(
+            "efactory", env, n_clients=1, overrides=overrides,
+            # 4x headroom: preload + measured writes never exhaust the pool.
+            pool_size=pool_bytes(
+                (spec.ops, spec.key_len, spec.value_len), headroom=4, floor=32 << 20
+            ),
+        )
+    finally:
+        EFactoryClient.loc_cache_size = default_cache
     return env, setup
 
 

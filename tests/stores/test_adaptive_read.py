@@ -10,12 +10,18 @@ from tests.conftest import run1, small_store
 KEY = b"key-0000adaptive"
 
 
+@pytest.fixture
+def adaptive(monkeypatch):
+    monkeypatch.setattr(EFactoryClient, "adaptive_read", True)
+
+
+@pytest.mark.usefixtures("adaptive")
 def test_skip_window_after_fallback(env, monkeypatch):
     monkeypatch.setattr(EFactoryClient, "adaptive_ttl_ns", 1e6)
     # keep the object unverified
     monkeypatch.setattr(EFactoryServer, "bg_retry_delay_ns", 1e7)
     monkeypatch.setattr(EFactoryServer, "bg_idle_poll_ns", 1e7)
-    setup = small_store("efactory", env, adaptive_read=True)
+    setup = small_store("efactory", env)
     c = setup.client()
     reads = {}
 
@@ -33,11 +39,12 @@ def test_skip_window_after_fallback(env, monkeypatch):
     assert reads["second_lat"] < 14_000
 
 
+@pytest.mark.usefixtures("adaptive")
 def test_skip_window_expires(env, monkeypatch):
     monkeypatch.setattr(EFactoryClient, "adaptive_ttl_ns", 10_000.0)
     # object verified well after the race
     monkeypatch.setattr(EFactoryServer, "bg_retry_delay_ns", 50_000.0)
-    setup = small_store("efactory", env, adaptive_read=True)
+    setup = small_store("efactory", env)
     c = setup.client()
 
     def work():
@@ -51,8 +58,9 @@ def test_skip_window_expires(env, monkeypatch):
     assert c.pure_reads == 1  # the post-expiry read went pure again
 
 
+@pytest.mark.usefixtures("adaptive")
 def test_pure_success_clears_skip_state(env):
-    setup = small_store("efactory", env, adaptive_read=True)
+    setup = small_store("efactory", env)
     c = setup.client()
 
     def work():
@@ -68,4 +76,4 @@ def test_pure_success_clears_skip_state(env):
 
 def test_disabled_by_default(env):
     setup = small_store("efactory", env)
-    assert setup.server.config.adaptive_read is False
+    assert setup.client().adaptive_read is False

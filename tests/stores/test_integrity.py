@@ -6,6 +6,7 @@ GET path."""
 
 import pytest
 
+from repro.core import EFactoryClient
 from repro.core.config import DEFAULT_PARITY_STRIPE_KB
 from repro.integrity import ABSENT_TIER, PARITY_PAGE, PartitionIntegrity, PoolIntegrity
 from repro.kv.hashtable import Slot, key_fingerprint
@@ -271,15 +272,19 @@ class TestReconstructingRepair:
         assert run1(env, c.get(_key(50), size_hint=160)) == v1a
 
 
+@pytest.fixture
+def cached(monkeypatch):
+    """Clients keep a 64-entry location cache (the tree checks its hits)."""
+    monkeypatch.setattr(EFactoryClient, "loc_cache_size", 64)
+
+
+@pytest.mark.usefixtures("cached")
 class TestIntegrityTree:
     def test_warm_cache_get_detects_rot_end_to_end(self, env):
         """With the tier on, a cache-warm 1-READ GET re-validates the
         image against the ledger: rotten bytes are rejected client-side
         instead of being returned."""
-        setup = small_store(
-            "efactory", env, loc_cache_size=64,
-            parity_stripe_kb=4,
-        )
+        setup = small_store("efactory", env, parity_stripe_kb=4)
         c = setup.client()
         run1(env, c.put(_key(70), b"E" * 64))
         _settle(env)
@@ -291,10 +296,7 @@ class TestIntegrityTree:
         assert c.read_stats()["tree_rejects"] == c.tree_rejects
 
     def test_intact_warm_gets_pass_the_tree(self, env):
-        setup = small_store(
-            "efactory", env, loc_cache_size=64,
-            parity_stripe_kb=4,
-        )
+        setup = small_store("efactory", env, parity_stripe_kb=4)
         c = setup.client()
         run1(env, c.put(_key(71), b"F" * 64))
         _settle(env)
@@ -306,7 +308,7 @@ class TestIntegrityTree:
     def test_the_stripe_size_alone_turns_the_tree_on(self, env):
         """``parity_stripe_kb > 0`` is the whole switch: no second knob
         is needed for warm GETs to be checked against the ledger."""
-        setup = small_store("efactory", env, loc_cache_size=64, parity_stripe_kb=4)
+        setup = small_store("efactory", env, parity_stripe_kb=4)
         c = setup.client()
         run1(env, c.put(_key(72), b"G" * 64))
         _settle(env)

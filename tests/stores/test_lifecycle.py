@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.partition import NO_ADMISSION, Admission
+from repro.faults.injector import arm_store
+from repro.faults.plan import FaultPlan
 from repro.kv.hashtable import key_fingerprint, partition_of_fp
 from repro.rdma.rpc import (
     ERR_BUSY,
@@ -15,6 +18,7 @@ from repro.rdma.rpc import (
     RpcFault,
 )
 from repro.sim.kernel import Environment
+from repro.sim.rng import RngRegistry
 from repro.stores import STORES, build_store
 
 VLEN = 64
@@ -100,10 +104,10 @@ def test_shed_at_watermark_before_any_budget_wait(store, op):
         _preload(setup, key)
     part = setup.server.partition_for_key(key)
     held = [part.cpu.request() for _ in range(part.cpu.capacity)] if part.cpu else []
-    part.inflight = 2
+    part.admission.inflight = 2
     assert _codes(setup, _request(op, key)) == [ERR_BUSY]
-    assert part.inflight == 2
-    assert part.shed_requests == 1
+    assert part.admission.inflight == 2
+    assert part.admission.shed == 1
     for req in held:
         part.cpu.release(req)
 
@@ -114,7 +118,7 @@ def test_alloc_batch_group_is_shed_as_one_unit(store):
     keys = [b"%02d-batch-key" % i for i in range(16)]
     owner = [partition_of_fp(key_fingerprint(k), 2) for k in keys]
     assert set(owner) == {0, 1}
-    setup.server.partitions[0].inflight = 1
+    setup.server.partitions[0].admission.inflight = 1
     payload = {
         "op": "alloc_batch",
         "reqs": [
@@ -124,9 +128,9 @@ def test_alloc_batch_group_is_shed_as_one_unit(store):
     }
     codes = _codes(setup, payload)
     assert codes == [ERR_BUSY if p == 0 else "ok" for p in owner]
-    assert setup.server.partitions[0].shed_requests == 1
-    assert setup.server.partitions[1].admitted_requests == 1
-    assert setup.server.partitions[1].inflight == 0
+    assert setup.server.partitions[0].admission.shed == 1
+    assert setup.server.partitions[1].admission.admitted == 1
+    assert setup.server.partitions[1].admission.inflight == 0
 
 
 @pytest.mark.parametrize(
@@ -136,8 +140,8 @@ def test_inflight_returns_to_zero_after_not_found(store, op):
     setup = _deploy(store, watermark=4)
     assert _codes(setup, _request(op, b"never-written")) == [ERR_NOT_FOUND]
     part = setup.server.partition_for_key(b"never-written")
-    assert part.admitted_requests == 1
-    assert part.inflight == 0
+    assert part.admission.admitted == 1
+    assert part.admission.inflight == 0
 
 
 @pytest.mark.parametrize("store, op", ALLOCS)
@@ -146,8 +150,8 @@ def test_inflight_returns_to_zero_after_pool_exhausted(store, op):
     key = b"too-big"
     assert _codes(setup, _request(op, key, vlen=2 * POOL)) == [ERR_POOL_EXHAUSTED]
     part = setup.server.partition_for_key(key)
-    assert part.admitted_requests == 1
-    assert part.inflight == 0
+    assert part.admission.admitted == 1
+    assert part.admission.inflight == 0
 
 
 @pytest.mark.parametrize("store, op", WRITES)
@@ -156,11 +160,11 @@ def test_fenced_partition_refuses_writes(store, op):
     key = b"fenced-key"
     _preload(setup, key)
     part = setup.server.partition_for_key(key)
-    before = part.admitted_requests
+    before = part.admission.admitted
     part.fenced = True
     assert _codes(setup, _request(op, key)) == [ERR_FENCED]
-    assert part.admitted_requests == before
-    assert part.inflight == 0
+    assert part.admission.admitted == before
+    assert part.admission.inflight == 0
 
 
 @pytest.mark.parametrize("store, op", READS)
@@ -179,7 +183,38 @@ def test_completion_step_is_not_admitted_again():
     key = b"saw-key"
     part = setup.server.partition_for_key(key)
     assert _codes(setup, _request("alloc", key)) == ["ok"]
-    part.inflight = 1
+    part.admission.inflight = 1
     assert _codes(setup, {"op": "persist", "alloc_id": 1 << 40}) == ["ok"]
-    assert part.admitted_requests == 1
-    assert part.shed_requests == 0
+    assert part.admission.admitted == 1
+    assert part.admission.shed == 0
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+def test_admission_is_a_layer_every_partition_holds(store):
+    """Without a watermark every partition holds the one stateless
+    ``NO_ADMISSION``; with one, each holds its own armed layer."""
+    assert {id(p.admission) for p in _deploy(store).server.partitions} == {
+        id(NO_ADMISSION)
+    }
+    armed = _deploy(store, watermark=3).server.partitions
+    assert all(type(p.admission) is Admission for p in armed)
+    assert len({id(p.admission) for p in armed}) == len(armed)
+    assert {p.admission.watermark for p in armed} == {3}
+
+
+@pytest.mark.parametrize("watermark, visits", [(0, 0), (2, 2)])
+def test_no_watermark_visits_no_admission_site(watermark, visits):
+    """Under an armed empty plan, an alloc and a ``get_loc`` visit
+    ``admission.enter`` once each with a watermark and never without
+    one, which keeps the crash matrix's per-site counts unchanged."""
+    setup = _deploy("efactory", watermark=watermark)
+    key = b"no-admission-key"
+    _preload(setup, key)
+    injector = arm_store(setup, FaultPlan("empty"), rngs=RngRegistry(1))
+    assert _codes(setup, _request("alloc", b"another-key")) == ["ok"]
+    assert _codes(setup, _request("get_loc", key)) == ["ok"]
+    counts = injector.site_op_counts()
+    assert counts["rpc.dispatch"] == 2
+    assert {s: n for s, n in counts.items() if s.startswith("admission.")} == (
+        {"admission.enter": visits} if visits else {}
+    )

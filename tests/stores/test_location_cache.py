@@ -4,6 +4,9 @@ degradation."""
 
 import random
 
+import pytest
+
+from repro.core import EFactoryClient
 from repro.faults.policy import RetryPolicy
 from repro.sim.kernel import Environment
 from tests.conftest import run1, small_store
@@ -13,15 +16,16 @@ def _key(i: int) -> bytes:
     return f"key-{i:012d}".encode()
 
 
-def _cached_store(env: Environment, **overrides):
-    defaults = dict(loc_cache_size=128)
-    defaults.update(overrides)
-    return small_store("efactory", env, **defaults)
+@pytest.fixture
+def cached(monkeypatch):
+    """Clients keep a 128-entry location cache."""
+    monkeypatch.setattr(EFactoryClient, "loc_cache_size", 128)
 
 
 class TestCachedReads:
+    @pytest.mark.usefixtures("cached")
     def test_warm_get_hits_and_matches(self, env):
-        setup = _cached_store(env)
+        setup = small_store("efactory", env)
         c = setup.client()
 
         def work():
@@ -33,12 +37,13 @@ class TestCachedReads:
         # PUT warmed the cache via _note_alloc: the GET was a hit.
         assert c.cache_hits == 1 and c.cache_misses == 0
 
+    @pytest.mark.usefixtures("cached")
     def test_cached_get_is_faster_than_uncached(self):
         """One READ instead of two: a hit costs at most 1/1.3 of a miss
         (≈ 1/2 measured), sharded or not."""
         for parts in (1, 4):
             env = Environment()
-            setup = _cached_store(env, num_partitions=parts)
+            setup = small_store("efactory", env, num_partitions=parts)
             c = setup.client()
 
             def work():
@@ -58,7 +63,8 @@ class TestCachedReads:
             assert t_miss >= 1.3 * t_hit, (parts, t_hit, t_miss)
 
     def test_disabled_by_default(self, env):
-        setup = small_store("efactory", env)  # loc_cache_size = 0
+        assert EFactoryClient.loc_cache_size == 0
+        setup = small_store("efactory", env)
         c = setup.client()
 
         def work():
@@ -71,12 +77,13 @@ class TestCachedReads:
         assert len(c._loc_cache) == 0
 
 
+@pytest.mark.usefixtures("cached")
 class TestStaleness:
     def test_overwrite_invalidates_cached_slot(self, env):
         """After an overwrite the cached (old) slot's image carries a
         set nxt_ptr: the client must detect it, drop the entry, and
         return the new value."""
-        setup = small_store("efactory", env, n_clients=2, loc_cache_size=128)
+        setup = small_store("efactory", env, n_clients=2)
         c = setup.client(0)
         c2 = setup.client(1)
 
@@ -96,7 +103,7 @@ class TestStaleness:
     def test_delete_invalidates_cached_slot(self, env):
         from repro.rdma.rpc import RpcFault
 
-        setup = _cached_store(env)
+        setup = small_store("efactory", env)
         c = setup.client()
 
         def work():
@@ -114,9 +121,10 @@ class TestStaleness:
         assert run1(env, work()) == "gone"
 
 
+@pytest.mark.usefixtures("cached")
 class TestFlushes:
     def test_cleaning_start_flushes_partition(self, env):
-        setup = _cached_store(env)
+        setup = small_store("efactory", env)
         c = setup.client()
 
         def fill():
@@ -134,7 +142,7 @@ class TestFlushes:
         assert len(c._loc_cache) == 0
 
     def test_degradation_flushes_partition(self, env):
-        setup = _cached_store(env)
+        setup = small_store("efactory", env)
         c = setup.client()
         res = c.enable_resilience(RetryPolicy(), random.Random(7))
 

@@ -23,7 +23,7 @@ def _items(n: int, vlen: int = 64):
     return [(_key(i), bytes([i % 251]) * vlen) for i in range(n)]
 
 
-BATCHED = dict(bg_batch=8, loc_cache_size=64)
+BATCHED = dict(bg_batch=8)
 
 
 @pytest.fixture
@@ -32,7 +32,13 @@ def put_batch_8(monkeypatch):
     monkeypatch.setattr(EFactoryClient, "put_batch", 8)
 
 
-@pytest.mark.usefixtures("put_batch_8")
+@pytest.fixture
+def cached(monkeypatch):
+    """Clients keep a 64-entry location cache."""
+    monkeypatch.setattr(EFactoryClient, "loc_cache_size", 64)
+
+
+@pytest.mark.usefixtures("put_batch_8", "cached")
 class TestEquivalence:
     def test_roundtrip_matches_sequential(self, env):
         items = _items(30)
@@ -49,11 +55,12 @@ class TestEquivalence:
 
         assert all(run1(env, work()))
 
-    def test_same_final_state_as_sequential(self):
+    def test_same_final_state_as_sequential(self, monkeypatch):
         """Batched and sequential ingestion leave the same KV contents."""
 
         def final_values(batched: bool):
             env = Environment()
+            monkeypatch.setattr(EFactoryClient, "loc_cache_size", 64 if batched else 0)
             overrides = dict(BATCHED) if batched else {}
             setup = small_store("efactory", env, **overrides)
             c = setup.client()
@@ -91,7 +98,7 @@ class TestEquivalence:
         assert all(run1(env, work()))
 
 
-@pytest.mark.usefixtures("put_batch_8")
+@pytest.mark.usefixtures("put_batch_8", "cached")
 class TestAmortization:
     def test_counters(self, env):
         setup = small_store("efactory", env, **BATCHED)
@@ -162,7 +169,7 @@ class TestLargeValues:
         assert setup.server.rpc.served_by_op["alloc_batch"] == 4
 
 
-@pytest.mark.usefixtures("put_batch_8")
+@pytest.mark.usefixtures("put_batch_8", "cached")
 class TestErrors:
     def test_per_item_alloc_error_raises(self, env):
         """A pool too small for the batch surfaces as an RpcFault, not a
@@ -181,7 +188,7 @@ class TestErrors:
         assert run1(env, work()) == "raised"
 
 
-@pytest.mark.usefixtures("put_batch_8")
+@pytest.mark.usefixtures("put_batch_8", "cached")
 class TestCrashSpotCheck:
     """Crash the server at several points inside a put_many and verify
     the recovered media never lies: every object whose durable flag

@@ -42,6 +42,7 @@ from repro.kv.hashtable import key_fingerprint
 from repro.kv.objects import HEADER_SIZE
 from repro.nvm.device import NVMTiming
 from repro.rdma.fabric import Fabric
+from repro.sim.kernel import Environment
 from repro.stores import STORES
 from repro.workloads.ycsb import ycsb_b
 from tests.conftest import run1, small_store
@@ -120,8 +121,7 @@ class TestStoreSpec:
             "num_partitions", "server_cores", "admission_watermark",
         ]
         assert [f.name for f in fields(EFactoryConfig)][len(fields(StoreConfig)):] == [
-            "auto_clean", "adaptive_read", "loc_cache_size", "bg_batch",
-            "scrub_interval_ns", "parity_stripe_kb",
+            "auto_clean", "bg_batch", "scrub_interval_ns", "parity_stripe_kb",
         ]
 
     @pytest.mark.parametrize("key", ["nvm_timing", "crc_cost", "ddio"])
@@ -171,6 +171,21 @@ class TestStoreSpec:
         assert getattr(home, key) == value
         with pytest.raises(TypeError):
             STORES["efactory"].config(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key, value", [("loc_cache_size", 0), ("adaptive_read", False)]
+    )
+    def test_a_read_extension_is_a_client_attribute(self, key, value):
+        """The location cache and the adaptive read are the client's:
+        each defaults off on ``EFactoryClient``, every client of both
+        eFactory stores reads it there, and no store's config takes it."""
+        assert getattr(EFactoryClient, key) == value
+        for store in ("efactory", "efactory_nohr"):
+            client = small_store(store, Environment()).client(0)
+            assert getattr(client, key) == value
+        for spec in STORES.values():
+            with pytest.raises(TypeError):
+                spec.config(**{key: value})
 
     def test_reserve_fraction_is_the_log_pools(self, env):
         with pytest.raises(TypeError):

@@ -206,3 +206,30 @@ def test_a_bad_shape_is_a_one_line_error(capsys, argv, field):
     assert captured.out == ""
     assert captured.err.startswith(f"repro {argv[0]}: error: {field} ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("watermark", [4, 0])
+def test_loadgen(capsys, tmp_path, watermark):
+    """A tiny two-tenant open-loop cell: the admission line and the
+    report's ``admission`` appear exactly while a watermark is armed."""
+    path = tmp_path / "load.json"
+    argv = [
+        "loadgen", "--store", "efactory", "--clients", "8", "--ops", "5",
+        "--tenants", "2", "--admission", str(watermark), "--json", str(path),
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    report = json.loads(path.read_text())
+    assert "Open-loop load: 8 clients on efactory" in out
+    assert [t["name"] for t in report["tenants"]] == ["YCSB-B-t0", "YCSB-B-t1"]
+    if watermark:
+        admission = report["admission"]
+        assert list(admission) == ["watermark", "admitted", "shed", "peak_inflight", "inflight"]
+        assert admission["watermark"] == 4 and admission["admitted"] > 0
+        assert (
+            f"admission: watermark 4  admitted {admission['admitted']}"
+            f"  shed {admission['shed']}  peak inflight {admission['peak_inflight']}"
+        ) in out
+    else:
+        assert "admission:" not in out
+        assert report["admission"] is None
